@@ -3,14 +3,24 @@
 Runs many independent Nelder-Mead searches in lockstep: one "slot" per
 search, all slots advancing one iteration per loop pass, with the objective
 evaluated for every slot that needs a point in a single vectorized call.
-Each slot's trajectory is exactly what a sequential run from the same start
-point would produce, so results are deterministic and independent of how
-slots are batched together.
+
+The loop carries only the live slots. Its working arrays hold one simplex
+per running search; when a slot stops (its simplex collapsed, or one more
+iteration could overrun its budget) its best vertex, value and evaluation
+count are written to the result once and the slot is dropped from every
+working array, so no later pass sorts, measures or indexes it again.
+
+Every vertex is computed with the same floating-point operations, in the
+same order, as a plain one-slot sequential run from the same start point
+(the tests keep such a run as the reference), so each slot's trajectory,
+``x``, ``fun`` and ``nfev`` are bitwise identical however the slots are
+batched together and whenever the other slots stop.
 
 Uses the adaptive coefficients of Gao and Han, which scale the expansion,
 contraction and shrink factors with the problem dimension; they behave much
 better than the classic constants once the dimension passes ~10, which is
-where unitary-group charts live (d**2 parameters).
+where unitary-group charts live (d**2 parameters). The reflection
+coefficient is 1 in that scheme.
 """
 
 from __future__ import annotations
@@ -61,93 +71,107 @@ def minimize_batch(
     idx = np.arange(n)
     sim[:, 1 + idx, idx] += step
 
-    all_slots = np.repeat(np.arange(n_slots), n + 1)
-    fsim = objective(sim.reshape(-1, n), all_slots).reshape(n_slots, n + 1)
+    slots = np.arange(n_slots)
+    fsim = objective(sim.reshape(-1, n), np.repeat(slots, n + 1)).reshape(
+        n_slots, n + 1
+    )
     nfev = np.full(n_slots, n + 1)
 
-    # Adaptive coefficients (reflection, expansion, contraction, shrink).
-    alpha = 1.0
+    # Adaptive coefficients (expansion, contraction, shrink).
     chi = 1.0 + 2.0 / n
     gamma = 0.75 - 1.0 / (2.0 * n)
     sigma = 1.0 - 1.0 / n
 
-    # Worst case per iteration: reflect + contract + shrink of n vertices.
-    iter_cost = n + 2
+    # A slot starts an iteration only if the worst case (reflect + contract
+    # + shrink of n vertices) fits in what is left of its budget.
+    limit = budget - (n + 2)
+
+    x_out = np.empty((n_slots, n))
+    f_out = np.empty(n_slots, dtype=fsim.dtype)
+    nfev_out = np.empty_like(nfev)
+    rows = slots[:, None]
 
     while True:
         order = np.argsort(fsim, axis=1, kind="stable")
-        fsim = np.take_along_axis(fsim, order, axis=1)
-        sim = np.take_along_axis(sim, order[:, :, None], axis=1)
+        fsim = fsim[rows, order]
+        sim = sim[rows, order]
 
-        spread_f = fsim[:, -1] - fsim[:, 0]
-        spread_x = np.abs(sim - sim[:, :1, :]).max(axis=(1, 2))
-        live = (spread_f > fatol) | (spread_x > xatol)
-        live &= nfev + iter_cost <= budget
-        if not live.any():
-            break
+        live = fsim[:, -1] - fsim[:, 0] > fatol
+        live |= np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) > xatol
+        live &= nfev <= limit
+        if not live.all():
+            done = ~live
+            stopped = slots[done]
+            x_out[stopped] = sim[done, 0]
+            f_out[stopped] = fsim[done, 0]
+            nfev_out[stopped] = nfev[done]
+            if not live.any():
+                break
+            sim = sim[live]
+            fsim = fsim[live]
+            slots = slots[live]
+            nfev = nfev[live]
+            limit = limit[live]
+            rows = np.arange(slots.size)[:, None]
 
-        slots = np.flatnonzero(live)
-        s_sim = sim[slots]
-        s_f = fsim[slots]
-
-        centroid = s_sim[:, :-1, :].mean(axis=1)
-        worst = s_sim[:, -1, :]
-        xr = centroid + alpha * (centroid - worst)
+        centroid = sim[:, :-1].sum(axis=1) / n
+        xr = centroid + (centroid - sim[:, -1])
         fr = objective(xr, slots)
-        nfev[slots] += 1
+        nfev += 1
 
-        new_vertex = xr.copy()
-        new_f = fr.copy()
-        shrink = np.zeros(slots.size, dtype=bool)
-
-        expand = fr < s_f[:, 0]
-        if expand.any():
-            e = np.flatnonzero(expand)
+        expand = fr < fsim[:, 0]
+        # Middle case fr < second-worst keeps the reflection as-is.
+        contract = ~expand & (fr >= fsim[:, -2])
+        any_expand = expand.any()
+        any_contract = contract.any()
+        if any_expand:
+            e = expand.nonzero()[0]
             xe = centroid[e] + chi * (xr[e] - centroid[e])
             fe = objective(xe, slots[e])
-            nfev[slots[e]] += 1
+            nfev[e] += 1
             better = fe < fr[e]
-            new_vertex[e[better]] = xe[better]
-            new_f[e[better]] = fe[better]
+            e = e[better]
+            xe = xe[better]
+            fe = fe[better]
 
-        # Middle case fr < second-worst keeps the reflection as-is.
-        contract = ~expand & (fr >= s_f[:, -2])
-        if contract.any():
-            c = np.flatnonzero(contract)
-            outside = fr[c] < s_f[c, -1]
+        h = None
+        if any_contract:
+            c = contract.nonzero()[0]
+            worst = sim[c, -1]
+            f_worst = fsim[c, -1]
+            outside = fr[c] < f_worst
+            cc = centroid[c]
             xc = np.where(
                 outside[:, None],
-                centroid[c] + gamma * (xr[c] - centroid[c]),
-                centroid[c] - gamma * (centroid[c] - s_sim[c, -1, :]),
+                cc + gamma * (xr[c] - cc),
+                cc - gamma * (cc - worst),
             )
             fc = objective(xc, slots[c])
-            nfev[slots[c]] += 1
+            nfev[c] += 1
             # Outside contraction accepts ties with the reflection; inside
-            # contraction must strictly beat the worst vertex.
-            accept = np.where(outside, fc <= fr[c], fc < s_f[c, -1])
-            new_vertex[c[accept]] = xc[accept]
-            new_f[c[accept]] = fc[accept]
-            shrink[c[~accept]] = True
+            # contraction must strictly beat the worst vertex. A rejected
+            # contraction shrinks the simplex towards its best vertex,
+            # which replaces the whole rest of that simplex below.
+            accept = np.where(outside, fc <= fr[c], fc < f_worst)
+            if not accept.all():
+                h = c[~accept]
+                best = sim[h, :1]
+                shrunk = best + sigma * (sim[h, 1:] - best)
+                f_shrunk = objective(
+                    shrunk.reshape(-1, n), np.repeat(slots[h], n)
+                ).reshape(h.size, n)
+                nfev[h] += n
 
-        keep = ~shrink
-        if keep.any():
-            k = np.flatnonzero(keep)
-            rows = slots[k]
-            sim[rows, -1, :] = new_vertex[k]
-            fsim[rows, -1] = new_f[k]
+        sim[:, -1] = xr
+        fsim[:, -1] = fr
+        if any_expand:
+            sim[e, -1] = xe
+            fsim[e, -1] = fe
+        if any_contract:
+            sim[c, -1] = xc
+            fsim[c, -1] = fc
+        if h is not None:
+            sim[h, 1:] = shrunk
+            fsim[h, 1:] = f_shrunk
 
-        if shrink.any():
-            h = np.flatnonzero(shrink)
-            rows = slots[h]
-            best = sim[rows, :1, :]
-            shrunk = best + sigma * (sim[rows, 1:, :] - best)
-            sim[rows, 1:, :] = shrunk
-            flat_slots = np.repeat(rows, n)
-            fvals = objective(shrunk.reshape(-1, n), flat_slots)
-            fsim[rows, 1:] = fvals.reshape(rows.size, n)
-            nfev[rows] += n
-
-    order = np.argsort(fsim, axis=1, kind="stable")
-    fsim = np.take_along_axis(fsim, order, axis=1)
-    sim = np.take_along_axis(sim, order[:, :, None], axis=1)
-    return BatchResult(x=sim[:, 0, :].copy(), fun=fsim[:, 0].copy(), nfev=nfev)
+    return BatchResult(x=x_out, fun=f_out, nfev=nfev_out)

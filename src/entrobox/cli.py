@@ -16,8 +16,8 @@ Reports are deterministic: two runs with the same arguments produce
 byte-identical JSON except for the ``wall_time_s`` field. Per-trial states
 are derived from the master seed and the trial index alone, so results do
 not depend on chunking or thread count. The ``ENTROBOX_THREADS``
-environment variable caps the worker threads used for trial evaluation
-(default 1).
+environment variable (a positive integer, default 1) sets the worker
+threads used for trial evaluation.
 """
 
 from __future__ import annotations
@@ -93,9 +93,15 @@ class SuiteConfig:
     input_path: str | None = None
     threads: int = 1
 
+    def __post_init__(self) -> None:
+        if self.trials < 0:
+            raise ShapeMismatchError(f"need trials >= 0, got {self.trials}")
+        if self.dims and min(self.dims) < 2:
+            raise ShapeMismatchError(f"need every dim >= 2, got {self.dims}")
+
     def resolved_dims(self, family: str) -> list[int]:
         if self.dims:
-            return [d for d in self.dims if d >= 2]
+            return list(self.dims)
         return {
             "classical": _CLASSICAL_DIMS,
             "quantum": _QUANTUM_DIMS,
@@ -935,9 +941,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _threads_from_env() -> int:
     raw = os.environ.get("ENTROBOX_THREADS", "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise EntroboxError(f"ENTROBOX_THREADS must be a positive integer, got {raw!r}")
+    return threads
 
 
 def _emit(payload: dict, output: str | None) -> None:

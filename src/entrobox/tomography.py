@@ -166,22 +166,23 @@ def validate_unitary(raw, tol: float = 1e-10) -> UnitaryMatrix:
 
 
 @lru_cache(maxsize=None)
-def _pair_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_indices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat positions in a d x d matrix of the diagonal, then of the strict
+    upper triangle in row-major order and of its transposed entries."""
     rows, cols = np.triu_indices(dim, k=1)
-    return rows, cols
+    return np.arange(dim) * (dim + 1), rows * dim + cols, cols * dim + rows
 
 
 def _assemble_generators(points: np.ndarray, dim: int) -> np.ndarray:
     """Hermitian generators (m, d, d) from chart parameters (m, d**2)."""
     m = points.shape[0]
-    h = np.zeros((m, dim, dim), dtype=complex)
-    diag = np.arange(dim)
-    h[:, diag, diag] = points[:, :dim]
-    rows, cols = _pair_indices(dim)
+    h = np.zeros((m, dim * dim), dtype=complex)
+    diag, upper, lower = _pair_indices(dim)
+    h[:, diag] = points[:, :dim]
     off = points[:, dim::2] + 1j * points[:, dim + 1 :: 2]
-    h[:, rows, cols] = off
-    h[:, cols, rows] = off.conj()
-    return h
+    h[:, upper] = off
+    h[:, lower] = off.conj()
+    return h.reshape(m, dim, dim)
 
 
 def _chart_unitaries(points: np.ndarray, dim: int) -> np.ndarray:
@@ -215,12 +216,9 @@ def eigenbasis_unitary(rho: DensityMatrix) -> tuple[UnitaryMatrix, bool]:
     return UnitaryMatrix(v.conj().T), degenerate
 
 
-def tomogram(rho: DensityMatrix, u: UnitaryMatrix, state_ref: str = "") -> Tomogram:
-    """Measurement distribution w = diag(u rho u^dag) of ``rho`` in basis ``u``.
-
-    The diagonal must be real up to 1e-12 and nonnegative up to -1e-12;
-    tiny negatives are clipped and the vector renormalized.
-    """
+def _readout(rho: DensityMatrix, u: UnitaryMatrix) -> np.ndarray:
+    """The checked, renormalized readout behind :func:`tomogram`, without
+    the state hash that ties a public :class:`Tomogram` to its source."""
     if u.dim != rho.dim:
         raise DimMismatchError(f"unitary dim {u.dim} != state dim {rho.dim}")
     diag = np.einsum("ij,jk,ik->i", u.matrix, rho.matrix, u.matrix.conj())
@@ -230,8 +228,17 @@ def tomogram(rho: DensityMatrix, u: UnitaryMatrix, state_ref: str = "") -> Tomog
     if float(w.min()) < -1e-12:
         raise NotPositiveError(f"basis readout has negative weight {w.min():.3e}")
     w = np.clip(w, 0.0, None)
+    return w / w.sum()
+
+
+def tomogram(rho: DensityMatrix, u: UnitaryMatrix, state_ref: str = "") -> Tomogram:
+    """Measurement distribution w = diag(u rho u^dag) of ``rho`` in basis ``u``.
+
+    The diagonal must be real up to 1e-12 and nonnegative up to -1e-12;
+    tiny negatives are clipped and the vector renormalized.
+    """
     return Tomogram(
-        probabilities=ProbVec(w / w.sum()),
+        probabilities=ProbVec(_readout(rho, u)),
         unitary=u,
         state_ref=state_ref or rho.ref,
     )
@@ -239,7 +246,7 @@ def tomogram(rho: DensityMatrix, u: UnitaryMatrix, state_ref: str = "") -> Tomog
 
 def tomographic_entropy(rho: DensityMatrix, u: UnitaryMatrix) -> EntropyValue:
     """Shannon entropy of the basis readout; >= von Neumann entropy of rho."""
-    w = tomogram(rho, u).probabilities.values
+    w = _readout(rho, u)
     return EntropyValue(float(-xlogy(w, w).sum()), "shannon")
 
 
@@ -248,7 +255,7 @@ def _readout_entropies(points: np.ndarray, rhos: np.ndarray, dim: int) -> np.nda
     u = _chart_unitaries(points, dim)
     t = u @ rhos
     probs = np.einsum("bij,bij->bi", t, u.conj()).real
-    np.clip(probs, 0.0, None, out=probs)
+    np.maximum(probs, 0.0, out=probs)
     return -xlogy(probs, probs).sum(axis=1)
 
 
@@ -372,11 +379,11 @@ def marginal_tomograms(
         raise DimMismatchError("marginal readouts need 2 x 2 unitaries")
     r1 = reduce(rho, ReductionPlan((2, 2), (1,)))
     r2 = reduce(rho, ReductionPlan((2, 2), (2,)))
-    w1 = tomogram(r1, u1).probabilities
-    w2 = tomogram(r2, u2).probabilities
+    w1 = ProbVec(_readout(r1, u1))
+    w2 = ProbVec(_readout(r2, u2))
 
-    joint = tomogram(rho, UnitaryMatrix(np.kron(u1.matrix, u2.matrix)))
-    table = reshape(joint.probabilities, (2, 2))
+    joint = _readout(rho, UnitaryMatrix(np.kron(u1.matrix, u2.matrix)))
+    table = reshape(ProbVec(joint), (2, 2))
     m1 = marginal2(table, 1)
     m2 = marginal2(table, 2)
     defect = max(
@@ -402,14 +409,19 @@ def tomographic_information(
         raise ShapeMismatchError(f"expected a 4 x 4 state, got dim {rho.dim}")
     if u1.dim != 2 or u2.dim != 2:
         raise DimMismatchError("local readouts need 2 x 2 unitaries")
-    joint = tomogram(rho, UnitaryMatrix(np.kron(u1.matrix, u2.matrix)))
-    table = reshape(joint.probabilities, (2, 2))
+    joint = _readout(rho, UnitaryMatrix(np.kron(u1.matrix, u2.matrix)))
+    return _joint_information(ProbVec(joint))[1]
+
+
+def _joint_information(joint: ProbVec) -> tuple[float, float]:
+    """(H12, H1 + H2 - H12) of a 4-outcome readout read as a 2 x 2 table."""
+    table = reshape(joint, (2, 2))
     h12 = float(-xlogy(table.entries, table.entries).sum())
     w1 = marginal2(table, 1).values
     w2 = marginal2(table, 2).values
     h1 = float(-xlogy(w1, w1).sum())
     h2 = float(-xlogy(w2, w2).sum())
-    return h1 + h2 - h12
+    return h12, h1 + h2 - h12
 
 
 def discord(rho: DensityMatrix, provenance: str = "") -> DiscordReport:
@@ -439,10 +451,9 @@ def discord(rho: DensityMatrix, provenance: str = "") -> DiscordReport:
     s = float(von_neumann(rho))
     s1 = float(von_neumann(r1))
     s2 = float(von_neumann(r2))
-    joint = tomogram(rho, UnitaryMatrix(np.kron(u1.matrix, u2.matrix)))
-    w12 = joint.probabilities.values
-    h12 = float(-xlogy(w12, w12).sum())
-    information = tomographic_information(rho, u1, u2)
+    ref = rho.ref
+    joint = tomogram(rho, UnitaryMatrix(np.kron(u1.matrix, u2.matrix)), state_ref=ref)
+    h12, information = _joint_information(joint.probabilities)
     deficit = (s1 + s2 - s) - information
     return DiscordReport(
         s=s,
@@ -453,7 +464,7 @@ def discord(rho: DensityMatrix, provenance: str = "") -> DiscordReport:
         discord=deficit,
         chain=(s1 + s2 - h12, h12 - s, s1 + s2 - s),
         flags=tuple(flags),
-        state_ref=rho.ref,
+        state_ref=ref,
         provenance=provenance,
     )
 
@@ -521,9 +532,9 @@ def spin_tomogram_axis(rho: DensityMatrix, theta: float, phi: float) -> Tomogram
         raise BadAngleError(f"phi must lie in [0, 2 pi), got {phi!r}")
     m, w, v = _spin_basis(rho.dim)
     rot_y = (v * np.exp(-1j * theta * w)[None, :]) @ v.conj().T
-    u = np.exp(-1j * phi * m)[:, None] * rot_y
+    u = UnitaryMatrix(np.exp(-1j * phi * m)[:, None] * rot_y)
     return Tomogram(
-        probabilities=tomogram(rho, UnitaryMatrix(u)).probabilities,
-        unitary=UnitaryMatrix(u),
+        probabilities=ProbVec(_readout(rho, u)),
+        unitary=u,
         state_ref=rho.ref,
     )

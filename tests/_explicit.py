@@ -1,5 +1,6 @@
-"""Independent oracles for the tests: brute-force index-bijection loops and
-hand-coded reduction matrices written entry by entry.
+"""Independent oracles for the tests: brute-force index-bijection loops,
+hand-coded reduction matrices written entry by entry, and a plain
+sequential Nelder-Mead search.
 
 Nothing here reuses the package's einsum/reshape machinery; mismatches
 between these constructions and the library point at indexing bugs.
@@ -210,3 +211,80 @@ def qutrit_r2(m: np.ndarray) -> np.ndarray:
             [e(2, 1), e(2, 2)],
         ]
     )
+
+
+def nelder_mead_sequential(objective, x0, step, budget, fatol, xatol):
+    """One Nelder-Mead search on Python floats, one point at a time.
+
+    Same rules and adaptive coefficients as the batched minimizer: stable
+    ordering of the vertices, centroid of all but the worst summed from the
+    best vertex down and then divided by n, a unit reflection, and an
+    iteration started only while reflect + contract + shrink still fits in
+    ``budget``. Returns ``(x, fun, nfev, iterations, shrinks)``.
+    """
+    n = len(x0)
+    chi = 1.0 + 2.0 / n
+    gamma = 0.75 - 1.0 / (2.0 * n)
+    sigma = 1.0 - 1.0 / n
+    sim = [[float(v) for v in x0] for _ in range(n + 1)]
+    for i in range(n):
+        sim[i + 1][i] += step
+    fsim = [objective(v) for v in sim]
+    nfev = n + 1
+    iterations = 0
+    shrinks = 0
+    while True:
+        order = sorted(range(n + 1), key=lambda i: fsim[i])
+        sim = [sim[i] for i in order]
+        fsim = [fsim[i] for i in order]
+        spread_x = max(abs(v[j] - sim[0][j]) for v in sim for j in range(n))
+        if fsim[-1] - fsim[0] <= fatol and spread_x <= xatol:
+            break
+        if nfev + n + 2 > budget:
+            break
+        iterations += 1
+
+        centroid = []
+        for j in range(n):
+            total = sim[0][j]
+            for v in sim[1:n]:
+                total += v[j]
+            centroid.append(total / n)
+        worst = sim[-1]
+        xr = [c + (c - w) for c, w in zip(centroid, worst)]
+        fr = objective(xr)
+        nfev += 1
+
+        if fr < fsim[0]:
+            xe = [c + chi * (r - c) for c, r in zip(centroid, xr)]
+            fe = objective(xe)
+            nfev += 1
+            if fe < fr:
+                sim[-1], fsim[-1] = xe, fe
+            else:
+                sim[-1], fsim[-1] = xr, fr
+            continue
+        if fr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fr
+            continue
+
+        if fr < fsim[-1]:
+            xc = [c + gamma * (r - c) for c, r in zip(centroid, xr)]
+            fc = objective(xc)
+            accept = fc <= fr
+        else:
+            xc = [c - gamma * (c - w) for c, w in zip(centroid, worst)]
+            fc = objective(xc)
+            accept = fc < fsim[-1]
+        nfev += 1
+        if accept:
+            sim[-1], fsim[-1] = xc, fc
+            continue
+
+        shrinks += 1
+        best = sim[0]
+        for i in range(1, n + 1):
+            sim[i] = [b + sigma * (v - b) for b, v in zip(best, sim[i])]
+            fsim[i] = objective(sim[i])
+        nfev += n
+    return sim[0], fsim[0], nfev, iterations, shrinks

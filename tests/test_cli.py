@@ -364,6 +364,29 @@ class TestMainEntry:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "classical", "--trials", "-3"],
+            ["--suite", "quantum", "--dims", "1", "--trials", "1"],
+            ["--suite", "classical", "--dims", "4,0,7", "--trials", "1"],
+        ],
+    )
+    def test_out_of_range_check_arguments_exit_two(self, argv, capsys):
+        assert main(["check", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("raw", ["abc", "2.5", "-2", "0"])
+    def test_bad_thread_setting_exits_two(self, raw, monkeypatch, capsys):
+        monkeypatch.setenv("ENTROBOX_THREADS", raw)
+        assert main(["check", "--suite", "classical", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "ENTROBOX_THREADS" in captured.err
+        assert captured.out == ""
+
     def test_console_invocation(self, tmp_path):
         # one end-to-end subprocess run through the module entry point
         path = write_json(tmp_path / "p.json", [0.5, 0.0, 0.0, 0.5])
