@@ -10,19 +10,29 @@ Usage examples::
     entrobox eval --check subadd --shape 2x4 --input vec7.json
 
 Exit codes: 0 when every check passed, 1 when any inequality check failed,
-2 when input could not be parsed or validated.
+2 when input could not be parsed or validated, out-of-range arguments
+included (a negative ``--seed`` or ``--trials``, a ``--tolerance`` that is
+not a finite value >= 0).
 
 Reports are deterministic: two runs with the same arguments produce
 byte-identical JSON except for the ``wall_time_s`` field. Per-trial states
 are derived from the master seed and the trial index alone, so results do
 not depend on chunking or thread count. The ``ENTROBOX_THREADS``
 environment variable (a positive integer, default 1) sets the worker
-threads used for trial evaluation.
+threads used for trial evaluation. The pool changes no result, but it gives
+no speed-up either: the per-trial checks are Python code that holds the
+interpreter lock.
+
+:func:`main` may be called repeatedly in one process, from several threads
+too. It parses every call against one parser, built on first use and kept
+for the life of the process; parsing builds a fresh namespace each time and
+never changes the parser, and every argument default is immutable.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -98,6 +108,8 @@ class SuiteConfig:
             raise ShapeMismatchError(f"need trials >= 0, got {self.trials}")
         if self.dims and min(self.dims) < 2:
             raise ShapeMismatchError(f"need every dim >= 2, got {self.dims}")
+        _require_seed(self.seed)
+        _require_tolerance(self.tolerance)
 
     def resolved_dims(self, family: str) -> list[int]:
         if self.dims:
@@ -107,6 +119,16 @@ class SuiteConfig:
             "quantum": _QUANTUM_DIMS,
             "tomographic": _TOMOGRAPHIC_DIMS,
         }[family]
+
+
+def _require_seed(seed: int) -> None:
+    if seed < 0:
+        raise EntroboxError(f"need seed >= 0, got {seed}")
+
+
+def _require_tolerance(tolerance: float) -> None:
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise EntroboxError(f"need a finite tolerance >= 0, got {tolerance}")
 
 
 def ingest_prob_vec(path: str | Path) -> ProbVec:
@@ -172,6 +194,7 @@ def generate_ensemble(
         raise ShapeMismatchError(f"unknown ensemble kind {kind!r}")
     if dim < 2 or count < 0:
         raise ShapeMismatchError("need dim >= 2 and count >= 0")
+    _require_seed(seed)
     for i in range(count):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         if kind == "simplex":
@@ -793,6 +816,8 @@ def _parse_shape(text: str | None, factors: int) -> tuple[int, ...] | None:
 
 def eval_single(check: str, args: argparse.Namespace) -> tuple[dict, bool]:
     """Evaluate one named check on one state file."""
+    _require_seed(args.seed)
+    _require_tolerance(args.tolerance)
     if check in ("subadd", "strong-subadd", "cond-chain", "tsallis-chain"):
         p = ingest_prob_vec(args.input)
         if check == "subadd":
@@ -886,6 +911,7 @@ def _float_list(text: str) -> list[float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Return a new parser for the ``entrobox`` command line."""
     parser = argparse.ArgumentParser(
         prog="entrobox",
         description="Randomized verification of entropic inequalities for "
@@ -910,7 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--q",
         dest="q_values",
         type=_float_list,
-        default=[0.5, 2.0, 3.0],
+        default=(0.5, 2.0, 3.0),
         help="comma-separated Tsallis orders",
     )
     check.add_argument("--tolerance", type=float, default=GAP_TOLERANCE)
@@ -936,6 +962,11 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--output", default=None)
 
     return parser
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def _threads_from_env() -> int:
@@ -1007,8 +1038,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one ``entrobox`` command line and return its exit code."""
+    args = _shared_parser().parse_args(argv)
     try:
         if args.command == "check":
             return _cmd_check(args)

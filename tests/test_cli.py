@@ -5,14 +5,16 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from entrobox import DensityMatrix, ProbVec, ShapeMismatchError, validate_density
+from entrobox import DensityMatrix, ProbVec, ShapeMismatchError, cli, validate_density
 from entrobox.cli import (
     SuiteConfig,
     generate_ensemble,
@@ -24,6 +26,7 @@ from entrobox.cli import (
     serialize_prob_vec,
 )
 from entrobox.ensembles import dirichlet, ginibre
+from entrobox.report import make_report
 
 
 def write_json(path, payload) -> str:
@@ -330,24 +333,25 @@ class TestMainEntry:
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["discord"]) <= 1e-10
 
-    def test_forced_failure_exits_one(self, tmp_path, capsys):
-        # a point mass has zero gap, so a negative tolerance forces failure
-        path = write_json(tmp_path / "delta.json", [1.0, 0.0, 0.0, 0.0])
-        code = main(
-            [
-                "eval",
-                "--check",
-                "subadd",
-                "--input",
-                path,
-                "--shape",
-                "2x2",
-                "--tolerance",
-                "-0.5",
-            ]
-        )
+    def test_forced_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        # no valid state violates subadditivity and a negative tolerance is
+        # rejected, so the check itself is replaced by one whose lhs > rhs
+        def violated(p, shape, tolerance, provenance):
+            return make_report("subadd-2x2", 1.0, 0.0, tolerance, {}, provenance)
+
+        monkeypatch.setattr(cli, "subadditivity_gap", violated)
+        path = write_json(tmp_path / "p.json", [0.25, 0.25, 0.25, 0.25])
+        code = main(["eval", "--check", "subadd", "--input", path, "--shape", "2x2"])
         assert code == 1
         assert not json.loads(capsys.readouterr().out)["passed"]
+
+    def test_zero_tolerance_is_accepted(self, tmp_path, capsys):
+        # a point mass sits exactly on the subadditivity equality
+        path = write_json(tmp_path / "delta.json", [1.0, 0.0, 0.0, 0.0])
+        argv = ["eval", "--check", "subadd", "--input", path, "--shape", "2x2"]
+        assert main([*argv, "--tolerance", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["gap"] == 0.0 and payload["passed"]
 
     def test_malformed_input_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -376,6 +380,41 @@ class TestMainEntry:
         assert main(["check", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--suite", "classical", "--trials", "1", "--seed", "-1"],
+            ["gen", "--kind", "simplex", "--dim", "4", "--count", "1", "--seed", "-2"],
+            ["eval", "--check", "readout-min", "--seed", "-1"],
+        ],
+        ids=["check", "gen", "eval"],
+    )
+    def test_negative_seed_exits_two(self, argv, tmp_path, capsys):
+        if argv[0] == "gen":
+            argv = [*argv, "--output", str(tmp_path / "states")]
+        if argv[0] == "eval":
+            qubit = serialize_density(validate_density(np.eye(2) / 2))
+            argv = [*argv, "--input", write_json(tmp_path / "rho.json", qubit)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "seed" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["check", "eval"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5", "-1e-12"])
+    def test_bad_tolerance_exits_two(self, command, value, tmp_path, capsys):
+        if command == "check":
+            argv = ["check", "--suite", "classical", "--trials", "2"]
+        else:
+            path = write_json(tmp_path / "p.json", [0.25, 0.25, 0.25, 0.25])
+            argv = ["eval", "--check", "subadd", "--input", path]
+        assert main([*argv, f"--tolerance={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "tolerance" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("raw", ["abc", "2.5", "-2", "0"])
@@ -409,3 +448,119 @@ class TestMainEntry:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert_allclose(payload["gap"], math.log(2.0), atol=1e-12)
+
+
+def _eval_requests(tmp_path) -> list[list[str]]:
+    """Distinct ``eval`` argv lists over fresh state files, without --output."""
+    rng = np.random.default_rng(21)
+    p8 = write_json(tmp_path / "p8.json", serialize_prob_vec(ProbVec(dirichlet(8, rng))))
+    p4 = write_json(tmp_path / "p4.json", serialize_prob_vec(ProbVec(dirichlet(4, rng))))
+    rho4 = write_json(
+        tmp_path / "rho4.json", serialize_density(validate_density(ginibre(4, rng)))
+    )
+    rho8 = write_json(
+        tmp_path / "rho8.json", serialize_density(validate_density(ginibre(8, rng)))
+    )
+    rho2 = write_json(
+        tmp_path / "rho2.json", serialize_density(validate_density(ginibre(2, rng)))
+    )
+    return [
+        ["eval", "--check", "subadd", "--input", p8, "--shape", "2x4"],
+        ["eval", "--check", "strong-subadd", "--input", p8, "--shape", "2x2x2"],
+        ["eval", "--check", "cond-chain", "--input", p4],
+        ["eval", "--check", "tsallis-chain", "--input", p4, "--q", "0.5"],
+        ["eval", "--check", "q-subadd", "--input", rho4],
+        ["eval", "--check", "q-strong-subadd", "--input", rho8, "--shape", "2x2x2"],
+        ["eval", "--check", "discord", "--input", rho4],
+        ["eval", "--check", "axis-subadd", "--input", rho4, "--theta", "0.7", "--phi", "2"],
+        ["eval", "--check", "readout-min", "--input", rho2, "--seed", "3"],
+    ]
+
+
+def _read_outputs(paths) -> list[str]:
+    """Each output file's text with its ``wall_time_s`` line, if any, cut."""
+    return [re.sub(r'\n *"wall_time_s": [^\n]*', "", path.read_text()) for path in paths]
+
+
+class TestSharedParser:
+    """``main`` parses every call against one parser kept for the process."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._shared_parser.cache_clear()
+        yield
+        cli._shared_parser.cache_clear()
+
+    def test_parser_built_at_most_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        build_parser = cli.build_parser
+
+        def counting_build_parser():
+            calls.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        requests = _eval_requests(tmp_path)
+        for k in range(3):
+            for i, argv in enumerate(requests):
+                out = tmp_path / f"out-{k}-{i}.json"
+                assert main([*argv, "--output", str(out)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert len(calls) == 1
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_interleaved_requests_repeat_byte_for_byte(self, tmp_path, capsys):
+        p8 = write_json(
+            tmp_path / "p8.json",
+            serialize_prob_vec(ProbVec(dirichlet(8, np.random.default_rng(22)))),
+        )
+        bad = tmp_path / "bad.json"
+        bad.write_text('[0.1, 0.2, "x"]')
+        good = {
+            "eval": ["eval", "--check", "subadd", "--input", p8, "--shape", "2x4"],
+            "check-default-q": ["check", "--suite", "classical", "--trials", "2", "--seed", "5"],
+            "check-q": ["check", "--suite", "classical", "--trials", "2", "--seed", "5", "--q", "0.5,2"],
+        }
+
+        def run_good(tag: str) -> tuple[list[int], list[str]]:
+            codes, paths = [], []
+            for name, argv in good.items():
+                paths.append(tmp_path / f"{tag}-{name}.json")
+                codes.append(main([*argv, "--output", str(paths[-1])]))
+            return codes, _read_outputs(paths)
+
+        first = run_good("first")
+        assert first[0] == [0, 0, 0]
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--check", "no-such-check", "--input", p8])
+        assert exc.value.code == 2
+        assert main(["eval", "--check", "subadd", "--input", str(bad)]) == 2
+        default_q = tmp_path / "default-q.json"
+        assert main([*good["check-default-q"], "--output", str(default_q)]) == 0
+        assert json.loads(default_q.read_text())["config"]["q_values"] == [0.5, 2.0, 3.0]
+        assert run_good("second") == first
+
+    def test_threads_match_sequential_run(self, tmp_path, capsys):
+        requests = _eval_requests(tmp_path)
+
+        def run(tag: str, i: int) -> int:
+            out = tmp_path / f"{tag}-{i}.json"
+            return main([*requests[i], "--output", str(out)])
+
+        sequential = [run("seq", i) for i in range(len(requests))]
+        cli._shared_parser.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run, "par", i) for i in range(len(requests))]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sequential == threaded == [0] * len(requests)
+        names = range(len(requests))
+        assert _read_outputs(tmp_path / f"par-{i}.json" for i in names) == _read_outputs(
+            tmp_path / f"seq-{i}.json" for i in names
+        )
