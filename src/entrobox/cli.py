@@ -11,17 +11,19 @@ Usage examples::
 
 Exit codes: 0 when every check passed, 1 when any inequality check failed,
 2 when input could not be parsed or validated, out-of-range arguments
-included (a negative ``--seed`` or ``--trials``, a ``--tolerance`` that is
-not a finite value >= 0).
+included (a negative ``--seed`` or ``--trials``, an empty ``--dims`` or
+``--q``, a ``--tolerance`` that is not a finite value >= 0, an ``--input``
+state that no job of the chosen suite takes, an output that cannot be
+written).
+
+Each named check is written once, and ``check`` and ``eval`` both run it.
+A suite is a list of jobs, each drawing ``trials`` states from one sampler
+at one dim; an ``--input`` state joins every job whose sampler could have
+drawn it, and the table sweeps check it once at a dim they do not sweep.
 
 Reports are deterministic: two runs with the same arguments produce
 byte-identical JSON except for the ``wall_time_s`` field. Per-trial states
-are derived from the master seed and the trial index alone, so results do
-not depend on chunking or thread count. The ``ENTROBOX_THREADS``
-environment variable (a positive integer, default 1) sets the worker
-threads used for trial evaluation. The pool changes no result, but it gives
-no speed-up either: the per-trial checks are Python code that holds the
-interpreter lock.
+are derived from the master seed, the job's tag and the trial index alone.
 
 :func:`main` may be called repeatedly in one process, from several threads
 too. It parses every call against one parser, built on first use and kept
@@ -35,16 +37,13 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import __version__
 from .ensembles import diagonal_density, dirichlet, ginibre, haar
@@ -70,6 +69,7 @@ from .simplex import (
     validate_prob_vec,
 )
 from .tomography import (
+    DiscordReport,
     UnitaryMatrix,
     discord,
     minimize_entropy_batch,
@@ -89,6 +89,8 @@ _MINIMIZER_CAP = 100
 _MINIMIZER_RESTARTS = 8
 _MINIMIZER_BUDGET = 5000
 
+State = ProbVec | DensityMatrix
+
 
 @dataclass
 class SuiteConfig:
@@ -101,18 +103,21 @@ class SuiteConfig:
     q_values: tuple[float, ...] = (0.5, 2.0, 3.0)
     tolerance: float = GAP_TOLERANCE
     input_path: str | None = None
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.trials < 0:
             raise ShapeMismatchError(f"need trials >= 0, got {self.trials}")
+        if self.dims is not None and not self.dims:
+            raise ShapeMismatchError("need at least one dim, got an empty list")
         if self.dims and min(self.dims) < 2:
             raise ShapeMismatchError(f"need every dim >= 2, got {self.dims}")
+        if not self.q_values:
+            raise ShapeMismatchError("need at least one Tsallis order, got an empty list")
         _require_seed(self.seed)
         _require_tolerance(self.tolerance)
 
     def resolved_dims(self, family: str) -> list[int]:
-        if self.dims:
+        if self.dims is not None:
             return list(self.dims)
         return {
             "classical": _CLASSICAL_DIMS,
@@ -131,6 +136,10 @@ def _require_tolerance(tolerance: float) -> None:
         raise EntroboxError(f"need a finite tolerance >= 0, got {tolerance}")
 
 
+# ---------------------------------------------------------------------------
+# state files
+
+
 def ingest_prob_vec(path: str | Path) -> ProbVec:
     """Read a probability vector from a JSON array file."""
     data = _load_json(path)
@@ -144,7 +153,10 @@ def ingest_density(path: str | Path) -> DensityMatrix:
 
     ``im`` may be omitted for real matrices.
     """
-    data = _load_json(path)
+    return _density_from_json(_load_json(path), path)
+
+
+def _density_from_json(data, path: str | Path) -> DensityMatrix:
     if not isinstance(data, dict) or "dim" not in data or "re" not in data:
         raise ShapeMismatchError(f"{path}: expected an object with 'dim' and 're'")
     try:
@@ -159,6 +171,15 @@ def ingest_density(path: str | Path) -> DensityMatrix:
             f"{path}: 're'/'im' must be {dim} x {dim} arrays"
         )
     return validate_density(re + 1j * im)
+
+
+def _ingest_any(path: str) -> State:
+    data = _load_json(path)
+    if isinstance(data, list):
+        return validate_prob_vec(data)
+    if isinstance(data, dict):
+        return _density_from_json(data, path)
+    raise ShapeMismatchError(f"{path}: expected a JSON array or object")
 
 
 def _load_json(path: str | Path):
@@ -181,93 +202,92 @@ def serialize_density(rho: DensityMatrix) -> dict:
     }
 
 
-def generate_ensemble(
-    kind: str, dim: int, count: int, seed: int
-) -> Iterator[ProbVec | DensityMatrix]:
-    """Yield ``count`` validated states of the requested kind.
+def _serialize(state: State):
+    if isinstance(state, ProbVec):
+        return serialize_prob_vec(state)
+    return serialize_density(state)
+
+
+def _write(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise EntroboxError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# samplers
+
+
+def _is_density(state: State, dim: int) -> bool:
+    return isinstance(state, DensityMatrix) and state.dim == dim
+
+
+def _is_diagonal_density(state: State, dim: int) -> bool:
+    if not _is_density(state, dim):
+        return False
+    off = state.matrix - np.diag(state.matrix.diagonal())
+    return float(np.abs(off).max()) < 1e-14
+
+
+class _Sampler(NamedTuple):
+    """A random state family: how to draw one, how a drawn one is labelled,
+    and whether a given state is one it could have drawn."""
+
+    draw: Callable[[int, np.random.Generator], State]
+    provenance: str
+    could_draw: Callable[[State, int], bool]
+
+
+_DIRICHLET = _Sampler(
+    lambda dim, rng: ProbVec(dirichlet(dim, rng)),
+    "dirichlet(dim={dim},seed={seed},trial={trial})",
+    lambda state, dim: isinstance(state, ProbVec) and state.dim == dim,
+)
+_GINIBRE = _Sampler(
+    lambda dim, rng: DensityMatrix(ginibre(dim, rng)),
+    "ginibre(dim={dim},seed={seed},trial={trial})",
+    _is_density,
+)
+_DIAGONAL = _Sampler(
+    lambda dim, rng: DensityMatrix(diagonal_density(dim, rng)),
+    "diagonal(dim={dim},seed={seed},trial={trial})",
+    _is_diagonal_density,
+)
+# A Ginibre state read along a random axis: no input state carries an axis.
+_AXIS = _GINIBRE._replace(could_draw=lambda state, dim: False)
+# The one maximally mixed state, which needs no randomness.
+_MIXED = _Sampler(
+    lambda dim, rng: DensityMatrix(np.eye(dim, dtype=complex) / dim),
+    "maximally-mixed-{dim}",
+    lambda state, dim: False,
+)
+
+_ENSEMBLES = {"simplex": _DIRICHLET, "ginibre": _GINIBRE, "diagonal": _DIAGONAL}
+
+
+def generate_ensemble(kind: str, dim: int, count: int, seed: int) -> Iterator[State]:
+    """Return an iterator over ``count`` validated states of the requested kind.
 
     Kinds: ``simplex`` (flat Dirichlet vectors), ``ginibre`` (full-rank
     random density matrices), ``diagonal`` (diagonal density matrices with
-    Dirichlet weights). State ``i`` depends only on ``(seed, i)``.
+    Dirichlet weights). State ``i`` depends only on ``(seed, i)``. The
+    arguments are checked by this call, before any state is drawn.
     """
-    if kind not in ("simplex", "ginibre", "diagonal"):
+    if kind not in _ENSEMBLES:
         raise ShapeMismatchError(f"unknown ensemble kind {kind!r}")
     if dim < 2 or count < 0:
         raise ShapeMismatchError("need dim >= 2 and count >= 0")
     _require_seed(seed)
-    for i in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        if kind == "simplex":
-            yield ProbVec(dirichlet(dim, rng))
-        elif kind == "ginibre":
-            yield DensityMatrix(ginibre(dim, rng))
-        else:
-            yield DensityMatrix(diagonal_density(dim, rng))
+    draw = _ENSEMBLES[kind].draw
+    return (
+        draw(dim, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))))
+        for i in range(count)
+    )
 
 
 # ---------------------------------------------------------------------------
-# suite machinery
-
-
-@dataclass
-class _Agg:
-    """Streaming aggregate of one named check across trials."""
-
-    count: int = 0
-    failures: int = 0
-    min_gap: float = math.inf
-    max_gap: float = -math.inf
-    total: float = 0.0
-    failing: list[dict] = field(default_factory=list)
-
-    def add(self, rep: InequalityReport, state_payload) -> None:
-        self.count += 1
-        self.min_gap = min(self.min_gap, rep.gap)
-        self.max_gap = max(self.max_gap, rep.gap)
-        self.total += rep.gap
-        if not rep.passed:
-            self.failures += 1
-            self.failing.append(
-                {
-                    "check": rep.name,
-                    "provenance": rep.provenance,
-                    "gap": rep.gap,
-                    "report": rep.to_dict(),
-                    "state": state_payload() if callable(state_payload) else state_payload,
-                }
-            )
-
-    def row(self, name: str) -> dict:
-        return {
-            "id": name,
-            "count": self.count,
-            "failures": self.failures,
-            "min_gap": self.min_gap,
-            "max_gap": self.max_gap,
-            "mean_gap": self.total / self.count if self.count else 0.0,
-        }
-
-
-class _Suite:
-    """Collects reports under stable check ids, in first-seen order."""
-
-    def __init__(self) -> None:
-        self.aggs: dict[str, _Agg] = {}
-
-    def add(self, rep: InequalityReport, state_payload) -> None:
-        agg = self.aggs.get(rep.name)
-        if agg is None:
-            agg = self.aggs[rep.name] = _Agg()
-        agg.add(rep, state_payload)
-
-    def merge_rows(self) -> list[dict]:
-        return [agg.row(name) for name, agg in self.aggs.items()]
-
-    def failing(self) -> list[dict]:
-        out: list[dict] = []
-        for agg in self.aggs.values():
-            out.extend(agg.failing)
-        return out
+# checks, each written once for `check` and `eval`
 
 
 def _identity_report(
@@ -291,41 +311,139 @@ def _identity_report(
     )
 
 
-def _trial_seed_seq(master: int, tag: int, trial: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(master, spawn_key=(tag, trial))
+def _cond_chain(p: ProbVec, provenance: str) -> InequalityReport:
+    """The Shannon chain on a 4-vector: the block-weighted entropies of its
+    two conditional halves add up to H(V | V~)."""
+    split = conditional_pair(p)
+    v = p.values
+    weighted = float(
+        (v[0] + v[1]) * shannon(split.v).value + (v[2] + v[3]) * shannon(split.v_tilde).value
+    )
+    return _identity_report(
+        "cond-chain-identity",
+        weighted,
+        float(conditional_entropy(p)),
+        IDENTITY_TOLERANCE,
+        provenance,
+    )
 
 
-def _chunked(n: int, size: int) -> list[range]:
-    return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
+def _discord_nonneg(rep: DiscordReport, tol: float) -> InequalityReport:
+    """The discord deficit is nonnegative."""
+    return make_report(
+        name="discord-nonneg",
+        lhs=0.0,
+        rhs=rep.discord,
+        tolerance=tol,
+        entropies={
+            "s": rep.s,
+            "s1": rep.s1,
+            "s2": rep.s2,
+            "h12": rep.h12,
+            "information": rep.information,
+        },
+        provenance=rep.provenance,
+        flags=rep.flags,
+    )
 
 
-def _run_trials(
-    suite: _Suite,
-    trials: int,
-    threads: int,
-    make_reports: Callable[[int], list[tuple[InequalityReport, object]]],
-    extra: list[tuple[InequalityReport, object]] | None = None,
-) -> None:
-    """Evaluate trials (optionally on a thread pool) and merge in order."""
-    if extra:
-        for rep, payload in extra:
-            suite.add(rep, payload)
-    chunks = _chunked(trials, 64)
+def _readout_min(
+    states: list[DensityMatrix], seeds: list[int], provenances: list[str], tol: float
+) -> list[tuple[InequalityReport, InequalityReport]]:
+    """One batched search for each state's minimum readout entropy, and per
+    state two checks: the minimum sits on the von Neumann entropy from above,
+    and within 1e-6 of it."""
+    found = minimize_entropy_batch(
+        states, restarts=_MINIMIZER_RESTARTS, budget=_MINIMIZER_BUDGET, seeds=seeds
+    )
+    out = []
+    for rho, (_, h_min), prov in zip(states, found, provenances):
+        s = float(von_neumann(rho))
+        h = float(h_min)
+        err = h - s
+        above = make_report(
+            name="readout-min-above",
+            lhs=s,
+            rhs=h,
+            tolerance=tol,
+            entropies={"minimum_readout": h, "von_neumann": s},
+            provenance=prov,
+        )
+        close = make_report(
+            name="readout-min-close",
+            lhs=err,
+            rhs=1e-6,
+            tolerance=0.0,
+            entropies={"error": err},
+            provenance=prov,
+        )
+        out.append((above, close))
+    return out
 
-    def eval_chunk(chunk: range) -> list[tuple[InequalityReport, object]]:
-        out: list[tuple[InequalityReport, object]] = []
-        for k in chunk:
-            out.extend(make_reports(k))
-        return out
 
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(eval_chunk, chunks))
-    else:
-        results = [eval_chunk(c) for c in chunks]
-    for block in results:
-        for rep, payload in block:
-            suite.add(rep, payload)
+# ---------------------------------------------------------------------------
+# suites: jobs of sampled states, each state run through the job's checks
+
+
+class _Draw(NamedTuple):
+    """One state a job checks, the generator it was drawn from (left where
+    the draw stopped) and the seed sequence that seeds its readout search."""
+
+    state: State
+    provenance: str
+    rng: np.random.Generator
+    seed_seq: np.random.SeedSequence
+
+
+# A job's checks: its draws and the configuration in, (check id, report,
+# state) triples out, in draw order.
+_Checks = Callable[
+    [Iterable[_Draw], SuiteConfig], Iterable[tuple[str, InequalityReport, State]]
+]
+
+
+class _Job(NamedTuple):
+    """``trials`` states from ``sampler`` at ``dim``, seeded under ``tag``."""
+
+    tag: int
+    sampler: _Sampler
+    dim: int
+    checks: _Checks
+    trials: int
+
+    def takes(self, state: State | None) -> bool:
+        return state is not None and self.sampler.could_draw(state, self.dim)
+
+
+def _draws(job: _Job, seed: int, input_state: State | None) -> Iterator[_Draw]:
+    # The input borrows trial 0's generator; the job's own sequence seeds its
+    # readout search.
+    if input_state is not None:
+        yield _Draw(
+            input_state,
+            "input",
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(job.tag, 0))),
+            np.random.SeedSequence(seed, spawn_key=(job.tag,)),
+        )
+    for k in range(job.trials):
+        ss = np.random.SeedSequence(seed, spawn_key=(job.tag, k))
+        rng = np.random.default_rng(ss)
+        state = job.sampler.draw(job.dim, rng)
+        prov = job.sampler.provenance.format(dim=job.dim, seed=seed, trial=k)
+        yield _Draw(state, prov, rng, ss)
+
+
+def _per_state(
+    check: Callable[[_Draw, SuiteConfig], list[tuple[str, InequalityReport]]],
+) -> _Checks:
+    """Lift a check of one drawn state to a job's checks."""
+
+    def run(draws: Iterable[_Draw], config: SuiteConfig):
+        for d in draws:
+            for name, rep in check(d, config):
+                yield name, rep, d.state
+
+    return run
 
 
 def _middle_bipartition(p8: np.ndarray) -> np.ndarray:
@@ -334,442 +452,257 @@ def _middle_bipartition(p8: np.ndarray) -> np.ndarray:
     return p8.reshape(2, 2, 2).transpose(1, 0, 2).reshape(8)
 
 
-def _rename(rep: InequalityReport, name: str) -> InequalityReport:
-    return InequalityReport(
-        name=name,
-        lhs=rep.lhs,
-        rhs=rep.rhs,
-        gap=rep.gap,
-        tolerance=rep.tolerance,
-        passed=rep.passed,
-        entropies=rep.entropies,
-        provenance=rep.provenance,
-        flags=rep.flags,
+@_per_state
+def _seven_checks(d: _Draw, config: SuiteConfig):
+    p, prov, tol = d.state, d.provenance, config.tolerance
+    padded = np.zeros(8)
+    padded[:7] = p.values
+    mid = ProbVec(_middle_bipartition(padded))
+    return [
+        ("strong-subadd-7", strong_subadditivity_gap(p, (2, 2, 2), tol, prov)),
+        ("subadd-7-adjacent", subadditivity_gap(p, (2, 4), tol, prov)),
+        ("subadd-7-middle", subadditivity_gap(mid, (2, 4), tol, prov)),
+    ]
+
+
+@_per_state
+def _four_checks(d: _Draw, config: SuiteConfig):
+    p, prov, tol = d.state, d.provenance, config.tolerance
+    out = [
+        ("subadd-4", subadditivity_gap(p, (2, 2), tol, prov)),
+        ("cond-chain-identity", _cond_chain(p, prov)),
+    ]
+    for q in config.q_values:
+        rep = tsallis_monotonicity_check(p, q, tol, prov)
+        out.append((rep.name, rep))
+    h = float(shannon(p))
+    worst = max(
+        abs(float(tsallis(p, 1.0 + 1e-4)) - h),
+        abs(float(tsallis(p, 1.0 - 1e-4)) - h),
     )
-
-
-def _classical_suite(suite: _Suite, config: SuiteConfig, input_state) -> None:
-    tol = config.tolerance
-
-    def seven_checks(p: ProbVec, prov: str):
-        out = []
-        payload = lambda: serialize_prob_vec(p)  # noqa: E731
-        out.append(
-            (
-                _rename(strong_subadditivity_gap(p, (2, 2, 2), tol, prov), "strong-subadd-7"),
-                payload,
-            )
-        )
-        out.append(
-            (_rename(subadditivity_gap(p, (2, 4), tol, prov), "subadd-7-adjacent"), payload)
-        )
-        padded = np.zeros(8)
-        padded[:7] = p.values
-        mid = ProbVec(_middle_bipartition(padded))
-        out.append(
-            (_rename(subadditivity_gap(mid, (2, 4), tol, prov), "subadd-7-middle"), payload)
-        )
-        return out
-
-    def four_checks(p: ProbVec, prov: str):
-        out = []
-        payload = lambda: serialize_prob_vec(p)  # noqa: E731
-        out.append((_rename(subadditivity_gap(p, (2, 2), tol, prov), "subadd-4"), payload))
-
-        split = conditional_pair(p)
-        blocks = np.array([p.values[0] + p.values[1], p.values[2] + p.values[3]])
-        weighted = float(
-            blocks[0] * shannon(split.v).value + blocks[1] * shannon(split.v_tilde).value
-        )
-        out.append(
-            (
-                _identity_report(
-                    "cond-chain-identity",
-                    weighted,
-                    float(conditional_entropy(p)),
-                    IDENTITY_TOLERANCE,
-                    prov,
-                ),
-                payload,
-            )
-        )
-        for q in config.q_values:
-            out.append(
-                (
-                    _rename(
-                        tsallis_monotonicity_check(p, q, tol, prov),
-                        f"tsallis-chain-q{q:g}",
-                    ),
-                    payload,
-                )
-            )
-        h = float(shannon(p))
-        worst = max(
-            abs(float(tsallis(p, 1.0 + 1e-4)) - h),
-            abs(float(tsallis(p, 1.0 - 1e-4)) - h),
-        )
-        out.append(
-            (_identity_report("tsallis-shannon-limit", worst, 0.0, 1e-3, prov), payload)
-        )
-        return out
-
-    def table_checks(p: ProbVec, dim: int, prov: str):
-        out = []
-        payload = lambda: serialize_prob_vec(p)  # noqa: E731
-        for shape in admissible_shapes(dim, 2):
-            rep = subadditivity_gap(p, shape, tol, prov)
-            out.append((_rename(rep, f"dim{dim}-{rep.name}"), payload))
-        for shape in admissible_shapes(dim, 3):
-            rep = strong_subadditivity_gap(p, shape, tol, prov)
-            out.append((_rename(rep, f"dim{dim}-{rep.name}"), payload))
-        return out
-
-    input_vec = input_state if isinstance(input_state, ProbVec) else None
-
-    def fixed_dim_job(tag: int, dim: int, fn):
-        extra = fn(input_vec, "input") if input_vec is not None and input_vec.dim == dim else None
-        _run_trials(
-            suite,
-            config.trials,
-            config.threads,
-            lambda k: fn(
-                ProbVec(dirichlet(dim, np.random.default_rng(_trial_seed_seq(config.seed, tag, k)))),
-                f"dirichlet(dim={dim},seed={config.seed},trial={k})",
-            ),
-            extra=extra,
-        )
-
-    fixed_dim_job(1, 7, seven_checks)
-    fixed_dim_job(2, 4, four_checks)
-    sweep_dims = config.resolved_dims("classical")
-    for j, dim in enumerate(sweep_dims):
-        extra = None
-        if input_vec is not None and input_vec.dim == dim:
-            extra = table_checks(input_vec, dim, "input")
-        _run_trials(
-            suite,
-            config.trials,
-            config.threads,
-            lambda k, dim=dim, j=j: table_checks(
-                ProbVec(dirichlet(dim, np.random.default_rng(_trial_seed_seq(config.seed, 10 + j, k)))),
-                dim,
-                f"dirichlet(dim={dim},seed={config.seed},trial={k})",
-            ),
-            extra=extra,
-        )
-    if input_vec is not None and input_vec.dim not in sweep_dims:
-        for rep, payload in table_checks(input_vec, input_vec.dim, "input"):
-            suite.add(rep, payload)
-
-
-def _quantum_suite(suite: _Suite, config: SuiteConfig, input_state) -> None:
-    tol = config.tolerance
-
-    def dim_checks(rho: DensityMatrix, dim: int, prov: str):
-        out = []
-        payload = lambda: serialize_density(rho)  # noqa: E731
-        for shape in admissible_shapes(dim, 2):
-            rep = quantum_subadditivity(rho, shape, tol, prov)
-            out.append((_rename(rep, f"dim{dim}-{rep.name}"), payload))
-        for shape in admissible_shapes(dim, 3):
-            rep = quantum_strong_subadditivity(rho, shape, tol, prov)
-            out.append((_rename(rep, f"dim{dim}-{rep.name}"), payload))
-        return out
-
-    input_rho = input_state if isinstance(input_state, DensityMatrix) else None
-
-    # Maximally mixed 4 x 4 must sit exactly on the subadditivity equality.
-    mixed = DensityMatrix(np.eye(4, dtype=complex) / 4.0)
-    rep = quantum_subadditivity(mixed, (2, 2), tol, "maximally-mixed-4")
-    suite.add(
-        _identity_report(
-            "q-subadd-mixed-equality", rep.lhs, rep.rhs, 1e-10, "maximally-mixed-4"
-        ),
-        lambda: serialize_density(mixed),
+    out.append(
+        ("tsallis-shannon-limit", _identity_report("tsallis-shannon-limit", worst, 0.0, 1e-3, prov))
     )
-
-    sweep_dims = config.resolved_dims("quantum")
-    for j, dim in enumerate(sweep_dims):
-        extra = None
-        if input_rho is not None and input_rho.dim == dim:
-            extra = dim_checks(input_rho, dim, "input")
-        _run_trials(
-            suite,
-            config.trials,
-            config.threads,
-            lambda k, dim=dim, j=j: dim_checks(
-                DensityMatrix(ginibre(dim, np.random.default_rng(_trial_seed_seq(config.seed, 100 + j, k)))),
-                dim,
-                f"ginibre(dim={dim},seed={config.seed},trial={k})",
-            ),
-            extra=extra,
-        )
-    if input_rho is not None and input_rho.dim not in sweep_dims:
-        for rep, payload in dim_checks(input_rho, input_rho.dim, "input"):
-            suite.add(rep, payload)
+    return out
 
 
-def _tomographic_suite(suite: _Suite, config: SuiteConfig, input_state) -> None:
-    tol = config.tolerance
-    input_rho = input_state if isinstance(input_state, DensityMatrix) else None
-
-    def bound_checks(rho: DensityMatrix, dim: int, prov: str, rng=None):
-        payload = lambda: serialize_density(rho)  # noqa: E731
-        if rng is None:
-            rng = np.random.default_rng(0)
-        u = UnitaryMatrix(haar(dim, rng))
-        h = float(tomographic_entropy(rho, u))
-        s = float(von_neumann(rho))
-        rep = make_report(
-            name=f"dim{dim}-readout-bound",
-            lhs=s,
-            rhs=h,
-            tolerance=tol,
-            entropies={"readout": h, "von_neumann": s},
-            provenance=prov,
-        )
-        return [(rep, payload)]
-
-    for j, dim in enumerate(config.resolved_dims("tomographic")):
-        extra = None
-        if input_rho is not None and input_rho.dim == dim:
-            extra = bound_checks(
-                input_rho, dim, "input", np.random.default_rng(_trial_seed_seq(config.seed, 200 + j, 0))
-            )
-
-        def one(k: int, dim=dim, j=j):
-            ss = _trial_seed_seq(config.seed, 200 + j, k)
-            rng = np.random.default_rng(ss)
-            rho = DensityMatrix(ginibre(dim, rng))
-            return bound_checks(
-                rho, dim, f"ginibre(dim={dim},seed={config.seed},trial={k})", rng
-            )
-
-        _run_trials(suite, config.trials, config.threads, one, extra=extra)
-
-    # Axis readouts for spin 3/2: subadditivity and the conditional chain
-    # identity must hold along every measurement direction.
-    def axis_checks(k: int):
-        ss = _trial_seed_seq(config.seed, 230, k)
-        rng = np.random.default_rng(ss)
-        rho = DensityMatrix(ginibre(4, rng))
-        theta = math.acos(rng.uniform(-1.0, 1.0))
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        prov = f"ginibre(dim=4,seed={config.seed},trial={k}),axis(theta={theta:.6f},phi={phi:.6f})"
-        payload = lambda: serialize_density(rho)  # noqa: E731
-        w = spin_tomogram_axis(rho, theta, phi).probabilities
-        out = [(_rename(subadditivity_gap(w, (2, 2), tol, prov), "axis-subadd"), payload)]
-        split = conditional_pair(w)
-        blocks = np.array([w.values[0] + w.values[1], w.values[2] + w.values[3]])
-        weighted = float(
-            blocks[0] * shannon(split.v).value + blocks[1] * shannon(split.v_tilde).value
-        )
-        out.append(
-            (
-                _identity_report(
-                    "axis-cond-chain",
-                    weighted,
-                    float(conditional_entropy(w)),
-                    IDENTITY_TOLERANCE,
-                    prov,
-                ),
-                payload,
-            )
-        )
-        return out
-
-    _run_trials(suite, config.trials, config.threads, axis_checks)
-
-    # Entropy minimization: the found minimum must sit on the von Neumann
-    # entropy from above. Capped state count; batched in one search.
-    for j, dim in enumerate(config.resolved_dims("tomographic")):
-        n_states = min(config.trials, _MINIMIZER_CAP)
-        if n_states == 0:
-            continue
-        states = []
-        seeds = []
-        provs = []
-        for k in range(n_states):
-            ss = _trial_seed_seq(config.seed, 240 + j, k)
-            states.append(DensityMatrix(ginibre(dim, np.random.default_rng(ss))))
-            seeds.append(int(ss.generate_state(1)[0]))
-            provs.append(f"ginibre(dim={dim},seed={config.seed},trial={k})")
-        if input_rho is not None and input_rho.dim == dim:
-            states.insert(0, input_rho)
-            seeds.insert(0, int(np.random.SeedSequence(config.seed, spawn_key=(240 + j,)).generate_state(1)[0]))
-            provs.insert(0, "input")
-        results = minimize_entropy_batch(
-            states,
-            restarts=_MINIMIZER_RESTARTS,
-            budget=_MINIMIZER_BUDGET,
-            seeds=seeds,
-        )
-        for rho, (u, h_min), prov in zip(states, results, provs):
-            payload = lambda rho=rho: serialize_density(rho)  # noqa: E731
-            s = float(von_neumann(rho))
-            err = float(h_min) - s
-            suite.add(
-                make_report(
-                    name=f"dim{dim}-readout-min-above",
-                    lhs=s,
-                    rhs=float(h_min),
-                    tolerance=tol,
-                    entropies={"minimum_readout": float(h_min), "von_neumann": s},
-                    provenance=prov,
-                ),
-                payload,
-            )
-            suite.add(
-                make_report(
-                    name=f"dim{dim}-readout-min-close",
-                    lhs=err,
-                    rhs=1e-6,
-                    tolerance=0.0,
-                    entropies={"error": err},
-                    provenance=prov,
-                ),
-                payload,
-            )
+@_per_state
+def _table_checks(d: _Draw, config: SuiteConfig):
+    # Subadditivity of every admissible 2-factor rereading of the state at its
+    # own dim, then strong subadditivity of every 3-factor one.
+    if isinstance(d.state, ProbVec):
+        pair, triple = subadditivity_gap, strong_subadditivity_gap
+    else:
+        pair, triple = quantum_subadditivity, quantum_strong_subadditivity
+    dim, tol = d.state.dim, config.tolerance
+    reps = [pair(d.state, shape, tol, d.provenance) for shape in admissible_shapes(dim, 2)]
+    reps += [triple(d.state, shape, tol, d.provenance) for shape in admissible_shapes(dim, 3)]
+    return [(f"dim{dim}-{rep.name}", rep) for rep in reps]
 
 
-def _discord_suite(suite: _Suite, config: SuiteConfig, input_state) -> None:
-    tol = config.tolerance
-    input_rho = input_state if isinstance(input_state, DensityMatrix) else None
+@_per_state
+def _mixed_equality(d: _Draw, config: SuiteConfig):
+    # The maximally mixed state sits exactly on the subadditivity equality.
+    rep = quantum_subadditivity(d.state, (2, 2), config.tolerance, d.provenance)
+    name = "q-subadd-mixed-equality"
+    return [(name, _identity_report(name, rep.lhs, rep.rhs, 1e-10, d.provenance))]
 
-    def discord_checks(rho: DensityMatrix, prefix: str, prov: str):
-        payload = lambda: serialize_density(rho)  # noqa: E731
-        rep = discord(rho, prov)
-        out = [
-            (
-                InequalityReport(
-                    name=f"{prefix}discord-nonneg",
-                    lhs=0.0,
-                    rhs=rep.discord,
-                    gap=rep.discord,
-                    tolerance=tol,
-                    passed=bool(rep.discord >= -tol),
-                    entropies={
-                        "s": rep.s,
-                        "s1": rep.s1,
-                        "s2": rep.s2,
-                        "h12": rep.h12,
-                        "information": rep.information,
-                    },
-                    provenance=prov,
-                    flags=rep.flags,
-                ),
-                payload,
-            ),
-            (
-                make_report(
-                    name=f"{prefix}chain-upper",
-                    lhs=rep.h12,
-                    rhs=rep.s1 + rep.s2,
-                    tolerance=tol,
-                    entropies={"h12": rep.h12, "s1": rep.s1, "s2": rep.s2},
-                    provenance=prov,
-                ),
-                payload,
-            ),
-            (
-                make_report(
-                    name=f"{prefix}chain-lower",
-                    lhs=rep.s,
-                    rhs=rep.h12,
-                    tolerance=tol,
-                    entropies={"h12": rep.h12, "s": rep.s},
-                    provenance=prov,
-                ),
-                payload,
-            ),
-        ]
-        return out
 
-    extra = None
-    if input_rho is not None and input_rho.dim == 4:
-        extra = discord_checks(input_rho, "", "input")
-    _run_trials(
-        suite,
-        config.trials,
-        config.threads,
-        lambda k: discord_checks(
-            DensityMatrix(ginibre(4, np.random.default_rng(_trial_seed_seq(config.seed, 300, k)))),
-            "",
-            f"ginibre(dim=4,seed={config.seed},trial={k})",
-        ),
-        extra=extra,
+@_per_state
+def _readout_bound(d: _Draw, config: SuiteConfig):
+    rho, dim = d.state, d.state.dim
+    u = UnitaryMatrix(haar(dim, d.rng))
+    h = float(tomographic_entropy(rho, u))
+    s = float(von_neumann(rho))
+    rep = make_report(
+        name=f"dim{dim}-readout-bound",
+        lhs=s,
+        rhs=h,
+        tolerance=config.tolerance,
+        entropies={"readout": h, "von_neumann": s},
+        provenance=d.provenance,
     )
+    return [(rep.name, rep)]
 
+
+@_per_state
+def _axis_checks(d: _Draw, config: SuiteConfig):
+    # Subadditivity and the conditional chain hold along every measurement
+    # direction of a spin-3/2 readout.
+    theta = math.acos(d.rng.uniform(-1.0, 1.0))
+    phi = d.rng.uniform(0.0, 2.0 * math.pi)
+    prov = f"{d.provenance},axis(theta={theta:.6f},phi={phi:.6f})"
+    w = spin_tomogram_axis(d.state, theta, phi).probabilities
+    return [
+        ("axis-subadd", subadditivity_gap(w, (2, 2), config.tolerance, prov)),
+        ("axis-cond-chain", _cond_chain(w, prov)),
+    ]
+
+
+def _readout_min_checks(draws: Iterable[_Draw], config: SuiteConfig):
+    draws = list(draws)
+    found = _readout_min(
+        [d.state for d in draws],
+        [int(d.seed_seq.generate_state(1)[0]) for d in draws],
+        [d.provenance for d in draws],
+        config.tolerance,
+    )
+    return [
+        (f"dim{d.state.dim}-{rep.name}", rep, d.state)
+        for d, reps in zip(draws, found)
+        for rep in reps
+    ]
+
+
+@_per_state
+def _discord_checks(d: _Draw, config: SuiteConfig):
+    # Discord nonnegativity and the entropy chain S1 + S2 >= H12 >= S. A
+    # qutrit is padded to 4 x 4 first; its checks get ids of their own.
+    tol, prov = config.tolerance, d.provenance
+    prefix = "qutrit-" if d.state.dim == 3 else ""
+    rep = discord(d.state, prov)
+    upper = make_report(
+        name=f"{prefix}chain-upper",
+        lhs=rep.h12,
+        rhs=rep.s1 + rep.s2,
+        tolerance=tol,
+        entropies={"h12": rep.h12, "s1": rep.s1, "s2": rep.s2},
+        provenance=prov,
+    )
+    lower = make_report(
+        name=f"{prefix}chain-lower",
+        lhs=rep.s,
+        rhs=rep.h12,
+        tolerance=tol,
+        entropies={"h12": rep.h12, "s": rep.s},
+        provenance=prov,
+    )
+    return [
+        (f"{prefix}discord-nonneg", _discord_nonneg(rep, tol)),
+        (upper.name, upper),
+        (lower.name, lower),
+    ]
+
+
+@_per_state
+def _diagonal_discord(d: _Draw, config: SuiteConfig):
     # Diagonal states carry no quantum correlations: discord must vanish.
-    def diagonal_checks(k: int):
-        rho = DensityMatrix(
-            diagonal_density(4, np.random.default_rng(_trial_seed_seq(config.seed, 301, k)))
-        )
-        prov = f"diagonal(dim=4,seed={config.seed},trial={k})"
-        rep = discord(rho, prov)
-        payload = lambda: serialize_density(rho)  # noqa: E731
-        return [
-            (_identity_report("discord-diagonal-zero", rep.discord, 0.0, 1e-10, prov), payload)
-        ]
+    value = discord(d.state, d.provenance).discord
+    name = "discord-diagonal-zero"
+    return [(name, _identity_report(name, value, 0.0, 1e-10, d.provenance))]
 
-    diag_extra = None
-    if input_rho is not None and input_rho.dim == 4:
-        off = input_rho.matrix - np.diag(input_rho.matrix.diagonal())
-        if float(np.abs(off).max()) < 1e-14:
-            rep = discord(input_rho, "input")
-            diag_extra = [
-                (
-                    _identity_report(
-                        "discord-diagonal-zero", rep.discord, 0.0, 1e-10, "input"
-                    ),
-                    lambda: serialize_density(input_rho),
-                )
-            ]
-    _run_trials(suite, config.trials, config.threads, diagonal_checks, extra=diag_extra)
 
-    # Qutrit path: pad to 4 x 4, reduce, same chain and nonnegativity.
-    extra = None
-    if input_rho is not None and input_rho.dim == 3:
-        extra = discord_checks(input_rho, "qutrit-", "input")
-    _run_trials(
-        suite,
-        config.trials,
-        config.threads,
-        lambda k: discord_checks(
-            DensityMatrix(ginibre(3, np.random.default_rng(_trial_seed_seq(config.seed, 302, k)))),
-            "qutrit-",
-            f"ginibre(dim=3,seed={config.seed},trial={k})",
-        ),
-        extra=extra,
-    )
+def _table_jobs(
+    tag: int, sampler: _Sampler, dims: list[int], trials: int, input_state: State | None
+) -> list[_Job]:
+    """One table job per swept dim, and a trial-free one at the input's dim
+    when the sweep does not cover it."""
+    jobs = [_Job(tag + j, sampler, dim, _table_checks, trials) for j, dim in enumerate(dims)]
+    off_dim = input_state is not None and input_state.dim not in dims
+    if off_dim and sampler.could_draw(input_state, input_state.dim):
+        jobs.append(_Job(tag, sampler, input_state.dim, _table_checks, 0))
+    return jobs
+
+
+def _jobs(config: SuiteConfig, input_state: State | None) -> list[_Job]:
+    """Every job of the configured suite, in report order."""
+    n = config.trials
+    tomographic = config.resolved_dims("tomographic")
+    families = {
+        "classical": [
+            _Job(1, _DIRICHLET, 7, _seven_checks, n),
+            _Job(2, _DIRICHLET, 4, _four_checks, n),
+            *_table_jobs(10, _DIRICHLET, config.resolved_dims("classical"), n, input_state),
+        ],
+        "quantum": [
+            _Job(0, _MIXED, 4, _mixed_equality, 1),
+            *_table_jobs(100, _GINIBRE, config.resolved_dims("quantum"), n, input_state),
+        ],
+        "tomographic": [
+            *(_Job(200 + j, _GINIBRE, dim, _readout_bound, n) for j, dim in enumerate(tomographic)),
+            _Job(230, _AXIS, 4, _axis_checks, n),
+            *(
+                _Job(240 + j, _GINIBRE, dim, _readout_min_checks, min(n, _MINIMIZER_CAP))
+                for j, dim in enumerate(tomographic)
+            ),
+        ],
+        "discord": [
+            _Job(300, _GINIBRE, 4, _discord_checks, n),
+            _Job(301, _DIAGONAL, 4, _diagonal_discord, n),
+            _Job(302, _GINIBRE, 3, _discord_checks, n),
+        ],
+    }
+    if config.suite == "all":
+        return [job for jobs in families.values() for job in jobs]
+    return families[config.suite]
+
+
+@dataclass
+class _Agg:
+    """Streaming aggregate of one named check across trials."""
+
+    count: int = 0
+    failures: int = 0
+    min_gap: float = math.inf
+    max_gap: float = -math.inf
+    total: float = 0.0
+    failing: list[dict] = field(default_factory=list)
+
+    def add(self, name: str, rep: InequalityReport, state: State) -> None:
+        self.count += 1
+        self.min_gap = min(self.min_gap, rep.gap)
+        self.max_gap = max(self.max_gap, rep.gap)
+        self.total += rep.gap
+        if not rep.passed:
+            self.failures += 1
+            self.failing.append(
+                {
+                    "check": name,
+                    "provenance": rep.provenance,
+                    "gap": rep.gap,
+                    "report": {**rep.to_dict(), "name": name},
+                    "state": _serialize(state),
+                }
+            )
+
+    def row(self, name: str) -> dict:
+        return {
+            "id": name,
+            "count": self.count,
+            "failures": self.failures,
+            "min_gap": self.min_gap,
+            "max_gap": self.max_gap,
+            "mean_gap": self.total / self.count if self.count else 0.0,
+        }
 
 
 def run_suite(config: SuiteConfig) -> dict:
-    """Run the configured randomized check suite and return the report."""
+    """Run the configured randomized check suite and return the report.
+
+    Raises :class:`EntroboxError` when an input state is given and no job of
+    the suite takes it.
+    """
     t0 = time.perf_counter()
-    suite = _Suite()
+    input_state = _ingest_any(config.input_path) if config.input_path else None
+    jobs = _jobs(config, input_state)
+    if input_state is not None and not any(job.takes(input_state) for job in jobs):
+        kind = "probability vector" if isinstance(input_state, ProbVec) else "density matrix"
+        raise ShapeMismatchError(
+            f"{config.input_path}: the {config.suite!r} suite checks no "
+            f"{kind} of dim {input_state.dim}"
+        )
 
-    input_state = None
-    if config.input_path:
-        input_state = _ingest_any(config.input_path)
+    aggs: dict[str, _Agg] = {}
+    for job in jobs:
+        draws = _draws(job, config.seed, input_state if job.takes(input_state) else None)
+        for name, rep, state in job.checks(draws, config):
+            agg = aggs.get(name)
+            if agg is None:
+                agg = aggs[name] = _Agg()
+            agg.add(name, rep, state)
 
-    families = (
-        ("classical", "quantum", "tomographic", "discord")
-        if config.suite == "all"
-        else (config.suite,)
-    )
-    runners = {
-        "classical": _classical_suite,
-        "quantum": _quantum_suite,
-        "tomographic": _tomographic_suite,
-        "discord": _discord_suite,
-    }
-    for family in families:
-        runners[family](suite, config, input_state)
-
-    rows = suite.merge_rows()
-    failing = suite.failing()
-    report = {
+    rows = [agg.row(name) for name, agg in aggs.items()]
+    return {
         "version": __version__,
         "config": {
             "suite": config.suite,
@@ -779,32 +712,22 @@ def run_suite(config: SuiteConfig) -> dict:
             "q_values": list(config.q_values),
             "tolerance": config.tolerance,
             "input": config.input_path,
-            "threads": config.threads,
         },
         "checks": rows,
-        "failing_instances": failing,
+        "failing_instances": [f for agg in aggs.values() for f in agg.failing],
         "all_passed": all(row["failures"] == 0 for row in rows),
         "wall_time_s": time.perf_counter() - t0,
     }
-    return report
-
-
-def _ingest_any(path: str):
-    data = _load_json(path)
-    if isinstance(data, list):
-        return validate_prob_vec(data)
-    if isinstance(data, dict):
-        return ingest_density(path)
-    raise ShapeMismatchError(f"{path}: expected a JSON array or object")
 
 
 # ---------------------------------------------------------------------------
 # single-state evaluation
 
 
-def _parse_shape(text: str | None, factors: int) -> tuple[int, ...] | None:
+def _shape(text: str | None, dim: int, factors: int) -> tuple[int, ...]:
+    """The ``--shape`` factorization, or else the first admissible one."""
     if text is None:
-        return None
+        return admissible_shapes(dim, factors)[0]
     try:
         shape = tuple(int(x) for x in text.lower().split("x"))
     except ValueError as exc:
@@ -814,88 +737,64 @@ def _parse_shape(text: str | None, factors: int) -> tuple[int, ...] | None:
     return shape
 
 
+def _eval_discord(rho: DensityMatrix, args: argparse.Namespace) -> dict:
+    rep = discord(rho, "input")
+    return {**rep.to_dict(), "passed": _discord_nonneg(rep, args.tolerance).passed}
+
+
+def _eval_axis_subadd(rho: DensityMatrix, args: argparse.Namespace) -> InequalityReport:
+    w = spin_tomogram_axis(rho, args.theta, args.phi).probabilities
+    return subadditivity_gap(w, (2, 2), args.tolerance, "input")
+
+
+def _eval_readout_min(rho: DensityMatrix, args: argparse.Namespace) -> InequalityReport:
+    [(above, _)] = _readout_min([rho], [args.seed], ["input"], args.tolerance)
+    return above
+
+
+def _at_shape(check: str, factors: int):
+    """Evaluate the library check named ``check`` at the ``--shape``
+    factorization, looked up by name at each call."""
+
+    def evaluate(state: State, args: argparse.Namespace) -> InequalityReport:
+        shape = _shape(args.shape, state.dim, factors)
+        return globals()[check](state, shape, args.tolerance, "input")
+
+    return evaluate
+
+
+# eval check -> (state type its file holds, evaluation of that state). The
+# evaluations look up the library functions they call at each call.
+_EVALUATIONS = {
+    "subadd": (ProbVec, _at_shape("subadditivity_gap", 2)),
+    "strong-subadd": (ProbVec, _at_shape("strong_subadditivity_gap", 3)),
+    "cond-chain": (ProbVec, lambda p, args: _cond_chain(p, "input")),
+    "tsallis-chain": (
+        ProbVec,
+        lambda p, args: tsallis_monotonicity_check(p, args.q, args.tolerance, "input"),
+    ),
+    "q-subadd": (DensityMatrix, _at_shape("quantum_subadditivity", 2)),
+    "q-strong-subadd": (DensityMatrix, _at_shape("quantum_strong_subadditivity", 3)),
+    "discord": (DensityMatrix, _eval_discord),
+    "readout-min": (DensityMatrix, _eval_readout_min),
+    "axis-subadd": (DensityMatrix, _eval_axis_subadd),
+}
+
+EVAL_CHECKS = tuple(_EVALUATIONS)
+
+
 def eval_single(check: str, args: argparse.Namespace) -> tuple[dict, bool]:
     """Evaluate one named check on one state file."""
     _require_seed(args.seed)
     _require_tolerance(args.tolerance)
-    if check in ("subadd", "strong-subadd", "cond-chain", "tsallis-chain"):
-        p = ingest_prob_vec(args.input)
-        if check == "subadd":
-            shape = _parse_shape(args.shape, 2) or admissible_shapes(p.dim, 2)[0]
-            rep = subadditivity_gap(p, shape, args.tolerance, "input")
-            return rep.to_dict(), rep.passed
-        if check == "strong-subadd":
-            shape = _parse_shape(args.shape, 3) or admissible_shapes(p.dim, 3)[0]
-            rep = strong_subadditivity_gap(p, shape, args.tolerance, "input")
-            return rep.to_dict(), rep.passed
-        if check == "cond-chain":
-            split = conditional_pair(p)
-            blocks = np.array([p.values[0] + p.values[1], p.values[2] + p.values[3]])
-            weighted = float(
-                blocks[0] * shannon(split.v).value
-                + blocks[1] * shannon(split.v_tilde).value
-            )
-            rep = _identity_report(
-                "cond-chain-identity",
-                weighted,
-                float(conditional_entropy(p)),
-                IDENTITY_TOLERANCE,
-                "input",
-            )
-            return rep.to_dict(), rep.passed
-        rep = tsallis_monotonicity_check(p, args.q, args.tolerance, "input")
-        return rep.to_dict(), rep.passed
-
-    rho = ingest_density(args.input)
-    if check == "q-subadd":
-        shape = _parse_shape(args.shape, 2) or admissible_shapes(rho.dim, 2)[0]
-        rep = quantum_subadditivity(rho, shape, args.tolerance, "input")
-        return rep.to_dict(), rep.passed
-    if check == "q-strong-subadd":
-        shape = _parse_shape(args.shape, 3) or admissible_shapes(rho.dim, 3)[0]
-        rep = quantum_strong_subadditivity(rho, shape, args.tolerance, "input")
-        return rep.to_dict(), rep.passed
-    if check == "discord":
-        rep = discord(rho, "input")
-        passed = rep.discord >= -args.tolerance
-        payload = rep.to_dict()
-        payload["passed"] = bool(passed)
-        return payload, bool(passed)
-    if check == "readout-min":
-        [(u, h_min)] = minimize_entropy_batch(
-            [rho],
-            restarts=_MINIMIZER_RESTARTS,
-            budget=_MINIMIZER_BUDGET,
-            seeds=[args.seed],
-        )
-        s = float(von_neumann(rho))
-        rep = make_report(
-            name="readout-min-above",
-            lhs=s,
-            rhs=float(h_min),
-            tolerance=args.tolerance,
-            entropies={"minimum_readout": float(h_min), "von_neumann": s},
-            provenance="input",
-        )
-        return rep.to_dict(), rep.passed
-    if check == "axis-subadd":
-        w = spin_tomogram_axis(rho, args.theta, args.phi).probabilities
-        rep = subadditivity_gap(w, (2, 2), args.tolerance, "input")
-        return rep.to_dict(), rep.passed
-    raise ShapeMismatchError(f"unknown check {check!r}")
-
-
-EVAL_CHECKS = (
-    "subadd",
-    "strong-subadd",
-    "cond-chain",
-    "tsallis-chain",
-    "q-subadd",
-    "q-strong-subadd",
-    "discord",
-    "readout-min",
-    "axis-subadd",
-)
+    if check not in _EVALUATIONS:
+        raise ShapeMismatchError(f"unknown check {check!r}")
+    kind, evaluate = _EVALUATIONS[check]
+    state = ingest_prob_vec(args.input) if kind is ProbVec else ingest_density(args.input)
+    result = evaluate(state, args)
+    if isinstance(result, InequalityReport):
+        return result.to_dict(), result.passed
+    return result, result["passed"]
 
 
 # ---------------------------------------------------------------------------
@@ -944,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--output", default=None, help="write the JSON report here")
 
     gen = sub.add_parser("gen", help="emit a random ensemble to JSON files")
-    gen.add_argument("--kind", choices=("simplex", "ginibre", "diagonal"), required=True)
+    gen.add_argument("--kind", choices=tuple(_ENSEMBLES), required=True)
     gen.add_argument("--dim", type=int, required=True)
     gen.add_argument("--count", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
@@ -969,21 +868,10 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("ENTROBOX_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise EntroboxError(f"ENTROBOX_THREADS must be a positive integer, got {raw!r}")
-    return threads
-
-
 def _emit(payload: dict, output: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if output:
-        Path(output).write_text(text + "\n")
+        _write(output, text + "\n")
     else:
         print(text)
 
@@ -997,7 +885,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         q_values=tuple(args.q_values),
         tolerance=args.tolerance,
         input_path=args.input,
-        threads=_threads_from_env(),
     )
     report = run_suite(config)
     _emit(report, args.output)
@@ -1013,21 +900,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    states = generate_ensemble(args.kind, args.dim, args.count, args.seed)
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for i, state in enumerate(
-        generate_ensemble(args.kind, args.dim, args.count, args.seed)
-    ):
-        payload = (
-            serialize_prob_vec(state)
-            if isinstance(state, ProbVec)
-            else serialize_density(state)
-        )
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise EntroboxError(f"cannot create directory {out_dir}: {exc.strerror or exc}") from exc
+    for i, state in enumerate(states):
         path = out_dir / f"{args.kind}{args.dim}-{i:04d}.json"
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        written.append(path.name)
-    print(f"wrote {len(written)} states to {out_dir}")
+        _write(path, json.dumps(_serialize(state), indent=2) + "\n")
+    print(f"wrote {args.count} states to {out_dir}")
     return 0
 
 

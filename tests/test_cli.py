@@ -3,6 +3,7 @@ suites, single-state evaluation, and command-line exit codes."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -38,6 +39,98 @@ def strip_wall_time(report: dict) -> str:
     trimmed = dict(report)
     trimmed.pop("wall_time_s")
     return json.dumps(trimmed, sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def state_files(tmp_path_factory) -> dict[str, str]:
+    """State files by key: ``v<n>`` probability vectors, ``rho<n>`` Ginibre
+    density matrices and ``diag4`` a diagonal 4 x 4 density matrix."""
+    folder = tmp_path_factory.mktemp("states")
+    rng = np.random.default_rng(30)
+    states = {f"v{n}": serialize_prob_vec(ProbVec(dirichlet(n, rng))) for n in (4, 7, 8, 14)}
+    for n in (3, 4, 5, 8):
+        states[f"rho{n}"] = serialize_density(validate_density(ginibre(n, rng)))
+    diag = np.diag(dirichlet(4, rng)).astype(complex)
+    states["diag4"] = serialize_density(validate_density(diag))
+    return {key: write_json(folder / f"{key}.json", payload) for key, payload in states.items()}
+
+
+@functools.cache
+def _no_input_counts(suite: str) -> dict[str, int]:
+    report = run_suite(SuiteConfig(suite=suite, trials=1, seed=31))
+    return {row["id"]: row["count"] for row in report["checks"]}
+
+
+def _matches(check_id: str, pattern: str) -> bool:
+    if pattern.endswith("*"):
+        return check_id.startswith(pattern[:-1])
+    return check_id == pattern
+
+
+# Per suite and input state: the check ids whose count the input raises by
+# one, where a trailing "*" matches every id with that prefix. An id missing
+# from the run without input is a one-off check at a dim the sweep skips.
+INPUT_JOINS = [
+    ("classical", "v7", {"strong-subadd-7", "subadd-7-adjacent", "subadd-7-middle", "dim7-*"}),
+    (
+        "classical",
+        "v4",
+        {
+            "subadd-4",
+            "cond-chain-identity",
+            "tsallis-chain-q0.5",
+            "tsallis-chain-q2",
+            "tsallis-chain-q3",
+            "tsallis-shannon-limit",
+            "dim4-*",
+        },
+    ),
+    ("classical", "v14", {"dim14-*"}),
+    ("quantum", "rho4", {"dim4-*"}),
+    ("quantum", "diag4", {"dim4-*"}),
+    ("quantum", "rho8", {"dim8-*"}),
+    ("tomographic", "rho3", {"dim3-readout-bound", "dim3-readout-min-above", "dim3-readout-min-close"}),
+    ("tomographic", "rho4", {"dim4-readout-bound", "dim4-readout-min-above", "dim4-readout-min-close"}),
+    ("discord", "rho4", {"discord-nonneg", "chain-upper", "chain-lower"}),
+    ("discord", "diag4", {"discord-nonneg", "chain-upper", "chain-lower", "discord-diagonal-zero"}),
+    ("discord", "rho3", {"qutrit-discord-nonneg", "qutrit-chain-upper", "qutrit-chain-lower"}),
+    (
+        "all",
+        "diag4",
+        {
+            "dim4-q-*",
+            "dim4-readout-*",
+            "discord-nonneg",
+            "chain-upper",
+            "chain-lower",
+            "discord-diagonal-zero",
+        },
+    ),
+]
+
+# eval argv, state key, suite and row id of the same check, and the eval
+# output field that equals the row's min_gap.
+SHARED_CHECKS = [
+    (["--check", "subadd", "--shape", "2x4"], "v8", "classical", "dim8-subadd-2x4", "gap"),
+    (
+        ["--check", "strong-subadd", "--shape", "2x2x2"],
+        "v8",
+        "classical",
+        "dim8-strong-subadd-2x2x2",
+        "gap",
+    ),
+    (["--check", "cond-chain"], "v4", "classical", "cond-chain-identity", "gap"),
+    (["--check", "tsallis-chain", "--q", "2"], "v4", "classical", "tsallis-chain-q2", "gap"),
+    (["--check", "q-subadd", "--shape", "2x2"], "rho4", "quantum", "dim4-q-subadd-2x2", "gap"),
+    (
+        ["--check", "q-strong-subadd", "--shape", "2x2x2"],
+        "rho8",
+        "quantum",
+        "dim8-q-strong-subadd-2x2x2",
+        "gap",
+    ),
+    (["--check", "discord"], "rho4", "discord", "discord-nonneg", "discord"),
+]
 
 
 class TestStateFiles:
@@ -175,19 +268,6 @@ class TestRunSuite:
         b = run_suite(SuiteConfig(**config))
         assert strip_wall_time(a) == strip_wall_time(b)
 
-    def test_threads_do_not_change_results(self):
-        base = run_suite(SuiteConfig(suite="classical", trials=6, seed=12, threads=1))
-        threaded = run_suite(
-            SuiteConfig(suite="classical", trials=6, seed=12, threads=3)
-        )
-        a, b = strip_wall_time(base), strip_wall_time(threaded)
-        assert json.loads(a)["config"].pop("threads") == 1
-        assert json.loads(b)["config"].pop("threads") == 3
-        ja, jb = json.loads(a), json.loads(b)
-        ja["config"].pop("threads")
-        jb["config"].pop("threads")
-        assert ja == jb
-
     def test_input_vector_joins_matching_dim(self, tmp_path):
         p = ProbVec(dirichlet(7, np.random.default_rng(5)))
         path = write_json(tmp_path / "p7.json", serialize_prob_vec(p))
@@ -226,6 +306,48 @@ class TestRunSuite:
         counts = {row["id"]: row["count"] for row in report["checks"]}
         assert counts["dim14-subadd-2x7"] == 1
 
+
+    @pytest.mark.parametrize(
+        "suite, key, expected", INPUT_JOINS, ids=[f"{s}-{k}" for s, k, _ in INPUT_JOINS]
+    )
+    def test_input_joins_the_jobs_that_could_draw_it(self, suite, key, expected, state_files):
+        base = _no_input_counts(suite)
+        report = run_suite(
+            SuiteConfig(suite=suite, trials=1, seed=31, input_path=state_files[key])
+        )
+        counts = {row["id"]: row["count"] for row in report["checks"]}
+        assert set(base) <= set(counts)
+        for check_id, count in counts.items():
+            gained = any(_matches(check_id, pattern) for pattern in expected)
+            assert count == base.get(check_id, 0) + gained, check_id
+        for pattern in expected:
+            assert any(_matches(check_id, pattern) for check_id in counts), pattern
+
+    def test_input_joins_readout_min_without_trials(self, state_files):
+        report = run_suite(
+            SuiteConfig(suite="tomographic", trials=0, input_path=state_files["rho3"])
+        )
+        counts = {row["id"]: row["count"] for row in report["checks"]}
+        assert counts == {
+            "dim3-readout-bound": 1,
+            "dim3-readout-min-above": 1,
+            "dim3-readout-min-close": 1,
+        }
+
+    @pytest.mark.parametrize(
+        "argv, key, suite, row_id, field",
+        SHARED_CHECKS,
+        ids=[argv[1] for argv, *_ in SHARED_CHECKS],
+    )
+    def test_eval_and_suite_agree_on_one_state(
+        self, argv, key, suite, row_id, field, state_files, capsys
+    ):
+        assert main(["eval", *argv, "--input", state_files[key]]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        report = run_suite(SuiteConfig(suite=suite, trials=0, input_path=state_files[key]))
+        [row] = [row for row in report["checks"] if row["id"] == row_id]
+        assert row["count"] == 1
+        assert row["min_gap"] == payload[field]
 
 class TestMainEntry:
     def test_check_writes_report_and_summary(self, tmp_path, capsys):
@@ -417,14 +539,64 @@ class TestMainEntry:
         assert "tolerance" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("raw", ["abc", "2.5", "-2", "0"])
-    def test_bad_thread_setting_exits_two(self, raw, monkeypatch, capsys):
-        monkeypatch.setenv("ENTROBOX_THREADS", raw)
-        assert main(["check", "--suite", "classical", "--trials", "1"]) == 2
+    @pytest.mark.parametrize(
+        "suite, key",
+        [("quantum", "v4"), ("classical", "rho4"), ("discord", "rho5"), ("tomographic", "rho5")],
+    )
+    def test_input_no_job_takes_exits_two(self, suite, key, state_files, capsys):
+        argv = ["check", "--suite", suite, "--trials", "1", "--input", state_files[key]]
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
-        assert "ENTROBOX_THREADS" in captured.err
+        assert f"the {suite!r} suite checks no" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--q", "--dims"])
+    def test_empty_list_exits_two(self, flag, capsys):
+        assert main(["check", "--suite", "classical", "--trials", "1", flag, ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["check", "eval"])
+    def test_unwritable_output_exits_two(self, command, tmp_path, capsys):
+        if command == "check":
+            argv = ["check", "--suite", "discord", "--trials", "1"]
+        else:
+            path = write_json(tmp_path / "p.json", [0.25, 0.25, 0.25, 0.25])
+            argv = ["eval", "--check", "subadd", "--input", path]
+        assert main([*argv, "--output", str(tmp_path / "missing" / "x.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    def test_gen_onto_existing_file_exits_two(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = ["gen", "--kind", "simplex", "--dim", "4", "--count", "1"]
+        assert main([*argv, "--output", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert taken.read_text() == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "simplex", "--dim", "1", "--count", "1"],
+            ["--kind", "ginibre", "--dim", "4", "--count", "-1"],
+            ["--kind", "diagonal", "--dim", "4", "--count", "1", "--seed", "-1"],
+            ["--kind", "cauchy", "--dim", "4", "--count", "1"],
+        ],
+        ids=["dim", "count", "seed", "kind"],
+    )
+    def test_gen_rejects_before_creating_directory(self, argv, tmp_path, capsys):
+        out = tmp_path / "newdir"
+        try:
+            code = main(["gen", *argv, "--output", str(out)])
+        except SystemExit as exc:  # argparse rejects an unknown kind
+            code = exc.code
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_console_invocation(self, tmp_path):
         # one end-to-end subprocess run through the module entry point
