@@ -6,9 +6,10 @@ evaluated for every slot that needs a point in a single vectorized call.
 
 The loop carries only the live slots. Its working arrays hold one simplex
 per running search; when a slot stops (its simplex collapsed, or one more
-iteration could overrun its budget) its best vertex, value and evaluation
-count are written to the result once and the slot is dropped from every
-working array, so no later pass sorts, measures or indexes it again.
+iteration could overrun its budget) its best vertex, value, evaluation
+count and stop reason are written to the result once and the slot is
+dropped from every working array, so no later pass sorts, measures or
+indexes it again.
 
 Every vertex is computed with the same floating-point operations, in the
 same order, as a plain one-slot sequential run from the same start point
@@ -19,8 +20,8 @@ batched together and whenever the other slots stop.
 Uses the adaptive coefficients of Gao and Han, which scale the expansion,
 contraction and shrink factors with the problem dimension; they behave much
 better than the classic constants once the dimension passes ~10, which is
-where unitary-group charts live (d**2 parameters). The reflection
-coefficient is 1 in that scheme.
+where unitary-group charts live (d**2 - d parameters in the readout
+search). The reflection coefficient is 1 in that scheme.
 """
 
 from __future__ import annotations
@@ -35,11 +36,17 @@ __all__ = ["BatchResult", "minimize_batch"]
 
 @dataclass
 class BatchResult:
-    """Best point, value, and evaluation count per slot."""
+    """Best point, value, evaluation count and stop reason per slot.
+
+    ``converged`` is true where the slot's simplex collapsed below
+    ``fatol`` and ``xatol``, and false where the slot stopped because one
+    more iteration could overrun its budget.
+    """
 
     x: np.ndarray  # (slots, n)
     fun: np.ndarray  # (slots,)
     nfev: np.ndarray  # (slots,)
+    converged: np.ndarray  # (slots,) bool
 
 
 def minimize_batch(
@@ -89,6 +96,7 @@ def minimize_batch(
     x_out = np.empty((n_slots, n))
     f_out = np.empty(n_slots, dtype=fsim.dtype)
     nfev_out = np.empty_like(nfev)
+    converged_out = np.empty(n_slots, dtype=bool)
     rows = slots[:, None]
 
     while True:
@@ -96,15 +104,16 @@ def minimize_batch(
         fsim = fsim[rows, order]
         sim = sim[rows, order]
 
-        live = fsim[:, -1] - fsim[:, 0] > fatol
-        live |= np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) > xatol
-        live &= nfev <= limit
+        moving = fsim[:, -1] - fsim[:, 0] > fatol
+        moving |= np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) > xatol
+        live = moving & (nfev <= limit)
         if not live.all():
             done = ~live
             stopped = slots[done]
             x_out[stopped] = sim[done, 0]
             f_out[stopped] = fsim[done, 0]
             nfev_out[stopped] = nfev[done]
+            converged_out[stopped] = ~moving[done]
             if not live.any():
                 break
             sim = sim[live]
@@ -174,4 +183,4 @@ def minimize_batch(
             sim[h, 1:] = shrunk
             fsim[h, 1:] = f_shrunk
 
-    return BatchResult(x=x_out, fun=f_out, nfev=nfev_out)
+    return BatchResult(x=x_out, fun=f_out, nfev=nfev_out, converged=converged_out)

@@ -12,9 +12,9 @@ Usage examples::
 Exit codes: 0 when every check passed, 1 when any inequality check failed,
 2 when input could not be parsed or validated, out-of-range arguments
 included (a negative ``--seed`` or ``--trials``, an empty ``--dims`` or
-``--q``, a ``--tolerance`` that is not a finite value >= 0, an ``--input``
-state that no job of the chosen suite takes, an output that cannot be
-written).
+``--q``, a ``--q`` order that is not a finite value > 0, a ``--tolerance``
+that is not a finite value >= 0, an ``--input`` state that no job of the
+chosen suite takes, an output that cannot be written).
 
 Each named check is written once, and ``check`` and ``eval`` both run it.
 A suite is a list of jobs, each drawing ``trials`` states from one sampler
@@ -47,7 +47,7 @@ import numpy as np
 
 from . import __version__
 from .ensembles import diagonal_density, dirichlet, ginibre, haar
-from .errors import EntroboxError, ShapeMismatchError
+from .errors import BadOrderError, EntroboxError, ShapeMismatchError
 from .qstate import (
     DensityMatrix,
     quantum_strong_subadditivity,
@@ -113,6 +113,8 @@ class SuiteConfig:
             raise ShapeMismatchError(f"need every dim >= 2, got {self.dims}")
         if not self.q_values:
             raise ShapeMismatchError("need at least one Tsallis order, got an empty list")
+        if not all(math.isfinite(q) and q > 0 for q in self.q_values):
+            raise BadOrderError(f"need finite Tsallis orders > 0, got {list(self.q_values)}")
         _require_seed(self.seed)
         _require_tolerance(self.tolerance)
 
@@ -747,9 +749,14 @@ def _eval_axis_subadd(rho: DensityMatrix, args: argparse.Namespace) -> Inequalit
     return subadditivity_gap(w, (2, 2), args.tolerance, "input")
 
 
-def _eval_readout_min(rho: DensityMatrix, args: argparse.Namespace) -> InequalityReport:
-    [(above, _)] = _readout_min([rho], [args.seed], ["input"], args.tolerance)
-    return above
+def _eval_readout_min(rho: DensityMatrix, args: argparse.Namespace) -> dict:
+    # Passes only when the found minimum is both above S and within 1e-6 of it.
+    [(above, close)] = _readout_min([rho], [args.seed], ["input"], args.tolerance)
+    return {
+        **above.to_dict(),
+        "error": close.entropies["error"],
+        "passed": above.passed and close.passed,
+    }
 
 
 def _at_shape(check: str, factors: int):

@@ -90,6 +90,10 @@ class UnitaryChart:
     upper-triangle entry in row-major order. The zero vector charts the
     identity, and every unitary is exp(i H) for some Hermitian H, so the
     chart is surjective.
+
+    The readout-entropy minimizer searches only the zero-diagonal slice of
+    this chart (the last d**2 - d parameters, the diagonal fixed at 0),
+    since a readout does not change under left diagonal phases.
     """
 
     dim: int
@@ -174,19 +178,23 @@ def _pair_indices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _assemble_generators(points: np.ndarray, dim: int) -> np.ndarray:
-    """Hermitian generators (m, d, d) from chart parameters (m, d**2)."""
+    """Hermitian generators (m, d, d) from chart parameters (m, d**2), or
+    from points of the chart's zero-diagonal slice (m, d**2 - d)."""
     m = points.shape[0]
     h = np.zeros((m, dim * dim), dtype=complex)
     diag, upper, lower = _pair_indices(dim)
-    h[:, diag] = points[:, :dim]
-    off = points[:, dim::2] + 1j * points[:, dim + 1 :: 2]
+    k = points.shape[1] - dim * (dim - 1)
+    if k:
+        h[:, diag] = points[:, :k]
+    off = points[:, k::2] + 1j * points[:, k + 1 :: 2]
     h[:, upper] = off
     h[:, lower] = off.conj()
     return h.reshape(m, dim, dim)
 
 
 def _chart_unitaries(points: np.ndarray, dim: int) -> np.ndarray:
-    """exp(i H) for a batch of chart points, via the eigenbasis of H."""
+    """exp(i H) for a batch of chart (or zero-diagonal slice) points, via
+    the eigenbasis of H."""
     w, v = np.linalg.eigh(_assemble_generators(points, dim))
     return (v * np.exp(1j * w)[:, None, :]) @ np.swapaxes(v.conj(), 1, 2)
 
@@ -251,7 +259,8 @@ def tomographic_entropy(rho: DensityMatrix, u: UnitaryMatrix) -> EntropyValue:
 
 
 def _readout_entropies(points: np.ndarray, rhos: np.ndarray, dim: int) -> np.ndarray:
-    """Batched objective: entropy of the readout charted by each row."""
+    """Batched objective: entropy of the readout charted by each row of
+    zero-diagonal slice points."""
     u = _chart_unitaries(points, dim)
     t = u @ rhos
     probs = np.einsum("bij,bij->bi", t, u.conj()).real
@@ -260,8 +269,9 @@ def _readout_entropies(points: np.ndarray, rhos: np.ndarray, dim: int) -> np.nda
 
 
 def _restart_points(dim: int, restarts: int, seed) -> np.ndarray:
-    """Start points per restart: identity chart first, then seeded uniform."""
-    n = dim * dim
+    """Start points per restart in the zero-diagonal slice of the chart:
+    the identity first, then seeded uniform points."""
+    n = dim * (dim - 1)
     x0 = np.zeros((restarts, n))
     children = np.random.SeedSequence(seed).spawn(restarts)
     for r in range(1, restarts):
@@ -278,12 +288,19 @@ def minimize_entropy_batch(
 ) -> list[tuple[UnitaryMatrix, EntropyValue]]:
     """Minimize the readout entropy for many states in one batched search.
 
+    The search runs over the zero-diagonal slice of :class:`UnitaryChart`:
+    d**2 - d parameters, the off-diagonal (re, im) pairs of the generator.
+    The readout diag(u rho u^dag) does not change when u is multiplied on
+    the left by a diagonal phase matrix, so it varies along only d**2 - d
+    of the group's d**2 dimensions; the search fixes the generator's
+    diagonal at 0 instead of exploring d flat directions.
+
     Each state gets ``restarts`` independent searches (the first from the
-    identity chart, the rest from seeded uniform points) capped at
-    ``budget`` objective evaluations apiece, then a polish search from its
-    best point funded by whatever the restarts left unused. Results are
-    identical to calling :func:`minimize_tomographic_entropy` per state
-    with the matching seed.
+    identity, the rest from seeded uniform points) capped at ``budget``
+    objective evaluations apiece, then a polish search from its best point
+    funded by whatever the restarts left unused. Results are identical to
+    calling :func:`minimize_tomographic_entropy` per state with the
+    matching seed.
     """
     if not states:
         return []
@@ -294,7 +311,11 @@ def minimize_entropy_batch(
         seeds = list(range(len(states)))
     if len(seeds) != len(states):
         raise ShapeMismatchError("need one seed per state")
-    n = dim * dim
+    if dim == 1:
+        # One basis up to a phase: the readout is (1,) and nothing is searched.
+        u = UnitaryMatrix(np.eye(1))
+        return [(u, tomographic_entropy(s, u)) for s in states]
+    n = dim * (dim - 1)
     n_states = len(states)
 
     x0 = np.vstack([_restart_points(dim, restarts, s) for s in seeds])
@@ -339,8 +360,9 @@ def minimize_entropy_batch(
         best_f[todo[improved]] = polish.fun[improved]
 
     results: list[tuple[UnitaryMatrix, EntropyValue]] = []
+    zero_diagonal = np.zeros(dim)
     for i, state in enumerate(states):
-        u = chart_to_unitary(UnitaryChart(dim, best_x[i]))
+        u = chart_to_unitary(UnitaryChart(dim, np.concatenate([zero_diagonal, best_x[i]])))
         results.append((u, tomographic_entropy(state, u)))
     return results
 
@@ -353,10 +375,11 @@ def minimize_tomographic_entropy(
 ) -> tuple[UnitaryMatrix, EntropyValue]:
     """Search for the basis minimizing the readout entropy of ``rho``.
 
-    Derivative-free simplex search in the d**2-parameter chart with seeded
-    random restarts. The minimum over all bases is the von Neumann entropy,
-    attained at the eigenbasis; :func:`eigenbasis_unitary` exposes that
-    exact answer for comparison.
+    Derivative-free simplex search over the zero-diagonal generators of
+    the unitary chart (d**2 - d parameters) with seeded random restarts.
+    The minimum over all bases is the von Neumann entropy, attained at the
+    eigenbasis; :func:`eigenbasis_unitary` exposes that exact answer for
+    comparison.
     """
     [(u, value)] = minimize_entropy_batch(
         [rho], restarts=restarts, budget=budget, seeds=[seed]

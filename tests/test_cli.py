@@ -27,7 +27,10 @@ from entrobox.cli import (
     serialize_prob_vec,
 )
 from entrobox.ensembles import dirichlet, ginibre
+from entrobox.qstate import von_neumann
 from entrobox.report import make_report
+from entrobox.simplex import EntropyValue
+from entrobox.tomography import UnitaryMatrix
 
 
 def write_json(path, payload) -> str:
@@ -550,6 +553,49 @@ class TestMainEntry:
         assert captured.err.startswith("error:")
         assert f"the {suite!r} suite checks no" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "2,-0.5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "quantum", "--trials", "1"],
+            ["--suite", "discord", "--trials", "1"],
+            ["--suite", "classical", "--trials", "0"],
+        ],
+        ids=["quantum", "discord", "classical-no-trials"],
+    )
+    def test_bad_tsallis_order_exits_two(self, argv, value, capsys):
+        assert main(["check", *argv, f"--q={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Tsallis" in captured.err
+        assert captured.out == ""
+
+    def test_eval_readout_min_passes_on_a_qubit(self, tmp_path, capsys):
+        rho = serialize_density(validate_density(ginibre(2, np.random.default_rng(15))))
+        path = write_json(tmp_path / "rho.json", rho)
+        assert main(["eval", "--check", "readout-min", "--input", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"]
+        assert -1e-9 <= payload["error"] <= 1e-6
+        assert payload["entropies"]["minimum_readout"] - payload["entropies"]["von_neumann"] == (
+            payload["error"]
+        )
+
+    def test_eval_readout_min_fails_when_the_search_misses(self, tmp_path, capsys, monkeypatch):
+        # a minimum 1e-3 above S still clears the lower bound, so only the
+        # closeness check can catch the miss
+        def missed(states, restarts, budget, seeds):
+            u = UnitaryMatrix(np.eye(states[0].dim))
+            return [(u, EntropyValue(float(von_neumann(s)) + 1e-3, "shannon")) for s in states]
+
+        monkeypatch.setattr(cli, "minimize_entropy_batch", missed)
+        path = write_json(tmp_path / "rho.json", serialize_density(validate_density(np.eye(2) / 2)))
+        assert main(["eval", "--check", "readout-min", "--input", path]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert not payload["passed"]
+        assert payload["gap"] > 0
+        assert payload["error"] == pytest.approx(1e-3)
 
     @pytest.mark.parametrize("flag", ["--q", "--dims"])
     def test_empty_list_exits_two(self, flag, capsys):

@@ -97,6 +97,16 @@ class TestBitwiseParity:
         # Slot 3 can afford the start simplex but not one iteration.
         assert iterations[3] == 0 and refs[3][2] == 4
 
+    def test_stop_reason_per_slot(self):
+        result = run_batch(list(range(len(SLOTS))))
+        assert result.converged.shape == (len(SLOTS),)
+        assert result.converged.dtype == bool
+        # Slot 0 stops at its budget edge and slot 3 before one iteration;
+        # slot 1 converges long before its budget.
+        assert not result.converged[0]
+        assert not result.converged[3]
+        assert result.converged[1]
+
     def test_slot_order_does_not_matter(self):
         forward = run_batch(list(range(len(SLOTS))))
         order = [4, 2, 0, 5, 3, 1]

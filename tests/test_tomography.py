@@ -196,6 +196,13 @@ class TestMinimizer:
         _, value = minimize_tomographic_entropy(rho, restarts=4, budget=2000)
         assert float(value) <= 1e-6
 
+    def test_one_dimensional_states_need_no_search(self):
+        # the zero-diagonal slice of a 1 x 1 chart has no parameters
+        rho = validate_density(np.ones((1, 1)))
+        [(u, value)] = minimize_entropy_batch([rho])
+        assert u.matrix.shape == (1, 1)
+        assert float(value) == 0.0
+
     def test_mixed_dims_rejected(self):
         with pytest.raises(DimMismatchError):
             minimize_entropy_batch(
