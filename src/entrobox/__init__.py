@@ -10,146 +10,22 @@ basis-readout entropy bound, and a discord-type measure) all hold without
 any physical subsystems being present.
 """
 
-from .errors import (
-    BadAngleError,
-    BadAxisError,
-    BadOrderError,
-    BadTraceError,
-    DimMismatchError,
-    EntroboxError,
-    NegativeProbabilityError,
-    NotHermitianError,
-    NotPositiveError,
-    NotUnitaryError,
-    ProbabilitySumError,
-    ShapeMismatchError,
-    ShrinkForbiddenError,
-)
-from .qstate import (
-    DensityMatrix,
-    ReductionPlan,
-    Spectrum,
-    pad_density,
-    quantum_strong_subadditivity,
-    quantum_subadditivity,
-    qutrit_reductions,
-    reduce,
-    spectrum,
-    validate_density,
-    von_neumann,
-)
+from . import errors, qstate, simplex, tomography
+from .errors import *  # noqa: F403
+from .qstate import *  # noqa: F403
 from .report import GAP_TOLERANCE, IDENTITY_TOLERANCE, InequalityReport
-from .simplex import (
-    ConditionalSplit,
-    EntropyValue,
-    ProbTable,
-    ProbVec,
-    admissible_shapes,
-    conditional_entropy,
-    conditional_pair,
-    conditional_tsallis,
-    marginal2,
-    marginal3,
-    minimal_padded_dim,
-    normalized_prob_vec,
-    pad,
-    reshape,
-    shannon,
-    strong_subadditivity_gap,
-    subadditivity_gap,
-    tsallis,
-    tsallis_monotonicity_check,
-    validate_prob_vec,
-)
-from .tomography import (
-    DiscordReport,
-    Tomogram,
-    UnitaryChart,
-    UnitaryMatrix,
-    chart_to_unitary,
-    discord,
-    discord_unitary_sweep,
-    eigenbasis_unitary,
-    marginal_tomograms,
-    minimize_entropy_batch,
-    minimize_tomographic_entropy,
-    spin_tomogram_axis,
-    tomogram,
-    tomographic_entropy,
-    tomographic_information,
-    validate_unitary,
-)
+from .simplex import *  # noqa: F403
+from .tomography import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "EntroboxError",
-    "NegativeProbabilityError",
-    "ProbabilitySumError",
-    "ShrinkForbiddenError",
-    "ShapeMismatchError",
-    "BadAxisError",
-    "BadOrderError",
-    "NotHermitianError",
-    "NotPositiveError",
-    "BadTraceError",
-    "NotUnitaryError",
-    "DimMismatchError",
-    "BadAngleError",
-    # reports
+    *errors.__all__,
     "InequalityReport",
     "GAP_TOLERANCE",
     "IDENTITY_TOLERANCE",
-    # simplex
-    "ProbVec",
-    "ProbTable",
-    "EntropyValue",
-    "ConditionalSplit",
-    "validate_prob_vec",
-    "normalized_prob_vec",
-    "pad",
-    "reshape",
-    "marginal2",
-    "marginal3",
-    "shannon",
-    "tsallis",
-    "subadditivity_gap",
-    "strong_subadditivity_gap",
-    "conditional_pair",
-    "conditional_entropy",
-    "conditional_tsallis",
-    "tsallis_monotonicity_check",
-    "minimal_padded_dim",
-    "admissible_shapes",
-    # qstate
-    "DensityMatrix",
-    "Spectrum",
-    "ReductionPlan",
-    "validate_density",
-    "pad_density",
-    "reduce",
-    "spectrum",
-    "von_neumann",
-    "quantum_subadditivity",
-    "quantum_strong_subadditivity",
-    "qutrit_reductions",
-    # tomography
-    "UnitaryMatrix",
-    "UnitaryChart",
-    "Tomogram",
-    "DiscordReport",
-    "validate_unitary",
-    "chart_to_unitary",
-    "eigenbasis_unitary",
-    "tomogram",
-    "tomographic_entropy",
-    "minimize_tomographic_entropy",
-    "minimize_entropy_batch",
-    "marginal_tomograms",
-    "tomographic_information",
-    "discord",
-    "discord_unitary_sweep",
-    "spin_tomogram_axis",
+    *simplex.__all__,
+    *qstate.__all__,
+    *tomography.__all__,
 ]

@@ -161,8 +161,10 @@ def ingest_density(path: str | Path) -> DensityMatrix:
 def _density_from_json(data, path: str | Path) -> DensityMatrix:
     if not isinstance(data, dict) or "dim" not in data or "re" not in data:
         raise ShapeMismatchError(f"{path}: expected an object with 'dim' and 're'")
+    dim = data["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ShapeMismatchError(f"{path}: 'dim' must be an integer, got {dim!r}")
     try:
-        dim = int(data["dim"])
         re = np.asarray(data["re"], dtype=float)
         im_raw = data.get("im")
         im = np.zeros_like(re) if im_raw is None else np.asarray(im_raw, dtype=float)

@@ -7,6 +7,22 @@ maps any :class:`EntroboxError` raised while ingesting input to exit code 2.
 
 from __future__ import annotations
 
+__all__ = [
+    "EntroboxError",
+    "NegativeProbabilityError",
+    "ProbabilitySumError",
+    "ShrinkForbiddenError",
+    "ShapeMismatchError",
+    "BadAxisError",
+    "BadOrderError",
+    "NotHermitianError",
+    "NotPositiveError",
+    "BadTraceError",
+    "NotUnitaryError",
+    "DimMismatchError",
+    "BadAngleError",
+]
+
 
 class EntroboxError(ValueError):
     """Base class for validation and shape errors raised by this package."""

@@ -13,10 +13,10 @@ subadditivity even though no physical subsystems exist.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import (
     BadAxisError,
@@ -27,7 +27,7 @@ from .errors import (
     ShrinkForbiddenError,
 )
 from .report import GAP_TOLERANCE, InequalityReport, make_report
-from .simplex import EntropyValue, _check_shape
+from .simplex import EntropyValue, _factors, _freeze, _shannon_raw
 
 __all__ = [
     "DensityMatrix",
@@ -63,9 +63,7 @@ class DensityMatrix:
         arr = np.asarray(self.matrix, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise ShapeMismatchError(f"density matrix must be square, got {arr.shape}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+        _freeze(self, "matrix", arr)
 
     @property
     def dim(self) -> int:
@@ -87,9 +85,7 @@ class Spectrum:
     eigenvalues: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.eigenvalues, dtype=float).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", arr)
+        _freeze(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -108,11 +104,10 @@ class ReductionPlan:
     _ALLOWED = {2: {(1,), (2,)}, 3: {(1, 2), (2, 3), (2,)}}
 
     def __post_init__(self) -> None:
-        factors = tuple(int(n) for n in self.factors)
+        factors = _factors(self.factors, None, 0)
         kept = tuple(int(k) for k in self.kept)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "kept", kept)
-        _check_shape(factors)
         if kept not in self._ALLOWED[len(factors)]:
             raise BadAxisError(
                 f"cannot keep {kept} out of {len(factors)} subsystems"
@@ -120,7 +115,7 @@ class ReductionPlan:
 
     @property
     def kept_dim(self) -> int:
-        return int(np.prod([self.factors[k - 1] for k in self.kept]))
+        return math.prod(self.factors[k - 1] for k in self.kept)
 
 
 def validate_density(raw, tol: float = 1e-10) -> DensityMatrix:
@@ -177,14 +172,8 @@ def reduce(rho: DensityMatrix, plan: ReductionPlan) -> DensityMatrix:
     a single indivisible system. Trace is preserved exactly and positivity
     to numerical precision.
     """
-    factors = plan.factors
-    target = int(np.prod(factors))
-    if target < rho.dim:
-        raise ShapeMismatchError(
-            f"factors {factors} cover only {target} of {rho.dim} dimensions"
-        )
-    if target > rho.dim:
-        rho = pad_density(rho, target)
+    factors = _factors(plan.factors, None, rho.dim)
+    rho = pad_density(rho, math.prod(factors))
     k = len(factors)
     tensor = rho.matrix.reshape(factors + factors)
     row = "abc"[:k]
@@ -216,8 +205,7 @@ def spectrum(rho: DensityMatrix) -> Spectrum:
 
 def von_neumann(rho: DensityMatrix) -> EntropyValue:
     """Von Neumann entropy -Tr(rho ln rho) in nats, via the spectrum."""
-    lam = spectrum(rho).eigenvalues
-    return EntropyValue(float(-xlogy(lam, lam).sum()), "von_neumann")
+    return EntropyValue(_shannon_raw(spectrum(rho).eigenvalues), "von_neumann")
 
 
 def quantum_subadditivity(
@@ -231,7 +219,7 @@ def quantum_subadditivity(
     ``rho`` is padded to the product of ``factors`` if needed; padding
     leaves S(rho) unchanged.
     """
-    factors = _as_factors(factors, 2, rho.dim)
+    factors = _factors(factors, 2, rho.dim)
     s_joint = float(von_neumann(rho))
     s1 = float(von_neumann(reduce(rho, ReductionPlan(factors, (1,)))))
     s2 = float(von_neumann(reduce(rho, ReductionPlan(factors, (2,)))))
@@ -252,7 +240,7 @@ def quantum_strong_subadditivity(
     provenance: str = "",
 ) -> InequalityReport:
     """Check S(R12) + S(R23) >= S(rho) + S(R2) for the 3-factor rereading."""
-    factors = _as_factors(factors, 3, rho.dim)
+    factors = _factors(factors, 3, rho.dim)
     s_joint = float(von_neumann(rho))
     s12 = float(von_neumann(reduce(rho, ReductionPlan(factors, (1, 2)))))
     s23 = float(von_neumann(reduce(rho, ReductionPlan(factors, (2, 3)))))
@@ -282,15 +270,3 @@ def qutrit_reductions(rho: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]
         reduce(padded, ReductionPlan((2, 2), (1,))),
         reduce(padded, ReductionPlan((2, 2), (2,))),
     )
-
-
-def _as_factors(factors, k: int, dim: int) -> tuple[int, ...]:
-    factors = tuple(int(n) for n in factors)
-    if len(factors) != k:
-        raise ShapeMismatchError(f"need {k} factors, got {factors}")
-    _check_shape(factors)
-    if int(np.prod(factors)) < dim:
-        raise ShapeMismatchError(
-            f"factors {factors} cover only {int(np.prod(factors))} of {dim} dimensions"
-        )
-    return factors

@@ -75,9 +75,7 @@ class ProbVec:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ShapeMismatchError("probability vector must be 1-d and nonempty")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        _freeze(self, "values", arr)
 
     @property
     def dim(self) -> int:
@@ -102,15 +100,12 @@ class ProbTable:
     shape: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.entries, dtype=float).reshape(-1).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
-        _check_shape(self.shape)
-        if int(np.prod(self.shape)) != arr.size:
-            raise ShapeMismatchError(
-                f"shape {self.shape} does not index {arr.size} entries"
-            )
+        arr = np.asarray(self.entries, dtype=float).reshape(-1)
+        shape = _factors(self.shape, None, arr.size)
+        if math.prod(shape) != arr.size:
+            raise ShapeMismatchError(f"shape {shape} does not index {arr.size} entries")
+        _freeze(self, "entries", arr)
+        object.__setattr__(self, "shape", shape)
 
     @property
     def factors(self) -> int:
@@ -154,11 +149,45 @@ class ConditionalSplit:
     flags: tuple[str, ...] = ()
 
 
+def _freeze(obj, name: str, arr: np.ndarray) -> None:
+    """Set field ``name`` of the frozen dataclass ``obj`` to a read-only
+    copy of ``arr``."""
+    arr = arr.copy()
+    arr.setflags(write=False)
+    object.__setattr__(obj, name, arr)
+
+
+def _factors(shape, k: int | None, dim: int) -> tuple[int, ...]:
+    """``shape`` as int factors after checking the rereading rule: ``k``
+    factors (2 or 3 when ``k`` is None), each >= 2, whose product covers
+    ``dim`` entries once the object is zero-padded."""
+    shape = tuple(shape)
+    if len(shape) not in ((k,) if k else (2, 3)):
+        raise ShapeMismatchError(f"need {k or '2 or 3'} factors, got {shape}")
+    shape = tuple(int(n) for n in shape)
+    if min(shape) < 2:
+        raise ShapeMismatchError(f"every factor must be >= 2, got {shape}")
+    if math.prod(shape) < dim:
+        raise ShapeMismatchError(
+            f"shape {shape} covers only {math.prod(shape)} of {dim} entries"
+        )
+    return shape
+
+
+def _zero_padded(values: np.ndarray, size: int) -> np.ndarray:
+    out = np.zeros(size)
+    out[: values.size] = values
+    return out
+
+
 def _as_float_vec(raw) -> np.ndarray:
     try:
-        return np.asarray(raw, dtype=float).reshape(-1)
+        arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise NegativeProbabilityError(f"not a numeric vector: {exc}") from exc
+    if arr.ndim != 1:
+        raise ShapeMismatchError(f"need a 1-d vector, got shape {arr.shape}")
+    return arr
 
 
 def validate_prob_vec(raw, tol: float = 1e-10) -> ProbVec:
@@ -216,16 +245,7 @@ def pad(p: ProbVec, new_dim: int) -> ProbVec:
         raise ShrinkForbiddenError(f"cannot pad {p.dim}-vector down to {new_dim}")
     if new_dim == p.dim:
         return p
-    out = np.zeros(new_dim)
-    out[: p.dim] = p.values
-    return ProbVec(out)
-
-
-def _check_shape(shape: tuple[int, ...]) -> None:
-    if len(shape) not in (2, 3):
-        raise ShapeMismatchError(f"need 2 or 3 factors, got {len(shape)}")
-    if any(n < 2 for n in shape):
-        raise ShapeMismatchError(f"every factor must be >= 2, got {shape}")
+    return ProbVec(_zero_padded(p.values, new_dim))
 
 
 def reshape(p: ProbVec, shape: tuple[int, ...]) -> ProbTable:
@@ -235,10 +255,6 @@ def reshape(p: ProbVec, shape: tuple[int, ...]) -> ProbTable:
     first. The flat order is preserved, so the row-major bijection between
     the single index and the multi-index is the identity on memory.
     """
-    shape = tuple(int(n) for n in shape)
-    _check_shape(shape)
-    if int(np.prod(shape)) != p.dim:
-        raise ShapeMismatchError(f"shape {shape} does not index a {p.dim}-vector")
     return ProbTable(p.values, shape)
 
 
@@ -290,15 +306,20 @@ def _tsallis_raw(arr: np.ndarray, q: float) -> float:
     return float((np.power(arr, q).sum() - 1.0) / (1.0 - q))
 
 
+def _order(q) -> float:
+    q = float(q)
+    if not math.isfinite(q) or q <= 0.0:
+        raise BadOrderError(f"Tsallis order must be positive, got {q!r}")
+    return q
+
+
 def tsallis(p: ProbVec, q: float) -> EntropyValue:
     """Tsallis entropy of order ``q > 0``; continuous through q = 1.
 
     Orders within 1e-6 of 1 are evaluated as Shannon entropy, which the
     Tsallis family approaches in that limit.
     """
-    q = float(q)
-    if not math.isfinite(q) or q <= 0.0:
-        raise BadOrderError(f"Tsallis order must be positive, got {q!r}")
+    q = _order(q)
     return EntropyValue(_tsallis_raw(p.values, q), "tsallis", q=q)
 
 
@@ -336,20 +357,7 @@ def admissible_shapes(dim: int, factors: int) -> list[tuple[int, ...]]:
     similarly for 3. Ordered factorizations are kept distinct because the
     row-major bijection makes (2, 4) and (4, 2) genuinely different tables.
     """
-    if factors not in (2, 3):
-        raise ShapeMismatchError(f"need 2 or 3 factors, got {factors}")
     return _exact_shapes(minimal_padded_dim(dim, factors), factors)
-
-
-def _prepare_table(p: ProbVec, shape: tuple[int, ...]) -> ProbTable:
-    shape = tuple(int(n) for n in shape)
-    _check_shape(shape)
-    target = int(np.prod(shape))
-    if target < p.dim:
-        raise ShapeMismatchError(
-            f"shape {shape} indexes only {target} entries, vector has {p.dim}"
-        )
-    return reshape(pad(p, target), shape)
 
 
 def subadditivity_gap(
@@ -364,14 +372,14 @@ def subadditivity_gap(
     padding changes none of the three entropies' information content but
     makes the bipartite reading available.
     """
-    if len(shape) != 2:
-        raise ShapeMismatchError(f"need a 2-factor shape, got {tuple(shape)}")
-    table = _prepare_table(p, shape)
-    h_joint = _shannon_raw(table.entries)
-    h1 = _shannon_raw(marginal2(table, 1).values)
-    h2 = _shannon_raw(marginal2(table, 2).values)
+    shape = _factors(shape, 2, p.dim)
+    flat = _zero_padded(p.values, math.prod(shape))
+    table = flat.reshape(shape)
+    h_joint = _shannon_raw(flat)
+    h1 = _shannon_raw(table.sum(axis=1))
+    h2 = _shannon_raw(table.sum(axis=0))
     return make_report(
-        name=f"subadd-{table.shape[0]}x{table.shape[1]}",
+        name=f"subadd-{shape[0]}x{shape[1]}",
         lhs=h_joint,
         rhs=h1 + h2,
         tolerance=tolerance,
@@ -387,14 +395,14 @@ def strong_subadditivity_gap(
     provenance: str = "",
 ) -> InequalityReport:
     """Check H(P12) + H(P23) >= H(p) + H(P2) for the 3-factor reading."""
-    if len(shape) != 3:
-        raise ShapeMismatchError(f"need a 3-factor shape, got {tuple(shape)}")
-    table = _prepare_table(p, shape)
-    h_joint = _shannon_raw(table.entries)
-    h12 = _shannon_raw(marginal3(table, (1, 2)).entries)
-    h23 = _shannon_raw(marginal3(table, (2, 3)).entries)
-    h2 = _shannon_raw(marginal3(table, (2,)).values)
-    name = "strong-subadd-{}x{}x{}".format(*table.shape)
+    shape = _factors(shape, 3, p.dim)
+    flat = _zero_padded(p.values, math.prod(shape))
+    table = flat.reshape(shape)
+    h_joint = _shannon_raw(flat)
+    h12 = _shannon_raw(table.sum(axis=2))
+    h23 = _shannon_raw(table.sum(axis=0))
+    h2 = _shannon_raw(table.sum(axis=(0, 2)))
+    name = "strong-subadd-{}x{}x{}".format(*shape)
     return make_report(
         name=name,
         lhs=h_joint + h2,
@@ -441,7 +449,7 @@ def conditional_entropy(p: ProbVec) -> EntropyValue:
     H(V | V~) = H(p) - H(p1 + p2, p3 + p4), which also holds term by term
     for the weighted sum of block entropies.
     """
-    value = _shannon_raw(_validated_4(p).values) - _shannon_raw(_blocks(p))
+    value = _shannon_raw(p.values) - _shannon_raw(_blocks(p))
     return EntropyValue(value, "conditional")
 
 
@@ -451,18 +459,9 @@ def conditional_tsallis(p: ProbVec, q: float) -> EntropyValue:
     T_q(V | V~) = T_q(p) - T_q(p1 + p2, p3 + p4); near q = 1 this passes
     into the Shannon conditional entropy.
     """
-    q = float(q)
-    if not math.isfinite(q) or q <= 0.0:
-        raise BadOrderError(f"Tsallis order must be positive, got {q!r}")
-    p = _validated_4(p)
+    q = _order(q)
     value = _tsallis_raw(p.values, q) - _tsallis_raw(_blocks(p), q)
     return EntropyValue(value, "conditional", q=q)
-
-
-def _validated_4(p: ProbVec) -> ProbVec:
-    if p.dim != 4:
-        raise ShapeMismatchError(f"expected a 4-vector, got dim {p.dim}")
-    return p
 
 
 def tsallis_monotonicity_check(
@@ -478,10 +477,7 @@ def tsallis_monotonicity_check(
     the two bounds split the total into two nonnegative parts, mirroring
     the Shannon chain rule. The report's gap is the smaller of the two.
     """
-    q = float(q)
-    if not math.isfinite(q) or q <= 0.0:
-        raise BadOrderError(f"Tsallis order must be positive, got {q!r}")
-    p = _validated_4(p)
+    q = _order(q)
     total = _tsallis_raw(p.values, q)
     coarse = _tsallis_raw(_blocks(p), q)
     conditional = total - coarse

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .ensembles import haar
 from .qstate import DensityMatrix, ReductionPlan, pad_density, reduce, von_neumann
-from .simplex import EntropyValue, ProbVec, marginal2, reshape
+from .simplex import EntropyValue, ProbVec, _freeze, _shannon_raw
 
 __all__ = [
     "UnitaryMatrix",
@@ -72,9 +72,7 @@ class UnitaryMatrix:
         arr = np.asarray(self.matrix, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise ShapeMismatchError(f"unitary must be square, got {arr.shape}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+        _freeze(self, "matrix", arr)
 
     @property
     def dim(self) -> int:
@@ -100,14 +98,13 @@ class UnitaryChart:
     parameters: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.parameters, dtype=float).reshape(-1).copy()
+        arr = np.asarray(self.parameters, dtype=float).reshape(-1)
         if arr.size != self.dim * self.dim:
             raise ShapeMismatchError(
                 f"chart for dim {self.dim} needs {self.dim**2} parameters, "
                 f"got {arr.size}"
             )
-        arr.setflags(write=False)
-        object.__setattr__(self, "parameters", arr)
+        _freeze(self, "parameters", arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,8 +251,7 @@ def tomogram(rho: DensityMatrix, u: UnitaryMatrix, state_ref: str = "") -> Tomog
 
 def tomographic_entropy(rho: DensityMatrix, u: UnitaryMatrix) -> EntropyValue:
     """Shannon entropy of the basis readout; >= von Neumann entropy of rho."""
-    w = _readout(rho, u)
-    return EntropyValue(float(-xlogy(w, w).sum()), "shannon")
+    return EntropyValue(_shannon_raw(_readout(rho, u)), "shannon")
 
 
 def _readout_entropies(points: np.ndarray, rhos: np.ndarray, dim: int) -> np.ndarray:
@@ -295,12 +291,12 @@ def minimize_entropy_batch(
     of the group's d**2 dimensions; the search fixes the generator's
     diagonal at 0 instead of exploring d flat directions.
 
-    Each state gets ``restarts`` independent searches (the first from the
-    identity, the rest from seeded uniform points) capped at ``budget``
-    objective evaluations apiece, then a polish search from its best point
-    funded by whatever the restarts left unused. Results are identical to
-    calling :func:`minimize_tomographic_entropy` per state with the
-    matching seed.
+    All states' searches run as one batch: each state gets ``restarts``
+    independent searches (the first from the identity, the rest from seeded
+    uniform points) capped at ``budget`` objective evaluations apiece, and
+    the best of them wins; there is no second, polishing search. Results
+    are identical to calling :func:`minimize_tomographic_entropy` per state
+    with the matching seed.
     """
     if not states:
         return []
@@ -315,56 +311,17 @@ def minimize_entropy_batch(
         # One basis up to a phase: the readout is (1,) and nothing is searched.
         u = UnitaryMatrix(np.eye(1))
         return [(u, tomographic_entropy(s, u)) for s in states]
-    n = dim * (dim - 1)
-    n_states = len(states)
-
     x0 = np.vstack([_restart_points(dim, restarts, s) for s in seeds])
-    rhos = np.repeat(
-        np.stack([s.matrix for s in states]), restarts, axis=0
-    )
+    rhos = np.repeat(np.stack([s.matrix for s in states]), restarts, axis=0)
 
     def objective(points: np.ndarray, slots: np.ndarray) -> np.ndarray:
         return _readout_entropies(points, rhos[slots], dim)
 
-    coarse = minimize_batch(
-        objective, x0, step=0.6, budget=budget, fatol=1e-10, xatol=1e-6
-    )
-
-    fun = coarse.fun.reshape(n_states, restarts)
-    nfev = coarse.nfev.reshape(n_states, restarts)
-    best = np.argmin(fun, axis=1)
-    pick = np.arange(n_states) * restarts + best
-    best_x = coarse.x[pick]
-    best_f = coarse.fun[pick]
-
-    # Polish from the winner with whatever budget the restarts left over.
-    leftover = restarts * budget - nfev.sum(axis=1)
-    polish_budget = np.minimum(leftover, budget)
-    todo = np.flatnonzero(polish_budget >= n + 2)
-    if todo.size:
-        sub_rhos = rhos[todo * restarts]
-
-        def polish_objective(points: np.ndarray, slots: np.ndarray) -> np.ndarray:
-            return _readout_entropies(points, sub_rhos[slots], dim)
-
-        polish = minimize_batch(
-            polish_objective,
-            best_x[todo],
-            step=5e-3,
-            budget=polish_budget[todo],
-            fatol=1e-14,
-            xatol=1e-10,
-        )
-        improved = polish.fun < best_f[todo]
-        best_x[todo[improved]] = polish.x[improved]
-        best_f[todo[improved]] = polish.fun[improved]
-
-    results: list[tuple[UnitaryMatrix, EntropyValue]] = []
-    zero_diagonal = np.zeros(dim)
-    for i, state in enumerate(states):
-        u = chart_to_unitary(UnitaryChart(dim, np.concatenate([zero_diagonal, best_x[i]])))
-        results.append((u, tomographic_entropy(state, u)))
-    return results
+    found = minimize_batch(objective, x0, step=0.6, budget=budget, fatol=1e-10, xatol=1e-6)
+    best = np.argmin(found.fun.reshape(len(states), restarts), axis=1)
+    best_x = found.x[np.arange(len(states)) * restarts + best]
+    unitaries = [UnitaryMatrix(u) for u in _chart_unitaries(best_x, dim)]
+    return [(u, tomographic_entropy(s, u)) for s, u in zip(states, unitaries)]
 
 
 def minimize_tomographic_entropy(
@@ -376,7 +333,9 @@ def minimize_tomographic_entropy(
     """Search for the basis minimizing the readout entropy of ``rho``.
 
     Derivative-free simplex search over the zero-diagonal generators of
-    the unitary chart (d**2 - d parameters) with seeded random restarts.
+    the unitary chart (d**2 - d parameters): one batched search of
+    ``restarts`` starts (the identity, then seeded random points), the best
+    of which wins, with no polishing search after it.
     The minimum over all bases is the von Neumann entropy, attained at the
     eigenbasis; :func:`eigenbasis_unitary` exposes that exact answer for
     comparison.
@@ -405,13 +364,10 @@ def marginal_tomograms(
     w1 = ProbVec(_readout(r1, u1))
     w2 = ProbVec(_readout(r2, u2))
 
-    joint = _readout(rho, UnitaryMatrix(np.kron(u1.matrix, u2.matrix)))
-    table = reshape(ProbVec(joint), (2, 2))
-    m1 = marginal2(table, 1)
-    m2 = marginal2(table, 2)
+    table = _readout(rho, UnitaryMatrix(np.kron(u1.matrix, u2.matrix))).reshape(2, 2)
     defect = max(
-        float(np.abs(w1.values - m1.values).max()),
-        float(np.abs(w2.values - m2.values).max()),
+        float(np.abs(w1.values - table.sum(axis=1)).max()),
+        float(np.abs(w2.values - table.sum(axis=0)).max()),
     )
     if defect > 1e-10:
         raise DimMismatchError(
@@ -433,17 +389,15 @@ def tomographic_information(
     if u1.dim != 2 or u2.dim != 2:
         raise DimMismatchError("local readouts need 2 x 2 unitaries")
     joint = _readout(rho, UnitaryMatrix(np.kron(u1.matrix, u2.matrix)))
-    return _joint_information(ProbVec(joint))[1]
+    return _joint_information(joint)[1]
 
 
-def _joint_information(joint: ProbVec) -> tuple[float, float]:
+def _joint_information(joint: np.ndarray) -> tuple[float, float]:
     """(H12, H1 + H2 - H12) of a 4-outcome readout read as a 2 x 2 table."""
-    table = reshape(joint, (2, 2))
-    h12 = float(-xlogy(table.entries, table.entries).sum())
-    w1 = marginal2(table, 1).values
-    w2 = marginal2(table, 2).values
-    h1 = float(-xlogy(w1, w1).sum())
-    h2 = float(-xlogy(w2, w2).sum())
+    table = joint.reshape(2, 2)
+    h12 = _shannon_raw(joint)
+    h1 = _shannon_raw(table.sum(axis=1))
+    h2 = _shannon_raw(table.sum(axis=0))
     return h12, h1 + h2 - h12
 
 
@@ -476,7 +430,7 @@ def discord(rho: DensityMatrix, provenance: str = "") -> DiscordReport:
     s2 = float(von_neumann(r2))
     ref = rho.ref
     joint = tomogram(rho, UnitaryMatrix(np.kron(u1.matrix, u2.matrix)), state_ref=ref)
-    h12, information = _joint_information(joint.probabilities)
+    h12, information = _joint_information(joint.probabilities.values)
     deficit = (s1 + s2 - s) - information
     return DiscordReport(
         s=s,

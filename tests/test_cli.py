@@ -166,6 +166,17 @@ class TestStateFiles:
         with pytest.raises(ShapeMismatchError):
             ingest_density(path)
 
+    @pytest.mark.parametrize("dim", [2.7, 2.0, True, "2", None])
+    def test_density_rejects_a_dim_that_is_not_an_integer(self, dim, tmp_path):
+        path = write_json(tmp_path / "rho.json", {"dim": dim, "re": [[0.5, 0], [0, 0.5]]})
+        with pytest.raises(ShapeMismatchError, match="'dim' must be an integer"):
+            ingest_density(path)
+
+    def test_prob_vec_rejects_nested_array(self, tmp_path):
+        path = write_json(tmp_path / "p.json", [[0.5, 0.0], [0.0, 0.5]])
+        with pytest.raises(ShapeMismatchError):
+            ingest_prob_vec(path)
+
     def test_density_rejects_non_numeric(self, tmp_path):
         path = write_json(
             tmp_path / "rho.json", {"dim": 2, "re": [[0.5, "x"], [0.1, 0.5]]}
@@ -485,6 +496,32 @@ class TestMainEntry:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "payload, argv",
+        [
+            ([[0.5, 0.0], [0.0, 0.5]], ["eval", "--check", "subadd"]),
+            ([[0.5, 0.0], [0.0, 0.5]], ["check", "--suite", "classical", "--trials", "1"]),
+            ({"dim": 2.7, "re": [[0.5, 0], [0, 0.5]]}, ["eval", "--check", "q-subadd"]),
+            ({"dim": 2.7, "re": [[0.5, 0], [0, 0.5]]}, ["check", "--suite", "quantum", "--trials", "1"]),
+            ({"dim": True, "re": [[1.0]]}, ["eval", "--check", "readout-min"]),
+            ({"dim": True, "re": [[1.0]]}, ["check", "--suite", "quantum", "--trials", "1"]),
+        ],
+        ids=[
+            "nested-array-eval",
+            "nested-array-check",
+            "float-dim-eval",
+            "float-dim-check",
+            "bool-dim-eval",
+            "bool-dim-check",
+        ],
+    )
+    def test_malformed_state_file_exits_two(self, payload, argv, tmp_path, capsys):
+        path = write_json(tmp_path / "state.json", payload)
+        assert main([*argv, "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
 
     def test_non_json_input_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -40,6 +40,9 @@ def files(tmp_path_factory) -> dict[str, str]:
         "rho4": serialize_density(validate_density(ginibre(4, rng))),
         "diag4": serialize_density(validate_density(np.diag(dirichlet(4, rng)).astype(complex))),
         "not-a-state": {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]]},
+        "nested": [[0.5, 0.0], [0.0, 0.5]],
+        "float-dim": {"dim": 2.7, "re": [[0.5, 0.0], [0.0, 0.5]]},
+        "bool-dim": {"dim": True, "re": [[1.0]]},
     }
     paths = {}
     for key, payload in payloads.items():
@@ -74,7 +77,7 @@ COMMON = {
     "--output": ([None, "report"], ["no-dir-report"]),
 }
 STATES = ["v4", "v8", "rho2", "rho4", "diag4"]
-BROKEN_STATES = ["not-a-state", "garbage", "missing"]
+BROKEN_STATES = ["not-a-state", "nested", "float-dim", "bool-dim", "garbage", "missing"]
 
 
 @st.composite

@@ -81,6 +81,14 @@ class TestValidation:
         with pytest.raises(NegativeProbabilityError):
             validate_prob_vec([0.5, float("nan"), 0.5])
 
+    @pytest.mark.parametrize("validate", [validate_prob_vec, normalized_prob_vec])
+    def test_rejects_arrays_that_are_not_1d(self, validate):
+        # A 2 x 2 table is not read as a flat 4-vector.
+        with pytest.raises(ShapeMismatchError):
+            validate(np.full((2, 2), 0.25))
+        with pytest.raises(ShapeMismatchError):
+            validate([[0.5, 0.0], [0.0, 0.5]])
+
     def test_normalized_prob_vec_scales(self):
         p = normalized_prob_vec([3.0, 1.0])
         assert_allclose(p.values, [0.75, 0.25])
