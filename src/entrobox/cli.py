@@ -20,6 +20,10 @@ Each named check is written once, and ``check`` and ``eval`` both run it.
 A suite is a list of jobs, each drawing ``trials`` states from one sampler
 at one dim; an ``--input`` state joins every job whose sampler could have
 drawn it, and the table sweeps check it once at a dim they do not sweep.
+A job's draws are stacked in chunks of a fixed size, and each check runs
+once per chunk over all of its states, so memory does not grow with
+``--trials``. A state's result does not depend on the batch it ran in:
+``eval`` runs the same kernels on a batch of one.
 
 Reports are deterministic: two runs with the same arguments produce
 byte-identical JSON except for the ``wall_time_s`` field. Per-trial states
@@ -35,8 +39,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -50,6 +56,9 @@ from .ensembles import diagonal_density, dirichlet, ginibre, haar
 from .errors import BadOrderError, EntroboxError, ShapeMismatchError
 from .qstate import (
     DensityMatrix,
+    _entropy_rows,
+    _q_strong_subadd_reports,
+    _q_subadd_reports,
     quantum_strong_subadditivity,
     quantum_subadditivity,
     validate_density,
@@ -58,23 +67,28 @@ from .qstate import (
 from .report import GAP_TOLERANCE, IDENTITY_TOLERANCE, InequalityReport, make_report
 from .simplex import (
     ProbVec,
+    _conditional_rows,
+    _shannon_rows,
+    _split_rows,
+    _strong_subadd_reports,
+    _subadd_reports,
+    _tsallis_chain_reports,
+    _tsallis_rows,
+    _zero_padded,
     admissible_shapes,
-    conditional_entropy,
-    conditional_pair,
-    shannon,
     strong_subadditivity_gap,
     subadditivity_gap,
-    tsallis,
     tsallis_monotonicity_check,
     validate_prob_vec,
 )
 from .tomography import (
     DiscordReport,
-    UnitaryMatrix,
+    _axis_unitary,
+    _discord_reports,
+    _readouts,
     discord,
     minimize_entropy_batch,
     spin_tomogram_axis,
-    tomographic_entropy,
 )
 
 SUITES = ("classical", "quantum", "tomographic", "discord", "all")
@@ -147,7 +161,23 @@ def ingest_prob_vec(path: str | Path) -> ProbVec:
     data = _load_json(path)
     if not isinstance(data, list):
         raise ShapeMismatchError(f"{path}: expected a JSON array of probabilities")
+    return _prob_vec_from_json(data, path)
+
+
+def _prob_vec_from_json(data: list, path: str | Path) -> ProbVec:
+    """Validate a parsed JSON array as a probability vector."""
+    _reject_booleans(data, path)
     return validate_prob_vec(data)
+
+
+def _reject_booleans(data, path: str | Path) -> None:
+    """Refuse a JSON ``true`` or ``false`` anywhere in ``data``, which numpy
+    would otherwise read as 1.0 or 0.0."""
+    if isinstance(data, bool):
+        raise ShapeMismatchError(f"{path}: a JSON boolean is not a number")
+    if isinstance(data, list):
+        for x in data:
+            _reject_booleans(x, path)
 
 
 def ingest_density(path: str | Path) -> DensityMatrix:
@@ -164,9 +194,11 @@ def _density_from_json(data, path: str | Path) -> DensityMatrix:
     dim = data["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise ShapeMismatchError(f"{path}: 'dim' must be an integer, got {dim!r}")
+    im_raw = data.get("im")
+    _reject_booleans(data["re"], path)
+    _reject_booleans(im_raw, path)
     try:
         re = np.asarray(data["re"], dtype=float)
-        im_raw = data.get("im")
         im = np.zeros_like(re) if im_raw is None else np.asarray(im_raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ShapeMismatchError(f"{path}: not a numeric matrix: {exc}") from exc
@@ -180,7 +212,7 @@ def _density_from_json(data, path: str | Path) -> DensityMatrix:
 def _ingest_any(path: str) -> State:
     data = _load_json(path)
     if isinstance(data, list):
-        return validate_prob_vec(data)
+        return _prob_vec_from_json(data, path)
     if isinstance(data, dict):
         return _density_from_json(data, path)
     raise ShapeMismatchError(f"{path}: expected a JSON array or object")
@@ -315,21 +347,17 @@ def _identity_report(
     )
 
 
-def _cond_chain(p: ProbVec, provenance: str) -> InequalityReport:
-    """The Shannon chain on a 4-vector: the block-weighted entropies of its
-    two conditional halves add up to H(V | V~)."""
-    split = conditional_pair(p)
-    v = p.values
-    weighted = float(
-        (v[0] + v[1]) * shannon(split.v).value + (v[2] + v[3]) * shannon(split.v_tilde).value
-    )
-    return _identity_report(
-        "cond-chain-identity",
-        weighted,
-        float(conditional_entropy(p)),
-        IDENTITY_TOLERANCE,
-        provenance,
-    )
+def _cond_chain(rows: np.ndarray, provenances: list[str]) -> list[InequalityReport]:
+    """The Shannon chain on each row of a stack of 4-vectors: the
+    block-weighted entropies of its two conditional halves add up to
+    H(V | V~)."""
+    blocks, halves = _split_rows(rows)
+    h = _shannon_rows(halves)
+    weighted = blocks[:, 0] * h[:, 0] + blocks[:, 1] * h[:, 1]
+    return [
+        _identity_report("cond-chain-identity", lhs, rhs, IDENTITY_TOLERANCE, prov)
+        for lhs, rhs, prov in zip(weighted.tolist(), _conditional_rows(rows).tolist(), provenances)
+    ]
 
 
 def _discord_nonneg(rep: DiscordReport, tol: float) -> InequalityReport:
@@ -386,7 +414,12 @@ def _readout_min(
 
 
 # ---------------------------------------------------------------------------
-# suites: jobs of sampled states, each state run through the job's checks
+# suites: jobs of sampled states, each check run once over a chunk of them
+
+# States a job's checks take at once. The chunk size is fixed, so a suite's
+# memory does not grow with --trials; it is at least _MINIMIZER_CAP, so each
+# readout-min job stays one batched search.
+_CHUNK = 128
 
 
 class _Draw(NamedTuple):
@@ -399,10 +432,10 @@ class _Draw(NamedTuple):
     seed_seq: np.random.SeedSequence
 
 
-# A job's checks: its draws and the configuration in, (check id, report,
-# state) triples out, in draw order.
+# A job's checks: a chunk of its draws and the configuration in, (check id,
+# report, state) triples out, each check id's reports in draw order.
 _Checks = Callable[
-    [Iterable[_Draw], SuiteConfig], Iterable[tuple[str, InequalityReport, State]]
+    [list[_Draw], SuiteConfig], Iterable[tuple[str, InequalityReport, State]]
 ]
 
 
@@ -437,114 +470,131 @@ def _draws(job: _Job, seed: int, input_state: State | None) -> Iterator[_Draw]:
         yield _Draw(state, prov, rng, ss)
 
 
-def _per_state(
-    check: Callable[[_Draw, SuiteConfig], list[tuple[str, InequalityReport]]],
-) -> _Checks:
-    """Lift a check of one drawn state to a job's checks."""
+def _batch(draws: list[_Draw]) -> tuple[np.ndarray, list[str]]:
+    """The drawn states as one stack, vectors (n, N) or matrices (n, d, d),
+    and their provenances."""
+    rows = np.stack(
+        [d.state.values if isinstance(d.state, ProbVec) else d.state.matrix for d in draws]
+    )
+    return rows, [d.provenance for d in draws]
 
-    def run(draws: Iterable[_Draw], config: SuiteConfig):
-        for d in draws:
-            for name, rep in check(d, config):
-                yield name, rep, d.state
 
-    return run
+def _triples(draws: list[_Draw], checks: list[tuple[str, list[InequalityReport]]]):
+    """(check id, report, state) for each check id's reports, one per draw."""
+    return [(name, rep, d.state) for name, reps in checks for d, rep in zip(draws, reps)]
 
 
 def _middle_bipartition(p8: np.ndarray) -> np.ndarray:
-    """Reorder an 8-vector so its (2, 4) reading pairs the middle binary
-    digit against the outer two; the complementary grouping of the cube."""
-    return p8.reshape(2, 2, 2).transpose(1, 0, 2).reshape(8)
+    """Reorder each 8-vector of a stack so its (2, 4) reading pairs the
+    middle binary digit against the outer two; the complementary grouping
+    of the cube."""
+    return p8.reshape(-1, 2, 2, 2).transpose(0, 2, 1, 3).reshape(-1, 8)
 
 
-@_per_state
-def _seven_checks(d: _Draw, config: SuiteConfig):
-    p, prov, tol = d.state, d.provenance, config.tolerance
-    padded = np.zeros(8)
-    padded[:7] = p.values
-    mid = ProbVec(_middle_bipartition(padded))
-    return [
-        ("strong-subadd-7", strong_subadditivity_gap(p, (2, 2, 2), tol, prov)),
-        ("subadd-7-adjacent", subadditivity_gap(p, (2, 4), tol, prov)),
-        ("subadd-7-middle", subadditivity_gap(mid, (2, 4), tol, prov)),
-    ]
+def _seven_checks(draws: list[_Draw], config: SuiteConfig):
+    rows, provs = _batch(draws)
+    tol = config.tolerance
+    mid = _middle_bipartition(_zero_padded(rows, 8))
+    return _triples(
+        draws,
+        [
+            ("strong-subadd-7", _strong_subadd_reports(rows, (2, 2, 2), tol, provs)),
+            ("subadd-7-adjacent", _subadd_reports(rows, (2, 4), tol, provs)),
+            ("subadd-7-middle", _subadd_reports(mid, (2, 4), tol, provs)),
+        ],
+    )
 
 
-@_per_state
-def _four_checks(d: _Draw, config: SuiteConfig):
-    p, prov, tol = d.state, d.provenance, config.tolerance
-    out = [
-        ("subadd-4", subadditivity_gap(p, (2, 2), tol, prov)),
-        ("cond-chain-identity", _cond_chain(p, prov)),
+def _four_checks(draws: list[_Draw], config: SuiteConfig):
+    rows, provs = _batch(draws)
+    tol = config.tolerance
+    checks = [
+        ("subadd-4", _subadd_reports(rows, (2, 2), tol, provs)),
+        ("cond-chain-identity", _cond_chain(rows, provs)),
     ]
     for q in config.q_values:
-        rep = tsallis_monotonicity_check(p, q, tol, prov)
-        out.append((rep.name, rep))
-    h = float(shannon(p))
-    worst = max(
-        abs(float(tsallis(p, 1.0 + 1e-4)) - h),
-        abs(float(tsallis(p, 1.0 - 1e-4)) - h),
+        reps = _tsallis_chain_reports(rows, q, tol, provs)
+        checks.append((reps[0].name, reps))
+    h = _shannon_rows(rows)
+    worst = np.maximum(
+        np.abs(_tsallis_rows(rows, 1.0 + 1e-4) - h),
+        np.abs(_tsallis_rows(rows, 1.0 - 1e-4) - h),
     )
-    out.append(
-        ("tsallis-shannon-limit", _identity_report("tsallis-shannon-limit", worst, 0.0, 1e-3, prov))
-    )
-    return out
+    name = "tsallis-shannon-limit"
+    limit = [_identity_report(name, w, 0.0, 1e-3, prov) for w, prov in zip(worst.tolist(), provs)]
+    checks.append((name, limit))
+    return _triples(draws, checks)
 
 
-@_per_state
-def _table_checks(d: _Draw, config: SuiteConfig):
-    # Subadditivity of every admissible 2-factor rereading of the state at its
-    # own dim, then strong subadditivity of every 3-factor one.
-    if isinstance(d.state, ProbVec):
-        pair, triple = subadditivity_gap, strong_subadditivity_gap
+def _table_checks(draws: list[_Draw], config: SuiteConfig):
+    # Subadditivity of every admissible 2-factor rereading of the states at
+    # their own dim, then strong subadditivity of every 3-factor one.
+    rows, provs = _batch(draws)
+    if isinstance(draws[0].state, ProbVec):
+        pair, triple = _subadd_reports, _strong_subadd_reports
     else:
-        pair, triple = quantum_subadditivity, quantum_strong_subadditivity
-    dim, tol = d.state.dim, config.tolerance
-    reps = [pair(d.state, shape, tol, d.provenance) for shape in admissible_shapes(dim, 2)]
-    reps += [triple(d.state, shape, tol, d.provenance) for shape in admissible_shapes(dim, 3)]
-    return [(f"dim{dim}-{rep.name}", rep) for rep in reps]
+        pair, triple = _q_subadd_reports, _q_strong_subadd_reports
+    dim, tol = rows.shape[1], config.tolerance
+    checks = [pair(rows, shape, tol, provs) for shape in admissible_shapes(dim, 2)]
+    checks += [triple(rows, shape, tol, provs) for shape in admissible_shapes(dim, 3)]
+    return _triples(draws, [(f"dim{dim}-{reps[0].name}", reps) for reps in checks])
 
 
-@_per_state
-def _mixed_equality(d: _Draw, config: SuiteConfig):
+def _mixed_equality(draws: list[_Draw], config: SuiteConfig):
     # The maximally mixed state sits exactly on the subadditivity equality.
-    rep = quantum_subadditivity(d.state, (2, 2), config.tolerance, d.provenance)
+    rows, provs = _batch(draws)
     name = "q-subadd-mixed-equality"
-    return [(name, _identity_report(name, rep.lhs, rep.rhs, 1e-10, d.provenance))]
-
-
-@_per_state
-def _readout_bound(d: _Draw, config: SuiteConfig):
-    rho, dim = d.state, d.state.dim
-    u = UnitaryMatrix(haar(dim, d.rng))
-    h = float(tomographic_entropy(rho, u))
-    s = float(von_neumann(rho))
-    rep = make_report(
-        name=f"dim{dim}-readout-bound",
-        lhs=s,
-        rhs=h,
-        tolerance=config.tolerance,
-        entropies={"readout": h, "von_neumann": s},
-        provenance=d.provenance,
-    )
-    return [(rep.name, rep)]
-
-
-@_per_state
-def _axis_checks(d: _Draw, config: SuiteConfig):
-    # Subadditivity and the conditional chain hold along every measurement
-    # direction of a spin-3/2 readout.
-    theta = math.acos(d.rng.uniform(-1.0, 1.0))
-    phi = d.rng.uniform(0.0, 2.0 * math.pi)
-    prov = f"{d.provenance},axis(theta={theta:.6f},phi={phi:.6f})"
-    w = spin_tomogram_axis(d.state, theta, phi).probabilities
-    return [
-        ("axis-subadd", subadditivity_gap(w, (2, 2), config.tolerance, prov)),
-        ("axis-cond-chain", _cond_chain(w, prov)),
+    reps = [
+        _identity_report(name, rep.lhs, rep.rhs, 1e-10, rep.provenance)
+        for rep in _q_subadd_reports(rows, (2, 2), config.tolerance, provs)
     ]
+    return _triples(draws, [(name, reps)])
 
 
-def _readout_min_checks(draws: Iterable[_Draw], config: SuiteConfig):
-    draws = list(draws)
+def _readout_bound(draws: list[_Draw], config: SuiteConfig):
+    # Each state is read in a Haar-random basis drawn from its own generator.
+    rows, provs = _batch(draws)
+    dim = rows.shape[1]
+    us = np.stack([haar(dim, d.rng) for d in draws])
+    readout = _shannon_rows(_readouts(rows, us)).tolist()
+    entropy = _entropy_rows(rows).tolist()
+    name = f"dim{dim}-readout-bound"
+    reps = [
+        make_report(
+            name=name,
+            lhs=s,
+            rhs=h,
+            tolerance=config.tolerance,
+            entropies={"readout": h, "von_neumann": s},
+            provenance=prov,
+        )
+        for h, s, prov in zip(readout, entropy, provs)
+    ]
+    return _triples(draws, [(name, reps)])
+
+
+def _axis_checks(draws: list[_Draw], config: SuiteConfig):
+    # Subadditivity and the conditional chain hold along every measurement
+    # direction of a spin-3/2 readout; each state's axis comes from its own
+    # generator.
+    rows, _ = _batch(draws)
+    provs, us = [], []
+    for d in draws:
+        theta = math.acos(d.rng.uniform(-1.0, 1.0))
+        phi = d.rng.uniform(0.0, 2.0 * math.pi)
+        provs.append(f"{d.provenance},axis(theta={theta:.6f},phi={phi:.6f})")
+        us.append(_axis_unitary(rows.shape[1], theta, phi))
+    w = _readouts(rows, np.stack(us))
+    return _triples(
+        draws,
+        [
+            ("axis-subadd", _subadd_reports(w, (2, 2), config.tolerance, provs)),
+            ("axis-cond-chain", _cond_chain(w, provs)),
+        ],
+    )
+
+
+def _readout_min_checks(draws: list[_Draw], config: SuiteConfig):
     found = _readout_min(
         [d.state for d in draws],
         [int(d.seed_seq.generate_state(1)[0]) for d in draws],
@@ -558,42 +608,54 @@ def _readout_min_checks(draws: Iterable[_Draw], config: SuiteConfig):
     ]
 
 
-@_per_state
-def _discord_checks(d: _Draw, config: SuiteConfig):
+def _discord_checks(draws: list[_Draw], config: SuiteConfig):
     # Discord nonnegativity and the entropy chain S1 + S2 >= H12 >= S. A
     # qutrit is padded to 4 x 4 first; its checks get ids of their own.
-    tol, prov = config.tolerance, d.provenance
-    prefix = "qutrit-" if d.state.dim == 3 else ""
-    rep = discord(d.state, prov)
-    upper = make_report(
-        name=f"{prefix}chain-upper",
-        lhs=rep.h12,
-        rhs=rep.s1 + rep.s2,
-        tolerance=tol,
-        entropies={"h12": rep.h12, "s1": rep.s1, "s2": rep.s2},
-        provenance=prov,
+    rows, provs = _batch(draws)
+    tol = config.tolerance
+    prefix = "qutrit-" if rows.shape[1] == 3 else ""
+    nonneg, upper, lower = [], [], []
+    for rep in _discord_reports(rows, provs):
+        nonneg.append(_discord_nonneg(rep, tol))
+        upper.append(
+            make_report(
+                name=f"{prefix}chain-upper",
+                lhs=rep.h12,
+                rhs=rep.s1 + rep.s2,
+                tolerance=tol,
+                entropies={"h12": rep.h12, "s1": rep.s1, "s2": rep.s2},
+                provenance=rep.provenance,
+            )
+        )
+        lower.append(
+            make_report(
+                name=f"{prefix}chain-lower",
+                lhs=rep.s,
+                rhs=rep.h12,
+                tolerance=tol,
+                entropies={"h12": rep.h12, "s": rep.s},
+                provenance=rep.provenance,
+            )
+        )
+    return _triples(
+        draws,
+        [
+            (f"{prefix}discord-nonneg", nonneg),
+            (f"{prefix}chain-upper", upper),
+            (f"{prefix}chain-lower", lower),
+        ],
     )
-    lower = make_report(
-        name=f"{prefix}chain-lower",
-        lhs=rep.s,
-        rhs=rep.h12,
-        tolerance=tol,
-        entropies={"h12": rep.h12, "s": rep.s},
-        provenance=prov,
-    )
-    return [
-        (f"{prefix}discord-nonneg", _discord_nonneg(rep, tol)),
-        (upper.name, upper),
-        (lower.name, lower),
-    ]
 
 
-@_per_state
-def _diagonal_discord(d: _Draw, config: SuiteConfig):
+def _diagonal_discord(draws: list[_Draw], config: SuiteConfig):
     # Diagonal states carry no quantum correlations: discord must vanish.
-    value = discord(d.state, d.provenance).discord
+    rows, provs = _batch(draws)
     name = "discord-diagonal-zero"
-    return [(name, _identity_report(name, value, 0.0, 1e-10, d.provenance))]
+    reps = [
+        _identity_report(name, rep.discord, 0.0, 1e-10, rep.provenance)
+        for rep in _discord_reports(rows, provs)
+    ]
+    return _triples(draws, [(name, reps)])
 
 
 def _table_jobs(
@@ -699,11 +761,12 @@ def run_suite(config: SuiteConfig) -> dict:
     aggs: dict[str, _Agg] = {}
     for job in jobs:
         draws = _draws(job, config.seed, input_state if job.takes(input_state) else None)
-        for name, rep, state in job.checks(draws, config):
-            agg = aggs.get(name)
-            if agg is None:
-                agg = aggs[name] = _Agg()
-            agg.add(name, rep, state)
+        while chunk := list(itertools.islice(draws, _CHUNK)):
+            for name, rep, state in job.checks(chunk, config):
+                agg = aggs.get(name)
+                if agg is None:
+                    agg = aggs[name] = _Agg()
+                agg.add(name, rep, state)
 
     rows = [agg.row(name) for name, agg in aggs.items()]
     return {
@@ -777,7 +840,7 @@ def _at_shape(check: str, factors: int):
 _EVALUATIONS = {
     "subadd": (ProbVec, _at_shape("subadditivity_gap", 2)),
     "strong-subadd": (ProbVec, _at_shape("strong_subadditivity_gap", 3)),
-    "cond-chain": (ProbVec, lambda p, args: _cond_chain(p, "input")),
+    "cond-chain": (ProbVec, lambda p, args: _cond_chain(p.values[None], ["input"])[0]),
     "tsallis-chain": (
         ProbVec,
         lambda p, args: tsallis_monotonicity_check(p, args.q, args.tolerance, "input"),
@@ -877,15 +940,20 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _emit(payload: dict, output: str | None) -> None:
+def _emit(payload: dict, output: str | None) -> str | None:
+    """Write ``payload`` as JSON to ``output``, or return the JSON text for
+    stdout when there is no output file."""
     text = json.dumps(payload, indent=2)
-    if output:
-        _write(output, text + "\n")
-    else:
-        print(text)
+    if not output:
+        return text
+    _write(output, text + "\n")
+    return None
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+# Each command returns its exit code and the text it prints on stdout.
+
+
+def _cmd_check(args: argparse.Namespace) -> tuple[int, str | None]:
     config = SuiteConfig(
         suite=args.suite,
         dims=args.dims,
@@ -896,19 +964,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
         input_path=args.input,
     )
     report = run_suite(config)
-    _emit(report, args.output)
+    text = _emit(report, args.output)
     if args.output:
         total = sum(row["count"] for row in report["checks"])
         failed = sum(row["failures"] for row in report["checks"])
         status = "passed" if report["all_passed"] else "FAILED"
-        print(
+        text = (
             f"{status}: {len(report['checks'])} checks, {total} instances, "
             f"{failed} failures -> {args.output}"
         )
-    return 0 if report["all_passed"] else 1
+    return (0 if report["all_passed"] else 1), text
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> tuple[int, str | None]:
     states = generate_ensemble(args.kind, args.dim, args.count, args.seed)
     out_dir = Path(args.output)
     try:
@@ -918,28 +986,37 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     for i, state in enumerate(states):
         path = out_dir / f"{args.kind}{args.dim}-{i:04d}.json"
         _write(path, json.dumps(_serialize(state), indent=2) + "\n")
-    print(f"wrote {args.count} states to {out_dir}")
-    return 0
+    return 0, f"wrote {args.count} states to {out_dir}"
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> tuple[int, str | None]:
     payload, passed = eval_single(args.check, args)
-    _emit(payload, args.output)
-    return 0 if passed else 1
+    return (0 if passed else 1), _emit(payload, args.output)
+
+
+_COMMANDS = {"check": _cmd_check, "gen": _cmd_gen, "eval": _cmd_eval}
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one ``entrobox`` command line and return its exit code."""
     args = _shared_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        return _cmd_eval(args)
+        code, text = _COMMANDS[args.command](args)
     except EntroboxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if text is not None:
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed stdout: the text is lost, the exit code
+            # stands. Python flushes stdout again at exit, so point it at
+            # the null device first.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

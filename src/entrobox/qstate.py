@@ -8,6 +8,12 @@ same row-major index bijection applied to rows and columns jointly. Summing
 paired sub-indices produces reduced states (the partial-trace analog), and
 von Neumann entropy of those reductions obeys subadditivity and strong
 subadditivity even though no physical subsystems exist.
+
+Every check is computed by one private kernel over a stack of matrices, an
+``(n, d, d)`` array, with reductions done by one batched ``einsum`` and
+entropies by one stacked ``eigvalsh``. Each public single-matrix function
+is its kernel run on a batch of one, so a state's result does not depend on
+the batch it was checked in.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .errors import (
     ShrinkForbiddenError,
 )
 from .report import GAP_TOLERANCE, InequalityReport, make_report
-from .simplex import EntropyValue, _factors, _freeze, _shannon_raw
+from .simplex import EntropyValue, _factors, _freeze, _shannon_rows
 
 __all__ = [
     "DensityMatrix",
@@ -71,8 +77,7 @@ class DensityMatrix:
 
     @property
     def ref(self) -> str:
-        digest = hashlib.sha1(np.ascontiguousarray(self.matrix).tobytes())
-        return f"dm{self.dim}-{digest.hexdigest()[:12]}"
+        return _content_ref(self.matrix)
 
     def diagonal(self) -> np.ndarray:
         return self.matrix.diagonal().real.copy()
@@ -118,6 +123,23 @@ class ReductionPlan:
         return math.prod(self.factors[k - 1] for k in self.kept)
 
 
+def _content_ref(matrix: np.ndarray) -> str:
+    """Stable content hash of a complex d x d matrix (:attr:`DensityMatrix.ref`)."""
+    digest = hashlib.sha1(np.ascontiguousarray(matrix).tobytes())
+    return f"dm{matrix.shape[0]}-{digest.hexdigest()[:12]}"
+
+
+def _checked_eigvalsh(mats: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (n, d) of a stack of Hermitian matrices; the
+    first matrix with an eigenvalue below the floor is rejected."""
+    vals = np.linalg.eigvalsh(mats)
+    low = vals.min(axis=1)
+    bad = np.flatnonzero(low < _EIG_FLOOR)
+    if bad.size:
+        raise NotPositiveError(f"eigenvalue {low[bad[0]]:.3e} is below {_EIG_FLOOR:.1e}")
+    return vals
+
+
 def validate_density(raw, tol: float = 1e-10) -> DensityMatrix:
     """Validate raw data as a density matrix.
 
@@ -142,9 +164,7 @@ def validate_density(raw, tol: float = 1e-10) -> DensityMatrix:
     if abs(trace - 1.0) > 1e-6:
         raise BadTraceError(f"trace is {trace!r}, not 1")
     arr = arr / trace
-    low = float(np.linalg.eigvalsh(arr).min())
-    if low < _EIG_FLOOR:
-        raise NotPositiveError(f"eigenvalue {low:.3e} is below {_EIG_FLOOR:.1e}")
+    _checked_eigvalsh(arr[None])
     return DensityMatrix(arr)
 
 
@@ -158,9 +178,37 @@ def pad_density(rho: DensityMatrix, new_dim: int) -> DensityMatrix:
         raise ShrinkForbiddenError(f"cannot pad dim {rho.dim} down to {new_dim}")
     if new_dim == rho.dim:
         return rho
-    out = np.zeros((new_dim, new_dim), dtype=complex)
-    out[: rho.dim, : rho.dim] = rho.matrix
-    return DensityMatrix(out)
+    return DensityMatrix(_padded_rows(rho.matrix[None], new_dim)[0])
+
+
+def _padded_rows(mats: np.ndarray, size: int) -> np.ndarray:
+    """A stack of matrices (n, d, d), each embedded as the top-left block of
+    ``size`` x ``size`` zeros; the stack itself when d == ``size``."""
+    n, d = mats.shape[:2]
+    if size == d:
+        return mats
+    out = np.zeros((n, size, size), dtype=complex)
+    out[:, :d, :d] = mats
+    return out
+
+
+def _reduce_rows(mats: np.ndarray, plan: ReductionPlan) -> np.ndarray:
+    """:func:`reduce` of each matrix of a stack (n, d, d), as one einsum."""
+    factors = _factors(plan.factors, None, mats.shape[1])
+    n = mats.shape[0]
+    k = len(factors)
+    tensor = _padded_rows(mats, math.prod(factors)).reshape((n,) + factors + factors)
+    row = "abc"[:k]
+    col = list("def"[:k])
+    for axis in range(1, k + 1):
+        if axis not in plan.kept:
+            col[axis - 1] = row[axis - 1]
+    out_axes = "".join(row[i - 1] for i in plan.kept) + "".join(
+        col[i - 1] for i in plan.kept
+    )
+    reduced = np.einsum(f"z{row}{''.join(col)}->z{out_axes}", tensor)
+    d = plan.kept_dim
+    return reduced.reshape(n, d, d)
 
 
 def reduce(rho: DensityMatrix, plan: ReductionPlan) -> DensityMatrix:
@@ -172,21 +220,13 @@ def reduce(rho: DensityMatrix, plan: ReductionPlan) -> DensityMatrix:
     a single indivisible system. Trace is preserved exactly and positivity
     to numerical precision.
     """
-    factors = _factors(plan.factors, None, rho.dim)
-    rho = pad_density(rho, math.prod(factors))
-    k = len(factors)
-    tensor = rho.matrix.reshape(factors + factors)
-    row = "abc"[:k]
-    col = list("def"[:k])
-    for axis in range(1, k + 1):
-        if axis not in plan.kept:
-            col[axis - 1] = row[axis - 1]
-    out_axes = "".join(row[i - 1] for i in plan.kept) + "".join(
-        col[i - 1] for i in plan.kept
-    )
-    reduced = np.einsum(f"{row}{''.join(col)}->{out_axes}", tensor)
-    d = plan.kept_dim
-    return DensityMatrix(reduced.reshape(d, d))
+    return DensityMatrix(_reduce_rows(rho.matrix[None], plan)[0])
+
+
+def _spectra(mats: np.ndarray) -> np.ndarray:
+    """:func:`spectrum` of each matrix of a stack, as rows (n, d)."""
+    vals = np.clip(_checked_eigvalsh(mats)[:, ::-1], 0.0, None)
+    return vals / vals.sum(axis=1, keepdims=True)
 
 
 def spectrum(rho: DensityMatrix) -> Spectrum:
@@ -195,17 +235,44 @@ def spectrum(rho: DensityMatrix) -> Spectrum:
     Negative eigenvalues above the -1e-8 floor are numerical noise and are
     clipped to 0; below the floor the matrix is rejected outright.
     """
-    vals = np.linalg.eigvalsh(rho.matrix)
-    low = float(vals.min())
-    if low < _EIG_FLOOR:
-        raise NotPositiveError(f"eigenvalue {low:.3e} is below {_EIG_FLOOR:.1e}")
-    vals = np.clip(vals[::-1], 0.0, None)
-    return Spectrum(vals / vals.sum())
+    return Spectrum(_spectra(rho.matrix[None])[0])
+
+
+def _entropy_rows(mats: np.ndarray) -> np.ndarray:
+    """Von Neumann entropy of each matrix of a stack."""
+    return _shannon_rows(_spectra(mats))
 
 
 def von_neumann(rho: DensityMatrix) -> EntropyValue:
     """Von Neumann entropy -Tr(rho ln rho) in nats, via the spectrum."""
-    return EntropyValue(_shannon_raw(spectrum(rho).eigenvalues), "von_neumann")
+    return EntropyValue(float(_entropy_rows(rho.matrix[None])[0]), "von_neumann")
+
+
+def _reduced_entropies(mats: np.ndarray, factors, kept) -> list[float]:
+    """Von Neumann entropy of each matrix's reduction to ``kept``."""
+    return _entropy_rows(_reduce_rows(mats, ReductionPlan(factors, kept))).tolist()
+
+
+def _q_subadd_reports(
+    mats: np.ndarray, factors, tolerance: float, provenances
+) -> list[InequalityReport]:
+    """:func:`quantum_subadditivity` of each matrix of a stack."""
+    factors = _factors(factors, 2, mats.shape[1])
+    s_joint = _entropy_rows(mats).tolist()
+    s1 = _reduced_entropies(mats, factors, (1,))
+    s2 = _reduced_entropies(mats, factors, (2,))
+    name = f"q-subadd-{factors[0]}x{factors[1]}"
+    return [
+        make_report(
+            name=name,
+            lhs=sj,
+            rhs=a + b,
+            tolerance=tolerance,
+            entropies={"joint": sj, "part1": a, "part2": b},
+            provenance=prov,
+        )
+        for sj, a, b, prov in zip(s_joint, s1, s2, provenances)
+    ]
 
 
 def quantum_subadditivity(
@@ -219,18 +286,30 @@ def quantum_subadditivity(
     ``rho`` is padded to the product of ``factors`` if needed; padding
     leaves S(rho) unchanged.
     """
-    factors = _factors(factors, 2, rho.dim)
-    s_joint = float(von_neumann(rho))
-    s1 = float(von_neumann(reduce(rho, ReductionPlan(factors, (1,)))))
-    s2 = float(von_neumann(reduce(rho, ReductionPlan(factors, (2,)))))
-    return make_report(
-        name=f"q-subadd-{factors[0]}x{factors[1]}",
-        lhs=s_joint,
-        rhs=s1 + s2,
-        tolerance=tolerance,
-        entropies={"joint": s_joint, "part1": s1, "part2": s2},
-        provenance=provenance,
-    )
+    return _q_subadd_reports(rho.matrix[None], factors, tolerance, [provenance])[0]
+
+
+def _q_strong_subadd_reports(
+    mats: np.ndarray, factors, tolerance: float, provenances
+) -> list[InequalityReport]:
+    """:func:`quantum_strong_subadditivity` of each matrix of a stack."""
+    factors = _factors(factors, 3, mats.shape[1])
+    s_joint = _entropy_rows(mats).tolist()
+    s12 = _reduced_entropies(mats, factors, (1, 2))
+    s23 = _reduced_entropies(mats, factors, (2, 3))
+    s2 = _reduced_entropies(mats, factors, (2,))
+    name = "q-strong-subadd-{}x{}x{}".format(*factors)
+    return [
+        make_report(
+            name=name,
+            lhs=sj + b,
+            rhs=a + c,
+            tolerance=tolerance,
+            entropies={"joint": sj, "pair12": a, "pair23": c, "part2": b},
+            provenance=prov,
+        )
+        for sj, a, c, b, prov in zip(s_joint, s12, s23, s2, provenances)
+    ]
 
 
 def quantum_strong_subadditivity(
@@ -240,20 +319,7 @@ def quantum_strong_subadditivity(
     provenance: str = "",
 ) -> InequalityReport:
     """Check S(R12) + S(R23) >= S(rho) + S(R2) for the 3-factor rereading."""
-    factors = _factors(factors, 3, rho.dim)
-    s_joint = float(von_neumann(rho))
-    s12 = float(von_neumann(reduce(rho, ReductionPlan(factors, (1, 2)))))
-    s23 = float(von_neumann(reduce(rho, ReductionPlan(factors, (2, 3)))))
-    s2 = float(von_neumann(reduce(rho, ReductionPlan(factors, (2,)))))
-    name = "q-strong-subadd-{}x{}x{}".format(*factors)
-    return make_report(
-        name=name,
-        lhs=s_joint + s2,
-        rhs=s12 + s23,
-        tolerance=tolerance,
-        entropies={"joint": s_joint, "pair12": s12, "pair23": s23, "part2": s2},
-        provenance=provenance,
-    )
+    return _q_strong_subadd_reports(rho.matrix[None], factors, tolerance, [provenance])[0]
 
 
 def qutrit_reductions(rho: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]:

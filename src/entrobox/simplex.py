@@ -14,6 +14,11 @@ the role of subsystem states, and subadditivity or strong subadditivity of
 Shannon entropy become nontrivial inequalities for the single vector.
 
 All entropies are in nats and use the convention 0 ln 0 = 0.
+
+Every check is computed by one private kernel over a stack of vectors, one
+per row of an ``(n, N)`` array, with marginals taken by reshape and axis
+sums. Each public single-vector function is its kernel run on a batch of
+one, so a vector's result does not depend on the batch it was checked in.
 """
 
 from __future__ import annotations
@@ -174,9 +179,10 @@ def _factors(shape, k: int | None, dim: int) -> tuple[int, ...]:
     return shape
 
 
-def _zero_padded(values: np.ndarray, size: int) -> np.ndarray:
-    out = np.zeros(size)
-    out[: values.size] = values
+def _zero_padded(rows: np.ndarray, size: int) -> np.ndarray:
+    """A stack of vectors (n, N), each zero-padded to ``size`` entries."""
+    out = np.zeros((rows.shape[0], size))
+    out[:, : rows.shape[1]] = rows
     return out
 
 
@@ -245,7 +251,7 @@ def pad(p: ProbVec, new_dim: int) -> ProbVec:
         raise ShrinkForbiddenError(f"cannot pad {p.dim}-vector down to {new_dim}")
     if new_dim == p.dim:
         return p
-    return ProbVec(_zero_padded(p.values, new_dim))
+    return ProbVec(_zero_padded(p.values[None], new_dim)[0])
 
 
 def reshape(p: ProbVec, shape: tuple[int, ...]) -> ProbTable:
@@ -290,20 +296,22 @@ def marginal3(table: ProbTable, keep: tuple[int, ...]):
     raise BadAxisError(f"keep must be (1, 2), (2, 3) or (2,), got {keep!r}")
 
 
-def _shannon_raw(arr: np.ndarray) -> float:
-    return float(-xlogy(arr, arr).sum())
+def _shannon_rows(rows: np.ndarray) -> np.ndarray:
+    """Shannon entropy of each row (the last axis) of a stack."""
+    return -xlogy(rows, rows).sum(axis=-1)
 
 
 def shannon(p: ProbVec) -> EntropyValue:
     """Shannon entropy in nats, with 0 ln 0 = 0."""
-    return EntropyValue(_shannon_raw(p.values), "shannon")
+    return EntropyValue(float(_shannon_rows(p.values[None])[0]), "shannon")
 
 
-def _tsallis_raw(arr: np.ndarray, q: float) -> float:
+def _tsallis_rows(rows: np.ndarray, q: float) -> np.ndarray:
+    """Tsallis entropy of order ``q`` of each row of a stack."""
     if abs(q - 1.0) < _Q_SHANNON_WINDOW:
-        return _shannon_raw(arr)
+        return _shannon_rows(rows)
     # 0**q = 0 for q > 0, which numpy honors.
-    return float((np.power(arr, q).sum() - 1.0) / (1.0 - q))
+    return (np.power(rows, q).sum(axis=-1) - 1.0) / (1.0 - q)
 
 
 def _order(q) -> float:
@@ -320,7 +328,7 @@ def tsallis(p: ProbVec, q: float) -> EntropyValue:
     Tsallis family approaches in that limit.
     """
     q = _order(q)
-    return EntropyValue(_tsallis_raw(p.values, q), "tsallis", q=q)
+    return EntropyValue(float(_tsallis_rows(p.values[None], q)[0]), "tsallis", q=q)
 
 
 def _exact_shapes(n: int, factors: int) -> list[tuple[int, ...]]:
@@ -360,6 +368,36 @@ def admissible_shapes(dim: int, factors: int) -> list[tuple[int, ...]]:
     return _exact_shapes(minimal_padded_dim(dim, factors), factors)
 
 
+def _padded_tables(rows: np.ndarray, shape, k: int):
+    """The checked ``k``-factor ``shape``, the stack ``rows`` zero-padded to
+    its product, and that stack read as (n, *shape) tables."""
+    shape = _factors(shape, k, rows.shape[1])
+    flat = _zero_padded(rows, math.prod(shape))
+    return shape, flat, flat.reshape(-1, *shape)
+
+
+def _subadd_reports(
+    rows: np.ndarray, shape, tolerance: float, provenances
+) -> list[InequalityReport]:
+    """:func:`subadditivity_gap` of each row of a stack of vectors."""
+    shape, flat, table = _padded_tables(rows, shape, 2)
+    h_joint = _shannon_rows(flat).tolist()
+    h1 = _shannon_rows(table.sum(axis=2)).tolist()
+    h2 = _shannon_rows(table.sum(axis=1)).tolist()
+    name = f"subadd-{shape[0]}x{shape[1]}"
+    return [
+        make_report(
+            name=name,
+            lhs=hj,
+            rhs=a + b,
+            tolerance=tolerance,
+            entropies={"joint": hj, "part1": a, "part2": b},
+            provenance=prov,
+        )
+        for hj, a, b, prov in zip(h_joint, h1, h2, provenances)
+    ]
+
+
 def subadditivity_gap(
     p: ProbVec,
     shape: tuple[int, int],
@@ -372,20 +410,31 @@ def subadditivity_gap(
     padding changes none of the three entropies' information content but
     makes the bipartite reading available.
     """
-    shape = _factors(shape, 2, p.dim)
-    flat = _zero_padded(p.values, math.prod(shape))
-    table = flat.reshape(shape)
-    h_joint = _shannon_raw(flat)
-    h1 = _shannon_raw(table.sum(axis=1))
-    h2 = _shannon_raw(table.sum(axis=0))
-    return make_report(
-        name=f"subadd-{shape[0]}x{shape[1]}",
-        lhs=h_joint,
-        rhs=h1 + h2,
-        tolerance=tolerance,
-        entropies={"joint": h_joint, "part1": h1, "part2": h2},
-        provenance=provenance,
-    )
+    return _subadd_reports(p.values[None], shape, tolerance, [provenance])[0]
+
+
+def _strong_subadd_reports(
+    rows: np.ndarray, shape, tolerance: float, provenances
+) -> list[InequalityReport]:
+    """:func:`strong_subadditivity_gap` of each row of a stack of vectors."""
+    shape, flat, table = _padded_tables(rows, shape, 3)
+    n = flat.shape[0]
+    h_joint = _shannon_rows(flat).tolist()
+    h12 = _shannon_rows(table.sum(axis=3).reshape(n, -1)).tolist()
+    h23 = _shannon_rows(table.sum(axis=1).reshape(n, -1)).tolist()
+    h2 = _shannon_rows(table.sum(axis=(1, 3))).tolist()
+    name = "strong-subadd-{}x{}x{}".format(*shape)
+    return [
+        make_report(
+            name=name,
+            lhs=hj + b,
+            rhs=a + c,
+            tolerance=tolerance,
+            entropies={"joint": hj, "pair12": a, "pair23": c, "part2": b},
+            provenance=prov,
+        )
+        for hj, a, c, b, prov in zip(h_joint, h12, h23, h2, provenances)
+    ]
 
 
 def strong_subadditivity_gap(
@@ -395,29 +444,24 @@ def strong_subadditivity_gap(
     provenance: str = "",
 ) -> InequalityReport:
     """Check H(P12) + H(P23) >= H(p) + H(P2) for the 3-factor reading."""
-    shape = _factors(shape, 3, p.dim)
-    flat = _zero_padded(p.values, math.prod(shape))
-    table = flat.reshape(shape)
-    h_joint = _shannon_raw(flat)
-    h12 = _shannon_raw(table.sum(axis=2))
-    h23 = _shannon_raw(table.sum(axis=0))
-    h2 = _shannon_raw(table.sum(axis=(0, 2)))
-    name = "strong-subadd-{}x{}x{}".format(*shape)
-    return make_report(
-        name=name,
-        lhs=h_joint + h2,
-        rhs=h12 + h23,
-        tolerance=tolerance,
-        entropies={"joint": h_joint, "pair12": h12, "pair23": h23, "part2": h2},
-        provenance=provenance,
-    )
+    return _strong_subadd_reports(p.values[None], shape, tolerance, [provenance])[0]
 
 
-def _blocks(p: ProbVec) -> np.ndarray:
-    if p.dim != 4:
-        raise ShapeMismatchError(f"conditional split needs a 4-vector, got {p.dim}")
-    v = p.values
-    return np.array([v[0] + v[1], v[2] + v[3]])
+def _block_rows(rows: np.ndarray) -> np.ndarray:
+    """(p1 + p2, p3 + p4) of each row of a stack of 4-vectors."""
+    if rows.shape[1] != 4:
+        raise ShapeMismatchError(f"conditional split needs a 4-vector, got {rows.shape[1]}")
+    return np.stack([rows[:, 0] + rows[:, 1], rows[:, 2] + rows[:, 3]], axis=1)
+
+
+def _split_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks (n, 2) of a stack of 4-vectors and their conditional
+    halves (n, 2, 2); the half of a zero block is the uniform 2-vector."""
+    blocks = _block_rows(rows)
+    halves = np.full((rows.shape[0], 2, 2), 0.5)
+    live = blocks > 0.0
+    halves[live] = rows.reshape(-1, 2, 2)[live] / blocks[live][:, None]
+    return blocks, halves
 
 
 def conditional_pair(p: ProbVec) -> ConditionalSplit:
@@ -427,19 +471,17 @@ def conditional_pair(p: ProbVec) -> ConditionalSplit:
     has no conditional distribution; by convention it becomes the uniform
     2-vector and the replacement is flagged.
     """
-    b = _blocks(p)
-    flags: list[str] = []
-    if b[0] > 0.0:
-        v = ProbVec(p.values[:2] / b[0])
-    else:
-        v = ProbVec(np.array([0.5, 0.5]))
-        flags.append("zero-block-1")
-    if b[1] > 0.0:
-        v_tilde = ProbVec(p.values[2:] / b[1])
-    else:
-        v_tilde = ProbVec(np.array([0.5, 0.5]))
-        flags.append("zero-block-2")
-    return ConditionalSplit(v=v, v_tilde=v_tilde, flags=tuple(flags))
+    blocks, halves = _split_rows(p.values[None])
+    flags = tuple(
+        f"zero-block-{k + 1}" for k in range(2) if not blocks[0, k] > 0.0
+    )
+    return ConditionalSplit(v=ProbVec(halves[0, 0]), v_tilde=ProbVec(halves[0, 1]), flags=flags)
+
+
+def _conditional_rows(rows: np.ndarray, q: float = 1.0) -> np.ndarray:
+    """T_q(p) - T_q(p1 + p2, p3 + p4) of each row of a stack of 4-vectors;
+    the Shannon conditional entropy at q = 1."""
+    return _tsallis_rows(rows, q) - _tsallis_rows(_block_rows(rows), q)
 
 
 def conditional_entropy(p: ProbVec) -> EntropyValue:
@@ -449,8 +491,7 @@ def conditional_entropy(p: ProbVec) -> EntropyValue:
     H(V | V~) = H(p) - H(p1 + p2, p3 + p4), which also holds term by term
     for the weighted sum of block entropies.
     """
-    value = _shannon_raw(p.values) - _shannon_raw(_blocks(p))
-    return EntropyValue(value, "conditional")
+    return EntropyValue(float(_conditional_rows(p.values[None])[0]), "conditional")
 
 
 def conditional_tsallis(p: ProbVec, q: float) -> EntropyValue:
@@ -460,8 +501,29 @@ def conditional_tsallis(p: ProbVec, q: float) -> EntropyValue:
     into the Shannon conditional entropy.
     """
     q = _order(q)
-    value = _tsallis_raw(p.values, q) - _tsallis_raw(_blocks(p), q)
-    return EntropyValue(value, "conditional", q=q)
+    return EntropyValue(float(_conditional_rows(p.values[None], q)[0]), "conditional", q=q)
+
+
+def _tsallis_chain_reports(
+    rows: np.ndarray, q: float, tolerance: float, provenances
+) -> list[InequalityReport]:
+    """:func:`tsallis_monotonicity_check` of each row of a stack of 4-vectors."""
+    q = _order(q)
+    total = _tsallis_rows(rows, q)
+    coarse = _tsallis_rows(_block_rows(rows), q)
+    conditional = total - coarse
+    name = f"tsallis-chain-q{q:g}"
+    return [
+        make_report(
+            name=name,
+            lhs=max(c, k),
+            rhs=t,
+            tolerance=tolerance,
+            entropies={"total": t, "coarse": c, "conditional": k},
+            provenance=prov,
+        )
+        for t, c, k, prov in zip(total.tolist(), coarse.tolist(), conditional.tolist(), provenances)
+    ]
 
 
 def tsallis_monotonicity_check(
@@ -477,19 +539,4 @@ def tsallis_monotonicity_check(
     the two bounds split the total into two nonnegative parts, mirroring
     the Shannon chain rule. The report's gap is the smaller of the two.
     """
-    q = _order(q)
-    total = _tsallis_raw(p.values, q)
-    coarse = _tsallis_raw(_blocks(p), q)
-    conditional = total - coarse
-    return make_report(
-        name=f"tsallis-chain-q{q:g}",
-        lhs=max(coarse, conditional),
-        rhs=total,
-        tolerance=tolerance,
-        entropies={
-            "total": total,
-            "coarse": coarse,
-            "conditional": conditional,
-        },
-        provenance=provenance,
-    )
+    return _tsallis_chain_reports(p.values[None], q, tolerance, [provenance])[0]

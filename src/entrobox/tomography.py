@@ -10,6 +10,10 @@ the spectral entropy. Reading joint/marginal tomograms of the artificial
 two-qubit split of a 4 x 4 matrix yields a mutual information, and its
 deficit against the von Neumann mutual information is the discord-type
 measure computed here.
+
+Readouts, eigenbases and the discord measure are each computed by one
+private kernel over a stack of matrices (n, d, d); each public
+single-state function is its kernel run on a batch of one.
 """
 
 from __future__ import annotations
@@ -31,8 +35,17 @@ from .errors import (
     ShapeMismatchError,
 )
 from .ensembles import haar
-from .qstate import DensityMatrix, ReductionPlan, pad_density, reduce, von_neumann
-from .simplex import EntropyValue, ProbVec, _freeze, _shannon_raw
+from .qstate import (
+    DensityMatrix,
+    ReductionPlan,
+    _content_ref,
+    _entropy_rows,
+    _padded_rows,
+    _reduce_rows,
+    pad_density,
+    reduce,
+)
+from .simplex import EntropyValue, ProbVec, _freeze, _shannon_rows
 
 __all__ = [
     "UnitaryMatrix",
@@ -202,6 +215,22 @@ def chart_to_unitary(chart: UnitaryChart) -> UnitaryMatrix:
     return UnitaryMatrix(u)
 
 
+def _eigenbases(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eigenbasis_unitary` of each matrix of a stack: the unitaries
+    (n, d, d) and a degeneracy flag per matrix."""
+    w, v = np.linalg.eigh(mats)
+    w = w[:, ::-1]
+    v = v[:, :, ::-1]
+    degenerate = np.zeros(len(w), dtype=bool)
+    if w.shape[1] > 1:
+        degenerate = np.min(np.abs(np.diff(w, axis=1)), axis=1) < _DEGENERACY_GAP
+    pivot_rows = np.argmax(np.abs(v) > 1e-12, axis=1)
+    pivots = np.take_along_axis(v, pivot_rows[:, None, :], axis=1)[:, 0, :]
+    phases = np.where(np.abs(pivots) > 0, pivots / np.abs(pivots), 1.0)
+    v = v * phases.conj()[:, None, :]
+    return np.swapaxes(v.conj(), 1, 2), degenerate
+
+
 def eigenbasis_unitary(rho: DensityMatrix) -> tuple[UnitaryMatrix, bool]:
     """The basis rotation that diagonalizes ``rho``, plus a degeneracy flag.
 
@@ -210,30 +239,31 @@ def eigenbasis_unitary(rho: DensityMatrix) -> tuple[UnitaryMatrix, bool]:
     component to be real positive; for a degenerate spectrum the basis is
     still legitimate but not unique, which the flag reports.
     """
-    w, v = np.linalg.eigh(rho.matrix)
-    w = w[::-1]
-    v = v[:, ::-1]
-    degenerate = bool(w.size > 1 and np.min(np.abs(np.diff(w))) < _DEGENERACY_GAP)
-    pivot_rows = np.argmax(np.abs(v) > 1e-12, axis=0)
-    pivots = v[pivot_rows, np.arange(v.shape[1])]
-    phases = np.where(np.abs(pivots) > 0, pivots / np.abs(pivots), 1.0)
-    v = v * phases.conj()
-    return UnitaryMatrix(v.conj().T), degenerate
+    us, degenerate = _eigenbases(rho.matrix[None])
+    return UnitaryMatrix(us[0]), bool(degenerate[0])
 
 
-def _readout(rho: DensityMatrix, u: UnitaryMatrix) -> np.ndarray:
-    """The checked, renormalized readout behind :func:`tomogram`, without
-    the state hash that ties a public :class:`Tomogram` to its source."""
-    if u.dim != rho.dim:
-        raise DimMismatchError(f"unitary dim {u.dim} != state dim {rho.dim}")
-    diag = np.einsum("ij,jk,ik->i", u.matrix, rho.matrix, u.matrix.conj())
+def _readouts(mats: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """The checked, renormalized readouts diag(u rho u^dag) (n, d) of a
+    stack of states, each in its own basis; the first bad readout is
+    rejected. No state hash is taken."""
+    if us.shape[1] != mats.shape[1]:
+        raise DimMismatchError(f"unitary dim {us.shape[1]} != state dim {mats.shape[1]}")
+    diag = np.einsum("zij,zjk,zik->zi", us, mats, us.conj())
     if float(np.abs(diag.imag).max()) > 1e-12:
         raise NotHermitianError("basis readout has a complex diagonal")
     w = diag.real
-    if float(w.min()) < -1e-12:
-        raise NotPositiveError(f"basis readout has negative weight {w.min():.3e}")
+    low = w.min(axis=1)
+    bad = np.flatnonzero(low < -1e-12)
+    if bad.size:
+        raise NotPositiveError(f"basis readout has negative weight {low[bad[0]]:.3e}")
     w = np.clip(w, 0.0, None)
-    return w / w.sum()
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _readout(rho: DensityMatrix, u: UnitaryMatrix) -> np.ndarray:
+    """:func:`_readouts` of one state."""
+    return _readouts(rho.matrix[None], u.matrix[None])[0]
 
 
 def tomogram(rho: DensityMatrix, u: UnitaryMatrix, state_ref: str = "") -> Tomogram:
@@ -251,7 +281,7 @@ def tomogram(rho: DensityMatrix, u: UnitaryMatrix, state_ref: str = "") -> Tomog
 
 def tomographic_entropy(rho: DensityMatrix, u: UnitaryMatrix) -> EntropyValue:
     """Shannon entropy of the basis readout; >= von Neumann entropy of rho."""
-    return EntropyValue(_shannon_raw(_readout(rho, u)), "shannon")
+    return EntropyValue(float(_shannon_rows(_readout(rho, u))), "shannon")
 
 
 def _readout_entropies(points: np.ndarray, rhos: np.ndarray, dim: int) -> np.ndarray:
@@ -389,16 +419,62 @@ def tomographic_information(
     if u1.dim != 2 or u2.dim != 2:
         raise DimMismatchError("local readouts need 2 x 2 unitaries")
     joint = _readout(rho, UnitaryMatrix(np.kron(u1.matrix, u2.matrix)))
-    return _joint_information(joint)[1]
+    return float(_joint_information(joint[None])[1][0])
 
 
-def _joint_information(joint: np.ndarray) -> tuple[float, float]:
-    """(H12, H1 + H2 - H12) of a 4-outcome readout read as a 2 x 2 table."""
-    table = joint.reshape(2, 2)
-    h12 = _shannon_raw(joint)
-    h1 = _shannon_raw(table.sum(axis=1))
-    h2 = _shannon_raw(table.sum(axis=0))
+def _joint_information(joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(H12, H1 + H2 - H12) of each 4-outcome readout row of a stack, read
+    as a 2 x 2 table."""
+    table = joints.reshape(-1, 2, 2)
+    h12 = _shannon_rows(joints)
+    h1 = _shannon_rows(table.sum(axis=2))
+    h2 = _shannon_rows(table.sum(axis=1))
     return h12, h1 + h2 - h12
+
+
+def _discord_reports(mats: np.ndarray, provenances) -> list[DiscordReport]:
+    """:func:`discord` of each matrix of a stack of 4 x 4 or 3 x 3 states."""
+    n, dim = mats.shape[:2]
+    flags = ["padded-qutrit"] if dim == 3 else []
+    if dim == 3:
+        mats = _padded_rows(mats, 4)
+    elif dim != 4:
+        raise ShapeMismatchError(f"expected a 4 x 4 or 3 x 3 state, got {dim}")
+
+    r1 = _reduce_rows(mats, ReductionPlan((2, 2), (1,)))
+    r2 = _reduce_rows(mats, ReductionPlan((2, 2), (2,)))
+    u1, deg1 = _eigenbases(r1)
+    u2, deg2 = _eigenbases(r2)
+    s = _entropy_rows(mats)
+    s1 = _entropy_rows(r1)
+    s2 = _entropy_rows(r2)
+    # u1 (x) u2 per state, entry by entry as np.kron forms it.
+    kron = (u1[:, :, None, :, None] * u2[:, None, :, None, :]).reshape(n, 4, 4)
+    h12, information = _joint_information(_readouts(mats, kron))
+    deficit = (s1 + s2 - s) - information
+    rows = zip(
+        s.tolist(), s1.tolist(), s2.tolist(), h12.tolist(), information.tolist(),
+        deficit.tolist(), deg1.tolist(), deg2.tolist(), mats, provenances,
+    )
+    return [
+        DiscordReport(
+            s=s_,
+            s1=a,
+            s2=b,
+            h12=h,
+            information=info,
+            discord=dfc,
+            chain=(a + b - h, h - s_, a + b - s_),
+            flags=tuple(
+                flags
+                + ["degenerate-reduction-1"] * d1
+                + ["degenerate-reduction-2"] * d2
+            ),
+            state_ref=_content_ref(m),
+            provenance=prov,
+        )
+        for s_, a, b, h, info, dfc, d1, d2, m, prov in rows
+    ]
 
 
 def discord(rho: DensityMatrix, provenance: str = "") -> DiscordReport:
@@ -409,41 +485,7 @@ def discord(rho: DensityMatrix, provenance: str = "") -> DiscordReport:
     and the deficit (S1 + S2 - S) - I reduces to H12 - S >= 0. Qutrit
     input is padded to 4 x 4 first, which leaves every entropy unchanged.
     """
-    flags: list[str] = []
-    if rho.dim == 3:
-        rho = pad_density(rho, 4)
-        flags.append("padded-qutrit")
-    if rho.dim != 4:
-        raise ShapeMismatchError(f"expected a 4 x 4 or 3 x 3 state, got {rho.dim}")
-
-    r1 = reduce(rho, ReductionPlan((2, 2), (1,)))
-    r2 = reduce(rho, ReductionPlan((2, 2), (2,)))
-    u1, deg1 = eigenbasis_unitary(r1)
-    u2, deg2 = eigenbasis_unitary(r2)
-    if deg1:
-        flags.append("degenerate-reduction-1")
-    if deg2:
-        flags.append("degenerate-reduction-2")
-
-    s = float(von_neumann(rho))
-    s1 = float(von_neumann(r1))
-    s2 = float(von_neumann(r2))
-    ref = rho.ref
-    joint = tomogram(rho, UnitaryMatrix(np.kron(u1.matrix, u2.matrix)), state_ref=ref)
-    h12, information = _joint_information(joint.probabilities.values)
-    deficit = (s1 + s2 - s) - information
-    return DiscordReport(
-        s=s,
-        s1=s1,
-        s2=s2,
-        h12=h12,
-        information=information,
-        discord=deficit,
-        chain=(s1 + s2 - h12, h12 - s, s1 + s2 - s),
-        flags=tuple(flags),
-        state_ref=ref,
-        provenance=provenance,
-    )
+    return _discord_reports(rho.matrix[None], [provenance])[0]
 
 
 def discord_unitary_sweep(
@@ -492,6 +534,21 @@ def _spin_basis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m, w, v
 
 
+def _axis_unitary(dim: int, theta: float, phi: float) -> np.ndarray:
+    """The basis rotation of :func:`spin_tomogram_axis` for a d x d state."""
+    if dim > 4:
+        raise DimMismatchError(f"axis readout supports dim <= 4, got {dim}")
+    theta = float(theta)
+    phi = float(phi)
+    if not (0.0 <= theta <= math.pi):
+        raise BadAngleError(f"theta must lie in [0, pi], got {theta!r}")
+    if not (0.0 <= phi < 2.0 * math.pi):
+        raise BadAngleError(f"phi must lie in [0, 2 pi), got {phi!r}")
+    m, w, v = _spin_basis(dim)
+    rot_y = (v * np.exp(-1j * theta * w)[None, :]) @ v.conj().T
+    return np.exp(-1j * phi * m)[:, None] * rot_y
+
+
 def spin_tomogram_axis(rho: DensityMatrix, theta: float, phi: float) -> Tomogram:
     """Spin readout along the axis with polar angles (theta, phi).
 
@@ -499,17 +556,7 @@ def spin_tomogram_axis(rho: DensityMatrix, theta: float, phi: float) -> Tomogram
     j = (d - 1) / 2, built on the ascending-m basis. Kept to d <= 4
     (spins 1/2, 1, 3/2).
     """
-    if rho.dim > 4:
-        raise DimMismatchError(f"axis readout supports dim <= 4, got {rho.dim}")
-    theta = float(theta)
-    phi = float(phi)
-    if not (0.0 <= theta <= math.pi):
-        raise BadAngleError(f"theta must lie in [0, pi], got {theta!r}")
-    if not (0.0 <= phi < 2.0 * math.pi):
-        raise BadAngleError(f"phi must lie in [0, 2 pi), got {phi!r}")
-    m, w, v = _spin_basis(rho.dim)
-    rot_y = (v * np.exp(-1j * theta * w)[None, :]) @ v.conj().T
-    u = UnitaryMatrix(np.exp(-1j * phi * m)[:, None] * rot_y)
+    u = UnitaryMatrix(_axis_unitary(rho.dim, theta, phi))
     return Tomogram(
         probabilities=ProbVec(_readout(rho, u)),
         unitary=u,

@@ -4,8 +4,10 @@ suites, single-state evaluation, and command-line exit codes."""
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -506,6 +508,16 @@ class TestMainEntry:
             ({"dim": 2.7, "re": [[0.5, 0], [0, 0.5]]}, ["check", "--suite", "quantum", "--trials", "1"]),
             ({"dim": True, "re": [[1.0]]}, ["eval", "--check", "readout-min"]),
             ({"dim": True, "re": [[1.0]]}, ["check", "--suite", "quantum", "--trials", "1"]),
+            ([True, False, False, False], ["eval", "--check", "subadd"]),
+            ([0.5, 0.5, 0.0, False], ["check", "--suite", "classical", "--trials", "1"]),
+            (
+                {"dim": 2, "re": [[True, False], [False, False]]},
+                ["eval", "--check", "q-subadd", "--shape", "2x2"],
+            ),
+            (
+                {"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, False], [0.0, 0.0]]},
+                ["check", "--suite", "quantum", "--trials", "1"],
+            ),
         ],
         ids=[
             "nested-array-eval",
@@ -514,6 +526,10 @@ class TestMainEntry:
             "float-dim-check",
             "bool-dim-eval",
             "bool-dim-check",
+            "bool-vector-eval",
+            "bool-vector-check",
+            "bool-re-eval",
+            "bool-im-check",
         ],
     )
     def test_malformed_state_file_exits_two(self, payload, argv, tmp_path, capsys):
@@ -522,6 +538,32 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_closed_stdout_keeps_the_exit_code(self, fails, tmp_path, monkeypatch, capsys):
+        # A reader that went away makes every write to stdout fail; main
+        # keeps the code the checks earned and points stdout's descriptor at
+        # the null device, so the flush at exit cannot fail again.
+        class ClosedPipe(io.TextIOBase):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self) -> int:
+                return fh.fileno()
+
+        def violated(p, shape, tolerance, provenance):
+            return make_report("subadd-2x2", 1.0, 0.0, tolerance, {}, provenance)
+
+        if fails:
+            monkeypatch.setattr(cli, "subadditivity_gap", violated)
+        path = write_json(tmp_path / "p.json", [0.25, 0.25, 0.25, 0.25])
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            code = main(["eval", "--check", "subadd", "--input", path, "--shape", "2x2"])
+            monkeypatch.undo()
+            assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+        assert code == (1 if fails else 0)
+        assert capsys.readouterr().err == ""
 
     def test_non_json_input_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

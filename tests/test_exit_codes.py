@@ -43,6 +43,7 @@ def files(tmp_path_factory) -> dict[str, str]:
         "nested": [[0.5, 0.0], [0.0, 0.5]],
         "float-dim": {"dim": 2.7, "re": [[0.5, 0.0], [0.0, 0.5]]},
         "bool-dim": {"dim": True, "re": [[1.0]]},
+        "bool": [0.5, 0.5, False, 0.0],
     }
     paths = {}
     for key, payload in payloads.items():
@@ -77,7 +78,7 @@ COMMON = {
     "--output": ([None, "report"], ["no-dir-report"]),
 }
 STATES = ["v4", "v8", "rho2", "rho4", "diag4"]
-BROKEN_STATES = ["not-a-state", "nested", "float-dim", "bool-dim", "garbage", "missing"]
+BROKEN_STATES = ["not-a-state", "nested", "float-dim", "bool-dim", "bool", "garbage", "missing"]
 
 
 @st.composite
