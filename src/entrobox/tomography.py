@@ -452,7 +452,7 @@ def _discord_reports(mats: np.ndarray, provenances) -> list[DiscordReport]:
     kron = (u1[:, :, None, :, None] * u2[:, None, :, None, :]).reshape(n, 4, 4)
     h12, information = _joint_information(_readouts(mats, kron))
     deficit = (s1 + s2 - s) - information
-    rows = zip(
+    per_state = zip(
         s.tolist(), s1.tolist(), s2.tolist(), h12.tolist(), information.tolist(),
         deficit.tolist(), deg1.tolist(), deg2.tolist(), mats, provenances,
     )
@@ -466,14 +466,12 @@ def _discord_reports(mats: np.ndarray, provenances) -> list[DiscordReport]:
             discord=dfc,
             chain=(a + b - h, h - s_, a + b - s_),
             flags=tuple(
-                flags
-                + ["degenerate-reduction-1"] * d1
-                + ["degenerate-reduction-2"] * d2
+                flags + [f"degenerate-reduction-{k}" for k, deg in ((1, d1), (2, d2)) if deg]
             ),
             state_ref=_content_ref(m),
             provenance=prov,
         )
-        for s_, a, b, h, info, dfc, d1, d2, m, prov in rows
+        for s_, a, b, h, info, dfc, d1, d2, m, prov in per_state
     ]
 
 

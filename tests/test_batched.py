@@ -184,6 +184,7 @@ class TestQuantumKernels:
         mats = _ginibre_batch(4, 30)
         bad = np.diag([0.5 + 2e-6, 0.5, -2e-6, 0.0]).astype(complex)
         mats[2] = bad
+        mats[4] = np.diag([0.5 + 3e-6, 0.5, -3e-6, 0.0])  # worse, but later
         with pytest.raises(NotPositiveError) as alone:
             _entropy_rows(bad[None])
         with pytest.raises(NotPositiveError) as batch:
