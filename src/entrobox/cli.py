@@ -381,15 +381,17 @@ def _discord_nonneg(rep: DiscordReport, tol: float) -> InequalityReport:
 
 def _readout_min(
     states: list[DensityMatrix], seeds: list[int], provenances: list[str], tol: float
-) -> list[tuple[InequalityReport, InequalityReport]]:
+) -> list[tuple[InequalityReport, InequalityReport, dict]]:
     """One batched search for each state's minimum readout entropy, and per
     state two checks: the minimum sits on the von Neumann entropy from above,
-    and within 1e-6 of it."""
+    and within 1e-6 of it; then what the state's search did (its ``nfev``
+    over all restarts, and whether the winning restart ``converged``)."""
     found = minimize_entropy_batch(
         states, restarts=_MINIMIZER_RESTARTS, budget=_MINIMIZER_BUDGET, seeds=seeds
     )
     out = []
-    for rho, (_, h_min), prov in zip(states, found, provenances):
+    per_state = zip(states, found, provenances, found.nfev, found.converged)
+    for rho, (_, h_min), prov, nfev, converged in per_state:
         s = float(von_neumann(rho))
         h = float(h_min)
         err = h - s
@@ -409,7 +411,7 @@ def _readout_min(
             entropies={"error": err},
             provenance=prov,
         )
-        out.append((above, close))
+        out.append((above, close, {"nfev": nfev, "converged": converged}))
     return out
 
 
@@ -603,8 +605,8 @@ def _readout_min_checks(draws: list[_Draw], config: SuiteConfig):
     )
     return [
         (f"dim{d.state.dim}-{rep.name}", rep, d.state)
-        for d, reps in zip(draws, found)
-        for rep in reps
+        for d, (above, close, _) in zip(draws, found)
+        for rep in (above, close)
     ]
 
 
@@ -816,10 +818,11 @@ def _eval_axis_subadd(rho: DensityMatrix, args: argparse.Namespace) -> Inequalit
 
 def _eval_readout_min(rho: DensityMatrix, args: argparse.Namespace) -> dict:
     # Passes only when the found minimum is both above S and within 1e-6 of it.
-    [(above, close)] = _readout_min([rho], [args.seed], ["input"], args.tolerance)
+    [(above, close, search)] = _readout_min([rho], [args.seed], ["input"], args.tolerance)
     return {
         **above.to_dict(),
         "error": close.entropies["error"],
+        **search,
         "passed": above.passed and close.passed,
     }
 

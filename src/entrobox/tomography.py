@@ -187,19 +187,32 @@ def _pair_indices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.arange(dim) * (dim + 1), rows * dim + cols, cols * dim + rows
 
 
+@lru_cache(maxsize=None)
+def _generator_map(dim: int) -> np.ndarray:
+    """The real linear map (d**2, 2 d**2) from chart parameters to the
+    interleaved (re, im) entries of the Hermitian generator; its last
+    d**2 - d rows map the chart's zero-diagonal slice."""
+    diag, upper, lower = _pair_indices(dim)
+    gen = np.zeros((dim * dim, dim * dim, 2))
+    gen[np.arange(dim), diag, 0] = 1.0
+    re = dim + 2 * np.arange(upper.size)
+    gen[re, upper, 0] = 1.0
+    gen[re, lower, 0] = 1.0
+    gen[re + 1, upper, 1] = 1.0
+    gen[re + 1, lower, 1] = -1.0
+    gen = gen.reshape(dim * dim, -1)
+    gen.flags.writeable = False
+    return gen
+
+
 def _assemble_generators(points: np.ndarray, dim: int) -> np.ndarray:
     """Hermitian generators (m, d, d) from chart parameters (m, d**2), or
-    from points of the chart's zero-diagonal slice (m, d**2 - d)."""
-    m = points.shape[0]
-    h = np.zeros((m, dim * dim), dtype=complex)
-    diag, upper, lower = _pair_indices(dim)
-    k = points.shape[1] - dim * (dim - 1)
-    if k:
-        h[:, diag] = points[:, :k]
-    off = points[:, k::2] + 1j * points[:, k + 1 :: 2]
-    h[:, upper] = off
-    h[:, lower] = off.conj()
-    return h.reshape(m, dim, dim)
+    from points of the chart's zero-diagonal slice (m, d**2 - d). Every
+    entry of the map is 0 or +-1, so each generator entry is its parameter
+    exactly."""
+    gen = _generator_map(dim)
+    h = points @ gen[gen.shape[0] - points.shape[1] :]
+    return h.view(complex).reshape(-1, dim, dim)
 
 
 def _chart_unitaries(points: np.ndarray, dim: int) -> np.ndarray:
@@ -306,6 +319,19 @@ def _restart_points(dim: int, restarts: int, seed) -> np.ndarray:
     return x0
 
 
+class _Minima(list):
+    """The (unitary, entropy) pair per state of one readout search, as a
+    list, with what the search did per state: ``nfev``, the objective
+    evaluations summed over the state's restarts, and ``converged``,
+    whether its winning restart's simplex collapsed rather than running
+    out of budget."""
+
+    def __init__(self, pairs, nfev: list[int], converged: list[bool]) -> None:
+        super().__init__(pairs)
+        self.nfev = nfev
+        self.converged = converged
+
+
 def minimize_entropy_batch(
     states: list[DensityMatrix],
     restarts: int = 8,
@@ -326,10 +352,14 @@ def minimize_entropy_batch(
     uniform points) capped at ``budget`` objective evaluations apiece, and
     the best of them wins; there is no second, polishing search. Results
     are identical to calling :func:`minimize_tomographic_entropy` per state
-    with the matching seed.
+    with the matching seed. The returned list also carries, per state, the
+    objective evaluations over all its restarts (``nfev``) and whether the
+    winning restart converged (``converged``).
     """
+    if restarts < 1:
+        raise ShapeMismatchError(f"restarts must be at least 1, got {restarts}")
     if not states:
-        return []
+        return _Minima([], [], [])
     dim = states[0].dim
     if any(s.dim != dim for s in states):
         raise DimMismatchError("states in a batch must share a dimension")
@@ -340,7 +370,8 @@ def minimize_entropy_batch(
     if dim == 1:
         # One basis up to a phase: the readout is (1,) and nothing is searched.
         u = UnitaryMatrix(np.eye(1))
-        return [(u, tomographic_entropy(s, u)) for s in states]
+        pairs = [(u, tomographic_entropy(s, u)) for s in states]
+        return _Minima(pairs, [0] * len(states), [True] * len(states))
     x0 = np.vstack([_restart_points(dim, restarts, s) for s in seeds])
     rhos = np.repeat(np.stack([s.matrix for s in states]), restarts, axis=0)
 
@@ -348,10 +379,15 @@ def minimize_entropy_batch(
         return _readout_entropies(points, rhos[slots], dim)
 
     found = minimize_batch(objective, x0, step=0.6, budget=budget, fatol=1e-10, xatol=1e-6)
-    best = np.argmin(found.fun.reshape(len(states), restarts), axis=1)
-    best_x = found.x[np.arange(len(states)) * restarts + best]
-    unitaries = [UnitaryMatrix(u) for u in _chart_unitaries(best_x, dim)]
-    return [(u, tomographic_entropy(s, u)) for s, u in zip(states, unitaries)]
+    best = np.arange(len(states)) * restarts + np.argmin(
+        found.fun.reshape(len(states), restarts), axis=1
+    )
+    unitaries = [UnitaryMatrix(u) for u in _chart_unitaries(found.x[best], dim)]
+    return _Minima(
+        [(u, tomographic_entropy(s, u)) for s, u in zip(states, unitaries)],
+        found.nfev.reshape(len(states), restarts).sum(axis=1).tolist(),
+        found.converged[best].tolist(),
+    )
 
 
 def minimize_tomographic_entropy(

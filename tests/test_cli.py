@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from entrobox import DensityMatrix, ProbVec, ShapeMismatchError, cli, validate_density
+from entrobox import DensityMatrix, ProbVec, ShapeMismatchError, cli, tomography, validate_density
 from entrobox.cli import (
     SuiteConfig,
     generate_ensemble,
@@ -32,7 +32,7 @@ from entrobox.ensembles import dirichlet, ginibre
 from entrobox.qstate import von_neumann
 from entrobox.report import make_report
 from entrobox.simplex import EntropyValue
-from entrobox.tomography import UnitaryMatrix
+from entrobox.tomography import UnitaryMatrix, _Minima
 
 
 def write_json(path, payload) -> str:
@@ -666,7 +666,8 @@ class TestMainEntry:
         # closeness check can catch the miss
         def missed(states, restarts, budget, seeds):
             u = UnitaryMatrix(np.eye(states[0].dim))
-            return [(u, EntropyValue(float(von_neumann(s)) + 1e-3, "shannon")) for s in states]
+            pairs = [(u, EntropyValue(float(von_neumann(s)) + 1e-3, "shannon")) for s in states]
+            return _Minima(pairs, [budget * restarts] * len(states), [False] * len(states))
 
         monkeypatch.setattr(cli, "minimize_entropy_batch", missed)
         path = write_json(tmp_path / "rho.json", serialize_density(validate_density(np.eye(2) / 2)))
@@ -675,6 +676,33 @@ class TestMainEntry:
         assert not payload["passed"]
         assert payload["gap"] > 0
         assert payload["error"] == pytest.approx(1e-3)
+        assert payload["nfev"] == 8 * 5000 and payload["converged"] is False
+
+    def test_eval_readout_min_reports_the_search(self, state_files, capsys, monkeypatch):
+        # nfev counts every objective row of the state's search, over all
+        # 8 restarts; converged is the stop reason of the lowest restart.
+        rows = []
+        searches = []
+        search = tomography.minimize_batch
+
+        def counted(objective, x0, *args, **kwargs):
+            def counted_objective(points, slots):
+                rows.append(len(points))
+                return objective(points, slots)
+
+            searches.append(search(counted_objective, x0, *args, **kwargs))
+            return searches[-1]
+
+        monkeypatch.setattr(tomography, "minimize_batch", counted)
+        argv = ["eval", "--check", "readout-min", "--input", state_files["rho3"]]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        [found] = searches
+        assert payload["nfev"] == sum(rows) == int(found.nfev.sum())
+        assert payload["converged"] is bool(found.converged[np.argmin(found.fun)])
+        assert payload["converged"] is True
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == payload
 
     @pytest.mark.parametrize("flag", ["--q", "--dims"])
     def test_empty_list_exits_two(self, flag, capsys):

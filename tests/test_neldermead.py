@@ -131,6 +131,30 @@ class TestBitwiseParity:
         assert int(result.nfev[0]) == nfev
 
 
+class TestPassStructure:
+    def test_at_most_three_objective_calls_per_pass(self):
+        # The start simplex is one call; a pass then makes the reflection,
+        # one call for every slot's second point (expansion or contraction)
+        # and, in a pass where a slot shrinks, one shrink call: the only
+        # call that holds a slot more than once. The batch runs as many
+        # passes as its longest reference search has iterations.
+        calls = []
+
+        def counted(points, slots):
+            calls.append(slots.tolist())
+            return batch_objective(points, slots)
+
+        x0 = np.array([slot[1] for slot in SLOTS])
+        budget = np.array([slot[2] for slot in SLOTS])
+        minimize_batch(counted, x0, STEP, budget, fatol=FATOL, xatol=XATOL)
+        refs = [reference(i) for i in range(len(SLOTS))]
+        passes = max(r[3] for r in refs)
+        shrink_passes = sum(len(set(c)) < len(c) for c in calls[1:])
+        assert 0 < shrink_passes <= sum(r[4] for r in refs)
+        assert sum(map(len, calls)) == sum(r[2] for r in refs)
+        assert len(calls) <= 1 + 2 * passes + shrink_passes
+
+
 class TestBudget:
     @pytest.mark.parametrize(
         "x0, budget",

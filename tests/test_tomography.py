@@ -38,6 +38,7 @@ from entrobox import (
     von_neumann,
 )
 from entrobox.ensembles import dirichlet, ginibre, haar
+from entrobox.tomography import _assemble_generators
 
 LN2 = math.log(2.0)
 
@@ -109,6 +110,36 @@ class TestUnitaryChart:
             )
             back = chart_to_unitary(UnitaryChart(dim, params)).matrix
             assert_allclose(back, u, atol=1e-10)
+
+
+def explicit_generator(params: np.ndarray, dim: int) -> np.ndarray:
+    """The Hermitian generator of one chart point, entry by entry: the
+    diagonal (when given) first, then a (re, im) pair per strict upper
+    entry in row-major order, mirrored below as its conjugate."""
+    h = np.zeros((dim, dim), dtype=complex)
+    k = len(params) - dim * (dim - 1)
+    for i in range(k):
+        h[i, i] = params[i]
+    pos = k
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            h[i, j] = complex(params[pos], params[pos + 1])
+            h[j, i] = complex(params[pos], -params[pos + 1])
+            pos += 2
+    return h
+
+
+class TestGeneratorMap:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["full", "zero-diagonal"])
+    def test_matches_explicit_build(self, dim, diagonal):
+        n = dim * dim if diagonal else dim * (dim - 1)
+        rng = np.random.default_rng(dim)
+        points = np.vstack([np.zeros(n), rng.uniform(-math.pi, math.pi, (6, n))])
+        built = _assemble_generators(points, dim)
+        assert built.shape == (7, dim, dim) and built.dtype == complex
+        for got, params in zip(built, points):
+            assert (got == explicit_generator(params, dim)).all()
 
 
 class TestTomogram:
@@ -212,6 +243,14 @@ class TestMinimizer:
     def test_seed_count_must_match(self):
         with pytest.raises(ShapeMismatchError):
             minimize_entropy_batch(random_states(2, 2), seeds=[1])
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_restarts_below_one_rejected(self, restarts):
+        rho = random_states(2, 1)[0]
+        with pytest.raises(ShapeMismatchError, match="restarts"):
+            minimize_entropy_batch([rho], restarts=restarts)
+        with pytest.raises(ShapeMismatchError, match="restarts"):
+            minimize_tomographic_entropy(rho, restarts=restarts)
 
 
 class TestMarginalReadouts:
