@@ -22,8 +22,13 @@ at one dim; an ``--input`` state joins every job whose sampler could have
 drawn it, and the table sweeps check it once at a dim they do not sweep.
 A job's draws are stacked in chunks of a fixed size, and each check runs
 once per chunk over all of its states, so memory does not grow with
-``--trials``. A state's result does not depend on the batch it ran in:
-``eval`` runs the same kernels on a batch of one.
+``--trials``. A check gives its result as columns, one entry per state,
+and the aggregate takes a whole chunk of them at once; a report object,
+a provenance string and a serialized state are built only for an instance
+that fails. Drawn states stay the sampler's arrays: no state object is
+built for them, except for the readout search, which takes state objects.
+A state's result does not depend on the batch it ran in: ``eval`` runs the
+same kernels on a batch of one and builds the report of that one row.
 
 Reports are deterministic: two runs with the same arguments produce
 byte-identical JSON except for the ``wall_time_s`` field. Per-trial states
@@ -53,26 +58,26 @@ import numpy as np
 
 from . import __version__
 from .ensembles import diagonal_density, dirichlet, ginibre, haar
-from .errors import BadOrderError, EntroboxError, ShapeMismatchError
+from .errors import BadOrderError, EntroboxError, NotHermitianError, ShapeMismatchError
 from .qstate import (
     DensityMatrix,
     _entropy_rows,
-    _q_strong_subadd_reports,
-    _q_subadd_reports,
+    _q_strong_subadd_columns,
+    _q_subadd_columns,
     quantum_strong_subadditivity,
     quantum_subadditivity,
     validate_density,
     von_neumann,
 )
-from .report import GAP_TOLERANCE, IDENTITY_TOLERANCE, InequalityReport, make_report
+from .report import GAP_TOLERANCE, IDENTITY_TOLERANCE, CheckColumns, InequalityReport
 from .simplex import (
     ProbVec,
     _conditional_rows,
     _shannon_rows,
     _split_rows,
-    _strong_subadd_reports,
-    _subadd_reports,
-    _tsallis_chain_reports,
+    _strong_subadd_columns,
+    _subadd_columns,
+    _tsallis_chain_columns,
     _tsallis_rows,
     _zero_padded,
     admissible_shapes,
@@ -82,9 +87,8 @@ from .simplex import (
     validate_prob_vec,
 )
 from .tomography import (
-    DiscordReport,
     _axis_unitary,
-    _discord_reports,
+    _discord_columns,
     _readouts,
     discord,
     minimize_entropy_batch,
@@ -206,6 +210,10 @@ def _density_from_json(data, path: str | Path) -> DensityMatrix:
         raise ShapeMismatchError(
             f"{path}: 're'/'im' must be {dim} x {dim} arrays"
         )
+    # Refused before assembly: re + 1j * im multiplies an infinite entry by
+    # zero, which warns.
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise NotHermitianError(f"{path}: 're'/'im' have non-finite entries")
     return validate_density(re + 1j * im)
 
 
@@ -227,21 +235,28 @@ def _load_json(path: str | Path):
 
 
 def serialize_prob_vec(p: ProbVec) -> list[float]:
-    return [float(x) for x in p.values]
+    return _serialize_array(p.values)
 
 
 def serialize_density(rho: DensityMatrix) -> dict:
-    return {
-        "dim": rho.dim,
-        "re": rho.matrix.real.tolist(),
-        "im": rho.matrix.imag.tolist(),
-    }
+    return _serialize_array(rho.matrix)
 
 
-def _serialize(state: State):
-    if isinstance(state, ProbVec):
-        return serialize_prob_vec(state)
-    return serialize_density(state)
+def _serialize_array(state: np.ndarray):
+    """The JSON form of a state given as its array: a vector (N,) or a
+    matrix (d, d)."""
+    if state.ndim == 1:
+        return state.tolist()
+    return {"dim": state.shape[0], "re": state.real.tolist(), "im": state.imag.tolist()}
+
+
+def _array(state: State) -> np.ndarray:
+    return state.values if isinstance(state, ProbVec) else state.matrix
+
+
+def _state(array: np.ndarray) -> State:
+    """The state object of a sampler's array, which it takes as valid."""
+    return ProbVec(array) if array.ndim == 1 else DensityMatrix(array)
 
 
 def _write(path: str | Path, text: str) -> None:
@@ -267,26 +282,28 @@ def _is_diagonal_density(state: State, dim: int) -> bool:
 
 
 class _Sampler(NamedTuple):
-    """A random state family: how to draw one, how a drawn one is labelled,
-    and whether a given state is one it could have drawn."""
+    """A random state family: how to draw one (as its array, a vector or a
+    matrix), how a drawn one is labelled, and whether a given state is one
+    it could have drawn."""
 
-    draw: Callable[[int, np.random.Generator], State]
+    draw: Callable[[int, np.random.Generator], np.ndarray]
     provenance: str
     could_draw: Callable[[State, int], bool]
 
 
+# Each draw looks up its ensemble function in this module at each call.
 _DIRICHLET = _Sampler(
-    lambda dim, rng: ProbVec(dirichlet(dim, rng)),
+    lambda dim, rng: dirichlet(dim, rng),
     "dirichlet(dim={dim},seed={seed},trial={trial})",
     lambda state, dim: isinstance(state, ProbVec) and state.dim == dim,
 )
 _GINIBRE = _Sampler(
-    lambda dim, rng: DensityMatrix(ginibre(dim, rng)),
+    lambda dim, rng: ginibre(dim, rng),
     "ginibre(dim={dim},seed={seed},trial={trial})",
     _is_density,
 )
 _DIAGONAL = _Sampler(
-    lambda dim, rng: DensityMatrix(diagonal_density(dim, rng)),
+    lambda dim, rng: diagonal_density(dim, rng),
     "diagonal(dim={dim},seed={seed},trial={trial})",
     _is_diagonal_density,
 )
@@ -294,7 +311,7 @@ _DIAGONAL = _Sampler(
 _AXIS = _GINIBRE._replace(could_draw=lambda state, dim: False)
 # The one maximally mixed state, which needs no randomness.
 _MIXED = _Sampler(
-    lambda dim, rng: DensityMatrix(np.eye(dim, dtype=complex) / dim),
+    lambda dim, rng: np.eye(dim, dtype=complex) / dim,
     "maximally-mixed-{dim}",
     lambda state, dim: False,
 )
@@ -317,7 +334,7 @@ def generate_ensemble(kind: str, dim: int, count: int, seed: int) -> Iterator[St
     _require_seed(seed)
     draw = _ENSEMBLES[kind].draw
     return (
-        draw(dim, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))))
+        _state(draw(dim, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))))
         for i in range(count)
     )
 
@@ -326,93 +343,50 @@ def generate_ensemble(kind: str, dim: int, count: int, seed: int) -> Iterator[St
 # checks, each written once for `check` and `eval`
 
 
-def _identity_report(
-    name: str, lhs: float, rhs: float, tol: float, provenance: str
-) -> InequalityReport:
-    """An equality |lhs - rhs| <= tol cast in the gap convention.
+def _identity(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float) -> CheckColumns:
+    """Equalities |lhs - rhs| <= tol, with the two sides as the entropies.
 
-    The report's gap is -(|lhs - rhs|), so "gap >= -tol" is the equality
-    test and the aggregate's min_gap shows the worst deviation.
+    The gap is -(|lhs - rhs|), so "gap >= -tol" is the equality test and
+    the aggregate's min_gap shows the worst deviation.
     """
-    diff = abs(lhs - rhs)
-    return InequalityReport(
-        name=name,
-        lhs=lhs,
-        rhs=rhs,
-        gap=-diff,
-        tolerance=tol,
-        passed=bool(diff <= tol),
-        entropies={"lhs": lhs, "rhs": rhs},
-        provenance=provenance,
-    )
+    return CheckColumns(name, lhs, rhs, {"lhs": lhs, "rhs": rhs}, tol, identity=True)
 
 
-def _cond_chain(rows: np.ndarray, provenances: list[str]) -> list[InequalityReport]:
+def _cond_chain(rows: np.ndarray) -> CheckColumns:
     """The Shannon chain on each row of a stack of 4-vectors: the
     block-weighted entropies of its two conditional halves add up to
     H(V | V~)."""
     blocks, halves = _split_rows(rows)
     h = _shannon_rows(halves)
     weighted = blocks[:, 0] * h[:, 0] + blocks[:, 1] * h[:, 1]
-    return [
-        _identity_report("cond-chain-identity", lhs, rhs, IDENTITY_TOLERANCE, prov)
-        for lhs, rhs, prov in zip(weighted.tolist(), _conditional_rows(rows).tolist(), provenances)
-    ]
-
-
-def _discord_nonneg(rep: DiscordReport, tol: float) -> InequalityReport:
-    """The discord deficit is nonnegative."""
-    return make_report(
-        name="discord-nonneg",
-        lhs=0.0,
-        rhs=rep.discord,
-        tolerance=tol,
-        entropies={
-            "s": rep.s,
-            "s1": rep.s1,
-            "s2": rep.s2,
-            "h12": rep.h12,
-            "information": rep.information,
-        },
-        provenance=rep.provenance,
-        flags=rep.flags,
-    )
+    return _identity("cond-chain-identity", weighted, _conditional_rows(rows), IDENTITY_TOLERANCE)
 
 
 def _readout_min(
-    states: list[DensityMatrix], seeds: list[int], provenances: list[str], tol: float
-) -> list[tuple[InequalityReport, InequalityReport, dict]]:
-    """One batched search for each state's minimum readout entropy, and per
-    state two checks: the minimum sits on the von Neumann entropy from above,
-    and within 1e-6 of it; then what the state's search did (its ``nfev``
-    over all restarts, and whether the winning restart ``converged``)."""
+    states: list[DensityMatrix], seeds: list[int], tol: float
+) -> tuple[CheckColumns, CheckColumns]:
+    """One batched search for each state's minimum readout entropy, and two
+    checks of it: the minimum sits on the von Neumann entropy from above,
+    and within 1e-6 of it. Both count what each state's search did: its
+    ``nfev`` over all restarts, and whether its winning restart ran out of
+    budget (``unconverged``)."""
     found = minimize_entropy_batch(
         states, restarts=_MINIMIZER_RESTARTS, budget=_MINIMIZER_BUDGET, seeds=seeds
     )
-    out = []
-    per_state = zip(states, found, provenances, found.nfev, found.converged)
-    for rho, (_, h_min), prov, nfev, converged in per_state:
-        s = float(von_neumann(rho))
-        h = float(h_min)
-        err = h - s
-        above = make_report(
-            name="readout-min-above",
-            lhs=s,
-            rhs=h,
-            tolerance=tol,
-            entropies={"minimum_readout": h, "von_neumann": s},
-            provenance=prov,
-        )
-        close = make_report(
-            name="readout-min-close",
-            lhs=err,
-            rhs=1e-6,
-            tolerance=0.0,
-            entropies={"error": err},
-            provenance=prov,
-        )
-        out.append((above, close, {"nfev": nfev, "converged": converged}))
-    return out
+    s = np.array([float(von_neumann(rho)) for rho in states])
+    h = np.array([float(h_min) for _, h_min in found])
+    err = h - s
+    counts = {
+        "nfev": np.array(found.nfev, dtype=int),
+        "unconverged": ~np.array(found.converged, dtype=bool),
+    }
+    above = CheckColumns(
+        "readout-min-above", s, h, {"minimum_readout": h, "von_neumann": s}, tol, counts=counts
+    )
+    close = CheckColumns(
+        "readout-min-close", err, np.full(len(states), 1e-6), {"error": err}, 0.0, counts=counts
+    )
+    return above, close
 
 
 # ---------------------------------------------------------------------------
@@ -425,19 +399,39 @@ _CHUNK = 128
 
 
 class _Draw(NamedTuple):
-    """One state a job checks, the generator it was drawn from (left where
-    the draw stopped) and the seed sequence that seeds its readout search."""
+    """One state a job checks, as the array its sampler drew (or the input
+    state's array); its trial index, -1 for the input; the generator it was
+    drawn from (left where the draw stopped) and the seed sequence that
+    seeds its readout search."""
 
-    state: State
-    provenance: str
+    state: np.ndarray
+    trial: int
     rng: np.random.Generator
     seed_seq: np.random.SeedSequence
 
 
-# A job's checks: a chunk of its draws and the configuration in, (check id,
-# report, state) triples out, each check id's reports in draw order.
+class _Chunk(NamedTuple):
+    """Consecutive draws of one job, their states stacked as ``rows``:
+    vectors (n, N) or matrices (n, d, d)."""
+
+    job: _Job
+    seed: int
+    draws: list[_Draw]
+    rows: np.ndarray
+
+    def provenance(self, i: int) -> str:
+        """Where row ``i``'s state came from."""
+        trial = self.draws[i].trial
+        if trial < 0:
+            return "input"
+        return self.job.sampler.provenance.format(dim=self.job.dim, seed=self.seed, trial=trial)
+
+
+# A job's checks: a chunk of its draws and the configuration in; out, for
+# each check, its id, its columns over the chunk's rows and the provenance
+# of row i.
 _Checks = Callable[
-    [list[_Draw], SuiteConfig], Iterable[tuple[str, InequalityReport, State]]
+    [_Chunk, SuiteConfig], Iterable[tuple[str, CheckColumns, Callable[[int], str]]]
 ]
 
 
@@ -459,31 +453,21 @@ def _draws(job: _Job, seed: int, input_state: State | None) -> Iterator[_Draw]:
     # readout search.
     if input_state is not None:
         yield _Draw(
-            input_state,
-            "input",
+            _array(input_state),
+            -1,
             np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(job.tag, 0))),
             np.random.SeedSequence(seed, spawn_key=(job.tag,)),
         )
     for k in range(job.trials):
         ss = np.random.SeedSequence(seed, spawn_key=(job.tag, k))
         rng = np.random.default_rng(ss)
-        state = job.sampler.draw(job.dim, rng)
-        prov = job.sampler.provenance.format(dim=job.dim, seed=seed, trial=k)
-        yield _Draw(state, prov, rng, ss)
+        yield _Draw(job.sampler.draw(job.dim, rng), k, rng, ss)
 
 
-def _batch(draws: list[_Draw]) -> tuple[np.ndarray, list[str]]:
-    """The drawn states as one stack, vectors (n, N) or matrices (n, d, d),
-    and their provenances."""
-    rows = np.stack(
-        [d.state.values if isinstance(d.state, ProbVec) else d.state.matrix for d in draws]
-    )
-    return rows, [d.provenance for d in draws]
-
-
-def _triples(draws: list[_Draw], checks: list[tuple[str, list[InequalityReport]]]):
-    """(check id, report, state) for each check id's reports, one per draw."""
-    return [(name, rep, d.state) for name, reps in checks for d, rep in zip(draws, reps)]
+def _labelled(chunk: _Chunk, checks: list[tuple[str, CheckColumns]]):
+    """(check id, columns, provenance) for each check of a chunk whose rows
+    are labelled by the chunk itself."""
+    return [(name, columns, chunk.provenance) for name, columns in checks]
 
 
 def _middle_bipartition(p8: np.ndarray) -> np.ndarray:
@@ -493,154 +477,123 @@ def _middle_bipartition(p8: np.ndarray) -> np.ndarray:
     return p8.reshape(-1, 2, 2, 2).transpose(0, 2, 1, 3).reshape(-1, 8)
 
 
-def _seven_checks(draws: list[_Draw], config: SuiteConfig):
-    rows, provs = _batch(draws)
-    tol = config.tolerance
+def _seven_checks(chunk: _Chunk, config: SuiteConfig):
+    rows, tol = chunk.rows, config.tolerance
     mid = _middle_bipartition(_zero_padded(rows, 8))
-    return _triples(
-        draws,
+    return _labelled(
+        chunk,
         [
-            ("strong-subadd-7", _strong_subadd_reports(rows, (2, 2, 2), tol, provs)),
-            ("subadd-7-adjacent", _subadd_reports(rows, (2, 4), tol, provs)),
-            ("subadd-7-middle", _subadd_reports(mid, (2, 4), tol, provs)),
+            ("strong-subadd-7", _strong_subadd_columns(rows, (2, 2, 2), tol)),
+            ("subadd-7-adjacent", _subadd_columns(rows, (2, 4), tol)),
+            ("subadd-7-middle", _subadd_columns(mid, (2, 4), tol)),
         ],
     )
 
 
-def _four_checks(draws: list[_Draw], config: SuiteConfig):
-    rows, provs = _batch(draws)
-    tol = config.tolerance
+def _four_checks(chunk: _Chunk, config: SuiteConfig):
+    rows, tol = chunk.rows, config.tolerance
     checks = [
-        ("subadd-4", _subadd_reports(rows, (2, 2), tol, provs)),
-        ("cond-chain-identity", _cond_chain(rows, provs)),
+        ("subadd-4", _subadd_columns(rows, (2, 2), tol)),
+        ("cond-chain-identity", _cond_chain(rows)),
     ]
     for q in config.q_values:
-        reps = _tsallis_chain_reports(rows, q, tol, provs)
-        checks.append((reps[0].name, reps))
+        chain = _tsallis_chain_columns(rows, q, tol)
+        checks.append((chain.name, chain))
     h = _shannon_rows(rows)
     worst = np.maximum(
         np.abs(_tsallis_rows(rows, 1.0 + 1e-4) - h),
         np.abs(_tsallis_rows(rows, 1.0 - 1e-4) - h),
     )
     name = "tsallis-shannon-limit"
-    limit = [_identity_report(name, w, 0.0, 1e-3, prov) for w, prov in zip(worst.tolist(), provs)]
-    checks.append((name, limit))
-    return _triples(draws, checks)
+    checks.append((name, _identity(name, worst, np.zeros(len(rows)), 1e-3)))
+    return _labelled(chunk, checks)
 
 
-def _table_checks(draws: list[_Draw], config: SuiteConfig):
+def _table_checks(chunk: _Chunk, config: SuiteConfig):
     # Subadditivity of every admissible 2-factor rereading of the states at
     # their own dim, then strong subadditivity of every 3-factor one.
-    rows, provs = _batch(draws)
-    if isinstance(draws[0].state, ProbVec):
-        pair, triple = _subadd_reports, _strong_subadd_reports
+    rows = chunk.rows
+    if rows.ndim == 2:
+        pair, triple = _subadd_columns, _strong_subadd_columns
     else:
-        pair, triple = _q_subadd_reports, _q_strong_subadd_reports
+        pair, triple = _q_subadd_columns, _q_strong_subadd_columns
     dim, tol = rows.shape[1], config.tolerance
-    checks = [pair(rows, shape, tol, provs) for shape in admissible_shapes(dim, 2)]
-    checks += [triple(rows, shape, tol, provs) for shape in admissible_shapes(dim, 3)]
-    return _triples(draws, [(f"dim{dim}-{reps[0].name}", reps) for reps in checks])
+    checks = [pair(rows, shape, tol) for shape in admissible_shapes(dim, 2)]
+    checks += [triple(rows, shape, tol) for shape in admissible_shapes(dim, 3)]
+    return _labelled(chunk, [(f"dim{dim}-{columns.name}", columns) for columns in checks])
 
 
-def _mixed_equality(draws: list[_Draw], config: SuiteConfig):
+def _mixed_equality(chunk: _Chunk, config: SuiteConfig):
     # The maximally mixed state sits exactly on the subadditivity equality.
-    rows, provs = _batch(draws)
+    pair = _q_subadd_columns(chunk.rows, (2, 2), config.tolerance)
     name = "q-subadd-mixed-equality"
-    reps = [
-        _identity_report(name, rep.lhs, rep.rhs, 1e-10, rep.provenance)
-        for rep in _q_subadd_reports(rows, (2, 2), config.tolerance, provs)
-    ]
-    return _triples(draws, [(name, reps)])
+    return _labelled(chunk, [(name, _identity(name, pair.lhs, pair.rhs, 1e-10))])
 
 
-def _readout_bound(draws: list[_Draw], config: SuiteConfig):
+def _readout_bound(chunk: _Chunk, config: SuiteConfig):
     # Each state is read in a Haar-random basis drawn from its own generator.
-    rows, provs = _batch(draws)
+    rows = chunk.rows
     dim = rows.shape[1]
-    us = np.stack([haar(dim, d.rng) for d in draws])
-    readout = _shannon_rows(_readouts(rows, us)).tolist()
-    entropy = _entropy_rows(rows).tolist()
+    us = np.stack([haar(dim, d.rng) for d in chunk.draws])
+    readout = _shannon_rows(_readouts(rows, us))
+    entropy = _entropy_rows(rows)
     name = f"dim{dim}-readout-bound"
-    reps = [
-        make_report(
-            name=name,
-            lhs=s,
-            rhs=h,
-            tolerance=config.tolerance,
-            entropies={"readout": h, "von_neumann": s},
-            provenance=prov,
-        )
-        for h, s, prov in zip(readout, entropy, provs)
-    ]
-    return _triples(draws, [(name, reps)])
+    entropies = {"readout": readout, "von_neumann": entropy}
+    return _labelled(
+        chunk, [(name, CheckColumns(name, entropy, readout, entropies, config.tolerance))]
+    )
 
 
-def _axis_checks(draws: list[_Draw], config: SuiteConfig):
+def _axis_checks(chunk: _Chunk, config: SuiteConfig):
     # Subadditivity and the conditional chain hold along every measurement
     # direction of a spin-3/2 readout; each state's axis comes from its own
     # generator.
-    rows, _ = _batch(draws)
-    provs, us = [], []
-    for d in draws:
+    rows = chunk.rows
+    angles = []
+    for d in chunk.draws:
         theta = math.acos(d.rng.uniform(-1.0, 1.0))
         phi = d.rng.uniform(0.0, 2.0 * math.pi)
-        provs.append(f"{d.provenance},axis(theta={theta:.6f},phi={phi:.6f})")
-        us.append(_axis_unitary(rows.shape[1], theta, phi))
-    w = _readouts(rows, np.stack(us))
-    return _triples(
-        draws,
-        [
-            ("axis-subadd", _subadd_reports(w, (2, 2), config.tolerance, provs)),
-            ("axis-cond-chain", _cond_chain(w, provs)),
-        ],
-    )
+        angles.append((theta, phi))
+    us = np.stack([_axis_unitary(rows.shape[1], theta, phi) for theta, phi in angles])
+    w = _readouts(rows, us)
 
+    def provenance(i: int) -> str:
+        theta, phi = angles[i]
+        return f"{chunk.provenance(i)},axis(theta={theta:.6f},phi={phi:.6f})"
 
-def _readout_min_checks(draws: list[_Draw], config: SuiteConfig):
-    found = _readout_min(
-        [d.state for d in draws],
-        [int(d.seed_seq.generate_state(1)[0]) for d in draws],
-        [d.provenance for d in draws],
-        config.tolerance,
-    )
     return [
-        (f"dim{d.state.dim}-{rep.name}", rep, d.state)
-        for d, (above, close, _) in zip(draws, found)
-        for rep in (above, close)
+        ("axis-subadd", _subadd_columns(w, (2, 2), config.tolerance), provenance),
+        ("axis-cond-chain", _cond_chain(w), provenance),
     ]
 
 
-def _discord_checks(draws: list[_Draw], config: SuiteConfig):
+def _readout_min_checks(chunk: _Chunk, config: SuiteConfig):
+    # The search takes state objects, so this job builds one per draw.
+    checks = _readout_min(
+        [DensityMatrix(m) for m in chunk.rows],
+        [int(d.seed_seq.generate_state(1)[0]) for d in chunk.draws],
+        config.tolerance,
+    )
+    dim = chunk.rows.shape[1]
+    return _labelled(chunk, [(f"dim{dim}-{columns.name}", columns) for columns in checks])
+
+
+def _discord_checks(chunk: _Chunk, config: SuiteConfig):
     # Discord nonnegativity and the entropy chain S1 + S2 >= H12 >= S. A
     # qutrit is padded to 4 x 4 first; its checks get ids of their own.
-    rows, provs = _batch(draws)
-    tol = config.tolerance
+    rows, tol = chunk.rows, config.tolerance
     prefix = "qutrit-" if rows.shape[1] == 3 else ""
-    nonneg, upper, lower = [], [], []
-    for rep in _discord_reports(rows, provs):
-        nonneg.append(_discord_nonneg(rep, tol))
-        upper.append(
-            make_report(
-                name=f"{prefix}chain-upper",
-                lhs=rep.h12,
-                rhs=rep.s1 + rep.s2,
-                tolerance=tol,
-                entropies={"h12": rep.h12, "s1": rep.s1, "s2": rep.s2},
-                provenance=rep.provenance,
-            )
-        )
-        lower.append(
-            make_report(
-                name=f"{prefix}chain-lower",
-                lhs=rep.s,
-                rhs=rep.h12,
-                tolerance=tol,
-                entropies={"h12": rep.h12, "s": rep.s},
-                provenance=rep.provenance,
-            )
-        )
-    return _triples(
-        draws,
+    d = _discord_columns(rows)
+    entropies = {"s": d.s, "s1": d.s1, "s2": d.s2, "h12": d.h12, "information": d.information}
+    nonneg = CheckColumns(
+        "discord-nonneg", np.zeros(len(rows)), d.discord, entropies, tol, flags=d.flags
+    )
+    upper = CheckColumns(
+        f"{prefix}chain-upper", d.h12, d.s1 + d.s2, {"h12": d.h12, "s1": d.s1, "s2": d.s2}, tol
+    )
+    lower = CheckColumns(f"{prefix}chain-lower", d.s, d.h12, {"h12": d.h12, "s": d.s}, tol)
+    return _labelled(
+        chunk,
         [
             (f"{prefix}discord-nonneg", nonneg),
             (f"{prefix}chain-upper", upper),
@@ -649,15 +602,11 @@ def _discord_checks(draws: list[_Draw], config: SuiteConfig):
     )
 
 
-def _diagonal_discord(draws: list[_Draw], config: SuiteConfig):
+def _diagonal_discord(chunk: _Chunk, config: SuiteConfig):
     # Diagonal states carry no quantum correlations: discord must vanish.
-    rows, provs = _batch(draws)
+    deficit = _discord_columns(chunk.rows).discord
     name = "discord-diagonal-zero"
-    reps = [
-        _identity_report(name, rep.discord, 0.0, 1e-10, rep.provenance)
-        for rep in _discord_reports(rows, provs)
-    ]
-    return _triples(draws, [(name, reps)])
+    return _labelled(chunk, [(name, _identity(name, deficit, np.zeros(len(deficit)), 1e-10))])
 
 
 def _table_jobs(
@@ -707,21 +656,41 @@ def _jobs(config: SuiteConfig, input_state: State | None) -> list[_Job]:
 
 @dataclass
 class _Agg:
-    """Streaming aggregate of one named check across trials."""
+    """Streaming aggregate of one named check across trials, taken one
+    chunk of columns at a time."""
 
     count: int = 0
     failures: int = 0
     min_gap: float = math.inf
     max_gap: float = -math.inf
     total: float = 0.0
+    counts: dict[str, int] = field(default_factory=dict)
     failing: list[dict] = field(default_factory=list)
 
-    def add(self, name: str, rep: InequalityReport, state: State) -> None:
-        self.count += 1
-        self.min_gap = min(self.min_gap, rep.gap)
-        self.max_gap = max(self.max_gap, rep.gap)
-        self.total += rep.gap
-        if not rep.passed:
+    def add(
+        self,
+        name: str,
+        columns: CheckColumns,
+        states: np.ndarray,
+        provenance: Callable[[int], str],
+    ) -> None:
+        """Take a chunk's rows of one check; ``states`` are the rows' states
+        and ``provenance(i)`` names row i's origin. A report, provenance and
+        serialized state are built only for a row that fails."""
+        values = columns.gaps().tolist()
+        self.count += len(values)
+        # Row by row in draw order, as the rows would be taken one at a
+        # time: the first of equal extremes stays (a -0.0 keeps its sign)
+        # and the total is rounded after each row.
+        self.min_gap = min(self.min_gap, *values)
+        self.max_gap = max(self.max_gap, *values)
+        for gap in values:
+            self.total += gap
+        for role, column in (columns.counts or {}).items():
+            self.counts[role] = self.counts.get(role, 0) + int(column.sum())
+        floor = -columns.tolerance
+        for i in [i for i, gap in enumerate(values) if not gap >= floor]:
+            rep = columns.report(i, provenance(i))
             self.failures += 1
             self.failing.append(
                 {
@@ -729,7 +698,7 @@ class _Agg:
                     "provenance": rep.provenance,
                     "gap": rep.gap,
                     "report": {**rep.to_dict(), "name": name},
-                    "state": _serialize(state),
+                    "state": _serialize_array(states[i]),
                 }
             )
 
@@ -741,6 +710,7 @@ class _Agg:
             "min_gap": self.min_gap,
             "max_gap": self.max_gap,
             "mean_gap": self.total / self.count if self.count else 0.0,
+            **self.counts,
         }
 
 
@@ -763,12 +733,13 @@ def run_suite(config: SuiteConfig) -> dict:
     aggs: dict[str, _Agg] = {}
     for job in jobs:
         draws = _draws(job, config.seed, input_state if job.takes(input_state) else None)
-        while chunk := list(itertools.islice(draws, _CHUNK)):
-            for name, rep, state in job.checks(chunk, config):
+        while batch := list(itertools.islice(draws, _CHUNK)):
+            chunk = _Chunk(job, config.seed, batch, np.stack([d.state for d in batch]))
+            for name, columns, provenance in job.checks(chunk, config):
                 agg = aggs.get(name)
                 if agg is None:
                     agg = aggs[name] = _Agg()
-                agg.add(name, rep, state)
+                agg.add(name, columns, chunk.rows, provenance)
 
     rows = [agg.row(name) for name, agg in aggs.items()]
     return {
@@ -808,7 +779,7 @@ def _shape(text: str | None, dim: int, factors: int) -> tuple[int, ...]:
 
 def _eval_discord(rho: DensityMatrix, args: argparse.Namespace) -> dict:
     rep = discord(rho, "input")
-    return {**rep.to_dict(), "passed": _discord_nonneg(rep, args.tolerance).passed}
+    return {**rep.to_dict(), "passed": bool(rep.discord >= -args.tolerance)}
 
 
 def _eval_axis_subadd(rho: DensityMatrix, args: argparse.Namespace) -> InequalityReport:
@@ -818,12 +789,14 @@ def _eval_axis_subadd(rho: DensityMatrix, args: argparse.Namespace) -> Inequalit
 
 def _eval_readout_min(rho: DensityMatrix, args: argparse.Namespace) -> dict:
     # Passes only when the found minimum is both above S and within 1e-6 of it.
-    [(above, close, search)] = _readout_min([rho], [args.seed], ["input"], args.tolerance)
+    above, close = _readout_min([rho], [args.seed], args.tolerance)
+    above_rep, close_rep = above.report(0, "input"), close.report(0, "input")
     return {
-        **above.to_dict(),
-        "error": close.entropies["error"],
-        **search,
-        "passed": above.passed and close.passed,
+        **above_rep.to_dict(),
+        "error": close_rep.entropies["error"],
+        "nfev": int(above.counts["nfev"][0]),
+        "converged": not above.counts["unconverged"][0],
+        "passed": above_rep.passed and close_rep.passed,
     }
 
 
@@ -843,7 +816,7 @@ def _at_shape(check: str, factors: int):
 _EVALUATIONS = {
     "subadd": (ProbVec, _at_shape("subadditivity_gap", 2)),
     "strong-subadd": (ProbVec, _at_shape("strong_subadditivity_gap", 3)),
-    "cond-chain": (ProbVec, lambda p, args: _cond_chain(p.values[None], ["input"])[0]),
+    "cond-chain": (ProbVec, lambda p, args: _cond_chain(p.values[None]).report(0, "input")),
     "tsallis-chain": (
         ProbVec,
         lambda p, args: tsallis_monotonicity_check(p, args.q, args.tolerance, "input"),
@@ -988,7 +961,7 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[int, str | None]:
         raise EntroboxError(f"cannot create directory {out_dir}: {exc.strerror or exc}") from exc
     for i, state in enumerate(states):
         path = out_dir / f"{args.kind}{args.dim}-{i:04d}.json"
-        _write(path, json.dumps(_serialize(state), indent=2) + "\n")
+        _write(path, json.dumps(_serialize_array(_array(state)), indent=2) + "\n")
     return 0, f"wrote {args.count} states to {out_dir}"
 
 

@@ -11,9 +11,10 @@ subadditivity even though no physical subsystems exist.
 
 Every check is computed by one private kernel over a stack of matrices, an
 ``(n, d, d)`` array, with reductions done by one batched ``einsum`` and
-entropies by one stacked ``eigvalsh``. Each public single-matrix function
-is its kernel run on a batch of one, so a state's result does not depend on
-the batch it was checked in.
+entropies by one stacked ``eigvalsh``; a kernel returns its check as
+columns (:class:`CheckColumns`). Each public single-matrix function is its
+kernel run on a batch of one, so a state's result does not depend on the
+batch it was checked in.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     ShapeMismatchError,
     ShrinkForbiddenError,
 )
-from .report import GAP_TOLERANCE, InequalityReport, make_report
+from .report import GAP_TOLERANCE, CheckColumns, InequalityReport
 from .simplex import EntropyValue, _factors, _freeze, _shannon_rows
 
 __all__ = [
@@ -248,31 +249,24 @@ def von_neumann(rho: DensityMatrix) -> EntropyValue:
     return EntropyValue(float(_entropy_rows(rho.matrix[None])[0]), "von_neumann")
 
 
-def _reduced_entropies(mats: np.ndarray, factors, kept) -> list[float]:
+def _reduced_entropies(mats: np.ndarray, factors, kept) -> np.ndarray:
     """Von Neumann entropy of each matrix's reduction to ``kept``."""
-    return _entropy_rows(_reduce_rows(mats, ReductionPlan(factors, kept))).tolist()
+    return _entropy_rows(_reduce_rows(mats, ReductionPlan(factors, kept)))
 
 
-def _q_subadd_reports(
-    mats: np.ndarray, factors, tolerance: float, provenances
-) -> list[InequalityReport]:
+def _q_subadd_columns(mats: np.ndarray, factors, tolerance: float) -> CheckColumns:
     """:func:`quantum_subadditivity` of each matrix of a stack."""
     factors = _factors(factors, 2, mats.shape[1])
-    s_joint = _entropy_rows(mats).tolist()
+    s_joint = _entropy_rows(mats)
     s1 = _reduced_entropies(mats, factors, (1,))
     s2 = _reduced_entropies(mats, factors, (2,))
-    name = f"q-subadd-{factors[0]}x{factors[1]}"
-    return [
-        make_report(
-            name=name,
-            lhs=sj,
-            rhs=a + b,
-            tolerance=tolerance,
-            entropies={"joint": sj, "part1": a, "part2": b},
-            provenance=prov,
-        )
-        for sj, a, b, prov in zip(s_joint, s1, s2, provenances)
-    ]
+    return CheckColumns(
+        name=f"q-subadd-{factors[0]}x{factors[1]}",
+        lhs=s_joint,
+        rhs=s1 + s2,
+        entropies={"joint": s_joint, "part1": s1, "part2": s2},
+        tolerance=tolerance,
+    )
 
 
 def quantum_subadditivity(
@@ -286,30 +280,23 @@ def quantum_subadditivity(
     ``rho`` is padded to the product of ``factors`` if needed; padding
     leaves S(rho) unchanged.
     """
-    return _q_subadd_reports(rho.matrix[None], factors, tolerance, [provenance])[0]
+    return _q_subadd_columns(rho.matrix[None], factors, tolerance).report(0, provenance)
 
 
-def _q_strong_subadd_reports(
-    mats: np.ndarray, factors, tolerance: float, provenances
-) -> list[InequalityReport]:
+def _q_strong_subadd_columns(mats: np.ndarray, factors, tolerance: float) -> CheckColumns:
     """:func:`quantum_strong_subadditivity` of each matrix of a stack."""
     factors = _factors(factors, 3, mats.shape[1])
-    s_joint = _entropy_rows(mats).tolist()
+    s_joint = _entropy_rows(mats)
     s12 = _reduced_entropies(mats, factors, (1, 2))
     s23 = _reduced_entropies(mats, factors, (2, 3))
     s2 = _reduced_entropies(mats, factors, (2,))
-    name = "q-strong-subadd-{}x{}x{}".format(*factors)
-    return [
-        make_report(
-            name=name,
-            lhs=sj + b,
-            rhs=a + c,
-            tolerance=tolerance,
-            entropies={"joint": sj, "pair12": a, "pair23": c, "part2": b},
-            provenance=prov,
-        )
-        for sj, a, c, b, prov in zip(s_joint, s12, s23, s2, provenances)
-    ]
+    return CheckColumns(
+        name="q-strong-subadd-{}x{}x{}".format(*factors),
+        lhs=s_joint + s2,
+        rhs=s12 + s23,
+        entropies={"joint": s_joint, "pair12": s12, "pair23": s23, "part2": s2},
+        tolerance=tolerance,
+    )
 
 
 def quantum_strong_subadditivity(
@@ -319,7 +306,7 @@ def quantum_strong_subadditivity(
     provenance: str = "",
 ) -> InequalityReport:
     """Check S(R12) + S(R23) >= S(rho) + S(R2) for the 3-factor rereading."""
-    return _q_strong_subadd_reports(rho.matrix[None], factors, tolerance, [provenance])[0]
+    return _q_strong_subadd_columns(rho.matrix[None], factors, tolerance).report(0, provenance)
 
 
 def qutrit_reductions(rho: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]:

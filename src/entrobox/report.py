@@ -5,11 +5,19 @@ same orientation convention: the inequality under test is ``lhs <= rhs`` and
 ``gap = rhs - lhs``, so a nonnegative gap means the inequality holds. Gaps
 are allowed to dip to ``-tolerance`` before a check is marked failed, which
 absorbs eigensolver and summation noise without hiding real violations.
+
+Checks over a stack of states return a :class:`CheckColumns` record, one
+entry per state in each column; :meth:`CheckColumns.report` turns one row
+into an :class:`InequalityReport`, so a report object is built only where
+one is wanted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 # Absolute floor applied to inequality gaps throughout the package.
 GAP_TOLERANCE = 1e-9
@@ -89,3 +97,51 @@ def make_report(
         provenance=provenance,
         flags=flags,
     )
+
+
+class CheckColumns(NamedTuple):
+    """One named check over a stack of n states, as columns.
+
+    ``lhs``, ``rhs`` and every entry of ``entropies`` are arrays (n,). An
+    inequality's gap is ``rhs - lhs``; an identity's (``identity=True``) is
+    ``-|lhs - rhs|``, so "gap >= -tolerance" is the test for both. Each
+    entry of ``flags`` is a boolean column saying which rows carry that
+    flag, and each entry of ``counts`` an integer column of work done per
+    row, which a suite sums over its rows.
+    """
+
+    name: str
+    lhs: np.ndarray
+    rhs: np.ndarray
+    entropies: dict[str, np.ndarray]
+    tolerance: float
+    identity: bool = False
+    flags: dict[str, np.ndarray] | None = None
+    counts: dict[str, np.ndarray] | None = None
+
+    def gaps(self) -> np.ndarray:
+        """The gap of every row, computed as its report computes it."""
+        if self.identity:
+            return -np.abs(self.lhs - self.rhs)
+        return self.rhs - self.lhs
+
+    def report(self, i: int, provenance: str = "") -> InequalityReport:
+        """The report of row ``i``."""
+        lhs = float(self.lhs[i])
+        rhs = float(self.rhs[i])
+        entropies = {role: float(column[i]) for role, column in self.entropies.items()}
+        flags = tuple(flag for flag, rows in (self.flags or {}).items() if rows[i])
+        if not self.identity:
+            return make_report(self.name, lhs, rhs, self.tolerance, entropies, provenance, flags)
+        diff = abs(lhs - rhs)
+        return InequalityReport(
+            name=self.name,
+            lhs=lhs,
+            rhs=rhs,
+            gap=-diff,
+            tolerance=self.tolerance,
+            passed=bool(diff <= self.tolerance),
+            entropies=entropies,
+            provenance=provenance,
+            flags=flags,
+        )

@@ -17,8 +17,9 @@ All entropies are in nats and use the convention 0 ln 0 = 0.
 
 Every check is computed by one private kernel over a stack of vectors, one
 per row of an ``(n, N)`` array, with marginals taken by reshape and axis
-sums. Each public single-vector function is its kernel run on a batch of
-one, so a vector's result does not depend on the batch it was checked in.
+sums; a kernel returns its check as columns (:class:`CheckColumns`). Each
+public single-vector function is its kernel run on a batch of one, so a
+vector's result does not depend on the batch it was checked in.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     ShapeMismatchError,
     ShrinkForbiddenError,
 )
-from .report import GAP_TOLERANCE, InequalityReport, make_report
+from .report import GAP_TOLERANCE, CheckColumns, InequalityReport
 
 __all__ = [
     "ProbVec",
@@ -376,26 +377,19 @@ def _padded_tables(rows: np.ndarray, shape, k: int):
     return shape, flat, flat.reshape(-1, *shape)
 
 
-def _subadd_reports(
-    rows: np.ndarray, shape, tolerance: float, provenances
-) -> list[InequalityReport]:
+def _subadd_columns(rows: np.ndarray, shape, tolerance: float) -> CheckColumns:
     """:func:`subadditivity_gap` of each row of a stack of vectors."""
     shape, flat, table = _padded_tables(rows, shape, 2)
-    h_joint = _shannon_rows(flat).tolist()
-    h1 = _shannon_rows(table.sum(axis=2)).tolist()
-    h2 = _shannon_rows(table.sum(axis=1)).tolist()
-    name = f"subadd-{shape[0]}x{shape[1]}"
-    return [
-        make_report(
-            name=name,
-            lhs=hj,
-            rhs=a + b,
-            tolerance=tolerance,
-            entropies={"joint": hj, "part1": a, "part2": b},
-            provenance=prov,
-        )
-        for hj, a, b, prov in zip(h_joint, h1, h2, provenances)
-    ]
+    h_joint = _shannon_rows(flat)
+    h1 = _shannon_rows(table.sum(axis=2))
+    h2 = _shannon_rows(table.sum(axis=1))
+    return CheckColumns(
+        name=f"subadd-{shape[0]}x{shape[1]}",
+        lhs=h_joint,
+        rhs=h1 + h2,
+        entropies={"joint": h_joint, "part1": h1, "part2": h2},
+        tolerance=tolerance,
+    )
 
 
 def subadditivity_gap(
@@ -410,31 +404,24 @@ def subadditivity_gap(
     padding changes none of the three entropies' information content but
     makes the bipartite reading available.
     """
-    return _subadd_reports(p.values[None], shape, tolerance, [provenance])[0]
+    return _subadd_columns(p.values[None], shape, tolerance).report(0, provenance)
 
 
-def _strong_subadd_reports(
-    rows: np.ndarray, shape, tolerance: float, provenances
-) -> list[InequalityReport]:
+def _strong_subadd_columns(rows: np.ndarray, shape, tolerance: float) -> CheckColumns:
     """:func:`strong_subadditivity_gap` of each row of a stack of vectors."""
     shape, flat, table = _padded_tables(rows, shape, 3)
     n = flat.shape[0]
-    h_joint = _shannon_rows(flat).tolist()
-    h12 = _shannon_rows(table.sum(axis=3).reshape(n, -1)).tolist()
-    h23 = _shannon_rows(table.sum(axis=1).reshape(n, -1)).tolist()
-    h2 = _shannon_rows(table.sum(axis=(1, 3))).tolist()
-    name = "strong-subadd-{}x{}x{}".format(*shape)
-    return [
-        make_report(
-            name=name,
-            lhs=hj + b,
-            rhs=a + c,
-            tolerance=tolerance,
-            entropies={"joint": hj, "pair12": a, "pair23": c, "part2": b},
-            provenance=prov,
-        )
-        for hj, a, c, b, prov in zip(h_joint, h12, h23, h2, provenances)
-    ]
+    h_joint = _shannon_rows(flat)
+    h12 = _shannon_rows(table.sum(axis=3).reshape(n, -1))
+    h23 = _shannon_rows(table.sum(axis=1).reshape(n, -1))
+    h2 = _shannon_rows(table.sum(axis=(1, 3)))
+    return CheckColumns(
+        name="strong-subadd-{}x{}x{}".format(*shape),
+        lhs=h_joint + h2,
+        rhs=h12 + h23,
+        entropies={"joint": h_joint, "pair12": h12, "pair23": h23, "part2": h2},
+        tolerance=tolerance,
+    )
 
 
 def strong_subadditivity_gap(
@@ -444,7 +431,7 @@ def strong_subadditivity_gap(
     provenance: str = "",
 ) -> InequalityReport:
     """Check H(P12) + H(P23) >= H(p) + H(P2) for the 3-factor reading."""
-    return _strong_subadd_reports(p.values[None], shape, tolerance, [provenance])[0]
+    return _strong_subadd_columns(p.values[None], shape, tolerance).report(0, provenance)
 
 
 def _block_rows(rows: np.ndarray) -> np.ndarray:
@@ -504,26 +491,20 @@ def conditional_tsallis(p: ProbVec, q: float) -> EntropyValue:
     return EntropyValue(float(_conditional_rows(p.values[None], q)[0]), "conditional", q=q)
 
 
-def _tsallis_chain_reports(
-    rows: np.ndarray, q: float, tolerance: float, provenances
-) -> list[InequalityReport]:
+def _tsallis_chain_columns(rows: np.ndarray, q: float, tolerance: float) -> CheckColumns:
     """:func:`tsallis_monotonicity_check` of each row of a stack of 4-vectors."""
     q = _order(q)
     total = _tsallis_rows(rows, q)
     coarse = _tsallis_rows(_block_rows(rows), q)
     conditional = total - coarse
-    name = f"tsallis-chain-q{q:g}"
-    return [
-        make_report(
-            name=name,
-            lhs=max(c, k),
-            rhs=t,
-            tolerance=tolerance,
-            entropies={"total": t, "coarse": c, "conditional": k},
-            provenance=prov,
-        )
-        for t, c, k, prov in zip(total.tolist(), coarse.tolist(), conditional.tolist(), provenances)
-    ]
+    return CheckColumns(
+        name=f"tsallis-chain-q{q:g}",
+        # the larger part, the first one on a tie, as max(coarse, conditional)
+        lhs=np.where(conditional > coarse, conditional, coarse),
+        rhs=total,
+        entropies={"total": total, "coarse": coarse, "conditional": conditional},
+        tolerance=tolerance,
+    )
 
 
 def tsallis_monotonicity_check(
@@ -539,4 +520,4 @@ def tsallis_monotonicity_check(
     the two bounds split the total into two nonnegative parts, mirroring
     the Shannon chain rule. The report's gap is the smaller of the two.
     """
-    return _tsallis_chain_reports(p.values[None], q, tolerance, [provenance])[0]
+    return _tsallis_chain_columns(p.values[None], q, tolerance).report(0, provenance)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import xlogy
@@ -468,10 +469,30 @@ def _joint_information(joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h12, h1 + h2 - h12
 
 
-def _discord_reports(mats: np.ndarray, provenances) -> list[DiscordReport]:
+def _kron_rows(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """u1 (x) u2 for each pair of a stack of 2 x 2 unitaries, entry by entry
+    as np.kron forms it."""
+    return (u1[:, :, None, :, None] * u2[:, None, :, None, :]).reshape(-1, 4, 4)
+
+
+class _DiscordColumns(NamedTuple):
+    """:func:`discord` of each state of a stack, as columns (n,): the
+    entropies, the classical ``information`` and the ``discord`` deficit,
+    a boolean column per flag, and the states as read (a qutrit padded)."""
+
+    s: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    h12: np.ndarray
+    information: np.ndarray
+    discord: np.ndarray
+    flags: dict[str, np.ndarray]
+    states: np.ndarray
+
+
+def _discord_columns(mats: np.ndarray) -> _DiscordColumns:
     """:func:`discord` of each matrix of a stack of 4 x 4 or 3 x 3 states."""
     n, dim = mats.shape[:2]
-    flags = ["padded-qutrit"] if dim == 3 else []
     if dim == 3:
         mats = _padded_rows(mats, 4)
     elif dim != 4:
@@ -484,31 +505,31 @@ def _discord_reports(mats: np.ndarray, provenances) -> list[DiscordReport]:
     s = _entropy_rows(mats)
     s1 = _entropy_rows(r1)
     s2 = _entropy_rows(r2)
-    # u1 (x) u2 per state, entry by entry as np.kron forms it.
-    kron = (u1[:, :, None, :, None] * u2[:, None, :, None, :]).reshape(n, 4, 4)
-    h12, information = _joint_information(_readouts(mats, kron))
+    h12, information = _joint_information(_readouts(mats, _kron_rows(u1, u2)))
+    flags = {
+        "padded-qutrit": np.full(n, dim == 3),
+        "degenerate-reduction-1": deg1,
+        "degenerate-reduction-2": deg2,
+    }
     deficit = (s1 + s2 - s) - information
-    per_state = zip(
-        s.tolist(), s1.tolist(), s2.tolist(), h12.tolist(), information.tolist(),
-        deficit.tolist(), deg1.tolist(), deg2.tolist(), mats, provenances,
+    return _DiscordColumns(s, s1, s2, h12, information, deficit, flags, mats)
+
+
+def _discord_report(cols: _DiscordColumns, i: int, provenance: str = "") -> DiscordReport:
+    """The :class:`DiscordReport` of row ``i``."""
+    s, s1, s2, h12 = (float(c[i]) for c in (cols.s, cols.s1, cols.s2, cols.h12))
+    return DiscordReport(
+        s=s,
+        s1=s1,
+        s2=s2,
+        h12=h12,
+        information=float(cols.information[i]),
+        discord=float(cols.discord[i]),
+        chain=(s1 + s2 - h12, h12 - s, s1 + s2 - s),
+        flags=tuple(flag for flag, rows in cols.flags.items() if rows[i]),
+        state_ref=_content_ref(cols.states[i]),
+        provenance=provenance,
     )
-    return [
-        DiscordReport(
-            s=s_,
-            s1=a,
-            s2=b,
-            h12=h,
-            information=info,
-            discord=dfc,
-            chain=(a + b - h, h - s_, a + b - s_),
-            flags=tuple(
-                flags + [f"degenerate-reduction-{k}" for k, deg in ((1, d1), (2, d2)) if deg]
-            ),
-            state_ref=_content_ref(m),
-            provenance=prov,
-        )
-        for s_, a, b, h, info, dfc, d1, d2, m, prov in per_state
-    ]
 
 
 def discord(rho: DensityMatrix, provenance: str = "") -> DiscordReport:
@@ -519,7 +540,7 @@ def discord(rho: DensityMatrix, provenance: str = "") -> DiscordReport:
     and the deficit (S1 + S2 - S) - I reduces to H12 - S >= 0. Qutrit
     input is padded to 4 x 4 first, which leaves every entropy unchanged.
     """
-    return _discord_reports(rho.matrix[None], [provenance])[0]
+    return _discord_report(_discord_columns(rho.matrix[None]), 0, provenance)
 
 
 def discord_unitary_sweep(
@@ -537,12 +558,14 @@ def discord_unitary_sweep(
     total = base.s1 + base.s2 - base.s
     best = base.discord
     rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        u1 = UnitaryMatrix(haar(2, rng))
-        u2 = UnitaryMatrix(haar(2, rng))
-        candidate = total - tomographic_information(rho, u1, u2)
-        if candidate < best:
-            best = candidate
+    if samples > 0:
+        # Every pair drawn in the order of a per-sample loop, then all read
+        # at once.
+        pairs = np.stack([(haar(2, rng), haar(2, rng)) for _ in range(samples)])
+        kron = _kron_rows(pairs[:, 0], pairs[:, 1])
+        joints = _readouts(np.repeat(rho.matrix[None], samples, axis=0), kron)
+        # the first strictly smaller candidate wins, as in a loop
+        best = min(best, *(total - _joint_information(joints)[1]).tolist())
     return {
         "discord_eigenbasis": base.discord,
         "discord_min_sampled": float(best),

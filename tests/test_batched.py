@@ -1,43 +1,61 @@
 """Batch invariance of the check kernels.
 
-Every check is computed by one kernel over a stack of states, and each
-public single-state function is that kernel run on a batch of one. Row k of
-a batch must therefore equal, bit for bit, the same state run alone, and a
-bad row must fail a batch the way it fails alone. The stacked reductions and
+Every check is computed by one kernel over a stack of states, which returns
+the check as columns, and each public single-state function is that kernel
+run on a batch of one. The report of row k of a batch must therefore equal,
+bit for bit, the report of the same state run alone, and a bad row must
+fail a batch the way it fails alone. The stacked reductions and
 marginals are also checked against the loop-built oracles in ``_explicit``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from entrobox import cli, quantum_strong_subadditivity, quantum_subadditivity
+from entrobox import (
+    InequalityReport,
+    ProbVec,
+    cli,
+    quantum_strong_subadditivity,
+    quantum_subadditivity,
+)
 from entrobox.cli import _cond_chain
 from entrobox.errors import NotPositiveError
 from entrobox.ensembles import diagonal_density, dirichlet, ginibre, haar
 from entrobox.qstate import (
+    DensityMatrix,
     ReductionPlan,
     _entropy_rows,
-    _q_strong_subadd_reports,
-    _q_subadd_reports,
+    _q_strong_subadd_columns,
+    _q_subadd_columns,
     _reduce_rows,
     _spectra,
 )
+from entrobox.report import CheckColumns
 from entrobox.simplex import (
     _conditional_rows,
     _shannon_rows,
     _split_rows,
-    _strong_subadd_reports,
-    _subadd_reports,
-    _tsallis_chain_reports,
+    _strong_subadd_columns,
+    _subadd_columns,
+    _tsallis_chain_columns,
     _tsallis_rows,
     admissible_shapes,
 )
-from entrobox.tomography import _discord_reports, _eigenbases, _joint_information, _readouts
+from entrobox.tomography import (
+    DiscordReport,
+    _discord_columns,
+    _discord_report,
+    _DiscordColumns,
+    _eigenbases,
+    _joint_information,
+    _readouts,
+)
 
 from _explicit import marginal_brute, reduce_brute, shannon_brute
 
@@ -61,24 +79,23 @@ def _bits(obj):
 
 
 def _rows_of(out, k: int):
-    """Row ``k`` of a kernel's output: a tuple of arrays, an array, or a
-    list of per-row records."""
+    """Row ``k`` of a kernel's output: the report of a check's columns (or
+    of discord columns), a tuple of arrays, or an array."""
+    if isinstance(out, CheckColumns):
+        return out.report(k)
+    if isinstance(out, _DiscordColumns):
+        return _discord_report(out, k)
     if isinstance(out, tuple):
         return tuple(_rows_of(part, k) for part in out)
     return out[k]
 
 
-def _assert_batch_invariant(kernel, stack: np.ndarray, *args, provenances: bool = False) -> None:
+def _assert_batch_invariant(kernel, stack: np.ndarray, *args) -> None:
     """Row k of ``kernel`` run on ``stack`` equals, bit for bit, row k run
-    alone; a kernel that builds reports also takes one provenance per row."""
-    provs = [f"row{k}" for k in range(len(stack))]
-
-    def run(rows, labels):
-        return kernel(rows, *args, labels) if provenances else kernel(rows, *args)
-
-    batch = run(stack, provs)
+    alone."""
+    batch = kernel(stack, *args)
     for k in range(len(stack)):
-        alone = run(stack[k : k + 1], provs[k : k + 1])
+        alone = kernel(stack[k : k + 1], *args)
         assert _bits(_rows_of(batch, k)) == _bits(_rows_of(alone, 0)), (kernel.__name__, k)
 
 
@@ -104,9 +121,9 @@ class TestSimplexKernels:
     def test_table_reports(self, dim):
         rows = _vectors(dim, dim)
         for shape in admissible_shapes(dim, 2):
-            _assert_batch_invariant(_subadd_reports, rows, shape, 1e-9, provenances=True)
+            _assert_batch_invariant(_subadd_columns, rows, shape, 1e-9)
         for shape in admissible_shapes(dim, 3):
-            _assert_batch_invariant(_strong_subadd_reports, rows, shape, 1e-9, provenances=True)
+            _assert_batch_invariant(_strong_subadd_columns, rows, shape, 1e-9)
 
     @pytest.mark.parametrize("dim", [4, 5, 7, 9, 10, 11])
     def test_entropy_rows(self, dim):
@@ -121,26 +138,26 @@ class TestSimplexKernels:
         _assert_batch_invariant(_split_rows, rows)
         _assert_batch_invariant(_conditional_rows, rows)
         _assert_batch_invariant(_conditional_rows, rows, 2.0)
-        _assert_batch_invariant(_cond_chain, rows, provenances=True)
+        _assert_batch_invariant(_cond_chain, rows)
         for q in (0.5, 2.0, 3.0):
-            _assert_batch_invariant(_tsallis_chain_reports, rows, q, 1e-9, provenances=True)
+            _assert_batch_invariant(_tsallis_chain_columns, rows, q, 1e-9)
 
     @pytest.mark.parametrize("dim", [5, 7, 9, 10, 11])
     def test_stacked_marginals_match_loop_oracle(self, dim):
         rows = _vectors(dim, 200 + dim)
-        provs = [""] * N
         roles = {
-            _subadd_reports: {"part1": (1,), "part2": (2,)},
-            _strong_subadd_reports: {"pair12": (1, 2), "pair23": (2, 3), "part2": (2,)},
+            _subadd_columns: {"part1": (1,), "part2": (2,)},
+            _strong_subadd_columns: {"pair12": (1, 2), "pair23": (2, 3), "part2": (2,)},
         }
-        for kernel, factors in ((_subadd_reports, 2), (_strong_subadd_reports, 3)):
+        for kernel, factors in ((_subadd_columns, 2), (_strong_subadd_columns, 3)):
             for shape in admissible_shapes(dim, factors):
                 padded = np.zeros((N, int(np.prod(shape))))
                 padded[:, :dim] = rows
-                for k, rep in enumerate(kernel(rows, shape, 1e-9, provs)):
+                entropies = kernel(rows, shape, 1e-9).entropies
+                for k in range(N):
                     for role, keep in roles[kernel].items():
                         want = shannon_brute(marginal_brute(padded[k], shape, keep))
-                        assert rep.entropies[role] == pytest.approx(want, rel=1e-12, abs=1e-14)
+                        assert entropies[role][k] == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 class TestQuantumKernels:
@@ -148,9 +165,9 @@ class TestQuantumKernels:
     def test_table_reports(self, dim):
         mats = _ginibre_batch(dim, dim)
         for shape in admissible_shapes(dim, 2):
-            _assert_batch_invariant(_q_subadd_reports, mats, shape, 1e-9, provenances=True)
+            _assert_batch_invariant(_q_subadd_columns, mats, shape, 1e-9)
         for shape in admissible_shapes(dim, 3):
-            _assert_batch_invariant(_q_strong_subadd_reports, mats, shape, 1e-9, provenances=True)
+            _assert_batch_invariant(_q_strong_subadd_columns, mats, shape, 1e-9)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 8])
     def test_spectra_and_entropies(self, dim):
@@ -191,7 +208,7 @@ class TestQuantumKernels:
             _entropy_rows(mats)
         assert str(batch.value) == str(alone.value)
         with pytest.raises(NotPositiveError) as batch:
-            _q_subadd_reports(mats, (2, 2), 1e-9, [""] * N)
+            _q_subadd_columns(mats, (2, 2), 1e-9)
         assert str(batch.value) == str(alone.value)
 
 
@@ -221,8 +238,9 @@ class TestTomographyKernels:
             # the padded mixed qutrit reduces to (2/3, 1/3) twice; this
             # qutrit reduces to (1/2, 1/2) twice
             mats[6] = np.diag([0.0, 0.5, 0.5])
-        _assert_batch_invariant(_discord_reports, mats, provenances=True)
-        flags = [rep.flags for rep in _discord_reports(mats, [""] * N)]
+        _assert_batch_invariant(_discord_columns, mats)
+        columns = _discord_columns(mats)
+        flags = [_discord_report(columns, k).flags for k in range(N)]
         padded = ("padded-qutrit",) if dim == 3 else ()
         # only that row has degenerate reductions; the diagonal state's
         # reductions do not
@@ -262,7 +280,7 @@ class TestChunkedSuite:
         gaps: dict[str, list[float]] = {}
         for job in cli._jobs(config, None):
             for draw in cli._draws(job, config.seed, None):
-                rho, prov = draw.state, draw.provenance
+                rho, prov = DensityMatrix(draw.state), f"trial {draw.trial}"
                 if job.checks is cli._mixed_equality:
                     rep = quantum_subadditivity(rho, (2, 2), config.tolerance, prov)
                     gaps.setdefault("q-subadd-mixed-equality", []).append(-abs(rep.lhs - rep.rhs))
@@ -292,3 +310,37 @@ class TestChunkedSuite:
                 "mean_gap": total / len(values),
             }
             assert _bits(rows[name]) == _bits(want), name
+
+    @pytest.mark.parametrize(
+        "suite, trials, check, fields",
+        [
+            ("quantum", 1, "q-subadd-mixed-equality", ("min_gap", "max_gap")),
+            ("classical", 5, "cond-chain-identity", ("max_gap",)),
+        ],
+    )
+    def test_signed_zero_gaps_stay_signed(self, suite, trials, check, fields):
+        # the first of equal extremes is kept, so an identity met exactly
+        # reports -0.0, not 0.0
+        report = cli.run_suite(cli.SuiteConfig(suite=suite, trials=trials, seed=0))
+        [row] = [row for row in report["checks"] if row["id"] == check]
+        for name in fields:
+            assert row[name] == 0.0 and math.copysign(1.0, row[name]) == -1.0, name
+
+    def test_a_passing_suite_builds_no_per_instance_object(self, monkeypatch):
+        built: list[str] = []
+        for cls in (InequalityReport, DiscordReport, ProbVec, DensityMatrix):
+            init = cls.__init__
+
+            def counted(self, *args, _init=init, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        for suite in ("classical", "quantum", "discord"):
+            report = cli.run_suite(cli.SuiteConfig(suite=suite, trials=cli._CHUNK + 1, seed=5))
+            assert report["all_passed"]
+        assert built == []
+        # a failing instance does get its report: the count is not vacuous
+        monkeypatch.setattr(cli, "IDENTITY_TOLERANCE", -1.0)
+        report = cli.run_suite(cli.SuiteConfig(suite="classical", trials=3, seed=5))
+        assert built == ["InequalityReport"] * len(report["failing_instances"]) != []

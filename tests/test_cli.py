@@ -17,7 +17,27 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from entrobox import DensityMatrix, ProbVec, ShapeMismatchError, cli, tomography, validate_density
+from entrobox import (
+    DensityMatrix,
+    InequalityReport,
+    ProbVec,
+    ShapeMismatchError,
+    cli,
+    conditional_entropy,
+    conditional_pair,
+    discord,
+    minimize_tomographic_entropy,
+    quantum_strong_subadditivity,
+    quantum_subadditivity,
+    shannon,
+    spin_tomogram_axis,
+    strong_subadditivity_gap,
+    subadditivity_gap,
+    tomographic_entropy,
+    tomography,
+    tsallis_monotonicity_check,
+    validate_density,
+)
 from entrobox.cli import (
     SuiteConfig,
     generate_ensemble,
@@ -28,7 +48,7 @@ from entrobox.cli import (
     serialize_density,
     serialize_prob_vec,
 )
-from entrobox.ensembles import dirichlet, ginibre
+from entrobox.ensembles import dirichlet, ginibre, haar
 from entrobox.qstate import von_neumann
 from entrobox.report import make_report
 from entrobox.simplex import EntropyValue
@@ -265,6 +285,29 @@ class TestRunSuite:
         assert "axis-cond-chain" in ids
         assert report["all_passed"]
 
+    def test_readout_min_rows_count_the_searches(self, monkeypatch):
+        # nfev sums every state's search over the job; unconverged counts
+        # the states whose winning restart ran out of budget
+        searches = []
+        search = cli.minimize_entropy_batch
+
+        def recorded(states, **kwargs):
+            searches.append(search(states, **kwargs))
+            searches[-1].converged[0] = False  # as if the first ran out
+            return searches[-1]
+
+        monkeypatch.setattr(cli, "minimize_entropy_batch", recorded)
+        report = run_suite(SuiteConfig(suite="tomographic", trials=3, seed=3, dims=[2, 3]))
+        rows = {row["id"]: row for row in report["checks"]}
+        assert len(searches) == 2
+        for dim, found in zip((2, 3), searches):
+            for check in ("above", "close"):
+                row = rows.pop(f"dim{dim}-readout-min-{check}")
+                assert row["nfev"] == sum(found.nfev) > 0
+                assert row["unconverged"] == found.converged.count(False) == 1
+        for row in rows.values():
+            assert set(row) == {"id", "count", "failures", "min_gap", "max_gap", "mean_gap"}
+
     def test_discord_suite_ids(self):
         report = run_suite(SuiteConfig(suite="discord", trials=3, seed=4))
         ids = [row["id"] for row in report["checks"]]
@@ -364,6 +407,170 @@ class TestRunSuite:
         [row] = [row for row in report["checks"] if row["id"] == row_id]
         assert row["count"] == 1
         assert row["min_gap"] == payload[field]
+
+def _forced_failure_report(suite: str, monkeypatch, **config) -> dict:
+    """A suite report in which every inequality and every identity at the
+    default identity tolerance fails: the tolerance check is swapped out, so
+    a tolerance of -10 demands a gap of at least 10."""
+    monkeypatch.setattr(cli, "_require_tolerance", lambda tolerance: None)
+    monkeypatch.setattr(cli, "IDENTITY_TOLERANCE", -1.0)
+    return run_suite(SuiteConfig(suite=suite, tolerance=-10.0, seed=23, **config))
+
+
+def _trial_rng(provenance: str, tag: int) -> np.random.Generator:
+    """The generator of the trial a sampler's provenance names, as the
+    suite seeds it under job ``tag``."""
+    seed, trial = (int(x) for x in re.search(r"seed=(\d+),trial=(\d+)", provenance).groups())
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tag, trial)))
+
+
+def _chain_report(name: str, w: np.ndarray, provenance: str) -> InequalityReport:
+    """The conditional chain identity of a 4-vector from public functions."""
+    p = ProbVec(w)
+    split = conditional_pair(p)
+    w = w.tolist()
+    lhs = (w[0] + w[1]) * float(shannon(split.v)) + (w[2] + w[3]) * float(shannon(split.v_tilde))
+    rhs = float(conditional_entropy(p))
+    diff = abs(lhs - rhs)
+    tol = cli.IDENTITY_TOLERANCE
+    return InequalityReport(
+        name, lhs, rhs, -diff, tol, diff <= tol, {"lhs": lhs, "rhs": rhs}, provenance
+    )
+
+
+def _public_report(check: str, state, tolerance: float, provenance: str) -> InequalityReport:
+    """The report of failing suite instance ``check`` rebuilt by the
+    public single-state function on its serialized state and provenance."""
+    shape = tuple(int(x) for x in re.findall(r"\d+(?=x)|(?<=x)\d+", check))
+    if check.startswith("dim") and "readout" not in check:
+        check = check.split("-", 1)[1]
+    if isinstance(state, list):
+        p = ProbVec(np.array(state))
+        if check == "subadd-4":
+            return subadditivity_gap(p, (2, 2), tolerance, provenance)
+        if check == "strong-subadd-7":
+            return strong_subadditivity_gap(p, (2, 2, 2), tolerance, provenance)
+        if check == "subadd-7-adjacent":
+            return subadditivity_gap(p, (2, 4), tolerance, provenance)
+        if check == "subadd-7-middle":
+            cube = np.append(p.values, 0.0).reshape(2, 2, 2).transpose(1, 0, 2)
+            return subadditivity_gap(ProbVec(cube.reshape(8)), (2, 4), tolerance, provenance)
+        if check.startswith("subadd-"):
+            return subadditivity_gap(p, shape, tolerance, provenance)
+        if check.startswith("strong-subadd-"):
+            return strong_subadditivity_gap(p, shape, tolerance, provenance)
+        if check.startswith("tsallis-chain-q"):
+            return tsallis_monotonicity_check(p, float(check[15:]), tolerance, provenance)
+        if check == "cond-chain-identity":
+            return _chain_report(check, p.values, provenance)
+        raise AssertionError(f"no public check for {check}")
+    rho = DensityMatrix(np.array(state["re"]) + 1j * np.array(state["im"]))
+    if check.startswith("q-subadd-"):
+        return quantum_subadditivity(rho, shape, tolerance, provenance)
+    if check.startswith("q-strong-subadd-"):
+        return quantum_strong_subadditivity(rho, shape, tolerance, provenance)
+    if check.endswith(("discord-nonneg", "chain-upper", "chain-lower")):
+        rep = discord(rho, provenance)
+        if check.endswith("discord-nonneg"):
+            entropies = {"s": rep.s, "s1": rep.s1, "s2": rep.s2, "h12": rep.h12}
+            entropies["information"] = rep.information
+            return make_report(check, 0.0, rep.discord, tolerance, entropies, provenance, rep.flags)
+        if check.endswith("chain-upper"):
+            entropies = {"h12": rep.h12, "s1": rep.s1, "s2": rep.s2}
+            return make_report(check, rep.h12, rep.s1 + rep.s2, tolerance, entropies, provenance)
+        return make_report(check, rep.s, rep.h12, tolerance, {"h12": rep.h12, "s": rep.s}, provenance)
+    s = float(von_neumann(rho))
+    if check.endswith("readout-bound"):
+        rng = _trial_rng(provenance, 200 + cli._TOMOGRAPHIC_DIMS.index(rho.dim))
+        assert np.array_equal(ginibre(rho.dim, rng), rho.matrix)
+        h = float(tomographic_entropy(rho, UnitaryMatrix(haar(rho.dim, rng))))
+        return make_report(check, s, h, tolerance, {"readout": h, "von_neumann": s}, provenance)
+    if check.startswith("axis-"):
+        rng = _trial_rng(provenance, 230)
+        assert np.array_equal(ginibre(rho.dim, rng), rho.matrix)
+        theta = math.acos(rng.uniform(-1.0, 1.0))
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        assert provenance.endswith(f",axis(theta={theta:.6f},phi={phi:.6f})")
+        w = spin_tomogram_axis(rho, theta, phi).probabilities
+        if check == "axis-subadd":
+            return subadditivity_gap(w, (2, 2), tolerance, provenance)
+        return _chain_report(check, w.values, provenance)
+    if "readout-min" in check:
+        tag = 240 + cli._TOMOGRAPHIC_DIMS.index(rho.dim)
+        seed, trial = (int(x) for x in re.search(r"seed=(\d+),trial=(\d+)", provenance).groups())
+        search_seed = np.random.SeedSequence(seed, spawn_key=(tag, trial)).generate_state(1)[0]
+        _, h_min = minimize_tomographic_entropy(rho, seed=int(search_seed))
+        h = float(h_min)
+        if check.endswith("above"):
+            entropies = {"minimum_readout": h, "von_neumann": s}
+            return make_report(check, s, h, tolerance, entropies, provenance)
+        return make_report(check, h - s, 1e-6, 0.0, {"error": h - s}, provenance)
+    raise AssertionError(f"no public check for {check}")
+
+
+class TestFailingInstances:
+    """A failing instance's report, provenance and state are built from the
+    check's columns only for that instance; each must agree with the public
+    single-state function run on the serialized state."""
+
+    @pytest.mark.parametrize(
+        "suite, config, families",
+        [
+            (
+                "classical",
+                {"trials": 2, "dims": [4, 7, 12]},
+                {"dim4-subadd-2x2", "dim12-strong-subadd-2x2x3", "subadd-7-middle",
+                 "strong-subadd-7", "cond-chain-identity", "tsallis-chain-q2"},
+            ),
+            (
+                "quantum",
+                {"trials": 2, "dims": [4, 5]},
+                {"dim4-q-subadd-2x2", "dim5-q-subadd-3x2", "dim5-q-strong-subadd-2x2x2"},
+            ),
+            (
+                "discord",
+                {"trials": 2},
+                {"discord-nonneg", "chain-upper", "chain-lower", "qutrit-discord-nonneg"},
+            ),
+            (
+                "tomographic",
+                {"trials": 2, "dims": [2]},
+                {"dim2-readout-bound", "axis-subadd", "axis-cond-chain",
+                 "dim2-readout-min-above"},
+            ),
+        ],
+    )
+    def test_each_failing_instance_matches_the_public_function(
+        self, suite, config, families, monkeypatch
+    ):
+        report = _forced_failure_report(suite, monkeypatch, **config)
+        failing = report["failing_instances"]
+        assert not report["all_passed"]
+        assert len(failing) == sum(row["failures"] for row in report["checks"])
+        assert families <= {entry["check"] for entry in failing}
+        for entry in failing:
+            assert set(entry) == {"check", "provenance", "gap", "report", "state"}
+            want = _public_report(
+                entry["check"], entry["state"], entry["report"]["tolerance"], entry["provenance"]
+            )
+            assert not want.passed
+            expected = {**want.to_dict(), "name": entry["check"]}
+            assert json.dumps(entry["report"]) == json.dumps(expected), entry["check"]
+            assert entry["gap"] == want.gap
+
+    def test_a_forced_failure_exits_one_with_every_instance_listed(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "_require_tolerance", lambda tolerance: None)
+        out = tmp_path / "report.json"
+        argv = ["check", "--suite", "discord", "--trials", "1", "--tolerance=-10"]
+        assert main([*argv, "--output", str(out)]) == 1
+        report = json.loads(out.read_text())
+        # three checks in each of two jobs; the diagonal job's identity keeps
+        # its own tolerance
+        assert len(report["failing_instances"]) == 2 * 3
+        assert "FAILED" in capsys.readouterr().out
+
 
 class TestMainEntry:
     def test_check_writes_report_and_summary(self, tmp_path, capsys):
@@ -538,6 +745,26 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--check", "q-subadd"], ["check", "--suite", "quantum", "--trials", "1"]],
+        ids=["eval", "check"],
+    )
+    def test_non_finite_imaginary_part_exits_two_quietly(self, argv, value, tmp_path):
+        # the whole stderr is one error line: no numpy warning comes first
+        path = tmp_path / "rho.json"
+        path.write_text(f'{{"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, {value}], [0, 0]]}}')
+        proc = subprocess.run(
+            [sys.executable, "-m", "entrobox.cli", *argv, "--input", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error:") and "non-finite" in line
 
     @pytest.mark.parametrize("fails", [False, True])
     def test_closed_stdout_keeps_the_exit_code(self, fails, tmp_path, monkeypatch, capsys):

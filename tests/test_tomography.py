@@ -362,6 +362,32 @@ class TestDiscord:
         assert out["samples"] == 16
         assert out["state_ref"] == rho.ref
 
+    @pytest.mark.parametrize("dim, samples", [(4, 64), (4, 1), (3, 9), (4, 0)])
+    def test_unitary_sweep_equals_a_per_sample_loop(self, dim, samples):
+        # the sweep reads every sampled pair at once; a loop of public
+        # calls over the same draws gives the same dict, bit for bit
+        rho = random_states(dim, 1, seed=113 + dim)[0]
+        base = discord(rho)
+        padded = DensityMatrix(np.pad(rho.matrix, (0, 4 - dim)))
+        total = base.s1 + base.s2 - base.s
+        best = base.discord
+        rng = np.random.default_rng(17)
+        for _ in range(samples):
+            u1 = UnitaryMatrix(haar(2, rng))
+            u2 = UnitaryMatrix(haar(2, rng))
+            candidate = total - tomographic_information(padded, u1, u2)
+            if candidate < best:
+                best = candidate
+        want = {
+            "discord_eigenbasis": base.discord,
+            "discord_min_sampled": float(best),
+            "samples": samples,
+            "state_ref": base.state_ref,
+        }
+        got = discord_unitary_sweep(rho, samples=samples, seed=17)
+        assert repr(got) == repr(want)
+        assert got["discord_min_sampled"].hex() == want["discord_min_sampled"].hex()
+
 
 class TestSpinAxis:
     def test_half_spin_pi_flip(self):
