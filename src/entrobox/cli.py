@@ -31,8 +31,16 @@ A state's result does not depend on the batch it ran in: ``eval`` runs the
 same kernels on a batch of one and builds the report of that one row.
 
 Reports are deterministic: two runs with the same arguments produce
-byte-identical JSON except for the ``wall_time_s`` field. Per-trial states
-are derived from the master seed, the job's tag and the trial index alone.
+byte-identical JSON except for the ``wall_time_s`` field. Each job draws
+from one generator, seeded by the master seed and the job's tag, and trial
+k is the k-th state it draws; each chunk is drawn with one stacked call. A
+state thus depends on (seed, tag, trial) alone, never on ``--trials``, the
+chunk size or an ``--input``. The further draws a check takes per state (a
+readout basis, a spin axis, a readout search's seed) come in the same
+order from a second stream of the job; an input state's come from a third.
+``gen`` follows the same rule: state i is the i-th draw of one generator
+seeded by ``--seed``. Versions that seeded a generator per trial drew other
+states, so their reports and ``gen`` files differ for the same seed.
 
 :func:`main` may be called repeatedly in one process, from several threads
 too. It parses every call against one parser, built on first use and kept
@@ -44,7 +52,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -176,12 +183,15 @@ def _prob_vec_from_json(data: list, path: str | Path) -> ProbVec:
 
 def _reject_booleans(data, path: str | Path) -> None:
     """Refuse a JSON ``true`` or ``false`` anywhere in ``data``, which numpy
-    would otherwise read as 1.0 or 0.0."""
-    if isinstance(data, bool):
-        raise ShapeMismatchError(f"{path}: a JSON boolean is not a number")
-    if isinstance(data, list):
-        for x in data:
-            _reject_booleans(x, path)
+    would otherwise read as 1.0 or 0.0. It walks the arrays with a stack
+    of its own, so no nesting depth can exhaust the interpreter's."""
+    pending = [data]
+    while pending:
+        x = pending.pop()
+        if isinstance(x, bool):
+            raise ShapeMismatchError(f"{path}: a JSON boolean is not a number")
+        if isinstance(x, list):
+            pending.extend(x)
 
 
 def ingest_density(path: str | Path) -> DensityMatrix:
@@ -232,6 +242,8 @@ def _load_json(path: str | Path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ShapeMismatchError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ShapeMismatchError(f"{path}: JSON nested too deeply") from exc
 
 
 def serialize_prob_vec(p: ProbVec) -> list[float]:
@@ -282,28 +294,28 @@ def _is_diagonal_density(state: State, dim: int) -> bool:
 
 
 class _Sampler(NamedTuple):
-    """A random state family: how to draw one (as its array, a vector or a
-    matrix), how a drawn one is labelled, and whether a given state is one
-    it could have drawn."""
+    """A random state family: how to draw a stack of ``n`` (their arrays,
+    vectors or matrices, stacked), how a drawn one is labelled, and whether
+    a given state is one it could have drawn."""
 
-    draw: Callable[[int, np.random.Generator], np.ndarray]
+    draw: Callable[[int, np.random.Generator, int], np.ndarray]
     provenance: str
     could_draw: Callable[[State, int], bool]
 
 
 # Each draw looks up its ensemble function in this module at each call.
 _DIRICHLET = _Sampler(
-    lambda dim, rng: dirichlet(dim, rng),
+    lambda dim, rng, n: dirichlet(dim, rng, n),
     "dirichlet(dim={dim},seed={seed},trial={trial})",
     lambda state, dim: isinstance(state, ProbVec) and state.dim == dim,
 )
 _GINIBRE = _Sampler(
-    lambda dim, rng: ginibre(dim, rng),
+    lambda dim, rng, n: ginibre(dim, rng, n),
     "ginibre(dim={dim},seed={seed},trial={trial})",
     _is_density,
 )
 _DIAGONAL = _Sampler(
-    lambda dim, rng: diagonal_density(dim, rng),
+    lambda dim, rng, n: diagonal_density(dim, rng, n),
     "diagonal(dim={dim},seed={seed},trial={trial})",
     _is_diagonal_density,
 )
@@ -311,7 +323,7 @@ _DIAGONAL = _Sampler(
 _AXIS = _GINIBRE._replace(could_draw=lambda state, dim: False)
 # The one maximally mixed state, which needs no randomness.
 _MIXED = _Sampler(
-    lambda dim, rng: np.eye(dim, dtype=complex) / dim,
+    lambda dim, rng, n: np.repeat(np.eye(dim, dtype=complex)[None] / dim, n, axis=0),
     "maximally-mixed-{dim}",
     lambda state, dim: False,
 )
@@ -324,7 +336,11 @@ def generate_ensemble(kind: str, dim: int, count: int, seed: int) -> Iterator[St
 
     Kinds: ``simplex`` (flat Dirichlet vectors), ``ginibre`` (full-rank
     random density matrices), ``diagonal`` (diagonal density matrices with
-    Dirichlet weights). State ``i`` depends only on ``(seed, i)``. The
+    Dirichlet weights). State ``i`` is the ``i``-th state drawn from one
+    generator, ``default_rng(SeedSequence(seed))``, so it depends only on
+    ``(seed, i)``: the first states of a larger ``count`` are the states of
+    a smaller one. States are drawn in stacks of a fixed size. Versions that
+    seeded a generator per state drew other states for the same seed. The
     arguments are checked by this call, before any state is drawn.
     """
     if kind not in _ENSEMBLES:
@@ -333,10 +349,13 @@ def generate_ensemble(kind: str, dim: int, count: int, seed: int) -> Iterator[St
         raise ShapeMismatchError("need dim >= 2 and count >= 0")
     _require_seed(seed)
     draw = _ENSEMBLES[kind].draw
-    return (
-        _state(draw(dim, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))))
-        for i in range(count)
-    )
+
+    def states() -> Iterator[State]:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        for start in range(0, count, _CHUNK):
+            yield from map(_state, draw(dim, rng, min(_CHUNK, count - start)))
+
+    return states()
 
 
 # ---------------------------------------------------------------------------
@@ -398,36 +417,64 @@ def _readout_min(
 _CHUNK = 128
 
 
-class _Draw(NamedTuple):
-    """One state a job checks, as the array its sampler drew (or the input
-    state's array); its trial index, -1 for the input; the generator it was
-    drawn from (left where the draw stopped) and the seed sequence that
-    seeds its readout search."""
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
-    state: np.ndarray
-    trial: int
-    rng: np.random.Generator
-    seed_seq: np.random.SeedSequence
+
+class _Streams:
+    """The generators of one job, each seeded on first use from the master
+    seed and the job's tag: ``states`` draws its trial states in order, and
+    ``extras`` the further draws its checks take for them, in the same
+    order; ``input`` takes those for an input state."""
+
+    def __init__(self, seed: int, tag: int) -> None:
+        self.seed = seed
+        self.tag = tag
+
+    @functools.cached_property
+    def states(self) -> np.random.Generator:
+        return _rng(self.seed, self.tag)
+
+    @functools.cached_property
+    def extras(self) -> np.random.Generator:
+        return _rng(self.seed, self.tag, 0)
+
+    @functools.cached_property
+    def input(self) -> np.random.Generator:
+        return _rng(self.seed, self.tag, 1)
 
 
 class _Chunk(NamedTuple):
-    """Consecutive draws of one job, their states stacked as ``rows``:
-    vectors (n, N) or matrices (n, d, d)."""
+    """Consecutive rows of one job, their states stacked as ``rows``:
+    vectors (n, N) or matrices (n, d, d). The input state comes first when
+    ``has_input``; the other rows are the trials in ``trials``."""
 
     job: _Job
-    seed: int
-    draws: list[_Draw]
+    streams: _Streams
+    has_input: bool
+    trials: range
     rows: np.ndarray
 
     def provenance(self, i: int) -> str:
         """Where row ``i``'s state came from."""
-        trial = self.draws[i].trial
-        if trial < 0:
+        if self.has_input and i == 0:
             return "input"
-        return self.job.sampler.provenance.format(dim=self.job.dim, seed=self.seed, trial=trial)
+        trial = self.trials[i - self.has_input]
+        return self.job.sampler.provenance.format(
+            dim=self.job.dim, seed=self.streams.seed, trial=trial
+        )
+
+    def extras(self, draw: Callable[[np.random.Generator, int], np.ndarray]) -> np.ndarray:
+        """One further draw per row, stacked: ``draw(rng, n)`` draws ``n``.
+        The trials take the next ones from the job's extra stream, the input
+        its own."""
+        parts = [draw(self.streams.input, 1)] if self.has_input else []
+        if self.trials:
+            parts.append(draw(self.streams.extras, len(self.trials)))
+        return np.concatenate(parts)
 
 
-# A job's checks: a chunk of its draws and the configuration in; out, for
+# A job's checks: a chunk of its rows and the configuration in; out, for
 # each check, its id, its columns over the chunk's rows and the provenance
 # of row i.
 _Checks = Callable[
@@ -448,20 +495,18 @@ class _Job(NamedTuple):
         return state is not None and self.sampler.could_draw(state, self.dim)
 
 
-def _draws(job: _Job, seed: int, input_state: State | None) -> Iterator[_Draw]:
-    # The input borrows trial 0's generator; the job's own sequence seeds its
-    # readout search.
-    if input_state is not None:
-        yield _Draw(
-            _array(input_state),
-            -1,
-            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(job.tag, 0))),
-            np.random.SeedSequence(seed, spawn_key=(job.tag,)),
-        )
-    for k in range(job.trials):
-        ss = np.random.SeedSequence(seed, spawn_key=(job.tag, k))
-        rng = np.random.default_rng(ss)
-        yield _Draw(job.sampler.draw(job.dim, rng), k, rng, ss)
+def _chunks(job: _Job, seed: int, input_state: State | None) -> Iterator[_Chunk]:
+    """The job's rows, at most ``_CHUNK`` at a time: the input state first,
+    when given, then the trials, where trial k is the k-th state the job's
+    generator draws, whatever the chunking."""
+    streams = _Streams(seed, job.tag)
+    head = [] if input_state is None else [_array(input_state)[None]]
+    start = 0
+    while head or start < job.trials:
+        trials = range(start, min(job.trials, start + _CHUNK - len(head)))
+        parts = head + [job.sampler.draw(job.dim, streams.states, len(trials))] if trials else head
+        yield _Chunk(job, streams, bool(head), trials, np.concatenate(parts))
+        head, start = [], trials.stop
 
 
 def _labelled(chunk: _Chunk, checks: list[tuple[str, CheckColumns]]):
@@ -531,10 +576,10 @@ def _mixed_equality(chunk: _Chunk, config: SuiteConfig):
 
 
 def _readout_bound(chunk: _Chunk, config: SuiteConfig):
-    # Each state is read in a Haar-random basis drawn from its own generator.
+    # Each state is read in a Haar-random basis, one extra draw per state.
     rows = chunk.rows
     dim = rows.shape[1]
-    us = np.stack([haar(dim, d.rng) for d in chunk.draws])
+    us = chunk.extras(lambda rng, n: haar(dim, rng, n))
     readout = _shannon_rows(_readouts(rows, us))
     entropy = _entropy_rows(rows)
     name = f"dim{dim}-readout-bound"
@@ -546,14 +591,11 @@ def _readout_bound(chunk: _Chunk, config: SuiteConfig):
 
 def _axis_checks(chunk: _Chunk, config: SuiteConfig):
     # Subadditivity and the conditional chain hold along every measurement
-    # direction of a spin-3/2 readout; each state's axis comes from its own
-    # generator.
+    # direction of a spin-3/2 readout; each state's axis is one extra draw,
+    # cos(theta) then phi, each uniform.
     rows = chunk.rows
-    angles = []
-    for d in chunk.draws:
-        theta = math.acos(d.rng.uniform(-1.0, 1.0))
-        phi = d.rng.uniform(0.0, 2.0 * math.pi)
-        angles.append((theta, phi))
+    draws = chunk.extras(lambda rng, n: rng.uniform((-1.0, 0.0), (1.0, 2.0 * math.pi), (n, 2)))
+    angles = [(math.acos(z), phi) for z, phi in draws.tolist()]
     us = np.stack([_axis_unitary(rows.shape[1], theta, phi) for theta, phi in angles])
     w = _readouts(rows, us)
 
@@ -568,10 +610,10 @@ def _axis_checks(chunk: _Chunk, config: SuiteConfig):
 
 
 def _readout_min_checks(chunk: _Chunk, config: SuiteConfig):
-    # The search takes state objects, so this job builds one per draw.
+    # The search takes state objects, so this job builds one per row.
     checks = _readout_min(
         [DensityMatrix(m) for m in chunk.rows],
-        [int(d.seed_seq.generate_state(1)[0]) for d in chunk.draws],
+        chunk.extras(lambda rng, n: rng.integers(2**63, size=n)).tolist(),
         config.tolerance,
     )
     dim = chunk.rows.shape[1]
@@ -732,9 +774,7 @@ def run_suite(config: SuiteConfig) -> dict:
 
     aggs: dict[str, _Agg] = {}
     for job in jobs:
-        draws = _draws(job, config.seed, input_state if job.takes(input_state) else None)
-        while batch := list(itertools.islice(draws, _CHUNK)):
-            chunk = _Chunk(job, config.seed, batch, np.stack([d.state for d in batch]))
+        for chunk in _chunks(job, config.seed, input_state if job.takes(input_state) else None):
             for name, columns, provenance in job.checks(chunk, config):
                 agg = aggs.get(name)
                 if agg is None:

@@ -1,6 +1,6 @@
 """Independent oracles for the tests: brute-force index-bijection loops,
-hand-coded reduction matrices written entry by entry, and a plain
-sequential Nelder-Mead search.
+hand-coded reduction matrices written entry by entry, a plain sequential
+Nelder-Mead search, and the suite's random draws made one state at a time.
 
 Nothing here reuses the package's einsum/reshape machinery; mismatches
 between these constructions and the library point at indexing bugs.
@@ -288,3 +288,50 @@ def nelder_mead_sequential(objective, x0, step, budget, fatol, xatol):
             fsim[i] = objective(sim[i])
         nfev += n
     return sim[0], fsim[0], nfev, iterations, shrinks
+
+
+# ---------------------------------------------------------------------------
+# the suite's random draws, one state at a time, by raw numpy calls
+
+# Each suite job `tag` has three streams: its states, the extra draws its
+# checks take for them (a readout basis, a spin axis, a search seed), and
+# the extra draws for an input state.
+STATES, EXTRAS, INPUT_EXTRAS = (), (0,), (1,)
+
+
+def job_rng(seed: int, tag: int, stream: tuple[int, ...]) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tag, *stream)))
+
+
+def draw_one(kind: str, dim: int, rng: np.random.Generator):
+    """One draw of ``kind`` from ``rng``, alone.
+
+    States: ``dirichlet``, ``ginibre``, ``diagonal``. Extra draws: ``haar``
+    (a readout basis), ``axis`` (a spin axis as (theta, phi)) and ``seed``
+    (a readout search's seed).
+    """
+    if kind == "dirichlet":
+        return rng.dirichlet(np.ones(dim))
+    if kind == "diagonal":
+        return np.diag(rng.dirichlet(np.ones(dim))).astype(complex)
+    if kind == "axis":
+        theta = math.acos(rng.uniform(-1.0, 1.0))
+        return theta, rng.uniform(0.0, 2.0 * math.pi)
+    if kind == "seed":
+        return int(rng.integers(2**63))
+    re = rng.standard_normal((dim, dim))
+    g = re + 1j * rng.standard_normal((dim, dim))
+    if kind == "ginibre":
+        m = g @ g.conj().T
+        return m / m.trace().real
+    if kind == "haar":
+        q, r = np.linalg.qr(g)
+        phases = r.diagonal() / np.abs(r.diagonal())
+        return q * phases
+    raise ValueError(f"unknown draw {kind!r}")
+
+
+def job_draws(kind: str, dim: int, seed: int, tag: int, stream: tuple[int, ...], count: int):
+    """The first ``count`` draws of one stream of job ``tag``, in turn."""
+    rng = job_rng(seed, tag, stream)
+    return [draw_one(kind, dim, rng) for _ in range(count)]

@@ -57,7 +57,7 @@ from entrobox.tomography import (
     _readouts,
 )
 
-from _explicit import marginal_brute, reduce_brute, shannon_brute
+from _explicit import STATES, job_draws, marginal_brute, reduce_brute, shannon_brute
 
 N = 7
 
@@ -279,8 +279,12 @@ class TestChunkedSuite:
 
         gaps: dict[str, list[float]] = {}
         for job in cli._jobs(config, None):
-            for draw in cli._draws(job, config.seed, None):
-                rho, prov = DensityMatrix(draw.state), f"trial {draw.trial}"
+            if job.checks is cli._mixed_equality:
+                states = [np.eye(job.dim, dtype=complex) / job.dim]
+            else:
+                states = job_draws("ginibre", job.dim, config.seed, job.tag, STATES, job.trials)
+            for trial, state in enumerate(states):
+                rho, prov = DensityMatrix(state), f"trial {trial}"
                 if job.checks is cli._mixed_equality:
                     rep = quantum_subadditivity(rho, (2, 2), config.tolerance, prov)
                     gaps.setdefault("q-subadd-mixed-equality", []).append(-abs(rep.lhs - rep.rhs))

@@ -48,11 +48,13 @@ from entrobox.cli import (
     serialize_density,
     serialize_prob_vec,
 )
-from entrobox.ensembles import dirichlet, ginibre, haar
+from entrobox.ensembles import dirichlet, ginibre
 from entrobox.qstate import von_neumann
 from entrobox.report import make_report
 from entrobox.simplex import EntropyValue
 from entrobox.tomography import UnitaryMatrix, _Minima
+
+from _explicit import EXTRAS, STATES, draw_one, job_draws
 
 
 def write_json(path, payload) -> str:
@@ -227,10 +229,22 @@ class TestGenerateEnsemble:
             assert float(np.abs(off).max()) == 0.0
 
     def test_state_depends_only_on_seed_and_index(self):
-        full = list(generate_ensemble("ginibre", 3, 5, seed=9))
-        tail = list(generate_ensemble("ginibre", 3, 5, seed=9))
-        for a, b in zip(full, tail):
-            assert np.array_equal(a.matrix, b.matrix)
+        # the states of a smaller count are the first states of a larger one
+        for kind in ("simplex", "ginibre", "diagonal"):
+            for short, long in [(3, 5), (cli._CHUNK, cli._CHUNK + 2)]:
+                few = [cli._array(s) for s in generate_ensemble(kind, 3, short, seed=9)]
+                many = [cli._array(s) for s in generate_ensemble(kind, 3, long, seed=9)]
+                assert len(few) == short and len(many) == long
+                for a, b in zip(few, many):
+                    assert a.tobytes() == b.tobytes(), (kind, short, long)
+
+    @pytest.mark.parametrize("kind", ["simplex", "ginibre", "diagonal"])
+    def test_state_i_is_the_ith_draw_of_one_generator(self, kind):
+        rng = np.random.default_rng(np.random.SeedSequence(9))
+        oracle = "dirichlet" if kind == "simplex" else kind
+        want = [draw_one(oracle, 3, rng) for _ in range(cli._CHUNK + 2)]
+        got = [cli._array(s) for s in generate_ensemble(kind, 3, cli._CHUNK + 2, seed=9)]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ShapeMismatchError):
@@ -417,11 +431,39 @@ def _forced_failure_report(suite: str, monkeypatch, **config) -> dict:
     return run_suite(SuiteConfig(suite=suite, tolerance=-10.0, seed=23, **config))
 
 
-def _trial_rng(provenance: str, tag: int) -> np.random.Generator:
-    """The generator of the trial a sampler's provenance names, as the
-    suite seeds it under job ``tag``."""
+def _extra_draw(kind: str, dim: int, provenance: str, tag: int):
+    """The extra draw of the trial a sampler's provenance names, from the
+    one-state-at-a-time oracle of job ``tag``."""
     seed, trial = (int(x) for x in re.search(r"seed=(\d+),trial=(\d+)", provenance).groups())
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tag, trial)))
+    return job_draws(kind, dim, seed, tag, EXTRAS, trial + 1)[trial]
+
+
+def _job_tag(suite: str, check: str, dim: int, dims: list[int]) -> int:
+    """The tag of the job whose states a failing row ``check`` at ``dim``
+    came from, as the suite numbers its jobs."""
+    if check.startswith("dim") and "readout" not in check:
+        return {"classical": 10, "quantum": 100}[suite] + dims.index(dim)
+    if suite == "classical":
+        return 1 if dim == 7 else 2
+    if suite == "discord":
+        return 302 if dim == 3 else 300
+    if check.startswith("axis-"):
+        return 230
+    return (240 if "readout-min" in check else 200) + dims.index(dim)
+
+
+def _oracle_state(suite: str, check: str, provenance: str, dims: list[int]):
+    """The serialized state the provenance of a failing row names, drawn by
+    the one-state-at-a-time oracle."""
+    kind, dim, seed, trial = re.match(
+        r"(\w+)\(dim=(\d+),seed=(\d+),trial=(\d+)\)", provenance
+    ).groups()
+    dim, seed, trial = int(dim), int(seed), int(trial)
+    tag = _job_tag(suite, check, dim, dims)
+    state = job_draws(kind, dim, seed, tag, STATES, trial + 1)[trial]
+    if state.ndim == 1:
+        return state.tolist()
+    return {"dim": dim, "re": state.real.tolist(), "im": state.imag.tolist()}
 
 
 def _chain_report(name: str, w: np.ndarray, provenance: str) -> InequalityReport:
@@ -481,25 +523,19 @@ def _public_report(check: str, state, tolerance: float, provenance: str) -> Ineq
         return make_report(check, rep.s, rep.h12, tolerance, {"h12": rep.h12, "s": rep.s}, provenance)
     s = float(von_neumann(rho))
     if check.endswith("readout-bound"):
-        rng = _trial_rng(provenance, 200 + cli._TOMOGRAPHIC_DIMS.index(rho.dim))
-        assert np.array_equal(ginibre(rho.dim, rng), rho.matrix)
-        h = float(tomographic_entropy(rho, UnitaryMatrix(haar(rho.dim, rng))))
+        u = _extra_draw("haar", rho.dim, provenance, 200 + cli._TOMOGRAPHIC_DIMS.index(rho.dim))
+        h = float(tomographic_entropy(rho, UnitaryMatrix(u)))
         return make_report(check, s, h, tolerance, {"readout": h, "von_neumann": s}, provenance)
     if check.startswith("axis-"):
-        rng = _trial_rng(provenance, 230)
-        assert np.array_equal(ginibre(rho.dim, rng), rho.matrix)
-        theta = math.acos(rng.uniform(-1.0, 1.0))
-        phi = rng.uniform(0.0, 2.0 * math.pi)
+        theta, phi = _extra_draw("axis", rho.dim, provenance, 230)
         assert provenance.endswith(f",axis(theta={theta:.6f},phi={phi:.6f})")
         w = spin_tomogram_axis(rho, theta, phi).probabilities
         if check == "axis-subadd":
             return subadditivity_gap(w, (2, 2), tolerance, provenance)
         return _chain_report(check, w.values, provenance)
     if "readout-min" in check:
-        tag = 240 + cli._TOMOGRAPHIC_DIMS.index(rho.dim)
-        seed, trial = (int(x) for x in re.search(r"seed=(\d+),trial=(\d+)", provenance).groups())
-        search_seed = np.random.SeedSequence(seed, spawn_key=(tag, trial)).generate_state(1)[0]
-        _, h_min = minimize_tomographic_entropy(rho, seed=int(search_seed))
+        search_seed = _extra_draw("seed", rho.dim, provenance, 240 + cli._TOMOGRAPHIC_DIMS.index(rho.dim))
+        _, h_min = minimize_tomographic_entropy(rho, seed=search_seed)
         h = float(h_min)
         if check.endswith("above"):
             entropies = {"minimum_readout": h, "von_neumann": s}
@@ -548,8 +584,11 @@ class TestFailingInstances:
         assert not report["all_passed"]
         assert len(failing) == sum(row["failures"] for row in report["checks"])
         assert families <= {entry["check"] for entry in failing}
+        dims = config.get("dims")
         for entry in failing:
             assert set(entry) == {"check", "provenance", "gap", "report", "state"}
+            want_state = _oracle_state(suite, entry["check"], entry["provenance"], dims)
+            assert json.dumps(entry["state"]) == json.dumps(want_state), entry["provenance"]
             want = _public_report(
                 entry["check"], entry["state"], entry["report"]["tolerance"], entry["provenance"]
             )
@@ -1000,6 +1039,26 @@ class TestMainEntry:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert_allclose(payload["gap"], math.log(2.0), atol=1e-12)
+
+    @pytest.mark.parametrize("depth", [995, 100_000])
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--check", "subadd"], ["check", "--suite", "classical", "--trials", "1"]],
+        ids=["eval", "check"],
+    )
+    def test_deeply_nested_state_file_exits_two(self, argv, depth, tmp_path):
+        # json gives up on such a file with a RecursionError: bad input, not
+        # a failed check
+        path = tmp_path / "deep.json"
+        path.write_text("[" * depth + "]" * depth)
+        proc = subprocess.run(
+            [sys.executable, "-m", "entrobox.cli", *argv, "--input", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
 def _eval_requests(tmp_path) -> list[list[str]]:

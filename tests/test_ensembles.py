@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from entrobox.ensembles import (
@@ -91,3 +92,15 @@ def test_haar_phases_spread_over_circle():
     )
     counts, _ = np.histogram(phases, bins=4, range=(-np.pi, np.pi))
     assert counts.min() > 10
+
+
+@pytest.mark.parametrize("sampler", [dirichlet, ginibre, diagonal_density, haar])
+def test_a_stack_is_the_single_draws_in_turn(sampler):
+    # so a stream of states does not depend on how it is cut into stacks
+    for dim in (2, 3, 5):
+        rng = np.random.default_rng(6)
+        singles = np.stack([sampler(dim, rng) for _ in range(7)])
+        rng = np.random.default_rng(6)
+        stacks = np.concatenate([sampler(dim, rng, 1), sampler(dim, rng, 2), sampler(dim, rng, 4)])
+        assert stacks.dtype == singles.dtype and stacks.shape == singles.shape
+        assert stacks.tobytes() == singles.tobytes(), dim
