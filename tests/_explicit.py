@@ -299,10 +299,6 @@ def nelder_mead_sequential(objective, x0, step, budget, fatol, xatol):
 STATES, EXTRAS, INPUT_EXTRAS = (), (0,), (1,)
 
 
-def job_rng(seed: int, tag: int, stream: tuple[int, ...]) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tag, *stream)))
-
-
 def draw_one(kind: str, dim: int, rng: np.random.Generator):
     """One draw of ``kind`` from ``rng``, alone.
 
@@ -333,5 +329,5 @@ def draw_one(kind: str, dim: int, rng: np.random.Generator):
 
 def job_draws(kind: str, dim: int, seed: int, tag: int, stream: tuple[int, ...], count: int):
     """The first ``count`` draws of one stream of job ``tag``, in turn."""
-    rng = job_rng(seed, tag, stream)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tag, *stream)))
     return [draw_one(kind, dim, rng) for _ in range(count)]

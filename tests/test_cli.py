@@ -534,8 +534,8 @@ def _public_report(check: str, state, tolerance: float, provenance: str) -> Ineq
             return subadditivity_gap(w, (2, 2), tolerance, provenance)
         return _chain_report(check, w.values, provenance)
     if "readout-min" in check:
-        search_seed = _extra_draw("seed", rho.dim, provenance, 240 + cli._TOMOGRAPHIC_DIMS.index(rho.dim))
-        _, h_min = minimize_tomographic_entropy(rho, seed=search_seed)
+        tag = 240 + cli._TOMOGRAPHIC_DIMS.index(rho.dim)
+        _, h_min = minimize_tomographic_entropy(rho, seed=_extra_draw("seed", rho.dim, provenance, tag))
         h = float(h_min)
         if check.endswith("above"):
             entropies = {"minimum_readout": h, "von_neumann": s}

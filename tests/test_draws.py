@@ -53,7 +53,8 @@ def _job_rows(config: SuiteConfig) -> dict[tuple[int, int], tuple[bool, np.ndarr
     for job in cli._jobs(config, input_state):
         if job.sampler is cli._MIXED:
             continue
-        chunks = list(cli._chunks(job, config.seed, input_state if job.takes(input_state) else None))
+        taken = input_state if job.takes(input_state) else None
+        chunks = list(cli._chunks(job, config.seed, taken))
         assert all(len(chunk.rows) <= cli._CHUNK for chunk in chunks)
         rows = np.concatenate([chunk.rows for chunk in chunks]) if chunks else None
         out[job.tag, job.dim] = (job.takes(input_state), rows)
@@ -124,7 +125,8 @@ def test_extra_draws_are_the_oracle_draws(trials, with_input, inputs, monkeypatc
     monkeypatch.setattr(cli, "minimize_entropy_batch", recorded_search)
     dims = [2, 3]
     path = inputs[3] if with_input else None
-    run_suite(SuiteConfig(suite="tomographic", dims=dims, trials=trials, seed=SEED, input_path=path))
+    config = SuiteConfig(suite="tomographic", dims=dims, trials=trials, seed=SEED, input_path=path)
+    run_suite(config)
 
     for j, dim in enumerate(dims):
         lead = with_input and dim == 3
