@@ -14,7 +14,8 @@ Exit codes: 0 when every check passed, 1 when any inequality check failed,
 included (a negative ``--seed`` or ``--trials``, an empty ``--dims`` or
 ``--q``, a ``--q`` order that is not a finite value > 0, a ``--tolerance``
 that is not a finite value >= 0, an ``--input`` state that no job of the
-chosen suite takes, an output that cannot be written).
+chosen suite takes, an output that cannot be written, a state size above
+``_MAX_ENTRIES`` entries or one that does not fit in memory).
 
 Each named check is written once, and ``check`` and ``eval`` both run it.
 A suite is a list of jobs, each drawing ``trials`` states from one sampler
@@ -26,7 +27,7 @@ once per chunk over all of its states, so memory does not grow with
 and the aggregate takes a whole chunk of them at once; a report object,
 a provenance string and a serialized state are built only for an instance
 that fails. Drawn states stay the sampler's arrays: no state object is
-built for them, except for the readout search, which takes state objects.
+built for them, except in the readout search, which takes state objects.
 A state's result does not depend on the batch it ran in: ``eval`` runs the
 same kernels on a batch of one and builds the report of that one row.
 
@@ -39,8 +40,7 @@ chunk size or an ``--input``. The further draws a check takes per state (a
 readout basis, a spin axis, a readout search's seed) come in the same
 order from a second stream of the job; an input state's come from a third.
 ``gen`` follows the same rule: state i is the i-th draw of one generator
-seeded by ``--seed``. Versions that seeded a generator per trial drew other
-states, so their reports and ``gen`` files differ for the same seed.
+seeded by ``--seed``.
 
 :func:`main` may be called repeatedly in one process, from several threads
 too. It parses every call against one parser, built on first use and kept
@@ -74,7 +74,6 @@ from .qstate import (
     quantum_strong_subadditivity,
     quantum_subadditivity,
     validate_density,
-    von_neumann,
 )
 from .report import GAP_TOLERANCE, IDENTITY_TOLERANCE, CheckColumns, InequalityReport
 from .simplex import (
@@ -96,9 +95,9 @@ from .simplex import (
 from .tomography import (
     _axis_unitary,
     _discord_columns,
+    _readout_min_columns,
     _readouts,
     discord,
-    minimize_entropy_batch,
     spin_tomogram_axis,
 )
 
@@ -111,8 +110,10 @@ _TOMOGRAPHIC_DIMS = [2, 3, 4]
 # The entropy minimizer is far costlier per state than any other check, so
 # the suite caps its state count independently of --trials.
 _MINIMIZER_CAP = 100
-_MINIMIZER_RESTARTS = 8
-_MINIMIZER_BUDGET = 5000
+
+# The most entries one state may hold, as a vector or as a matrix: far more
+# than fits in memory, far fewer than numpy can index.
+_MAX_ENTRIES = 2**40
 
 State = ProbVec | DensityMatrix
 
@@ -136,6 +137,8 @@ class SuiteConfig:
             raise ShapeMismatchError("need at least one dim, got an empty list")
         if self.dims and min(self.dims) < 2:
             raise ShapeMismatchError(f"need every dim >= 2, got {self.dims}")
+        if self.dims and self.suite != "discord":  # the discord jobs take no dims
+            _require_size(max(self.dims), matrix=self.suite != "classical")
         if not self.q_values:
             raise ShapeMismatchError("need at least one Tsallis order, got an empty list")
         if not all(math.isfinite(q) and q > 0 for q in self.q_values):
@@ -161,6 +164,12 @@ def _require_seed(seed: int) -> None:
 def _require_tolerance(tolerance: float) -> None:
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise EntroboxError(f"need a finite tolerance >= 0, got {tolerance}")
+
+
+def _require_size(dim: int, matrix: bool) -> None:
+    if (dim * dim if matrix else dim) > _MAX_ENTRIES:
+        kind = "density matrix" if matrix else "probability vector"
+        raise ShapeMismatchError(f"a {kind} of dim {dim} has more than 2**40 entries")
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +247,9 @@ def _ingest_any(path: str) -> State:
 
 def _load_json(path: str | Path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ShapeMismatchError(f"{path}: {exc}") from exc
     except RecursionError as exc:
         raise ShapeMismatchError(f"{path}: JSON nested too deeply") from exc
@@ -339,15 +348,15 @@ def generate_ensemble(kind: str, dim: int, count: int, seed: int) -> Iterator[St
     Dirichlet weights). State ``i`` is the ``i``-th state drawn from one
     generator, ``default_rng(SeedSequence(seed))``, so it depends only on
     ``(seed, i)``: the first states of a larger ``count`` are the states of
-    a smaller one. States are drawn in stacks of a fixed size. Versions that
-    seeded a generator per state drew other states for the same seed. The
-    arguments are checked by this call, before any state is drawn.
+    a smaller one. States are drawn in stacks of a fixed size. The arguments
+    are checked by this call, before any state is drawn.
     """
     if kind not in _ENSEMBLES:
         raise ShapeMismatchError(f"unknown ensemble kind {kind!r}")
     if dim < 2 or count < 0:
         raise ShapeMismatchError("need dim >= 2 and count >= 0")
     _require_seed(seed)
+    _require_size(dim, matrix=kind != "simplex")
     draw = _ENSEMBLES[kind].draw
 
     def states() -> Iterator[State]:
@@ -379,33 +388,6 @@ def _cond_chain(rows: np.ndarray) -> CheckColumns:
     h = _shannon_rows(halves)
     weighted = blocks[:, 0] * h[:, 0] + blocks[:, 1] * h[:, 1]
     return _identity("cond-chain-identity", weighted, _conditional_rows(rows), IDENTITY_TOLERANCE)
-
-
-def _readout_min(
-    states: list[DensityMatrix], seeds: list[int], tol: float
-) -> tuple[CheckColumns, CheckColumns]:
-    """One batched search for each state's minimum readout entropy, and two
-    checks of it: the minimum sits on the von Neumann entropy from above,
-    and within 1e-6 of it. Both count what each state's search did: its
-    ``nfev`` over all restarts, and whether its winning restart ran out of
-    budget (``unconverged``)."""
-    found = minimize_entropy_batch(
-        states, restarts=_MINIMIZER_RESTARTS, budget=_MINIMIZER_BUDGET, seeds=seeds
-    )
-    s = np.array([float(von_neumann(rho)) for rho in states])
-    h = np.array([float(h_min) for _, h_min in found])
-    err = h - s
-    counts = {
-        "nfev": np.array(found.nfev, dtype=int),
-        "unconverged": ~np.array(found.converged, dtype=bool),
-    }
-    above = CheckColumns(
-        "readout-min-above", s, h, {"minimum_readout": h, "von_neumann": s}, tol, counts=counts
-    )
-    close = CheckColumns(
-        "readout-min-close", err, np.full(len(states), 1e-6), {"error": err}, 0.0, counts=counts
-    )
-    return above, close
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +592,9 @@ def _axis_checks(chunk: _Chunk, config: SuiteConfig):
 
 
 def _readout_min_checks(chunk: _Chunk, config: SuiteConfig):
-    # The search takes state objects, so this job builds one per row.
-    checks = _readout_min(
-        [DensityMatrix(m) for m in chunk.rows],
-        chunk.extras(lambda rng, n: rng.integers(2**63, size=n)).tolist(),
-        config.tolerance,
-    )
+    # Each state's search seed is one extra draw.
+    seeds = chunk.extras(lambda rng, n: rng.integers(2**63, size=n)).tolist()
+    checks = _readout_min_columns(chunk.rows, seeds, config.tolerance)
     dim = chunk.rows.shape[1]
     return _labelled(chunk, [(f"dim{dim}-{columns.name}", columns) for columns in checks])
 
@@ -804,16 +783,19 @@ def run_suite(config: SuiteConfig) -> dict:
 # single-state evaluation
 
 
-def _shape(text: str | None, dim: int, factors: int) -> tuple[int, ...]:
-    """The ``--shape`` factorization, or else the first admissible one."""
+def _shape(text: str | None, state: State, factors: int) -> tuple[int, ...]:
+    """The ``--shape`` factorization of ``state``, or else the first
+    admissible one."""
     if text is None:
-        return admissible_shapes(dim, factors)[0]
+        return admissible_shapes(state.dim, factors)[0]
     try:
         shape = tuple(int(x) for x in text.lower().split("x"))
     except ValueError as exc:
         raise ShapeMismatchError(f"bad shape {text!r}") from exc
     if len(shape) != factors:
         raise ShapeMismatchError(f"shape {text!r} must have {factors} factors")
+    if min(shape) >= 2:  # a smaller factor is the check's to refuse
+        _require_size(math.prod(shape), matrix=isinstance(state, DensityMatrix))
     return shape
 
 
@@ -829,7 +811,7 @@ def _eval_axis_subadd(rho: DensityMatrix, args: argparse.Namespace) -> Inequalit
 
 def _eval_readout_min(rho: DensityMatrix, args: argparse.Namespace) -> dict:
     # Passes only when the found minimum is both above S and within 1e-6 of it.
-    above, close = _readout_min([rho], [args.seed], args.tolerance)
+    above, close = _readout_min_columns(rho.matrix[None], [args.seed], args.tolerance)
     above_rep, close_rep = above.report(0, "input"), close.report(0, "input")
     return {
         **above_rep.to_dict(),
@@ -845,7 +827,7 @@ def _at_shape(check: str, factors: int):
     factorization, looked up by name at each call."""
 
     def evaluate(state: State, args: argparse.Namespace) -> InequalityReport:
-        shape = _shape(args.shape, state.dim, factors)
+        shape = _shape(args.shape, state, factors)
         return globals()[check](state, shape, args.tolerance, "input")
 
     return evaluate
@@ -1020,6 +1002,9 @@ def main(argv: list[str] | None = None) -> int:
         code, text = _COMMANDS[args.command](args)
     except EntroboxError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size under the ceiling that does not fit
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 2
     if text is not None:
         try:

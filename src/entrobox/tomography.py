@@ -6,14 +6,16 @@ For a unitary u the vector w = diag(u rho u^dag) is a genuine probability
 distribution: the statistics of measuring rho in the rotated basis. Its
 Shannon entropy is never below the von Neumann entropy of rho, with
 equality exactly when u diagonalizes rho, so minimizing over u recovers
-the spectral entropy. Reading joint/marginal tomograms of the artificial
-two-qubit split of a 4 x 4 matrix yields a mutual information, and its
-deficit against the von Neumann mutual information is the discord-type
-measure computed here.
+the spectral entropy. The search for that minimum runs over zero-diagonal
+Hermitian generators H of u = exp(i H); no chart of the unitary group is
+public. Reading joint/marginal tomograms of the artificial two-qubit
+split of a 4 x 4 matrix yields a mutual information, and its deficit
+against the von Neumann mutual information is the discord-type measure
+computed here.
 
-Readouts, eigenbases and the discord measure are each computed by one
-private kernel over a stack of matrices (n, d, d); each public
-single-state function is its kernel run on a batch of one.
+Readouts, eigenbases, the readout-minimum check and the discord measure
+are each one private kernel over a stack of matrices (n, d, d); each
+public single-state function is its kernel run on a batch of one.
 """
 
 from __future__ import annotations
@@ -43,18 +45,16 @@ from .qstate import (
     _entropy_rows,
     _padded_rows,
     _reduce_rows,
-    pad_density,
     reduce,
 )
+from .report import CheckColumns
 from .simplex import EntropyValue, ProbVec, _freeze, _shannon_rows
 
 __all__ = [
     "UnitaryMatrix",
-    "UnitaryChart",
     "Tomogram",
     "DiscordReport",
     "validate_unitary",
-    "chart_to_unitary",
     "eigenbasis_unitary",
     "tomogram",
     "tomographic_entropy",
@@ -91,34 +91,6 @@ class UnitaryMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class UnitaryChart:
-    """A point in the exponential chart on the unitary group.
-
-    ``parameters`` has d**2 real entries: the d diagonal values of a
-    Hermitian generator, then an interleaved (re, im) pair per strict
-    upper-triangle entry in row-major order. The zero vector charts the
-    identity, and every unitary is exp(i H) for some Hermitian H, so the
-    chart is surjective.
-
-    The readout-entropy minimizer searches only the zero-diagonal slice of
-    this chart (the last d**2 - d parameters, the diagonal fixed at 0),
-    since a readout does not change under left diagonal phases.
-    """
-
-    dim: int
-    parameters: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.parameters, dtype=float).reshape(-1)
-        if arr.size != self.dim * self.dim:
-            raise ShapeMismatchError(
-                f"chart for dim {self.dim} needs {self.dim**2} parameters, "
-                f"got {arr.size}"
-            )
-        _freeze(self, "parameters", arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,64 +141,47 @@ class DiscordReport:
 
 def validate_unitary(raw, tol: float = 1e-10) -> UnitaryMatrix:
     """Validate raw data as a unitary matrix (max |U^dag U - I| <= tol)."""
-    arr = np.asarray(raw, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise ShapeMismatchError(f"unitary must be square, got {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
+    u = UnitaryMatrix(raw)
+    if not np.all(np.isfinite(u.matrix.view(float))):
         raise NotUnitaryError("unitary has non-finite entries")
-    defect = float(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0])).max())
+    defect = float(np.abs(u.matrix.conj().T @ u.matrix - np.eye(u.dim)).max())
     if defect > tol:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
-    return UnitaryMatrix(arr)
-
-
-@lru_cache(maxsize=None)
-def _pair_indices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat positions in a d x d matrix of the diagonal, then of the strict
-    upper triangle in row-major order and of its transposed entries."""
-    rows, cols = np.triu_indices(dim, k=1)
-    return np.arange(dim) * (dim + 1), rows * dim + cols, cols * dim + rows
+    return u
 
 
 @lru_cache(maxsize=None)
 def _generator_map(dim: int) -> np.ndarray:
-    """The real linear map (d**2, 2 d**2) from chart parameters to the
-    interleaved (re, im) entries of the Hermitian generator; its last
-    d**2 - d rows map the chart's zero-diagonal slice."""
-    diag, upper, lower = _pair_indices(dim)
-    gen = np.zeros((dim * dim, dim * dim, 2))
-    gen[np.arange(dim), diag, 0] = 1.0
-    re = dim + 2 * np.arange(upper.size)
-    gen[re, upper, 0] = 1.0
-    gen[re, lower, 0] = 1.0
-    gen[re + 1, upper, 1] = 1.0
-    gen[re + 1, lower, 1] = -1.0
-    gen = gen.reshape(dim * dim, -1)
+    """The real linear map (d**2 - d, 2 d**2) from a search point, an
+    interleaved (re, im) pair per strict upper-triangle entry in row-major
+    order, to the interleaved (re, im) entries of its zero-diagonal
+    Hermitian generator."""
+    rows, cols = np.triu_indices(dim, k=1)
+    upper, lower = rows * dim + cols, cols * dim + rows  # flat positions
+    gen = np.zeros((upper.size, 2, dim * dim, 2))
+    pairs = np.arange(upper.size)
+    gen[pairs, 0, upper, 0] = 1.0
+    gen[pairs, 0, lower, 0] = 1.0
+    gen[pairs, 1, upper, 1] = 1.0
+    gen[pairs, 1, lower, 1] = -1.0
+    gen = gen.reshape(2 * upper.size, 2 * dim * dim)
     gen.flags.writeable = False
     return gen
 
 
 def _assemble_generators(points: np.ndarray, dim: int) -> np.ndarray:
-    """Hermitian generators (m, d, d) from chart parameters (m, d**2), or
-    from points of the chart's zero-diagonal slice (m, d**2 - d). Every
-    entry of the map is 0 or +-1, so each generator entry is its parameter
-    exactly."""
-    gen = _generator_map(dim)
-    h = points @ gen[gen.shape[0] - points.shape[1] :]
-    return h.view(complex).reshape(-1, dim, dim)
+    """The zero-diagonal Hermitian generators (m, d, d) of search points
+    (m, d**2 - d). Every entry of the map is 0 or +-1, so each generator
+    entry is its parameter exactly."""
+    h = points @ _generator_map(dim)
+    return h.view(complex).reshape(len(points), dim, dim)
 
 
 def _chart_unitaries(points: np.ndarray, dim: int) -> np.ndarray:
-    """exp(i H) for a batch of chart (or zero-diagonal slice) points, via
-    the eigenbasis of H."""
+    """exp(i H) for the generator H of each search point, via the
+    eigenbasis of H."""
     w, v = np.linalg.eigh(_assemble_generators(points, dim))
     return (v * np.exp(1j * w)[:, None, :]) @ np.swapaxes(v.conj(), 1, 2)
-
-
-def chart_to_unitary(chart: UnitaryChart) -> UnitaryMatrix:
-    """The unitary exp(i H) charted by the given parameters."""
-    u = _chart_unitaries(chart.parameters[None, :], chart.dim)[0]
-    return UnitaryMatrix(u)
 
 
 def _eigenbases(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,8 +254,8 @@ def tomographic_entropy(rho: DensityMatrix, u: UnitaryMatrix) -> EntropyValue:
 
 
 def _readout_entropies(points: np.ndarray, rhos: np.ndarray, dim: int) -> np.ndarray:
-    """Batched objective: entropy of the readout charted by each row of
-    zero-diagonal slice points."""
+    """Batched objective: entropy of the readout in the basis of each
+    search point."""
     u = _chart_unitaries(points, dim)
     t = u @ rhos
     probs = np.einsum("bij,bij->bi", t, u.conj()).real
@@ -309,8 +264,8 @@ def _readout_entropies(points: np.ndarray, rhos: np.ndarray, dim: int) -> np.nda
 
 
 def _restart_points(dim: int, restarts: int, seed) -> np.ndarray:
-    """Start points per restart in the zero-diagonal slice of the chart:
-    the identity first, then seeded uniform points."""
+    """Search points to start each restart from: the identity first, then
+    seeded uniform points."""
     n = dim * (dim - 1)
     x0 = np.zeros((restarts, n))
     children = np.random.SeedSequence(seed).spawn(restarts)
@@ -341,12 +296,13 @@ def minimize_entropy_batch(
 ) -> list[tuple[UnitaryMatrix, EntropyValue]]:
     """Minimize the readout entropy for many states in one batched search.
 
-    The search runs over the zero-diagonal slice of :class:`UnitaryChart`:
-    d**2 - d parameters, the off-diagonal (re, im) pairs of the generator.
-    The readout diag(u rho u^dag) does not change when u is multiplied on
-    the left by a diagonal phase matrix, so it varies along only d**2 - d
-    of the group's d**2 dimensions; the search fixes the generator's
-    diagonal at 0 instead of exploring d flat directions.
+    A point of the search is a zero-diagonal Hermitian generator H of
+    u = exp(i H): d**2 - d parameters, an interleaved (re, im) pair per
+    strict upper-triangle entry of H in row-major order. The readout
+    diag(u rho u^dag) does not change when u is multiplied on the left by a
+    diagonal phase matrix, so it varies along only d**2 - d of the group's
+    d**2 dimensions; the search fixes the generator's diagonal at 0 instead
+    of exploring d flat directions.
 
     All states' searches run as one batch: each state gets ``restarts``
     independent searches (the first from the identity, the rest from seeded
@@ -368,27 +324,55 @@ def minimize_entropy_batch(
         seeds = list(range(len(states)))
     if len(seeds) != len(states):
         raise ShapeMismatchError("need one seed per state")
+    mats = np.stack([s.matrix for s in states])
     if dim == 1:
         # One basis up to a phase: the readout is (1,) and nothing is searched.
-        u = UnitaryMatrix(np.eye(1))
-        pairs = [(u, tomographic_entropy(s, u)) for s in states]
-        return _Minima(pairs, [0] * len(states), [True] * len(states))
-    x0 = np.vstack([_restart_points(dim, restarts, s) for s in seeds])
-    rhos = np.repeat(np.stack([s.matrix for s in states]), restarts, axis=0)
+        us = np.ones((len(states), 1, 1), dtype=complex)
+        nfev, converged = [0] * len(states), [True] * len(states)
+    else:
+        x0 = np.vstack([_restart_points(dim, restarts, s) for s in seeds])
+        rhos = np.repeat(mats, restarts, axis=0)
 
-    def objective(points: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        return _readout_entropies(points, rhos[slots], dim)
+        def objective(points: np.ndarray, slots: np.ndarray) -> np.ndarray:
+            return _readout_entropies(points, rhos[slots], dim)
 
-    found = minimize_batch(objective, x0, step=0.6, budget=budget, fatol=1e-10, xatol=1e-6)
-    best = np.arange(len(states)) * restarts + np.argmin(
-        found.fun.reshape(len(states), restarts), axis=1
+        found = minimize_batch(objective, x0, step=0.6, budget=budget, fatol=1e-10, xatol=1e-6)
+        best = np.arange(len(states)) * restarts + np.argmin(
+            found.fun.reshape(len(states), restarts), axis=1
+        )
+        us = _chart_unitaries(found.x[best], dim)
+        nfev = found.nfev.reshape(len(states), restarts).sum(axis=1).tolist()
+        converged = found.converged[best].tolist()
+    values = _shannon_rows(_readouts(mats, us)).tolist()
+    pairs = [(UnitaryMatrix(u), EntropyValue(h, "shannon")) for u, h in zip(us, values)]
+    return _Minima(pairs, nfev, converged)
+
+
+def _readout_min_columns(
+    mats: np.ndarray, seeds: list[int], tolerance: float
+) -> tuple[CheckColumns, CheckColumns]:
+    """The basis-readout bound on each state of a stack, checked by one
+    batched search of :func:`minimize_entropy_batch` at its default
+    restarts and budget: the found minimum sits on the von Neumann entropy
+    from above (``readout-min-above``), and within 1e-6 of it
+    (``readout-min-close``). Both count what each state's search did: its
+    ``nfev`` over all restarts, and whether its winning restart ran out of
+    budget (``unconverged``)."""
+    found = minimize_entropy_batch([DensityMatrix(m) for m in mats], seeds=seeds)
+    s = _entropy_rows(mats)
+    h = np.array([float(h_min) for _, h_min in found])
+    err = h - s
+    counts = {
+        "nfev": np.array(found.nfev, dtype=int),
+        "unconverged": ~np.array(found.converged, dtype=bool),
+    }
+    above = CheckColumns(
+        "readout-min-above", s, h, {"minimum_readout": h, "von_neumann": s}, tolerance, counts=counts
     )
-    unitaries = [UnitaryMatrix(u) for u in _chart_unitaries(found.x[best], dim)]
-    return _Minima(
-        [(u, tomographic_entropy(s, u)) for s, u in zip(states, unitaries)],
-        found.nfev.reshape(len(states), restarts).sum(axis=1).tolist(),
-        found.converged[best].tolist(),
+    close = CheckColumns(
+        "readout-min-close", err, np.full(len(mats), 1e-6), {"error": err}, 0.0, counts=counts
     )
+    return above, close
 
 
 def minimize_tomographic_entropy(
@@ -399,8 +383,8 @@ def minimize_tomographic_entropy(
 ) -> tuple[UnitaryMatrix, EntropyValue]:
     """Search for the basis minimizing the readout entropy of ``rho``.
 
-    Derivative-free simplex search over the zero-diagonal generators of
-    the unitary chart (d**2 - d parameters): one batched search of
+    Derivative-free simplex search over the zero-diagonal Hermitian
+    generators of u = exp(i H) (d**2 - d parameters): one batched search of
     ``restarts`` starts (the identity, then seeded random points), the best
     of which wins, with no polishing search after it.
     The minimum over all bases is the von Neumann entropy, attained at the
@@ -413,6 +397,15 @@ def minimize_tomographic_entropy(
     return u, value
 
 
+def _joint_readout(rho: DensityMatrix, u1: UnitaryMatrix, u2: UnitaryMatrix) -> np.ndarray:
+    """The readout of a 4 x 4 state in the local basis pair u1 (x) u2."""
+    if rho.dim != 4:
+        raise ShapeMismatchError(f"expected a 4 x 4 state, got dim {rho.dim}")
+    if u1.dim != 2 or u2.dim != 2:
+        raise DimMismatchError("local readouts need 2 x 2 unitaries")
+    return _readouts(rho.matrix[None], _kron_rows(u1.matrix[None], u2.matrix[None]))[0]
+
+
 def marginal_tomograms(
     rho: DensityMatrix, u1: UnitaryMatrix, u2: UnitaryMatrix
 ) -> tuple[ProbVec, ProbVec]:
@@ -422,16 +415,9 @@ def marginal_tomograms(
     the equality is asserted here because it ties the quantum reduction to
     the classical marginal, and any mismatch means an indexing bug.
     """
-    if rho.dim != 4:
-        raise ShapeMismatchError(f"expected a 4 x 4 state, got dim {rho.dim}")
-    if u1.dim != 2 or u2.dim != 2:
-        raise DimMismatchError("marginal readouts need 2 x 2 unitaries")
-    r1 = reduce(rho, ReductionPlan((2, 2), (1,)))
-    r2 = reduce(rho, ReductionPlan((2, 2), (2,)))
-    w1 = ProbVec(_readout(r1, u1))
-    w2 = ProbVec(_readout(r2, u2))
-
-    table = _readout(rho, UnitaryMatrix(np.kron(u1.matrix, u2.matrix))).reshape(2, 2)
+    table = _joint_readout(rho, u1, u2).reshape(2, 2)
+    w1 = ProbVec(_readout(reduce(rho, ReductionPlan((2, 2), (1,))), u1))
+    w2 = ProbVec(_readout(reduce(rho, ReductionPlan((2, 2), (2,))), u2))
     defect = max(
         float(np.abs(w1.values - table.sum(axis=1)).max()),
         float(np.abs(w2.values - table.sum(axis=0)).max()),
@@ -451,12 +437,7 @@ def tomographic_information(
     I(u1, u2) = H(w1) + H(w2) - H(w12) for the artificial two-qubit split;
     nonnegative by subadditivity of the joint readout.
     """
-    if rho.dim != 4:
-        raise ShapeMismatchError(f"expected a 4 x 4 state, got dim {rho.dim}")
-    if u1.dim != 2 or u2.dim != 2:
-        raise DimMismatchError("local readouts need 2 x 2 unitaries")
-    joint = _readout(rho, UnitaryMatrix(np.kron(u1.matrix, u2.matrix)))
-    return float(_joint_information(joint[None])[1][0])
+    return float(_joint_information(_joint_readout(rho, u1, u2)[None])[1][0])
 
 
 def _joint_information(joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -552,9 +533,8 @@ def discord_unitary_sweep(
     and reports the smallest deficit seen. The reported discord is always
     the eigenbasis value; this sweep only gauges how tight that choice is.
     """
-    base = discord(rho)
-    if rho.dim == 3:
-        rho = pad_density(rho, 4)
+    cols = _discord_columns(rho.matrix[None])
+    base = _discord_report(cols, 0)
     total = base.s1 + base.s2 - base.s
     best = base.discord
     rng = np.random.default_rng(seed)
@@ -563,7 +543,7 @@ def discord_unitary_sweep(
         # at once.
         pairs = np.stack([(haar(2, rng), haar(2, rng)) for _ in range(samples)])
         kron = _kron_rows(pairs[:, 0], pairs[:, 1])
-        joints = _readouts(np.repeat(rho.matrix[None], samples, axis=0), kron)
+        joints = _readouts(np.repeat(cols.states, samples, axis=0), kron)
         # the first strictly smaller candidate wins, as in a loop
         best = min(best, *(total - _joint_information(joints)[1]).tolist())
     return {
@@ -613,9 +593,4 @@ def spin_tomogram_axis(rho: DensityMatrix, theta: float, phi: float) -> Tomogram
     j = (d - 1) / 2, built on the ascending-m basis. Kept to d <= 4
     (spins 1/2, 1, 3/2).
     """
-    u = UnitaryMatrix(_axis_unitary(rho.dim, theta, phi))
-    return Tomogram(
-        probabilities=ProbVec(_readout(rho, u)),
-        unitary=u,
-        state_ref=rho.ref,
-    )
+    return tomogram(rho, UnitaryMatrix(_axis_unitary(rho.dim, theta, phi)))

@@ -21,8 +21,11 @@ from entrobox import (
     InequalityReport,
     ProbVec,
     cli,
+    minimize_entropy_batch,
+    minimize_tomographic_entropy,
     quantum_strong_subadditivity,
     quantum_subadditivity,
+    von_neumann,
 )
 from entrobox.cli import _cond_chain
 from entrobox.errors import NotPositiveError
@@ -54,6 +57,7 @@ from entrobox.tomography import (
     _DiscordColumns,
     _eigenbases,
     _joint_information,
+    _readout_min_columns,
     _readouts,
 )
 
@@ -247,6 +251,33 @@ class TestTomographyKernels:
         degenerate = 5 if dim == 4 else 6
         both = ("degenerate-reduction-1", "degenerate-reduction-2")
         assert flags == [padded + (both if k == degenerate else ()) for k in range(N)]
+
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_readout_min_columns(self, dim):
+        # each state gets its own search seed, so rows are split by hand
+        mats = _ginibre_batch(dim, 80 + dim)
+        seeds = [2**62 + 3 * k for k in range(N)]
+        batch = _readout_min_columns(mats, seeds, 1e-9)
+        for k in range(N):
+            alone = _readout_min_columns(mats[k : k + 1], seeds[k : k + 1], 1e-9)
+            assert _bits(_rows_of(batch, k)) == _bits(_rows_of(alone, 0)), k
+            for got, want in zip(batch, alone):
+                assert _bits({r: c[k] for r, c in got.counts.items()}) == _bits(
+                    {r: c[0] for r, c in want.counts.items()}
+                ), k
+
+        # the columns are the public per-state results
+        above, close = batch
+        for k, seed in enumerate(seeds):
+            rho = DensityMatrix(mats[k])
+            s = float(von_neumann(rho))
+            h = float(minimize_tomographic_entropy(rho, seed=seed)[1])
+            found = minimize_entropy_batch([rho], seeds=[seed])
+            assert _bits([above.lhs[k], above.rhs[k], close.lhs[k]]) == _bits([s, h, h - s]), k
+            assert above.counts["nfev"][k] == found.nfev[0], k
+            assert above.counts["unconverged"][k] == (not found.converged[0]), k
+            assert -1e-9 <= h - s <= 1e-6, k
 
 
 class TestChunkedSuite:

@@ -303,14 +303,14 @@ class TestRunSuite:
         # nfev sums every state's search over the job; unconverged counts
         # the states whose winning restart ran out of budget
         searches = []
-        search = cli.minimize_entropy_batch
+        search = tomography.minimize_entropy_batch
 
         def recorded(states, **kwargs):
             searches.append(search(states, **kwargs))
             searches[-1].converged[0] = False  # as if the first ran out
             return searches[-1]
 
-        monkeypatch.setattr(cli, "minimize_entropy_batch", recorded)
+        monkeypatch.setattr(tomography, "minimize_entropy_batch", recorded)
         report = run_suite(SuiteConfig(suite="tomographic", trials=3, seed=3, dims=[2, 3]))
         rows = {row["id"]: row for row in report["checks"]}
         assert len(searches) == 2
@@ -929,13 +929,14 @@ class TestMainEntry:
 
     def test_eval_readout_min_fails_when_the_search_misses(self, tmp_path, capsys, monkeypatch):
         # a minimum 1e-3 above S still clears the lower bound, so only the
-        # closeness check can catch the miss
-        def missed(states, restarts, budget, seeds):
+        # closeness check can catch the miss; as if each of the default 8
+        # restarts ran out of its 5000 evaluations
+        def missed(states, seeds):
             u = UnitaryMatrix(np.eye(states[0].dim))
             pairs = [(u, EntropyValue(float(von_neumann(s)) + 1e-3, "shannon")) for s in states]
-            return _Minima(pairs, [budget * restarts] * len(states), [False] * len(states))
+            return _Minima(pairs, [8 * 5000] * len(states), [False] * len(states))
 
-        monkeypatch.setattr(cli, "minimize_entropy_batch", missed)
+        monkeypatch.setattr(tomography, "minimize_entropy_batch", missed)
         path = write_json(tmp_path / "rho.json", serialize_density(validate_density(np.eye(2) / 2)))
         assert main(["eval", "--check", "readout-min", "--input", path]) == 1
         payload = json.loads(capsys.readouterr().out)
@@ -1059,6 +1060,89 @@ class TestMainEntry:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--check", "subadd"], ["check", "--suite", "classical", "--trials", "1"]],
+        ids=["eval", "check"],
+    )
+    def test_state_file_that_is_not_utf8_exits_two(self, argv, tmp_path):
+        # JSON text is UTF-8, and these bytes do not decode as UTF-8
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe[0.5,0.5]")
+        proc = subprocess.run(
+            [sys.executable, "-m", "entrobox.cli", *argv, "--input", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "utf-8" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--check", "subadd", "--input", "v4", "--shape", "2x99999999999999999999"],
+            ["eval", "--check", "subadd", "--input", "v4", "--shape", "2x9999999999999"],
+            ["eval", "--check", "q-subadd", "--input", "rho4", "--shape", "2x1048576"],
+            ["eval", "--check", "q-strong-subadd", "--input", "rho4", "--shape", "2x2x999999"],
+            ["check", "--suite", "classical", "--dims", "4,99999999999999999999"],
+            ["check", "--suite", "quantum", "--dims", "1048577"],
+            ["check", "--suite", "all", "--dims", "2,1048577"],
+            ["gen", "--kind", "simplex", "--dim", str(2**40 + 1), "--count", "1"],
+            ["gen", "--kind", "ginibre", "--dim", "1048577", "--count", "1"],
+        ],
+    )
+    def test_sizes_above_the_ceiling_exit_two(self, argv, state_files, tmp_path, capsys):
+        # refused before anything is allocated; gen makes no directory
+        argv = [state_files.get(a, a) for a in argv]
+        if argv[0] == "check":
+            argv += ["--trials", "1"]
+        if argv[0] == "gen":
+            argv += ["--output", str(tmp_path / "states")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "more than 2**40 entries" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "states").exists()
+
+    def test_the_ceiling_counts_entries(self):
+        cli._require_size(2**40, matrix=False)
+        cli._require_size(2**20, matrix=True)
+        with pytest.raises(ShapeMismatchError):
+            cli._require_size(2**40 + 1, matrix=False)
+        with pytest.raises(ShapeMismatchError):
+            cli._require_size(2**20 + 1, matrix=True)
+
+    def test_sizes_the_discord_suite_does_not_read_pass(self, capsys):
+        # its jobs are fixed at dims 3 and 4, whatever --dims says
+        assert main(["check", "--suite", "discord", "--trials", "1", "--dims", "99999999999999999999"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--suite", "quantum", "--trials", "1"],
+            ["gen", "--kind", "ginibre", "--dim", "3", "--count", "1"],
+        ],
+        ids=["check", "gen"],
+    )
+    def test_out_of_memory_exits_two(self, argv, tmp_path, capsys, monkeypatch):
+        # a size under the ceiling that does not fit in memory; the failing
+        # allocation is simulated, so nothing is allocated
+        def unable(dim, rng, n):
+            raise MemoryError(f"Unable to allocate an array with shape ({n}, {dim}, {dim})")
+
+        monkeypatch.setattr(cli, "ginibre", unable)
+        if argv[0] == "gen":
+            argv = [*argv, "--output", str(tmp_path / "states")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: not enough memory: Unable to allocate")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 def _eval_requests(tmp_path) -> list[list[str]]:

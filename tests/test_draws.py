@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from entrobox import cli
+from entrobox import cli, tomography
 from entrobox.cli import SuiteConfig, run_suite, serialize_density
 from entrobox.ensembles import ginibre
 from entrobox.qstate import validate_density
@@ -122,7 +122,7 @@ def test_extra_draws_are_the_oracle_draws(trials, with_input, inputs, monkeypatc
 
     monkeypatch.setattr(cli, "haar", recorded_haar)
     monkeypatch.setattr(cli, "_axis_unitary", recorded_axis)
-    monkeypatch.setattr(cli, "minimize_entropy_batch", recorded_search)
+    monkeypatch.setattr(tomography, "minimize_entropy_batch", recorded_search)
     dims = [2, 3]
     path = inputs[3] if with_input else None
     config = SuiteConfig(suite="tomographic", dims=dims, trials=trials, seed=SEED, input_path=path)

@@ -52,6 +52,8 @@ def files(tmp_path_factory) -> dict[str, str]:
         paths[key] = str(path)
     (folder / "garbage.json").write_text("[0.5, \"x\"")
     paths["garbage"] = str(folder / "garbage.json")
+    (folder / "latin.json").write_bytes(b"\xff\xfe[0.5,0.5]")  # not UTF-8
+    paths["latin"] = str(folder / "latin.json")
     paths["missing"] = str(folder / "missing.json")
     paths["report"] = str(folder / "report.json")
     paths["no-dir-report"] = str(folder / "no" / "dir" / "report.json")
@@ -78,7 +80,9 @@ COMMON = {
     "--output": ([None, "report"], ["no-dir-report"]),
 }
 STATES = ["v4", "v8", "rho2", "rho4", "diag4"]
-BROKEN_STATES = ["not-a-state", "nested", "float-dim", "bool-dim", "bool", "garbage", "missing"]
+BROKEN_STATES = [
+    "not-a-state", "nested", "float-dim", "bool-dim", "bool", "garbage", "latin", "missing"
+]
 
 
 @st.composite

@@ -162,4 +162,4 @@ class TestBudget:
     )
     def test_budget_below_start_simplex_raises(self, x0, budget):
         with pytest.raises(ValueError, match="cannot cover the initial 4 points"):
-            minimize_batch(batch_objective, x0, STEP, budget)
+            minimize_batch(batch_objective, x0, STEP, budget, fatol=FATOL, xatol=XATOL)

@@ -61,11 +61,9 @@ EXPORTED = {
     "qutrit_reductions",
     # tomography
     "UnitaryMatrix",
-    "UnitaryChart",
     "Tomogram",
     "DiscordReport",
     "validate_unitary",
-    "chart_to_unitary",
     "eigenbasis_unitary",
     "tomogram",
     "tomographic_entropy",
@@ -84,7 +82,7 @@ def test_all_has_no_duplicates():
 
 
 def test_all_is_the_exported_set():
-    assert len(EXPORTED) == 64
+    assert len(EXPORTED) == 62
     assert set(entrobox.__all__) == EXPORTED
 
 

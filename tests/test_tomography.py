@@ -1,5 +1,5 @@
-"""Tests for basis readouts, the unitary chart, entropy minimization,
-mutual-information deficits, and spin-axis readouts."""
+"""Tests for basis readouts, the readout search's chart, entropy
+minimization, mutual-information deficits, and spin-axis readouts."""
 
 from __future__ import annotations
 
@@ -17,9 +17,7 @@ from entrobox import (
     DimMismatchError,
     NotUnitaryError,
     ShapeMismatchError,
-    UnitaryChart,
     UnitaryMatrix,
-    chart_to_unitary,
     discord,
     discord_unitary_sweep,
     eigenbasis_unitary,
@@ -38,7 +36,7 @@ from entrobox import (
     von_neumann,
 )
 from entrobox.ensembles import dirichlet, ginibre, haar
-from entrobox.tomography import _assemble_generators
+from entrobox.tomography import _assemble_generators, _chart_unitaries
 
 LN2 = math.log(2.0)
 
@@ -68,59 +66,30 @@ class TestValidateUnitary:
 
 
 class TestUnitaryChart:
+    """The readout search's chart: a point is the zero-diagonal Hermitian
+    generator H of u = exp(i H)."""
+
     def test_zero_point_is_identity(self):
-        for dim in (2, 3, 4):
-            u = chart_to_unitary(UnitaryChart(dim, np.zeros(dim * dim)))
-            assert_allclose(u.matrix, np.eye(dim), atol=1e-15)
-
-    def test_wrong_parameter_count(self):
-        with pytest.raises(ShapeMismatchError):
-            UnitaryChart(3, np.zeros(8))
-
-    def test_chart_points_are_unitary(self):
-        rng = np.random.default_rng(7)
-        for dim in (2, 3, 4):
-            for _ in range(20):
-                params = rng.uniform(-math.pi, math.pi, dim * dim)
-                u = chart_to_unitary(UnitaryChart(dim, params)).matrix
-                assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-12)
+        for dim in (1, 2, 3, 4):
+            u = _chart_unitaries(np.zeros((1, dim * (dim - 1))), dim)[0]
+            assert_allclose(u, np.eye(dim), atol=1e-15)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_chart_unitarity_property(self, seed):
         rng = np.random.default_rng(seed)
-        dim = int(rng.integers(2, 5))
-        params = rng.normal(0.0, 2.0, dim * dim)
-        u = chart_to_unitary(UnitaryChart(dim, params)).matrix
-        assert float(np.abs(u @ u.conj().T - np.eye(dim)).max()) <= 1e-12
-
-    def test_chart_reaches_any_unitary(self):
-        # invert u = exp(iH) by taking the Hermitian log of a Haar sample,
-        # then check the chart maps those parameters back to u
-        rng = np.random.default_rng(11)
-        for dim in (2, 3, 4):
-            u = haar(dim, rng)
-            w, v = np.linalg.eig(u)
-            h = (v * np.angle(w)[None, :]) @ np.linalg.inv(v)
-            h = 0.5 * (h + h.conj().T)
-            rows, cols = np.triu_indices(dim, k=1)
-            off = h[rows, cols]
-            params = np.concatenate(
-                [h.diagonal().real, np.column_stack([off.real, off.imag]).reshape(-1)]
-            )
-            back = chart_to_unitary(UnitaryChart(dim, params)).matrix
-            assert_allclose(back, u, atol=1e-10)
+        dim = int(rng.integers(1, 6))
+        points = rng.normal(0.0, 2.0, (3, dim * (dim - 1)))
+        for u in _chart_unitaries(points, dim):
+            assert float(np.abs(u @ u.conj().T - np.eye(dim)).max()) <= 1e-12
 
 
 def explicit_generator(params: np.ndarray, dim: int) -> np.ndarray:
-    """The Hermitian generator of one chart point, entry by entry: the
-    diagonal (when given) first, then a (re, im) pair per strict upper
-    entry in row-major order, mirrored below as its conjugate."""
+    """The Hermitian generator of one search point, entry by entry: a
+    (re, im) pair per strict upper entry in row-major order, mirrored below
+    as its conjugate, and a zero diagonal."""
     h = np.zeros((dim, dim), dtype=complex)
-    k = len(params) - dim * (dim - 1)
-    for i in range(k):
-        h[i, i] = params[i]
-    pos = k
+    pos = 0
     for i in range(dim):
         for j in range(i + 1, dim):
             h[i, j] = complex(params[pos], params[pos + 1])
@@ -130,10 +99,9 @@ def explicit_generator(params: np.ndarray, dim: int) -> np.ndarray:
 
 
 class TestGeneratorMap:
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("diagonal", [True, False], ids=["full", "zero-diagonal"])
-    def test_matches_explicit_build(self, dim, diagonal):
-        n = dim * dim if diagonal else dim * (dim - 1)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5], ids=lambda dim: f"zero-diagonal-{dim}")
+    def test_matches_explicit_build(self, dim):
+        n = dim * (dim - 1)
         rng = np.random.default_rng(dim)
         points = np.vstack([np.zeros(n), rng.uniform(-math.pi, math.pi, (6, n))])
         built = _assemble_generators(points, dim)
@@ -228,7 +196,7 @@ class TestMinimizer:
         assert float(value) <= 1e-6
 
     def test_one_dimensional_states_need_no_search(self):
-        # the zero-diagonal slice of a 1 x 1 chart has no parameters
+        # a 1 x 1 search point has no parameters
         rho = validate_density(np.ones((1, 1)))
         [(u, value)] = minimize_entropy_batch([rho])
         assert u.matrix.shape == (1, 1)
