@@ -12,10 +12,11 @@ Usage examples::
 Exit codes: 0 when every check passed, 1 when any inequality check failed,
 2 when input could not be parsed or validated, out-of-range arguments
 included (a negative ``--seed`` or ``--trials``, an empty ``--dims`` or
-``--q``, a ``--q`` order that is not a finite value > 0, a ``--tolerance``
-that is not a finite value >= 0, an ``--input`` state that no job of the
-chosen suite takes, an output that cannot be written, a state size above
-``_MAX_ENTRIES`` entries or one that does not fit in memory).
+``--q``, a repeated ``--dims`` entry, a ``--q`` order that is not a finite
+value > 0, a ``--tolerance`` that is not a finite value >= 0, an
+``--input`` state that no job of the chosen suite takes, an output that
+cannot be written, a state size above ``_MAX_ENTRIES`` entries or one
+that does not fit in memory).
 
 Each named check is written once, and ``check`` and ``eval`` both run it.
 A suite is a list of jobs, each drawing ``trials`` states from one sampler
@@ -137,6 +138,8 @@ class SuiteConfig:
             raise ShapeMismatchError("need at least one dim, got an empty list")
         if self.dims and min(self.dims) < 2:
             raise ShapeMismatchError(f"need every dim >= 2, got {self.dims}")
+        if self.dims and len(set(self.dims)) < len(self.dims):
+            raise ShapeMismatchError(f"need distinct dims, got {self.dims}")
         if self.dims and self.suite != "discord":  # the discord jobs take no dims
             _require_size(max(self.dims), matrix=self.suite != "classical")
         if not self.q_values:
@@ -457,11 +460,9 @@ class _Chunk(NamedTuple):
 
 
 # A job's checks: a chunk of its rows and the configuration in; out, for
-# each check, its id, its columns over the chunk's rows and the provenance
-# of row i.
-_Checks = Callable[
-    [_Chunk, SuiteConfig], Iterable[tuple[str, CheckColumns, Callable[[int], str]]]
-]
+# each check, its columns over the chunk's rows, named by the check's id,
+# and the provenance of row i.
+_Checks = Callable[[_Chunk, SuiteConfig], Iterable[tuple[CheckColumns, Callable[[int], str]]]]
 
 
 class _Job(NamedTuple):
@@ -491,10 +492,10 @@ def _chunks(job: _Job, seed: int, input_state: State | None) -> Iterator[_Chunk]
         head, start = [], trials.stop
 
 
-def _labelled(chunk: _Chunk, checks: list[tuple[str, CheckColumns]]):
-    """(check id, columns, provenance) for each check of a chunk whose rows
-    are labelled by the chunk itself."""
-    return [(name, columns, chunk.provenance) for name, columns in checks]
+def _labelled(chunk: _Chunk, checks: Iterable[CheckColumns]):
+    """(columns, provenance) for each check of a chunk whose rows are
+    labelled by the chunk itself."""
+    return [(columns, chunk.provenance) for columns in checks]
 
 
 def _middle_bipartition(p8: np.ndarray) -> np.ndarray:
@@ -510,29 +511,23 @@ def _seven_checks(chunk: _Chunk, config: SuiteConfig):
     return _labelled(
         chunk,
         [
-            ("strong-subadd-7", _strong_subadd_columns(rows, (2, 2, 2), tol)),
-            ("subadd-7-adjacent", _subadd_columns(rows, (2, 4), tol)),
-            ("subadd-7-middle", _subadd_columns(mid, (2, 4), tol)),
+            _strong_subadd_columns(rows, (2, 2, 2), tol)._replace(name="strong-subadd-7"),
+            _subadd_columns(rows, (2, 4), tol)._replace(name="subadd-7-adjacent"),
+            _subadd_columns(mid, (2, 4), tol)._replace(name="subadd-7-middle"),
         ],
     )
 
 
 def _four_checks(chunk: _Chunk, config: SuiteConfig):
     rows, tol = chunk.rows, config.tolerance
-    checks = [
-        ("subadd-4", _subadd_columns(rows, (2, 2), tol)),
-        ("cond-chain-identity", _cond_chain(rows)),
-    ]
-    for q in config.q_values:
-        chain = _tsallis_chain_columns(rows, q, tol)
-        checks.append((chain.name, chain))
+    checks = [_subadd_columns(rows, (2, 2), tol)._replace(name="subadd-4"), _cond_chain(rows)]
+    checks += [_tsallis_chain_columns(rows, q, tol) for q in config.q_values]
     h = _shannon_rows(rows)
     worst = np.maximum(
         np.abs(_tsallis_rows(rows, 1.0 + 1e-4) - h),
         np.abs(_tsallis_rows(rows, 1.0 - 1e-4) - h),
     )
-    name = "tsallis-shannon-limit"
-    checks.append((name, _identity(name, worst, np.zeros(len(rows)), 1e-3)))
+    checks.append(_identity("tsallis-shannon-limit", worst, np.zeros(len(rows)), 1e-3))
     return _labelled(chunk, checks)
 
 
@@ -547,14 +542,13 @@ def _table_checks(chunk: _Chunk, config: SuiteConfig):
     dim, tol = rows.shape[1], config.tolerance
     checks = [pair(rows, shape, tol) for shape in admissible_shapes(dim, 2)]
     checks += [triple(rows, shape, tol) for shape in admissible_shapes(dim, 3)]
-    return _labelled(chunk, [(f"dim{dim}-{columns.name}", columns) for columns in checks])
+    return _labelled(chunk, [c._replace(name=f"dim{dim}-{c.name}") for c in checks])
 
 
 def _mixed_equality(chunk: _Chunk, config: SuiteConfig):
     # The maximally mixed state sits exactly on the subadditivity equality.
     pair = _q_subadd_columns(chunk.rows, (2, 2), config.tolerance)
-    name = "q-subadd-mixed-equality"
-    return _labelled(chunk, [(name, _identity(name, pair.lhs, pair.rhs, 1e-10))])
+    return _labelled(chunk, [_identity("q-subadd-mixed-equality", pair.lhs, pair.rhs, 1e-10)])
 
 
 def _readout_bound(chunk: _Chunk, config: SuiteConfig):
@@ -564,11 +558,9 @@ def _readout_bound(chunk: _Chunk, config: SuiteConfig):
     us = chunk.extras(lambda rng, n: haar(dim, rng, n))
     readout = _shannon_rows(_readouts(rows, us))
     entropy = _entropy_rows(rows)
-    name = f"dim{dim}-readout-bound"
     entropies = {"readout": readout, "von_neumann": entropy}
-    return _labelled(
-        chunk, [(name, CheckColumns(name, entropy, readout, entropies, config.tolerance))]
-    )
+    bound = CheckColumns(f"dim{dim}-readout-bound", entropy, readout, entropies, config.tolerance)
+    return _labelled(chunk, [bound])
 
 
 def _axis_checks(chunk: _Chunk, config: SuiteConfig):
@@ -586,8 +578,8 @@ def _axis_checks(chunk: _Chunk, config: SuiteConfig):
         return f"{chunk.provenance(i)},axis(theta={theta:.6f},phi={phi:.6f})"
 
     return [
-        ("axis-subadd", _subadd_columns(w, (2, 2), config.tolerance), provenance),
-        ("axis-cond-chain", _cond_chain(w), provenance),
+        (_subadd_columns(w, (2, 2), config.tolerance)._replace(name="axis-subadd"), provenance),
+        (_cond_chain(w)._replace(name="axis-cond-chain"), provenance),
     ]
 
 
@@ -596,38 +588,19 @@ def _readout_min_checks(chunk: _Chunk, config: SuiteConfig):
     seeds = chunk.extras(lambda rng, n: rng.integers(2**63, size=n)).tolist()
     checks = _readout_min_columns(chunk.rows, seeds, config.tolerance)
     dim = chunk.rows.shape[1]
-    return _labelled(chunk, [(f"dim{dim}-{columns.name}", columns) for columns in checks])
+    return _labelled(chunk, [c._replace(name=f"dim{dim}-{c.name}") for c in checks])
 
 
 def _discord_checks(chunk: _Chunk, config: SuiteConfig):
-    # Discord nonnegativity and the entropy chain S1 + S2 >= H12 >= S. A
-    # qutrit is padded to 4 x 4 first; its checks get ids of their own.
-    rows, tol = chunk.rows, config.tolerance
-    prefix = "qutrit-" if rows.shape[1] == 3 else ""
-    d = _discord_columns(rows)
-    entropies = {"s": d.s, "s1": d.s1, "s2": d.s2, "h12": d.h12, "information": d.information}
-    nonneg = CheckColumns(
-        "discord-nonneg", np.zeros(len(rows)), d.discord, entropies, tol, flags=d.flags
-    )
-    upper = CheckColumns(
-        f"{prefix}chain-upper", d.h12, d.s1 + d.s2, {"h12": d.h12, "s1": d.s1, "s2": d.s2}, tol
-    )
-    lower = CheckColumns(f"{prefix}chain-lower", d.s, d.h12, {"h12": d.h12, "s": d.s}, tol)
-    return _labelled(
-        chunk,
-        [
-            (f"{prefix}discord-nonneg", nonneg),
-            (f"{prefix}chain-upper", upper),
-            (f"{prefix}chain-lower", lower),
-        ],
-    )
+    # Discord nonnegativity and the entropy chain S1 + S2 >= H12 >= S.
+    return _labelled(chunk, _discord_columns(chunk.rows, config.tolerance)[0])
 
 
 def _diagonal_discord(chunk: _Chunk, config: SuiteConfig):
     # Diagonal states carry no quantum correlations: discord must vanish.
-    deficit = _discord_columns(chunk.rows).discord
-    name = "discord-diagonal-zero"
-    return _labelled(chunk, [(name, _identity(name, deficit, np.zeros(len(deficit)), 1e-10))])
+    (nonneg, _, _), _ = _discord_columns(chunk.rows, config.tolerance)
+    zero = np.zeros(len(chunk.rows))
+    return _labelled(chunk, [_identity("discord-diagonal-zero", nonneg.rhs, zero, 1e-10)])
 
 
 def _table_jobs(
@@ -689,11 +662,7 @@ class _Agg:
     failing: list[dict] = field(default_factory=list)
 
     def add(
-        self,
-        name: str,
-        columns: CheckColumns,
-        states: np.ndarray,
-        provenance: Callable[[int], str],
+        self, columns: CheckColumns, states: np.ndarray, provenance: Callable[[int], str]
     ) -> None:
         """Take a chunk's rows of one check; ``states`` are the rows' states
         and ``provenance(i)`` names row i's origin. A report, provenance and
@@ -715,10 +684,10 @@ class _Agg:
             self.failures += 1
             self.failing.append(
                 {
-                    "check": name,
+                    "check": rep.name,
                     "provenance": rep.provenance,
                     "gap": rep.gap,
-                    "report": {**rep.to_dict(), "name": name},
+                    "report": rep.to_dict(),
                     "state": _serialize_array(states[i]),
                 }
             )
@@ -754,11 +723,11 @@ def run_suite(config: SuiteConfig) -> dict:
     aggs: dict[str, _Agg] = {}
     for job in jobs:
         for chunk in _chunks(job, config.seed, input_state if job.takes(input_state) else None):
-            for name, columns, provenance in job.checks(chunk, config):
-                agg = aggs.get(name)
+            for columns, provenance in job.checks(chunk, config):
+                agg = aggs.get(columns.name)
                 if agg is None:
-                    agg = aggs[name] = _Agg()
-                agg.add(name, columns, chunk.rows, provenance)
+                    agg = aggs[columns.name] = _Agg()
+                agg.add(columns, chunk.rows, provenance)
 
     rows = [agg.row(name) for name, agg in aggs.items()]
     return {

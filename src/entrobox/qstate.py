@@ -193,22 +193,20 @@ def _padded_rows(mats: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _reduce_rows(mats: np.ndarray, plan: ReductionPlan) -> np.ndarray:
-    """:func:`reduce` of each matrix of a stack (n, d, d), as one einsum."""
-    factors = _factors(plan.factors, None, mats.shape[1])
+def _reduce_rows(mats: np.ndarray, factors: tuple[int, ...], kept: tuple[int, ...]) -> np.ndarray:
+    """:func:`reduce` of each matrix of a stack (n, d, d), as one einsum,
+    for ``factors`` and ``kept`` the caller has checked."""
     n = mats.shape[0]
     k = len(factors)
     tensor = _padded_rows(mats, math.prod(factors)).reshape((n,) + factors + factors)
     row = "abc"[:k]
     col = list("def"[:k])
     for axis in range(1, k + 1):
-        if axis not in plan.kept:
+        if axis not in kept:
             col[axis - 1] = row[axis - 1]
-    out_axes = "".join(row[i - 1] for i in plan.kept) + "".join(
-        col[i - 1] for i in plan.kept
-    )
+    out_axes = "".join(row[i - 1] for i in kept) + "".join(col[i - 1] for i in kept)
     reduced = np.einsum(f"z{row}{''.join(col)}->z{out_axes}", tensor)
-    d = plan.kept_dim
+    d = math.prod(factors[i - 1] for i in kept)
     return reduced.reshape(n, d, d)
 
 
@@ -221,7 +219,8 @@ def reduce(rho: DensityMatrix, plan: ReductionPlan) -> DensityMatrix:
     a single indivisible system. Trace is preserved exactly and positivity
     to numerical precision.
     """
-    return DensityMatrix(_reduce_rows(rho.matrix[None], plan)[0])
+    factors = _factors(plan.factors, None, rho.dim)
+    return DensityMatrix(_reduce_rows(rho.matrix[None], factors, plan.kept)[0])
 
 
 def _spectra(mats: np.ndarray) -> np.ndarray:
@@ -249,17 +248,12 @@ def von_neumann(rho: DensityMatrix) -> EntropyValue:
     return EntropyValue(float(_entropy_rows(rho.matrix[None])[0]), "von_neumann")
 
 
-def _reduced_entropies(mats: np.ndarray, factors, kept) -> np.ndarray:
-    """Von Neumann entropy of each matrix's reduction to ``kept``."""
-    return _entropy_rows(_reduce_rows(mats, ReductionPlan(factors, kept)))
-
-
 def _q_subadd_columns(mats: np.ndarray, factors, tolerance: float) -> CheckColumns:
     """:func:`quantum_subadditivity` of each matrix of a stack."""
     factors = _factors(factors, 2, mats.shape[1])
     s_joint = _entropy_rows(mats)
-    s1 = _reduced_entropies(mats, factors, (1,))
-    s2 = _reduced_entropies(mats, factors, (2,))
+    s1 = _entropy_rows(_reduce_rows(mats, factors, (1,)))
+    s2 = _entropy_rows(_reduce_rows(mats, factors, (2,)))
     return CheckColumns(
         name=f"q-subadd-{factors[0]}x{factors[1]}",
         lhs=s_joint,
@@ -287,9 +281,9 @@ def _q_strong_subadd_columns(mats: np.ndarray, factors, tolerance: float) -> Che
     """:func:`quantum_strong_subadditivity` of each matrix of a stack."""
     factors = _factors(factors, 3, mats.shape[1])
     s_joint = _entropy_rows(mats)
-    s12 = _reduced_entropies(mats, factors, (1, 2))
-    s23 = _reduced_entropies(mats, factors, (2, 3))
-    s2 = _reduced_entropies(mats, factors, (2,))
+    s12 = _entropy_rows(_reduce_rows(mats, factors, (1, 2)))
+    s23 = _entropy_rows(_reduce_rows(mats, factors, (2, 3)))
+    s2 = _entropy_rows(_reduce_rows(mats, factors, (2,)))
     return CheckColumns(
         name="q-strong-subadd-{}x{}x{}".format(*factors),
         lhs=s_joint + s2,

@@ -6,10 +6,12 @@ same orientation convention: the inequality under test is ``lhs <= rhs`` and
 are allowed to dip to ``-tolerance`` before a check is marked failed, which
 absorbs eigensolver and summation noise without hiding real violations.
 
-Checks over a stack of states return a :class:`CheckColumns` record, one
-entry per state in each column; :meth:`CheckColumns.report` turns one row
-into an :class:`InequalityReport`, so a report object is built only where
-one is wanted.
+Every check travels in one record, :class:`CheckColumns`, from the kernel
+that computes it over a stack of states to the report: one entry per state
+in each column, under the one name the check is known by. A report is built
+in one place, :func:`make_report`, which :meth:`CheckColumns.report` calls
+for one row of an inequality or an identity alike, so a report object is
+built only where one is wanted.
 """
 
 from __future__ import annotations
@@ -83,9 +85,14 @@ def make_report(
     entropies: dict[str, float],
     provenance: str = "",
     flags: tuple[str, ...] = (),
+    identity: bool = False,
 ) -> InequalityReport:
-    """Build a report, deriving ``gap`` and ``passed`` from the two sides."""
-    gap = rhs - lhs
+    """Build a report, deriving ``gap`` and ``passed`` from the two sides.
+
+    An inequality's gap is ``rhs - lhs``; an identity's (``identity=True``)
+    is ``-|lhs - rhs|``. Either passes iff ``gap >= -tolerance``.
+    """
+    gap = -abs(lhs - rhs) if identity else rhs - lhs
     return InequalityReport(
         name=name,
         lhs=lhs,
@@ -102,12 +109,13 @@ def make_report(
 class CheckColumns(NamedTuple):
     """One named check over a stack of n states, as columns.
 
-    ``lhs``, ``rhs`` and every entry of ``entropies`` are arrays (n,). An
-    inequality's gap is ``rhs - lhs``; an identity's (``identity=True``) is
-    ``-|lhs - rhs|``, so "gap >= -tolerance" is the test for both. Each
-    entry of ``flags`` is a boolean column saying which rows carry that
-    flag, and each entry of ``counts`` an integer column of work done per
-    row, which a suite sums over its rows.
+    ``name`` is the one id the check is known by, in a suite's table and in
+    each of its reports. ``lhs``, ``rhs`` and every entry of ``entropies``
+    are arrays (n,). An inequality's gap is ``rhs - lhs``; an identity's
+    (``identity=True``) is ``-|lhs - rhs|``, so "gap >= -tolerance" is the
+    test for both. Each entry of ``flags`` is a boolean column saying which
+    rows carry that flag, and each entry of ``counts`` an integer column of
+    work done per row, which a suite sums over its rows.
     """
 
     name: str
@@ -126,22 +134,14 @@ class CheckColumns(NamedTuple):
         return self.rhs - self.lhs
 
     def report(self, i: int, provenance: str = "") -> InequalityReport:
-        """The report of row ``i``."""
-        lhs = float(self.lhs[i])
-        rhs = float(self.rhs[i])
-        entropies = {role: float(column[i]) for role, column in self.entropies.items()}
-        flags = tuple(flag for flag, rows in (self.flags or {}).items() if rows[i])
-        if not self.identity:
-            return make_report(self.name, lhs, rhs, self.tolerance, entropies, provenance, flags)
-        diff = abs(lhs - rhs)
-        return InequalityReport(
-            name=self.name,
-            lhs=lhs,
-            rhs=rhs,
-            gap=-diff,
-            tolerance=self.tolerance,
-            passed=bool(diff <= self.tolerance),
-            entropies=entropies,
-            provenance=provenance,
-            flags=flags,
+        """The report of row ``i``, built by :func:`make_report`."""
+        return make_report(
+            self.name,
+            float(self.lhs[i]),
+            float(self.rhs[i]),
+            self.tolerance,
+            {role: float(column[i]) for role, column in self.entropies.items()},
+            provenance,
+            tuple(flag for flag, rows in (self.flags or {}).items() if rows[i]),
+            self.identity,
         )

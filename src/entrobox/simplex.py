@@ -299,7 +299,8 @@ def marginal3(table: ProbTable, keep: tuple[int, ...]):
 
 def _shannon_rows(rows: np.ndarray) -> np.ndarray:
     """Shannon entropy of each row (the last axis) of a stack."""
-    return -xlogy(rows, rows).sum(axis=-1)
+    # 0.0 - x, not -x: a zero entropy is 0.0, not -0.0
+    return 0.0 - xlogy(rows, rows).sum(axis=-1)
 
 
 def shannon(p: ProbVec) -> EntropyValue:
@@ -311,8 +312,10 @@ def _tsallis_rows(rows: np.ndarray, q: float) -> np.ndarray:
     """Tsallis entropy of order ``q`` of each row of a stack."""
     if abs(q - 1.0) < _Q_SHANNON_WINDOW:
         return _shannon_rows(rows)
-    # 0**q = 0 for q > 0, which numpy honors.
-    return (np.power(rows, q).sum(axis=-1) - 1.0) / (1.0 - q)
+    # 0**q = 0 for q > 0, which numpy honors; adding 0.0 turns -0.0 into 0.0.
+    t = (np.power(rows, q).sum(axis=-1) - 1.0) / (1.0 - q)
+    t += 0.0
+    return t
 
 
 def _order(q) -> float:

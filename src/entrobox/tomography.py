@@ -9,13 +9,17 @@ equality exactly when u diagonalizes rho, so minimizing over u recovers
 the spectral entropy. The search for that minimum runs over zero-diagonal
 Hermitian generators H of u = exp(i H); no chart of the unitary group is
 public. Reading joint/marginal tomograms of the artificial two-qubit
-split of a 4 x 4 matrix yields a mutual information, and its deficit
-against the von Neumann mutual information is the discord-type measure
-computed here.
+split of a 4 x 4 matrix yields a mutual information, the subadditivity
+gap H(w1) + H(w2) - H(w12) of the joint readout read as a 2 x 2 table;
+its deficit against the von Neumann mutual information is the
+discord-type measure computed here.
 
 Readouts, eigenbases, the readout-minimum check and the discord measure
 are each one private kernel over a stack of matrices (n, d, d); each
-public single-state function is its kernel run on a batch of one.
+public single-state function is its kernel run on a batch of one. The
+checks come out as :class:`CheckColumns`, the discord family's too: its
+``discord-nonneg`` check carries every entropy and flag a
+:class:`DiscordReport` is read from.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import xlogy
@@ -47,8 +50,8 @@ from .qstate import (
     _reduce_rows,
     reduce,
 )
-from .report import CheckColumns
-from .simplex import EntropyValue, ProbVec, _freeze, _shannon_rows
+from .report import GAP_TOLERANCE, CheckColumns
+from .simplex import EntropyValue, ProbVec, _freeze, _shannon_rows, _subadd_columns
 
 __all__ = [
     "UnitaryMatrix",
@@ -434,20 +437,12 @@ def tomographic_information(
 ) -> float:
     """Mutual information of the joint readout under the local basis pair.
 
-    I(u1, u2) = H(w1) + H(w2) - H(w12) for the artificial two-qubit split;
-    nonnegative by subadditivity of the joint readout.
+    I(u1, u2) = H(w1) + H(w2) - H(w12) for the artificial two-qubit split:
+    the subadditivity gap of the joint readout read as a 2 x 2 table, so
+    nonnegative.
     """
-    return float(_joint_information(_joint_readout(rho, u1, u2)[None])[1][0])
-
-
-def _joint_information(joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(H12, H1 + H2 - H12) of each 4-outcome readout row of a stack, read
-    as a 2 x 2 table."""
-    table = joints.reshape(-1, 2, 2)
-    h12 = _shannon_rows(joints)
-    h1 = _shannon_rows(table.sum(axis=2))
-    h2 = _shannon_rows(table.sum(axis=1))
-    return h12, h1 + h2 - h12
+    joint = _joint_readout(rho, u1, u2)[None]
+    return float(_subadd_columns(joint, (2, 2), GAP_TOLERANCE).gaps()[0])
 
 
 def _kron_rows(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -456,59 +451,61 @@ def _kron_rows(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return (u1[:, :, None, :, None] * u2[:, None, :, None, :]).reshape(-1, 4, 4)
 
 
-class _DiscordColumns(NamedTuple):
-    """:func:`discord` of each state of a stack, as columns (n,): the
-    entropies, the classical ``information`` and the ``discord`` deficit,
-    a boolean column per flag, and the states as read (a qutrit padded)."""
-
-    s: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-    h12: np.ndarray
-    information: np.ndarray
-    discord: np.ndarray
-    flags: dict[str, np.ndarray]
-    states: np.ndarray
-
-
-def _discord_columns(mats: np.ndarray) -> _DiscordColumns:
-    """:func:`discord` of each matrix of a stack of 4 x 4 or 3 x 3 states."""
+def _discord_columns(
+    mats: np.ndarray, tolerance: float
+) -> tuple[tuple[CheckColumns, CheckColumns, CheckColumns], np.ndarray]:
+    """:func:`discord` of each matrix of a stack of 4 x 4 or 3 x 3 states,
+    as the family's three checks, and the states as read (a qutrit padded):
+    ``discord-nonneg``, the deficit (S1 + S2 - S) - I >= 0 with every
+    entropy and flag of a :class:`DiscordReport`, then ``chain-upper`` and
+    ``chain-lower``, the chain S1 + S2 >= H12 >= S. A qutrit's check ids
+    carry the prefix ``qutrit-``, next to its ``padded-qutrit`` flag.
+    """
     n, dim = mats.shape[:2]
     if dim == 3:
         mats = _padded_rows(mats, 4)
     elif dim != 4:
         raise ShapeMismatchError(f"expected a 4 x 4 or 3 x 3 state, got {dim}")
+    prefix = "qutrit-" if dim == 3 else ""
 
-    r1 = _reduce_rows(mats, ReductionPlan((2, 2), (1,)))
-    r2 = _reduce_rows(mats, ReductionPlan((2, 2), (2,)))
+    r1 = _reduce_rows(mats, (2, 2), (1,))
+    r2 = _reduce_rows(mats, (2, 2), (2,))
     u1, deg1 = _eigenbases(r1)
     u2, deg2 = _eigenbases(r2)
     s = _entropy_rows(mats)
     s1 = _entropy_rows(r1)
     s2 = _entropy_rows(r2)
-    h12, information = _joint_information(_readouts(mats, _kron_rows(u1, u2)))
+    joint = _subadd_columns(_readouts(mats, _kron_rows(u1, u2)), (2, 2), tolerance)
+    h12, information = joint.lhs, joint.gaps()
     flags = {
         "padded-qutrit": np.full(n, dim == 3),
         "degenerate-reduction-1": deg1,
         "degenerate-reduction-2": deg2,
     }
+    entropies = {"s": s, "s1": s1, "s2": s2, "h12": h12, "information": information}
     deficit = (s1 + s2 - s) - information
-    return _DiscordColumns(s, s1, s2, h12, information, deficit, flags, mats)
+    nonneg = CheckColumns(
+        f"{prefix}discord-nonneg", np.zeros(n), deficit, entropies, tolerance, flags=flags
+    )
+    upper = CheckColumns(
+        f"{prefix}chain-upper", h12, s1 + s2, {"h12": h12, "s1": s1, "s2": s2}, tolerance
+    )
+    lower = CheckColumns(f"{prefix}chain-lower", s, h12, {"h12": h12, "s": s}, tolerance)
+    return (nonneg, upper, lower), mats
 
 
-def _discord_report(cols: _DiscordColumns, i: int, provenance: str = "") -> DiscordReport:
-    """The :class:`DiscordReport` of row ``i``."""
-    s, s1, s2, h12 = (float(c[i]) for c in (cols.s, cols.s1, cols.s2, cols.h12))
+def _discord_report(
+    nonneg: CheckColumns, i: int, state: np.ndarray, provenance: str = ""
+) -> DiscordReport:
+    """The :class:`DiscordReport` of row ``i`` of a ``discord-nonneg``
+    check, whose state as read is ``state``."""
+    e = {role: float(column[i]) for role, column in nonneg.entropies.items()}
     return DiscordReport(
-        s=s,
-        s1=s1,
-        s2=s2,
-        h12=h12,
-        information=float(cols.information[i]),
-        discord=float(cols.discord[i]),
-        chain=(s1 + s2 - h12, h12 - s, s1 + s2 - s),
-        flags=tuple(flag for flag, rows in cols.flags.items() if rows[i]),
-        state_ref=_content_ref(cols.states[i]),
+        **e,
+        discord=float(nonneg.rhs[i]),
+        chain=(e["s1"] + e["s2"] - e["h12"], e["h12"] - e["s"], e["s1"] + e["s2"] - e["s"]),
+        flags=tuple(flag for flag, rows in nonneg.flags.items() if rows[i]),
+        state_ref=_content_ref(state),
         provenance=provenance,
     )
 
@@ -521,7 +518,8 @@ def discord(rho: DensityMatrix, provenance: str = "") -> DiscordReport:
     and the deficit (S1 + S2 - S) - I reduces to H12 - S >= 0. Qutrit
     input is padded to 4 x 4 first, which leaves every entropy unchanged.
     """
-    return _discord_report(_discord_columns(rho.matrix[None]), 0, provenance)
+    (nonneg, _, _), states = _discord_columns(rho.matrix[None], GAP_TOLERANCE)
+    return _discord_report(nonneg, 0, states[0], provenance)
 
 
 def discord_unitary_sweep(
@@ -533,8 +531,8 @@ def discord_unitary_sweep(
     and reports the smallest deficit seen. The reported discord is always
     the eigenbasis value; this sweep only gauges how tight that choice is.
     """
-    cols = _discord_columns(rho.matrix[None])
-    base = _discord_report(cols, 0)
+    (nonneg, _, _), states = _discord_columns(rho.matrix[None], GAP_TOLERANCE)
+    base = _discord_report(nonneg, 0, states[0])
     total = base.s1 + base.s2 - base.s
     best = base.discord
     rng = np.random.default_rng(seed)
@@ -543,9 +541,10 @@ def discord_unitary_sweep(
         # at once.
         pairs = np.stack([(haar(2, rng), haar(2, rng)) for _ in range(samples)])
         kron = _kron_rows(pairs[:, 0], pairs[:, 1])
-        joints = _readouts(np.repeat(cols.states, samples, axis=0), kron)
+        joints = _readouts(np.repeat(states, samples, axis=0), kron)
+        information = _subadd_columns(joints, (2, 2), GAP_TOLERANCE).gaps()
         # the first strictly smaller candidate wins, as in a loop
-        best = min(best, *(total - _joint_information(joints)[1]).tolist())
+        best = min(best, *(total - information).tolist())
     return {
         "discord_eigenbasis": base.discord,
         "discord_min_sampled": float(best),

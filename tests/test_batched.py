@@ -32,7 +32,6 @@ from entrobox.errors import NotPositiveError
 from entrobox.ensembles import diagonal_density, dirichlet, ginibre, haar
 from entrobox.qstate import (
     DensityMatrix,
-    ReductionPlan,
     _entropy_rows,
     _q_strong_subadd_columns,
     _q_subadd_columns,
@@ -54,9 +53,7 @@ from entrobox.tomography import (
     DiscordReport,
     _discord_columns,
     _discord_report,
-    _DiscordColumns,
     _eigenbases,
-    _joint_information,
     _readout_min_columns,
     _readouts,
 )
@@ -83,12 +80,10 @@ def _bits(obj):
 
 
 def _rows_of(out, k: int):
-    """Row ``k`` of a kernel's output: the report of a check's columns (or
-    of discord columns), a tuple of arrays, or an array."""
+    """Row ``k`` of a kernel's output: the report of a check's columns, a
+    tuple of outputs, or an array."""
     if isinstance(out, CheckColumns):
         return out.report(k)
-    if isinstance(out, _DiscordColumns):
-        return _discord_report(out, k)
     if isinstance(out, tuple):
         return tuple(_rows_of(part, k) for part in out)
     return out[k]
@@ -194,9 +189,8 @@ class TestQuantumKernels:
     )
     def test_stacked_reductions_match_loop_oracle(self, dim, factors, kept):
         mats = _ginibre_batch(dim, 20 + dim)
-        plan = ReductionPlan(factors, kept)
-        _assert_batch_invariant(_reduce_rows, mats, plan)
-        got = _reduce_rows(mats, plan)
+        _assert_batch_invariant(_reduce_rows, mats, factors, kept)
+        got = _reduce_rows(mats, factors, kept)
         for k in range(N):
             want = reduce_brute(mats[k], factors, kept)
             np.testing.assert_allclose(got[k], want, rtol=0, atol=1e-15)
@@ -233,7 +227,7 @@ class TestTomographyKernels:
         for k in range(N):
             alone = _readouts(mats[k : k + 1], us[k : k + 1])
             assert _bits(batch[k]) == _bits(alone[0])
-        _assert_batch_invariant(_joint_information, _vectors(4, 60))
+        _assert_batch_invariant(_subadd_columns, _vectors(4, 60), (2, 2), 1e-9)
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_discord_reports(self, dim):
@@ -242,9 +236,20 @@ class TestTomographyKernels:
             # the padded mixed qutrit reduces to (2/3, 1/3) twice; this
             # qutrit reduces to (1/2, 1/2) twice
             mats[6] = np.diag([0.0, 0.5, 0.5])
-        _assert_batch_invariant(_discord_columns, mats)
-        columns = _discord_columns(mats)
-        flags = [_discord_report(columns, k).flags for k in range(N)]
+        _assert_batch_invariant(_discord_columns, mats, 1e-9)
+        (nonneg, upper, lower), states = _discord_columns(mats, 1e-9)
+        prefix = "qutrit-" if dim == 3 else ""
+        assert [nonneg.name, upper.name, lower.name] == [
+            f"{prefix}discord-nonneg",
+            f"{prefix}chain-upper",
+            f"{prefix}chain-lower",
+        ]
+        reports = [_discord_report(nonneg, k, states[k]) for k in range(N)]
+        for k, rep in enumerate(reports):
+            assert _bits(rep.chain) == _bits(
+                [float(upper.gaps()[k]), float(lower.gaps()[k]), rep.s1 + rep.s2 - rep.s]
+            ), k
+        flags = [rep.flags for rep in reports]
         padded = ("padded-qutrit",) if dim == 3 else ()
         # only that row has degenerate reductions; the diagonal state's
         # reductions do not

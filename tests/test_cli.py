@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import entrobox.report
 from entrobox import (
     DensityMatrix,
     InequalityReport,
@@ -597,6 +598,26 @@ class TestFailingInstances:
             assert json.dumps(entry["report"]) == json.dumps(expected), entry["check"]
             assert entry["gap"] == want.gap
 
+    def test_every_report_is_built_by_make_report(self, tmp_path, capsys, monkeypatch):
+        # identities included, so that one function sees every report built
+        built: list[str] = []
+        make = entrobox.report.make_report
+
+        def counted(*args, **kwargs):
+            rep = make(*args, **kwargs)
+            built.append(rep.name)
+            return rep
+
+        monkeypatch.setattr(entrobox.report, "make_report", counted)
+        path = write_json(tmp_path / "p.json", [0.1, 0.2, 0.3, 0.4])
+        assert main(["eval", "--check", "cond-chain", "--input", path]) == 0
+        assert built == ["cond-chain-identity"]
+        built.clear()
+        report = _forced_failure_report("classical", monkeypatch, trials=2, dims=[4])
+        failing = [entry["check"] for entry in report["failing_instances"]]
+        assert "cond-chain-identity" in failing
+        assert sorted(built) == sorted(failing)
+
     def test_a_forced_failure_exits_one_with_every_instance_listed(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -737,6 +758,22 @@ class TestMainEntry:
         payload = json.loads(capsys.readouterr().out)
         assert payload["gap"] == 0.0 and payload["passed"]
 
+    @pytest.mark.parametrize(
+        "payload, argv",
+        [
+            ([1.0, 0.0, 0.0, 0.0], ["--check", "subadd"]),
+            ([1.0, 0.0, 0.0, 0.0], ["--check", "tsallis-chain", "--q", "2"]),
+            ({"dim": 1, "re": [[1.0]]}, ["--check", "readout-min"]),
+            ({"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]]}, ["--check", "q-subadd", "--shape", "2x2"]),
+        ],
+    )
+    def test_a_zero_entropy_is_reported_as_a_positive_zero(self, payload, argv, tmp_path, capsys):
+        path = write_json(tmp_path / "state.json", payload)
+        assert main(["eval", *argv, "--input", path]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["lhs"] == 0.0
+        assert re.search(r"-0\.0(?![\d.e])", out) is None, out
+
     def test_malformed_input_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("[0.1, 0.2, \"x\"]")
@@ -844,6 +881,10 @@ class TestMainEntry:
             ["--suite", "classical", "--trials", "-3"],
             ["--suite", "quantum", "--dims", "1", "--trials", "1"],
             ["--suite", "classical", "--dims", "4,0,7", "--trials", "1"],
+            # a repeated dim would run two jobs under one check id
+            ["--suite", "classical", "--dims", "4,4", "--trials", "1"],
+            ["--suite", "quantum", "--dims", "3,3", "--trials", "4"],
+            ["--suite", "tomographic", "--dims", "2,3,2", "--trials", "1"],
         ],
     )
     def test_out_of_range_check_arguments_exit_two(self, argv, capsys):
