@@ -12,11 +12,12 @@ Usage examples::
 Exit codes: 0 when every check passed, 1 when any inequality check failed,
 2 when input could not be parsed or validated, out-of-range arguments
 included (a negative ``--seed`` or ``--trials``, an empty ``--dims`` or
-``--q``, a repeated ``--dims`` entry, a ``--q`` order that is not a finite
-value > 0, a ``--tolerance`` that is not a finite value >= 0, an
-``--input`` state that no job of the chosen suite takes, an output that
-cannot be written, a state size above ``_MAX_ENTRIES`` entries or one
-that does not fit in memory).
+``--q``, a repeated ``--dims`` entry, any ``--dims`` for the discord
+suite, whose states are fixed at 4 x 4 and 3 x 3, a ``--q`` order that
+is not a finite value > 0, a ``--tolerance`` that is not a finite value
+>= 0, an ``--input`` state that no job of the chosen suite takes, an
+output that cannot be written, a state size above ``_MAX_ENTRIES``
+entries or one that does not fit in memory).
 
 Each named check is written once, and ``check`` and ``eval`` both run it.
 A suite is a list of jobs, each drawing ``trials`` states from one sampler
@@ -70,8 +71,7 @@ from .errors import BadOrderError, EntroboxError, NotHermitianError, ShapeMismat
 from .qstate import (
     DensityMatrix,
     _entropy_rows,
-    _q_strong_subadd_columns,
-    _q_subadd_columns,
+    _q_table_columns,
     quantum_strong_subadditivity,
     quantum_subadditivity,
     validate_density,
@@ -134,13 +134,15 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         if self.trials < 0:
             raise ShapeMismatchError(f"need trials >= 0, got {self.trials}")
+        if self.dims is not None and self.suite == "discord":
+            raise ShapeMismatchError("the discord suite takes no --dims")
         if self.dims is not None and not self.dims:
             raise ShapeMismatchError("need at least one dim, got an empty list")
         if self.dims and min(self.dims) < 2:
             raise ShapeMismatchError(f"need every dim >= 2, got {self.dims}")
         if self.dims and len(set(self.dims)) < len(self.dims):
             raise ShapeMismatchError(f"need distinct dims, got {self.dims}")
-        if self.dims and self.suite != "discord":  # the discord jobs take no dims
+        if self.dims:
             _require_size(max(self.dims), matrix=self.suite != "classical")
         if not self.q_values:
             raise ShapeMismatchError("need at least one Tsallis order, got an empty list")
@@ -535,19 +537,19 @@ def _table_checks(chunk: _Chunk, config: SuiteConfig):
     # Subadditivity of every admissible 2-factor rereading of the states at
     # their own dim, then strong subadditivity of every 3-factor one.
     rows = chunk.rows
-    if rows.ndim == 2:
-        pair, triple = _subadd_columns, _strong_subadd_columns
-    else:
-        pair, triple = _q_subadd_columns, _q_strong_subadd_columns
     dim, tol = rows.shape[1], config.tolerance
-    checks = [pair(rows, shape, tol) for shape in admissible_shapes(dim, 2)]
-    checks += [triple(rows, shape, tol) for shape in admissible_shapes(dim, 3)]
+    shapes = admissible_shapes(dim, 2) + admissible_shapes(dim, 3)
+    if rows.ndim == 3:
+        checks = _q_table_columns(rows, shapes, tol)
+    else:
+        kernels = {2: _subadd_columns, 3: _strong_subadd_columns}
+        checks = [kernels[len(shape)](rows, shape, tol) for shape in shapes]
     return _labelled(chunk, [c._replace(name=f"dim{dim}-{c.name}") for c in checks])
 
 
 def _mixed_equality(chunk: _Chunk, config: SuiteConfig):
     # The maximally mixed state sits exactly on the subadditivity equality.
-    pair = _q_subadd_columns(chunk.rows, (2, 2), config.tolerance)
+    [pair] = _q_table_columns(chunk.rows, [(2, 2)], config.tolerance)
     return _labelled(chunk, [_identity("q-subadd-mixed-equality", pair.lhs, pair.rhs, 1e-10)])
 
 

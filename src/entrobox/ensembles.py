@@ -25,8 +25,9 @@ __all__ = [
 def spawn_seeds(master_seed: int, count: int) -> list[np.random.SeedSequence]:
     """Child seed sequences for ``count`` states, derived from one master.
 
-    Child ``i`` depends only on ``(master_seed, i)``, so trial ``i`` is the
-    same state no matter the batch or thread layout.
+    Child ``i`` depends only on ``(master_seed, i)``. No program path calls
+    this: a suite job and ``gen`` draw every state from one generator each.
+    It stays while the benchmark's per-layer tracer wraps it by name.
     """
     return np.random.SeedSequence(master_seed).spawn(count)
 

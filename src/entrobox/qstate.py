@@ -11,8 +11,10 @@ subadditivity even though no physical subsystems exist.
 
 Every check is computed by one private kernel over a stack of matrices, an
 ``(n, d, d)`` array, with reductions done by one batched ``einsum`` and
-entropies by one stacked ``eigvalsh``; a kernel returns its check as
-columns (:class:`CheckColumns`). Each public single-matrix function is its
+entropies by one stacked ``eigvalsh`` pass per matrix size: the quantum
+tables of a chunk stack every spectrum they need, the joint one included,
+and diagonalize each size once. A kernel returns its check as columns
+(:class:`CheckColumns`). Each public single-matrix function is its
 kernel run on a batch of one, so a state's result does not depend on the
 batch it was checked in.
 """
@@ -248,19 +250,56 @@ def von_neumann(rho: DensityMatrix) -> EntropyValue:
     return EntropyValue(float(_entropy_rows(rho.matrix[None])[0]), "von_neumann")
 
 
-def _q_subadd_columns(mats: np.ndarray, factors, tolerance: float) -> CheckColumns:
-    """:func:`quantum_subadditivity` of each matrix of a stack."""
-    factors = _factors(factors, 2, mats.shape[1])
-    s_joint = _entropy_rows(mats)
-    s1 = _entropy_rows(_reduce_rows(mats, factors, (1,)))
-    s2 = _entropy_rows(_reduce_rows(mats, factors, (2,)))
-    return CheckColumns(
-        name=f"q-subadd-{factors[0]}x{factors[1]}",
-        lhs=s_joint,
-        rhs=s1 + s2,
-        entropies={"joint": s_joint, "part1": s1, "part2": s2},
-        tolerance=tolerance,
-    )
+# The reductions each table check takes, by role, for 2 and 3 factors.
+_TABLE_ROLES = {
+    2: {"part1": (1,), "part2": (2,)},
+    3: {"pair12": (1, 2), "pair23": (2, 3), "part2": (2,)},
+}
+
+
+def _entropy_rows_by_size(stacks: list[np.ndarray]) -> list[np.ndarray]:
+    """:func:`_entropy_rows` of each of a list of equally long stacks, with
+    all stacks of one matrix size taken in one stacked pass. A bad matrix
+    is rejected as the stack-by-stack loop rejects it: the first one in
+    list order."""
+    n = len(stacks[0])
+    groups: dict[int, list[int]] = {}
+    for i, stack in enumerate(stacks):
+        groups.setdefault(stack.shape[1], []).append(i)
+    out: list[np.ndarray] = [None] * len(stacks)
+    try:
+        for members in groups.values():
+            flat = _entropy_rows(np.concatenate([stacks[i] for i in members]))
+            for j, i in enumerate(members):
+                out[i] = flat[j * n : (j + 1) * n]
+    except NotPositiveError:
+        for stack in stacks:
+            _entropy_rows(stack)
+        raise
+    return out
+
+
+def _q_table_columns(mats: np.ndarray, shapes, tolerance: float) -> list[CheckColumns]:
+    """:func:`quantum_subadditivity` (2 factors) or
+    :func:`quantum_strong_subadditivity` (3 factors) of each matrix of a
+    stack, for each of the checked ``shapes`` in turn. The joint entropy is
+    taken once, and every spectrum of one matrix size in one pass."""
+    stacks = [mats]
+    for shape in shapes:
+        stacks += [_reduce_rows(mats, shape, kept) for kept in _TABLE_ROLES[len(shape)].values()]
+    entropies = iter(_entropy_rows_by_size(stacks))
+    s_joint = next(entropies)
+    checks = []
+    for shape in shapes:
+        s = {role: next(entropies) for role in _TABLE_ROLES[len(shape)]}
+        if len(shape) == 2:
+            name, lhs, rhs = "q-subadd", s_joint, s["part1"] + s["part2"]
+        else:
+            name = "q-strong-subadd"
+            lhs, rhs = s_joint + s["part2"], s["pair12"] + s["pair23"]
+        name += "-" + "x".join(map(str, shape))
+        checks.append(CheckColumns(name, lhs, rhs, {"joint": s_joint, **s}, tolerance))
+    return checks
 
 
 def quantum_subadditivity(
@@ -274,23 +313,8 @@ def quantum_subadditivity(
     ``rho`` is padded to the product of ``factors`` if needed; padding
     leaves S(rho) unchanged.
     """
-    return _q_subadd_columns(rho.matrix[None], factors, tolerance).report(0, provenance)
-
-
-def _q_strong_subadd_columns(mats: np.ndarray, factors, tolerance: float) -> CheckColumns:
-    """:func:`quantum_strong_subadditivity` of each matrix of a stack."""
-    factors = _factors(factors, 3, mats.shape[1])
-    s_joint = _entropy_rows(mats)
-    s12 = _entropy_rows(_reduce_rows(mats, factors, (1, 2)))
-    s23 = _entropy_rows(_reduce_rows(mats, factors, (2, 3)))
-    s2 = _entropy_rows(_reduce_rows(mats, factors, (2,)))
-    return CheckColumns(
-        name="q-strong-subadd-{}x{}x{}".format(*factors),
-        lhs=s_joint + s2,
-        rhs=s12 + s23,
-        entropies={"joint": s_joint, "pair12": s12, "pair23": s23, "part2": s2},
-        tolerance=tolerance,
-    )
+    shape = _factors(factors, 2, rho.dim)
+    return _q_table_columns(rho.matrix[None], [shape], tolerance)[0].report(0, provenance)
 
 
 def quantum_strong_subadditivity(
@@ -300,7 +324,8 @@ def quantum_strong_subadditivity(
     provenance: str = "",
 ) -> InequalityReport:
     """Check S(R12) + S(R23) >= S(rho) + S(R2) for the 3-factor rereading."""
-    return _q_strong_subadd_columns(rho.matrix[None], factors, tolerance).report(0, provenance)
+    shape = _factors(factors, 3, rho.dim)
+    return _q_table_columns(rho.matrix[None], [shape], tolerance)[0].report(0, provenance)
 
 
 def qutrit_reductions(rho: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import xlogy
@@ -369,7 +370,13 @@ def admissible_shapes(dim: int, factors: int) -> list[tuple[int, ...]]:
     similarly for 3. Ordered factorizations are kept distinct because the
     row-major bijection makes (2, 4) and (4, 2) genuinely different tables.
     """
-    return _exact_shapes(minimal_padded_dim(dim, factors), factors)
+    return list(_admissible_shapes(dim, factors))
+
+
+# A suite asks for the same few dims' shapes on every chunk.
+@lru_cache(maxsize=256)
+def _admissible_shapes(dim: int, factors: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(_exact_shapes(minimal_padded_dim(dim, factors), factors))
 
 
 def _padded_tables(rows: np.ndarray, shape, k: int):

@@ -468,13 +468,13 @@ def _discord_columns(
         raise ShapeMismatchError(f"expected a 4 x 4 or 3 x 3 state, got {dim}")
     prefix = "qutrit-" if dim == 3 else ""
 
-    r1 = _reduce_rows(mats, (2, 2), (1,))
-    r2 = _reduce_rows(mats, (2, 2), (2,))
-    u1, deg1 = _eigenbases(r1)
-    u2, deg2 = _eigenbases(r2)
+    # both reductions, stacked: one eigenbasis pass and one entropy pass
+    parts = np.concatenate([_reduce_rows(mats, (2, 2), (1,)), _reduce_rows(mats, (2, 2), (2,))])
+    us, degenerate = _eigenbases(parts)
+    u1, u2, deg1, deg2 = us[:n], us[n:], degenerate[:n], degenerate[n:]
     s = _entropy_rows(mats)
-    s1 = _entropy_rows(r1)
-    s2 = _entropy_rows(r2)
+    s_parts = _entropy_rows(parts)
+    s1, s2 = s_parts[:n], s_parts[n:]
     joint = _subadd_columns(_readouts(mats, _kron_rows(u1, u2)), (2, 2), tolerance)
     h12, information = joint.lhs, joint.gaps()
     flags = {

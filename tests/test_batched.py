@@ -33,8 +33,7 @@ from entrobox.ensembles import diagonal_density, dirichlet, ginibre, haar
 from entrobox.qstate import (
     DensityMatrix,
     _entropy_rows,
-    _q_strong_subadd_columns,
-    _q_subadd_columns,
+    _q_table_columns,
     _reduce_rows,
     _spectra,
 )
@@ -81,10 +80,10 @@ def _bits(obj):
 
 def _rows_of(out, k: int):
     """Row ``k`` of a kernel's output: the report of a check's columns, a
-    tuple of outputs, or an array."""
+    tuple or list of outputs, or an array."""
     if isinstance(out, CheckColumns):
         return out.report(k)
-    if isinstance(out, tuple):
+    if isinstance(out, (tuple, list)):
         return tuple(_rows_of(part, k) for part in out)
     return out[k]
 
@@ -159,14 +158,90 @@ class TestSimplexKernels:
                         assert entropies[role][k] == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
+def _table_shapes(dim: int) -> list[tuple[int, ...]]:
+    return admissible_shapes(dim, 2) + admissible_shapes(dim, 3)
+
+
 class TestQuantumKernels:
     @pytest.mark.parametrize("dim", [3, 4, 5, 7])
     def test_table_reports(self, dim):
         mats = _ginibre_batch(dim, dim)
-        for shape in admissible_shapes(dim, 2):
-            _assert_batch_invariant(_q_subadd_columns, mats, shape, 1e-9)
-        for shape in admissible_shapes(dim, 3):
-            _assert_batch_invariant(_q_strong_subadd_columns, mats, shape, 1e-9)
+        _assert_batch_invariant(_q_table_columns, mats, _table_shapes(dim), 1e-9)
+        for shape in _table_shapes(dim):
+            _assert_batch_invariant(_q_table_columns, mats, [shape], 1e-9)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 8, 9])
+    def test_table_columns_do_not_depend_on_the_shapes_taken_together(self, dim):
+        mats = _ginibre_batch(dim, 90 + dim)
+        together = _q_table_columns(mats, _table_shapes(dim), 1e-9)
+        alone = [_q_table_columns(mats, [shape], 1e-9)[0] for shape in _table_shapes(dim)]
+        assert _bits(together) == _bits(alone)
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 7])
+    def test_table_columns_match_loop_oracle(self, dim):
+        def entropy(mat):
+            return shannon_brute(np.clip(np.linalg.eigvalsh(mat), 0.0, None))
+
+        roles = {
+            2: {"part1": (1,), "part2": (2,)},
+            3: {"pair12": (1, 2), "pair23": (2, 3), "part2": (2,)},
+        }
+        mats = _ginibre_batch(dim, 110 + dim)
+        shapes = _table_shapes(dim)
+        for shape, columns in zip(shapes, _q_table_columns(mats, shapes, 1e-9)):
+            k = len(shape)
+            prefix = "q-subadd-" if k == 2 else "q-strong-subadd-"
+            assert columns.name == prefix + "x".join(map(str, shape))
+            for i in range(N):
+                want = {"joint": entropy(mats[i])}
+                want.update(
+                    (role, entropy(reduce_brute(mats[i], shape, kept)))
+                    for role, kept in roles[k].items()
+                )
+                got = {role: float(column[i]) for role, column in columns.entropies.items()}
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (shape, i)
+                if k == 2:
+                    lhs, rhs = want["joint"], want["part1"] + want["part2"]
+                else:
+                    lhs, rhs = want["joint"] + want["part2"], want["pair12"] + want["pair23"]
+                assert columns.lhs[i] == pytest.approx(lhs, rel=1e-12, abs=1e-12)
+                assert columns.rhs[i] == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 6])
+    def test_concatenated_stacks_match_separate_calls(self, dim):
+        # the table kernel's grouping by matrix size rests on this
+        rng = np.random.default_rng(dim)
+        full = _ginibre_batch(dim, 120 + dim)
+
+        def of_rank(r, n):
+            g = rng.standard_normal((n, dim, r)) + 1j * rng.standard_normal((n, dim, r))
+            m = g @ np.swapaxes(g.conj(), 1, 2)
+            return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+
+        low = np.concatenate([of_rank(r, 2) for r in range(1, dim)] + [full[5:]])
+        for a, b in ((full, low), (low, full), (low[:1], full[:3])):
+            together = _entropy_rows(np.concatenate([a, b]))
+            assert _bits(together) == _bits(np.concatenate([_entropy_rows(a), _entropy_rows(b)]))
+
+    @pytest.mark.parametrize("dim, sizes", [(3, 3), (4, 2), (5, 4), (7, 3)])
+    def test_one_spectral_pass_per_matrix_size(self, dim, sizes, monkeypatch):
+        # dim 5 takes spectra of sizes 5 (joint), 2 and 3 (its 2x3 and 3x2
+        # parts) and 4 (its 2x2x2 pairs); the quantum suite's mixed-state
+        # job adds sizes 4 and 2
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        _q_table_columns(_ginibre_batch(dim, dim), _table_shapes(dim), 1e-9)
+        assert len(calls) == sizes, calls
+        calls.clear()
+        report = cli.run_suite(cli.SuiteConfig(suite="quantum", dims=[dim], trials=5, seed=1))
+        assert report["all_passed"]
+        assert len(calls) == sizes + 2, calls
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 8])
     def test_spectra_and_entropies(self, dim):
@@ -206,8 +281,25 @@ class TestQuantumKernels:
             _entropy_rows(mats)
         assert str(batch.value) == str(alone.value)
         with pytest.raises(NotPositiveError) as batch:
-            _q_subadd_columns(mats, (2, 2), 1e-9)
+            _q_table_columns(mats, [(2, 2)], 1e-9)
         assert str(batch.value) == str(alone.value)
+
+    def test_the_first_bad_reduction_in_check_order_is_named(self):
+        # each diagonal state passes the floor; row 0's (3, 2) part2 and
+        # row 1's (2, 3) part2 do not. The (2, 3) check runs first, so row
+        # 1's is named, though the size-2 spectra are taken together.
+        row0 = np.diag([0.4, -0.7e-8, 0.3, -0.7e-8, 0.3 + 1.4e-8])
+        row1 = np.diag([-0.9e-8, 0.4, 0.3, -0.9e-8, 0.3 + 1.8e-8])
+        mats = np.stack([row0, row1]).astype(complex)
+        shapes = _table_shapes(5)
+        assert shapes[:2] == [(2, 3), (3, 2)]
+        with pytest.raises(NotPositiveError) as first:
+            for shape in shapes:
+                _q_table_columns(mats, [shape], 1e-9)
+        assert "-1.800e-08" in str(first.value)
+        with pytest.raises(NotPositiveError) as together:
+            _q_table_columns(mats, shapes, 1e-9)
+        assert str(together.value) == str(first.value)
 
 
 class TestTomographyKernels:

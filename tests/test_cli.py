@@ -1157,10 +1157,17 @@ class TestMainEntry:
         with pytest.raises(ShapeMismatchError):
             cli._require_size(2**20 + 1, matrix=True)
 
-    def test_sizes_the_discord_suite_does_not_read_pass(self, capsys):
-        # its jobs are fixed at dims 3 and 4, whatever --dims says
-        assert main(["check", "--suite", "discord", "--trials", "1", "--dims", "99999999999999999999"]) == 0
-        assert capsys.readouterr().err == ""
+    def test_dims_for_the_discord_suite_exit_two(self, capsys):
+        # its jobs are fixed at dims 3 and 4: a --dims would run no check at
+        # that dim, yet be echoed in the report's config
+        for dims in ("5", "3,4", "99999999999999999999"):
+            assert main(["check", "--suite", "discord", "--trials", "1", "--dims", dims]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "error: the discord suite takes no --dims\n", dims
+            assert captured.out == ""
+        # the other families of the full suite read it
+        assert main(["check", "--suite", "all", "--trials", "1", "--dims", "2"]) == 0
+        assert '"dim2-q-subadd-2x2"' in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv",
