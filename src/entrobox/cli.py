@@ -11,10 +11,11 @@ Usage examples::
 
 Exit codes: 0 when every check passed, 1 when any inequality check failed,
 2 when input could not be parsed or validated, out-of-range arguments
-included (a negative ``--seed`` or ``--trials``, an empty ``--dims`` or
-``--q``, a repeated ``--dims`` entry, any ``--dims`` for the discord
-suite, whose states are fixed at 4 x 4 and 3 x 3, a ``--q`` order that
-is not a finite value > 0, a ``--tolerance`` that is not a finite value
+included (a negative ``--seed`` or ``--trials``, ``--trials 0`` with no
+``--input``, an empty ``--dims`` or ``--q``, a repeated ``--dims`` entry,
+any ``--dims`` for the discord suite, whose states are fixed at 4 x 4 and
+3 x 3, a ``--q`` order that is not a finite value > 0 or whose check id
+repeats another's, a ``--tolerance`` that is not a finite value
 >= 0, an ``--input`` state that no job of the chosen suite takes, an
 output that cannot be written, a state size above ``_MAX_ENTRIES``
 entries or one that does not fit in memory).
@@ -82,8 +83,8 @@ from .simplex import (
     _conditional_rows,
     _shannon_rows,
     _split_rows,
-    _strong_subadd_columns,
-    _subadd_columns,
+    _order_id,
+    _table_columns,
     _tsallis_chain_columns,
     _tsallis_rows,
     _zero_padded,
@@ -148,6 +149,11 @@ class SuiteConfig:
             raise ShapeMismatchError("need at least one Tsallis order, got an empty list")
         if not all(math.isfinite(q) and q > 0 for q in self.q_values):
             raise BadOrderError(f"need finite Tsallis orders > 0, got {list(self.q_values)}")
+        ids = [_order_id(q) for q in self.q_values]
+        if len(set(ids)) < len(ids):
+            raise BadOrderError(f"need Tsallis orders with distinct ids, got {', '.join(ids)}")
+        if self.trials == 0 and not self.input_path:
+            raise ShapeMismatchError("need trials >= 1 without an --input: no check would run")
         _require_seed(self.seed)
         _require_tolerance(self.tolerance)
 
@@ -510,19 +516,14 @@ def _middle_bipartition(p8: np.ndarray) -> np.ndarray:
 def _seven_checks(chunk: _Chunk, config: SuiteConfig):
     rows, tol = chunk.rows, config.tolerance
     mid = _middle_bipartition(_zero_padded(rows, 8))
-    return _labelled(
-        chunk,
-        [
-            _strong_subadd_columns(rows, (2, 2, 2), tol)._replace(name="strong-subadd-7"),
-            _subadd_columns(rows, (2, 4), tol)._replace(name="subadd-7-adjacent"),
-            _subadd_columns(mid, (2, 4), tol)._replace(name="subadd-7-middle"),
-        ],
-    )
+    checks = _table_columns(rows, [(2, 2, 2), (2, 4)], tol) + _table_columns(mid, [(2, 4)], tol)
+    names = ("strong-subadd-7", "subadd-7-adjacent", "subadd-7-middle")
+    return _labelled(chunk, [c._replace(name=name) for c, name in zip(checks, names)])
 
 
 def _four_checks(chunk: _Chunk, config: SuiteConfig):
     rows, tol = chunk.rows, config.tolerance
-    checks = [_subadd_columns(rows, (2, 2), tol)._replace(name="subadd-4"), _cond_chain(rows)]
+    checks = [_table_columns(rows, [(2, 2)], tol)[0]._replace(name="subadd-4"), _cond_chain(rows)]
     checks += [_tsallis_chain_columns(rows, q, tol) for q in config.q_values]
     h = _shannon_rows(rows)
     worst = np.maximum(
@@ -539,11 +540,7 @@ def _table_checks(chunk: _Chunk, config: SuiteConfig):
     rows = chunk.rows
     dim, tol = rows.shape[1], config.tolerance
     shapes = admissible_shapes(dim, 2) + admissible_shapes(dim, 3)
-    if rows.ndim == 3:
-        checks = _q_table_columns(rows, shapes, tol)
-    else:
-        kernels = {2: _subadd_columns, 3: _strong_subadd_columns}
-        checks = [kernels[len(shape)](rows, shape, tol) for shape in shapes]
+    checks = (_q_table_columns if rows.ndim == 3 else _table_columns)(rows, shapes, tol)
     return _labelled(chunk, [c._replace(name=f"dim{dim}-{c.name}") for c in checks])
 
 
@@ -580,7 +577,7 @@ def _axis_checks(chunk: _Chunk, config: SuiteConfig):
         return f"{chunk.provenance(i)},axis(theta={theta:.6f},phi={phi:.6f})"
 
     return [
-        (_subadd_columns(w, (2, 2), config.tolerance)._replace(name="axis-subadd"), provenance),
+        (_table_columns(w, [(2, 2)], config.tolerance)[0]._replace(name="axis-subadd"), provenance),
         (_cond_chain(w)._replace(name="axis-cond-chain"), provenance),
     ]
 

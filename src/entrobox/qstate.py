@@ -14,9 +14,10 @@ Every check is computed by one private kernel over a stack of matrices, an
 entropies by one stacked ``eigvalsh`` pass per matrix size: the quantum
 tables of a chunk stack every spectrum they need, the joint one included,
 and diagonalize each size once. A kernel returns its check as columns
-(:class:`CheckColumns`). Each public single-matrix function is its
-kernel run on a batch of one, so a state's result does not depend on the
-batch it was checked in.
+(:class:`CheckColumns`); the tables take their roles, both sides and check
+ids from the classical rule in :mod:`.simplex`, with a ``q-`` prefix. Each
+public single-matrix function is its kernel run on a batch of one, so a
+state's result does not depend on the batch it was checked in.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
     ShrinkForbiddenError,
 )
 from .report import GAP_TOLERANCE, CheckColumns, InequalityReport
-from .simplex import EntropyValue, _factors, _freeze, _shannon_rows
+from .simplex import _TABLE_ROLES, EntropyValue, _factors, _freeze, _shannon_rows, _table_check
 
 __all__ = [
     "DensityMatrix",
@@ -250,13 +251,6 @@ def von_neumann(rho: DensityMatrix) -> EntropyValue:
     return EntropyValue(float(_entropy_rows(rho.matrix[None])[0]), "von_neumann")
 
 
-# The reductions each table check takes, by role, for 2 and 3 factors.
-_TABLE_ROLES = {
-    2: {"part1": (1,), "part2": (2,)},
-    3: {"pair12": (1, 2), "pair23": (2, 3), "part2": (2,)},
-}
-
-
 def _entropy_rows_by_size(stacks: list[np.ndarray]) -> list[np.ndarray]:
     """:func:`_entropy_rows` of each of a list of equally long stacks, with
     all stacks of one matrix size taken in one stacked pass. A bad matrix
@@ -289,17 +283,8 @@ def _q_table_columns(mats: np.ndarray, shapes, tolerance: float) -> list[CheckCo
         stacks += [_reduce_rows(mats, shape, kept) for kept in _TABLE_ROLES[len(shape)].values()]
     entropies = iter(_entropy_rows_by_size(stacks))
     s_joint = next(entropies)
-    checks = []
-    for shape in shapes:
-        s = {role: next(entropies) for role in _TABLE_ROLES[len(shape)]}
-        if len(shape) == 2:
-            name, lhs, rhs = "q-subadd", s_joint, s["part1"] + s["part2"]
-        else:
-            name = "q-strong-subadd"
-            lhs, rhs = s_joint + s["part2"], s["pair12"] + s["pair23"]
-        name += "-" + "x".join(map(str, shape))
-        checks.append(CheckColumns(name, lhs, rhs, {"joint": s_joint, **s}, tolerance))
-    return checks
+    parts = [{role: next(entropies) for role in _TABLE_ROLES[len(shape)]} for shape in shapes]
+    return [_table_check("q-", shape, s_joint, s, tolerance) for shape, s in zip(shapes, parts)]
 
 
 def quantum_subadditivity(

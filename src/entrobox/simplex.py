@@ -17,7 +17,10 @@ All entropies are in nats and use the convention 0 ln 0 = 0.
 
 Every check is computed by one private kernel over a stack of vectors, one
 per row of an ``(n, N)`` array, with marginals taken by reshape and axis
-sums; a kernel returns its check as columns (:class:`CheckColumns`). Each
+sums; a kernel returns its check as columns (:class:`CheckColumns`). The
+table kernel takes a list of shapes, and pads the stack and takes its joint
+entropy once per padded size; its rule (roles, sides, id) is written once,
+in :func:`_table_check`, which the density-matrix tables use too. Each
 public single-vector function is its kernel run on a batch of one, so a
 vector's result does not depend on the batch it was checked in.
 """
@@ -379,27 +382,50 @@ def _admissible_shapes(dim: int, factors: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_exact_shapes(minimal_padded_dim(dim, factors), factors))
 
 
-def _padded_tables(rows: np.ndarray, shape, k: int):
-    """The checked ``k``-factor ``shape``, the stack ``rows`` zero-padded to
-    its product, and that stack read as (n, *shape) tables."""
-    shape = _factors(shape, k, rows.shape[1])
-    flat = _zero_padded(rows, math.prod(shape))
-    return shape, flat, flat.reshape(-1, *shape)
+# The 1-based subsystems each table check's reductions keep, by role.
+_TABLE_ROLES = {
+    2: {"part1": (1,), "part2": (2,)},
+    3: {"pair12": (1, 2), "pair23": (2, 3), "part2": (2,)},
+}
+
+# The axes of an (n, *shape) table each role sums away.
+_SUMMED_AXES = {
+    k: {role: tuple(a for a in range(1, k + 1) if a not in kept) for role, kept in roles.items()}
+    for k, roles in _TABLE_ROLES.items()
+}
 
 
-def _subadd_columns(rows: np.ndarray, shape, tolerance: float) -> CheckColumns:
-    """:func:`subadditivity_gap` of each row of a stack of vectors."""
-    shape, flat, table = _padded_tables(rows, shape, 2)
-    h_joint = _shannon_rows(flat)
-    h1 = _shannon_rows(table.sum(axis=2))
-    h2 = _shannon_rows(table.sum(axis=1))
-    return CheckColumns(
-        name=f"subadd-{shape[0]}x{shape[1]}",
-        lhs=h_joint,
-        rhs=h1 + h2,
-        entropies={"joint": h_joint, "part1": h1, "part2": h2},
-        tolerance=tolerance,
-    )
+def _table_check(kind: str, shape, joint, parts, tolerance: float) -> CheckColumns:
+    """Subadditivity (2 factors) or strong subadditivity (3 factors) of the
+    ``shape`` reading, from the joint entropy and the entropies of the
+    reductions by role; ``kind`` is ``""`` for Shannon and ``"q-"`` for
+    von Neumann entropies."""
+    if len(shape) == 2:
+        name, lhs, rhs = "subadd", joint, parts["part1"] + parts["part2"]
+    else:
+        name, lhs, rhs = "strong-subadd", joint + parts["part2"], parts["pair12"] + parts["pair23"]
+    name = f"{kind}{name}-" + "x".join(map(str, shape))
+    return CheckColumns(name, lhs, rhs, {"joint": joint, **parts}, tolerance)
+
+
+def _table_columns(rows: np.ndarray, shapes, tolerance: float) -> list[CheckColumns]:
+    """:func:`subadditivity_gap` (2 factors) or
+    :func:`strong_subadditivity_gap` (3 factors) of each row of a stack of
+    vectors, for each of the checked ``shapes`` in turn. The stack is
+    zero-padded, and its joint entropy taken, once per padded size."""
+    n = rows.shape[0]
+    flats = {size: _zero_padded(rows, size) for size in dict.fromkeys(map(math.prod, shapes))}
+    joints = {size: _shannon_rows(flat) for size, flat in flats.items()}
+    checks = []
+    for shape in shapes:
+        size = math.prod(shape)
+        table = flats[size].reshape(n, *shape)
+        parts = {}
+        for role, axes in _SUMMED_AXES[len(shape)].items():
+            marginal = table.sum(axis=axes)
+            parts[role] = _shannon_rows(marginal.reshape(n, -1) if marginal.ndim == 3 else marginal)
+        checks.append(_table_check("", shape, joints[size], parts, tolerance))
+    return checks
 
 
 def subadditivity_gap(
@@ -414,24 +440,8 @@ def subadditivity_gap(
     padding changes none of the three entropies' information content but
     makes the bipartite reading available.
     """
-    return _subadd_columns(p.values[None], shape, tolerance).report(0, provenance)
-
-
-def _strong_subadd_columns(rows: np.ndarray, shape, tolerance: float) -> CheckColumns:
-    """:func:`strong_subadditivity_gap` of each row of a stack of vectors."""
-    shape, flat, table = _padded_tables(rows, shape, 3)
-    n = flat.shape[0]
-    h_joint = _shannon_rows(flat)
-    h12 = _shannon_rows(table.sum(axis=3).reshape(n, -1))
-    h23 = _shannon_rows(table.sum(axis=1).reshape(n, -1))
-    h2 = _shannon_rows(table.sum(axis=(1, 3)))
-    return CheckColumns(
-        name="strong-subadd-{}x{}x{}".format(*shape),
-        lhs=h_joint + h2,
-        rhs=h12 + h23,
-        entropies={"joint": h_joint, "pair12": h12, "pair23": h23, "part2": h2},
-        tolerance=tolerance,
-    )
+    shape = _factors(shape, 2, p.dim)
+    return _table_columns(p.values[None], [shape], tolerance)[0].report(0, provenance)
 
 
 def strong_subadditivity_gap(
@@ -441,7 +451,8 @@ def strong_subadditivity_gap(
     provenance: str = "",
 ) -> InequalityReport:
     """Check H(P12) + H(P23) >= H(p) + H(P2) for the 3-factor reading."""
-    return _strong_subadd_columns(p.values[None], shape, tolerance).report(0, provenance)
+    shape = _factors(shape, 3, p.dim)
+    return _table_columns(p.values[None], [shape], tolerance)[0].report(0, provenance)
 
 
 def _block_rows(rows: np.ndarray) -> np.ndarray:
@@ -501,6 +512,11 @@ def conditional_tsallis(p: ProbVec, q: float) -> EntropyValue:
     return EntropyValue(float(_conditional_rows(p.values[None], q)[0]), "conditional", q=q)
 
 
+def _order_id(q: float) -> str:
+    """The id a Tsallis order takes in check names: ``q2`` for 2.0."""
+    return f"q{q:g}"
+
+
 def _tsallis_chain_columns(rows: np.ndarray, q: float, tolerance: float) -> CheckColumns:
     """:func:`tsallis_monotonicity_check` of each row of a stack of 4-vectors."""
     q = _order(q)
@@ -508,7 +524,7 @@ def _tsallis_chain_columns(rows: np.ndarray, q: float, tolerance: float) -> Chec
     coarse = _tsallis_rows(_block_rows(rows), q)
     conditional = total - coarse
     return CheckColumns(
-        name=f"tsallis-chain-q{q:g}",
+        name=f"tsallis-chain-{_order_id(q)}",
         # the larger part, the first one on a tie, as max(coarse, conditional)
         lhs=np.where(conditional > coarse, conditional, coarse),
         rhs=total,

@@ -51,7 +51,7 @@ from .qstate import (
     reduce,
 )
 from .report import GAP_TOLERANCE, CheckColumns
-from .simplex import EntropyValue, ProbVec, _freeze, _shannon_rows, _subadd_columns
+from .simplex import EntropyValue, ProbVec, _freeze, _shannon_rows, _table_columns
 
 __all__ = [
     "UnitaryMatrix",
@@ -442,7 +442,7 @@ def tomographic_information(
     nonnegative.
     """
     joint = _joint_readout(rho, u1, u2)[None]
-    return float(_subadd_columns(joint, (2, 2), GAP_TOLERANCE).gaps()[0])
+    return float(_table_columns(joint, [(2, 2)], GAP_TOLERANCE)[0].gaps()[0])
 
 
 def _kron_rows(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -475,7 +475,7 @@ def _discord_columns(
     s = _entropy_rows(mats)
     s_parts = _entropy_rows(parts)
     s1, s2 = s_parts[:n], s_parts[n:]
-    joint = _subadd_columns(_readouts(mats, _kron_rows(u1, u2)), (2, 2), tolerance)
+    [joint] = _table_columns(_readouts(mats, _kron_rows(u1, u2)), [(2, 2)], tolerance)
     h12, information = joint.lhs, joint.gaps()
     flags = {
         "padded-qutrit": np.full(n, dim == 3),
@@ -542,7 +542,7 @@ def discord_unitary_sweep(
         pairs = np.stack([(haar(2, rng), haar(2, rng)) for _ in range(samples)])
         kron = _kron_rows(pairs[:, 0], pairs[:, 1])
         joints = _readouts(np.repeat(states, samples, axis=0), kron)
-        information = _subadd_columns(joints, (2, 2), GAP_TOLERANCE).gaps()
+        information = _table_columns(joints, [(2, 2)], GAP_TOLERANCE)[0].gaps()
         # the first strictly smaller candidate wins, as in a loop
         best = min(best, *(total - information).tolist())
     return {

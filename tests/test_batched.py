@@ -21,6 +21,7 @@ from entrobox import (
     InequalityReport,
     ProbVec,
     cli,
+    simplex,
     minimize_entropy_batch,
     minimize_tomographic_entropy,
     quantum_strong_subadditivity,
@@ -42,10 +43,10 @@ from entrobox.simplex import (
     _conditional_rows,
     _shannon_rows,
     _split_rows,
-    _strong_subadd_columns,
-    _subadd_columns,
+    _table_columns,
     _tsallis_chain_columns,
     _tsallis_rows,
+    _zero_padded,
     admissible_shapes,
 )
 from entrobox.tomography import (
@@ -114,14 +115,44 @@ def _ginibre_batch(dim: int, seed: int) -> np.ndarray:
     return mats
 
 
+def _table_shapes(dim: int) -> list[tuple[int, ...]]:
+    return admissible_shapes(dim, 2) + admissible_shapes(dim, 3)
+
+
 class TestSimplexKernels:
     @pytest.mark.parametrize("dim", [4, 5, 7, 8, 9, 10, 11])
     def test_table_reports(self, dim):
         rows = _vectors(dim, dim)
-        for shape in admissible_shapes(dim, 2):
-            _assert_batch_invariant(_subadd_columns, rows, shape, 1e-9)
-        for shape in admissible_shapes(dim, 3):
-            _assert_batch_invariant(_strong_subadd_columns, rows, shape, 1e-9)
+        _assert_batch_invariant(_table_columns, rows, _table_shapes(dim), 1e-9)
+        for shape in _table_shapes(dim):
+            _assert_batch_invariant(_table_columns, rows, [shape], 1e-9)
+
+    # the 2- and 3-factor padded sizes differ at 4, 5, 9 and 10, and agree
+    # at 7 (8) and 11 (12)
+    @pytest.mark.parametrize("dim", [4, 5, 7, 9, 10, 11])
+    def test_table_columns_do_not_depend_on_the_shapes_taken_together(self, dim):
+        rows = _vectors(dim, 90 + dim)
+        shapes = _table_shapes(dim)
+        together = _table_columns(rows, shapes, 1e-9)
+        alone = [_table_columns(rows, [shape], 1e-9)[0] for shape in shapes]
+        assert _bits(together) == _bits(alone)
+        # the joint entropy is that of the zero-padded stack, whose sum runs
+        # over the padded length
+        for shape, columns in zip(shapes, together):
+            padded = _shannon_rows(_zero_padded(rows, math.prod(shape)))
+            assert _bits(columns.entropies["joint"]) == _bits(padded)
+
+    @pytest.mark.parametrize("dim, sizes", [(4, 2), (5, 2), (7, 1), (9, 2), (11, 1)])
+    def test_one_padding_per_padded_size(self, dim, sizes, monkeypatch):
+        calls = []
+
+        def counted(rows, size):
+            calls.append(size)
+            return _zero_padded(rows, size)
+
+        monkeypatch.setattr(simplex, "_zero_padded", counted)
+        _table_columns(_vectors(dim, dim), _table_shapes(dim), 1e-9)
+        assert len(calls) == sizes, calls
 
     @pytest.mark.parametrize("dim", [4, 5, 7, 9, 10, 11])
     def test_entropy_rows(self, dim):
@@ -144,22 +175,30 @@ class TestSimplexKernels:
     def test_stacked_marginals_match_loop_oracle(self, dim):
         rows = _vectors(dim, 200 + dim)
         roles = {
-            _subadd_columns: {"part1": (1,), "part2": (2,)},
-            _strong_subadd_columns: {"pair12": (1, 2), "pair23": (2, 3), "part2": (2,)},
+            2: {"part1": (1,), "part2": (2,)},
+            3: {"pair12": (1, 2), "pair23": (2, 3), "part2": (2,)},
         }
-        for kernel, factors in ((_subadd_columns, 2), (_strong_subadd_columns, 3)):
-            for shape in admissible_shapes(dim, factors):
-                padded = np.zeros((N, int(np.prod(shape))))
-                padded[:, :dim] = rows
-                entropies = kernel(rows, shape, 1e-9).entropies
-                for k in range(N):
-                    for role, keep in roles[kernel].items():
-                        want = shannon_brute(marginal_brute(padded[k], shape, keep))
-                        assert entropies[role][k] == pytest.approx(want, rel=1e-12, abs=1e-14)
-
-
-def _table_shapes(dim: int) -> list[tuple[int, ...]]:
-    return admissible_shapes(dim, 2) + admissible_shapes(dim, 3)
+        shapes = _table_shapes(dim)
+        for shape, columns in zip(shapes, _table_columns(rows, shapes, 1e-9)):
+            k = len(shape)
+            prefix = "subadd-" if k == 2 else "strong-subadd-"
+            assert columns.name == prefix + "x".join(map(str, shape))
+            padded = np.zeros((N, int(np.prod(shape))))
+            padded[:, :dim] = rows
+            for i in range(N):
+                want = {"joint": shannon_brute(padded[i])}
+                want.update(
+                    (role, shannon_brute(marginal_brute(padded[i], shape, keep)))
+                    for role, keep in roles[k].items()
+                )
+                got = {role: float(column[i]) for role, column in columns.entropies.items()}
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-14), (shape, i)
+                if k == 2:
+                    lhs, rhs = want["joint"], want["part1"] + want["part2"]
+                else:
+                    lhs, rhs = want["joint"] + want["part2"], want["pair12"] + want["pair23"]
+                assert columns.lhs[i] == pytest.approx(lhs, rel=1e-12, abs=1e-14)
+                assert columns.rhs[i] == pytest.approx(rhs, rel=1e-12, abs=1e-14)
 
 
 class TestQuantumKernels:
@@ -319,7 +358,7 @@ class TestTomographyKernels:
         for k in range(N):
             alone = _readouts(mats[k : k + 1], us[k : k + 1])
             assert _bits(batch[k]) == _bits(alone[0])
-        _assert_batch_invariant(_subadd_columns, _vectors(4, 60), (2, 2), 1e-9)
+        _assert_batch_invariant(_table_columns, _vectors(4, 60), [(2, 2)], 1e-9)
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_discord_reports(self, dim):

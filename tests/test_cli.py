@@ -40,6 +40,7 @@ from entrobox import (
     validate_density,
 )
 from entrobox.cli import (
+    SUITES,
     SuiteConfig,
     generate_ensemble,
     ingest_density,
@@ -1168,6 +1169,35 @@ class TestMainEntry:
         # the other families of the full suite read it
         assert main(["check", "--suite", "all", "--trials", "1", "--dims", "2"]) == 0
         assert '"dim2-q-subadd-2x2"' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("orders", ["2,2", "2,2.0000001", "0.5,2,3,2.0"])
+    def test_tsallis_orders_sharing_a_check_id_exit_two(self, orders, capsys):
+        # both orders would count into one tsallis-chain-q2 row
+        argv = ["check", "--suite", "classical", "--dims", "4", "--trials", "3", "--q", orders]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: need Tsallis orders with distinct ids, got " + {
+            "2,2": "q2, q2\n",
+            "2,2.0000001": "q2, q2\n",
+            "0.5,2,3,2.0": "q0.5, q2, q3, q2\n",
+        }[orders]
+        assert captured.out == ""
+        assert main([*argv[:-1], "2,2.001"]) == 0
+        assert '"tsallis-chain-q2.001"' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_zero_trials_without_an_input_exit_two(self, suite, state_files, capsys):
+        # no check would run, and an empty report would read all_passed
+        assert main(["check", "--suite", suite, "--trials", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: need trials >= 1 without an --input: no check would run\n"
+        assert captured.out == ""
+        with pytest.raises(ShapeMismatchError):
+            SuiteConfig(suite=suite, trials=0)
+        # an input state is still checked with no trials
+        key = "v7" if suite == "classical" else "rho4"
+        assert main(["check", "--suite", suite, "--trials", "0", "--input", state_files[key]]) == 0
+        assert json.loads(capsys.readouterr().out)["checks"]
 
     @pytest.mark.parametrize(
         "argv",
