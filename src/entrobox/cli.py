@@ -514,9 +514,10 @@ def _middle_bipartition(p8: np.ndarray) -> np.ndarray:
 
 
 def _seven_checks(chunk: _Chunk, config: SuiteConfig):
-    rows, tol = chunk.rows, config.tolerance
-    mid = _middle_bipartition(_zero_padded(rows, 8))
-    checks = _table_columns(rows, [(2, 2, 2), (2, 4)], tol) + _table_columns(mid, [(2, 4)], tol)
+    # one padding of the chunk serves all three checks
+    p8, tol = _zero_padded(chunk.rows, 8), config.tolerance
+    checks = _table_columns(p8, [(2, 2, 2), (2, 4)], tol)
+    checks += _table_columns(_middle_bipartition(p8), [(2, 4)], tol)
     names = ("strong-subadd-7", "subadd-7-adjacent", "subadd-7-middle")
     return _labelled(chunk, [c._replace(name=name) for c, name in zip(checks, names)])
 

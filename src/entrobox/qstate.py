@@ -263,7 +263,9 @@ def _entropy_rows_by_size(stacks: list[np.ndarray]) -> list[np.ndarray]:
     out: list[np.ndarray] = [None] * len(stacks)
     try:
         for members in groups.values():
-            flat = _entropy_rows(np.concatenate([stacks[i] for i in members]))
+            group = [stacks[i] for i in members]
+            # a size with one stack takes it as is, uncopied
+            flat = _entropy_rows(group[0] if len(group) == 1 else np.concatenate(group))
             for j, i in enumerate(members):
                 out[i] = flat[j * n : (j + 1) * n]
     except NotPositiveError:

@@ -13,7 +13,11 @@ C-order reshape realizes exactly this map). Marginals of the table then play
 the role of subsystem states, and subadditivity or strong subadditivity of
 Shannon entropy become nontrivial inequalities for the single vector.
 
-All entropies are in nats and use the convention 0 ln 0 = 0.
+All entropies are in nats and use the convention 0 ln 0 = 0. Every one of
+them, Shannon, von Neumann (of a spectrum) and readout entropies alike, is
+taken by one numpy kernel, :func:`_shannon_rows`, which sums
+p ln max(p, tiny) with tiny the smallest positive float: for p > 0 that is
+p ln p, and a zero entry adds 0 * ln(tiny) = 0 without ever taking ln 0.
 
 Every check is computed by one private kernel over a stack of vectors, one
 per row of an ``(n, N)`` array, with marginals taken by reshape and axis
@@ -32,7 +36,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import (
     BadAxisError,
@@ -69,6 +72,11 @@ __all__ = [
 
 # Orders this close to 1 are evaluated as the Shannon limit.
 _Q_SHANNON_WINDOW = 1e-6
+
+# The smallest positive float, the floor that keeps ln finite at p = 0, and
+# zero, as 0-d arrays: a ufunc takes an array operand faster than a scalar.
+_TINY = np.array(np.finfo(float).smallest_subnormal)
+_ZERO = np.array(0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +193,10 @@ def _factors(shape, k: int | None, dim: int) -> tuple[int, ...]:
 
 
 def _zero_padded(rows: np.ndarray, size: int) -> np.ndarray:
-    """A stack of vectors (n, N), each zero-padded to ``size`` entries."""
+    """A stack of vectors (n, N), each zero-padded to ``size`` entries; the
+    stack itself when N == ``size``."""
+    if rows.shape[1] == size:
+        return rows
     out = np.zeros((rows.shape[0], size))
     out[:, : rows.shape[1]] = rows
     return out
@@ -303,8 +314,9 @@ def marginal3(table: ProbTable, keep: tuple[int, ...]):
 
 def _shannon_rows(rows: np.ndarray) -> np.ndarray:
     """Shannon entropy of each row (the last axis) of a stack."""
-    # 0.0 - x, not -x: a zero entropy is 0.0, not -0.0
-    return 0.0 - xlogy(rows, rows).sum(axis=-1)
+    # max(p, _TINY) is p for every p > 0, and a p = 0 entry adds 0 * ln(_TINY)
+    # = -0.0; NaN and inf propagate. 0 - x, not -x: a zero entropy is 0.0.
+    return _ZERO - np.add.reduce(rows * np.log(np.maximum(rows, _TINY)), -1)
 
 
 def shannon(p: ProbVec) -> EntropyValue:

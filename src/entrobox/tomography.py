@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import xlogy
 
 from ._neldermead import minimize_batch
 from .errors import (
@@ -263,7 +262,7 @@ def _readout_entropies(points: np.ndarray, rhos: np.ndarray, dim: int) -> np.nda
     t = u @ rhos
     probs = np.einsum("bij,bij->bi", t, u.conj()).real
     np.maximum(probs, 0.0, out=probs)
-    return -xlogy(probs, probs).sum(axis=1)
+    return _shannon_rows(probs)
 
 
 def _restart_points(dim: int, restarts: int, seed) -> np.ndarray:

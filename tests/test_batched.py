@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from entrobox.ensembles import diagonal_density, dirichlet, ginibre, haar
 from entrobox.qstate import (
     DensityMatrix,
     _entropy_rows,
+    _entropy_rows_by_size,
     _q_table_columns,
     _reduce_rows,
     _spectra,
@@ -154,6 +156,36 @@ class TestSimplexKernels:
         _table_columns(_vectors(dim, dim), _table_shapes(dim), 1e-9)
         assert len(calls) == sizes, calls
 
+    def test_a_stack_already_at_size_is_not_copied(self):
+        rows = _vectors(8, 8)
+        assert _zero_padded(rows, 8) is rows
+        padded = _zero_padded(rows[:, :7], 8)
+        assert padded is not rows and np.array_equal(padded[:, :7], rows[:, :7])
+        assert not padded[:, 7].any()
+        # the table kernel only reads the stack it is given
+        rows.flags.writeable = False
+        _table_columns(rows, _table_shapes(8), 1e-9)
+
+    def test_one_padding_per_seven_vector_chunk(self, monkeypatch):
+        rows = _vectors(7, 77)
+        unpadded = _table_columns(rows, [(2, 2, 2), (2, 4)], 1e-9)
+        unpadded += _table_columns(cli._middle_bipartition(_zero_padded(rows, 8)), [(2, 4)], 1e-9)
+        copies = []
+
+        def counted(stack, size):
+            out = _zero_padded(stack, size)
+            copies.append(out is not stack)
+            return out
+
+        monkeypatch.setattr(simplex, "_zero_padded", counted)
+        monkeypatch.setattr(cli, "_zero_padded", counted)
+        chunk = SimpleNamespace(rows=rows, provenance=None)
+        checks = [c for c, _ in cli._seven_checks(chunk, SimpleNamespace(tolerance=1e-9))]
+        assert copies.count(True) == 1, copies
+        assert _bits([c._replace(name="") for c in checks]) == _bits(
+            [c._replace(name="") for c in unpadded]
+        )
+
     @pytest.mark.parametrize("dim", [4, 5, 7, 9, 10, 11])
     def test_entropy_rows(self, dim):
         rows = _vectors(dim, 100 + dim)
@@ -261,6 +293,24 @@ class TestQuantumKernels:
         for a, b in ((full, low), (low, full), (low[:1], full[:3])):
             together = _entropy_rows(np.concatenate([a, b]))
             assert _bits(together) == _bits(np.concatenate([_entropy_rows(a), _entropy_rows(b)]))
+
+    def test_a_size_with_one_stack_is_not_concatenated(self, monkeypatch):
+        mats = _ginibre_batch(4, 44)
+        halves = [_reduce_rows(mats, (2, 2), (k,)) for k in (1, 2)]
+        want = [_entropy_rows(stack) for stack in (mats, *halves)]
+        calls = []
+        concatenate = np.concatenate
+
+        def counted(parts, *args, **kwargs):
+            calls.append(len(parts))
+            return concatenate(parts, *args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", counted)
+        assert _bits(_entropy_rows_by_size([mats, *halves])) == _bits(want)
+        assert calls == [2]
+        calls.clear()
+        assert _bits(_entropy_rows_by_size([halves[0], mats])) == _bits([want[1], want[0]])
+        assert calls == []
 
     @pytest.mark.parametrize("dim, sizes", [(3, 3), (4, 2), (5, 4), (7, 3)])
     def test_one_spectral_pass_per_matrix_size(self, dim, sizes, monkeypatch):

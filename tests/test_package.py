@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import entrobox
 
 # Every name the package exported before its export list was built from the
@@ -89,3 +94,19 @@ def test_all_is_the_exported_set():
 def test_every_exported_name_resolves():
     for name in entrobox.__all__:
         assert getattr(entrobox, name) is not None, name
+
+
+def test_importing_the_package_and_its_command_line_leaves_scipy_out():
+    # a new interpreter, so no other test's imports count; it finds the
+    # package where this one did
+    src = str(Path(entrobox.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import sys, entrobox, entrobox.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from entrobox import (
     validate_prob_vec,
 )
 from entrobox.ensembles import dirichlet
+from entrobox.simplex import _shannon_rows
 
 from _explicit import (
     conditional_entropy_brute,
@@ -278,6 +280,50 @@ class TestEntropies:
         val = tsallis(validate_prob_vec([0.5, 0.5]), 2.0)
         assert val.kind == "tsallis"
         assert val.q == 2.0
+
+
+def _kernel_rows(n: int, seed: int) -> np.ndarray:
+    """Rows of length ``n``: Dirichlet rows from sparse to flat, every point
+    mass, a row with zeros and one with subnormal entries."""
+    rng = np.random.default_rng(seed)
+    rows = [rng.dirichlet(np.full(n, a)) for a in (0.05, 0.5, 1.0, 5.0) for _ in range(25)]
+    rows += list(np.eye(n))
+    sparse = rng.dirichlet(np.ones(n))
+    sparse[::2] = 0.0
+    tiny = rng.dirichlet(np.ones(n))
+    tiny[0], tiny[-1] = 5e-324, 1e-310
+    return np.array(rows + [sparse, tiny])
+
+
+class TestShannonKernel:
+    """``_shannon_rows``, the one x ln x kernel behind every entropy,
+    against ``math.log``."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_the_math_log_oracle(self, n):
+        rows = _kernel_rows(n, 40 + n)
+        # numpy's log is within 1 ulp of math.log; the product's rounding
+        # can make that 2 ulps of a term
+        terms = np.array([[-x * math.log(x) if x > 0.0 else 0.0 for x in row] for row in rows])
+        np.testing.assert_array_max_ulp(_shannon_rows(rows[..., None]), terms, maxulp=2)
+        # the oracle sums exactly (fsum), the kernel in floats: n - 1 more
+        # roundings of nonnegative terms
+        want = np.array([shannon_brute(row) for row in rows])
+        np.testing.assert_array_max_ulp(_shannon_rows(rows), want, maxulp=n + 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16])
+    def test_zero_rows_and_point_masses_are_plus_zero(self, n):
+        rows = np.vstack([np.zeros(n), np.eye(n)])
+        assert [float(h).hex() for h in _shannon_rows(rows)] == [(0.0).hex()] * (n + 1)
+
+    def test_nan_and_inf_propagate_without_warnings(self):
+        rows = np.array([[0.5, np.nan, 0.0], [np.inf, 0.0, 0.5], [0.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = _shannon_rows(rows)
+        assert np.isnan(h[0])
+        assert h[1] == -np.inf
+        assert h[2] == 0.0
 
 
 class TestSubadditivity:
