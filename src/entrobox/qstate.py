@@ -10,14 +10,16 @@ von Neumann entropy of those reductions obeys subadditivity and strong
 subadditivity even though no physical subsystems exist.
 
 Every check is computed by one private kernel over a stack of matrices, an
-``(n, d, d)`` array, with reductions done by one batched ``einsum`` and
-entropies by one stacked ``eigvalsh`` pass per matrix size: the quantum
-tables of a chunk stack every spectrum they need, the joint one included,
-and diagonalize each size once. A kernel returns its check as columns
-(:class:`CheckColumns`); the tables take their roles, both sides and check
-ids from the classical rule in :mod:`.simplex`, with a ``q-`` prefix. Each
-public single-matrix function is its kernel run on a batch of one, so a
-state's result does not depend on the batch it was checked in.
+``(n, d, d)`` array, with every reduction it needs taken by one gather and
+one per-cell sum over the flattened matrices, on the cached index plan of
+:mod:`.simplex` (a vector marginal is the diagonal of a reduction's cell
+map), and entropies by one stacked ``eigvalsh`` pass per matrix size: the
+quantum tables of a chunk stack every spectrum they need, the joint one
+included, and diagonalize each size once. A kernel returns its check as
+columns (:class:`CheckColumns`); the tables take their roles, both sides
+and check ids from the classical rule in :mod:`.simplex`, with a ``q-``
+prefix. Each public single-matrix function is its kernel run on a batch of
+one, so a state's result does not depend on the batch it was checked in.
 """
 
 from __future__ import annotations
@@ -37,7 +39,18 @@ from .errors import (
     ShrinkForbiddenError,
 )
 from .report import GAP_TOLERANCE, CheckColumns, InequalityReport
-from .simplex import _TABLE_ROLES, EntropyValue, _factors, _freeze, _shannon_rows, _table_check
+from .simplex import (
+    _TABLE_ROLES,
+    EntropyValue,
+    _cell_plan,
+    _CellPlan,
+    _cells,
+    _factors,
+    _freeze,
+    _shannon_rows,
+    _table_check,
+    _table_plan,
+)
 
 __all__ = [
     "DensityMatrix",
@@ -196,21 +209,23 @@ def _padded_rows(mats: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+def _reductions(mats: np.ndarray, plan: _CellPlan) -> list[np.ndarray]:
+    """The reduced states (n, K, K) of each matrix of a stack (n, d, d), one
+    stack for each reduction of ``plan``; every cell of every reduction
+    comes from one gather and one per-cell sum over the flattened
+    matrices."""
+    n, d = mats.shape[:2]
+    cells = _cells(mats.reshape(n, d * d), plan)
+    return [
+        cells[:, first + 1 : first + 1 + k * k].reshape(n, k, k)
+        for first, k in zip(plan.firsts.tolist(), plan.dims)
+    ]
+
+
 def _reduce_rows(mats: np.ndarray, factors: tuple[int, ...], kept: tuple[int, ...]) -> np.ndarray:
-    """:func:`reduce` of each matrix of a stack (n, d, d), as one einsum,
-    for ``factors`` and ``kept`` the caller has checked."""
-    n = mats.shape[0]
-    k = len(factors)
-    tensor = _padded_rows(mats, math.prod(factors)).reshape((n,) + factors + factors)
-    row = "abc"[:k]
-    col = list("def"[:k])
-    for axis in range(1, k + 1):
-        if axis not in kept:
-            col[axis - 1] = row[axis - 1]
-    out_axes = "".join(row[i - 1] for i in kept) + "".join(col[i - 1] for i in kept)
-    reduced = np.einsum(f"z{row}{''.join(col)}->z{out_axes}", tensor)
-    d = math.prod(factors[i - 1] for i in kept)
-    return reduced.reshape(n, d, d)
+    """:func:`reduce` of each matrix of a stack (n, d, d), for ``factors``
+    and ``kept`` the caller has checked."""
+    return _reductions(mats, _cell_plan(mats.shape[1], [(factors, kept)], True))[0]
 
 
 def reduce(rho: DensityMatrix, plan: ReductionPlan) -> DensityMatrix:
@@ -278,12 +293,11 @@ def _entropy_rows_by_size(stacks: list[np.ndarray]) -> list[np.ndarray]:
 def _q_table_columns(mats: np.ndarray, shapes, tolerance: float) -> list[CheckColumns]:
     """:func:`quantum_subadditivity` (2 factors) or
     :func:`quantum_strong_subadditivity` (3 factors) of each matrix of a
-    stack, for each of the checked ``shapes`` in turn. The joint entropy is
-    taken once, and every spectrum of one matrix size in one pass."""
-    stacks = [mats]
-    for shape in shapes:
-        stacks += [_reduce_rows(mats, shape, kept) for kept in _TABLE_ROLES[len(shape)].values()]
-    entropies = iter(_entropy_rows_by_size(stacks))
+    stack, for each of the checked ``shapes`` in turn. Every reduction of
+    every shape comes from one gather, the joint entropy is taken once, and
+    every spectrum of one matrix size in one pass."""
+    plan = _table_plan(mats.shape[1], tuple(shapes), True)
+    entropies = iter(_entropy_rows_by_size([mats, *_reductions(mats, plan)]))
     s_joint = next(entropies)
     parts = [{role: next(entropies) for role in _TABLE_ROLES[len(shape)]} for shape in shapes]
     return [_table_check("q-", shape, s_joint, s, tolerance) for shape, s in zip(shapes, parts)]

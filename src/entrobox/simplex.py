@@ -20,13 +20,19 @@ p ln max(p, tiny) with tiny the smallest positive float: for p > 0 that is
 p ln p, and a zero entry adds 0 * ln(tiny) = 0 without ever taking ln 0.
 
 Every check is computed by one private kernel over a stack of vectors, one
-per row of an ``(n, N)`` array, with marginals taken by reshape and axis
-sums; a kernel returns its check as columns (:class:`CheckColumns`). The
-table kernel takes a list of shapes, and pads the stack and takes its joint
-entropy once per padded size; its rule (roles, sides, id) is written once,
-in :func:`_table_check`, which the density-matrix tables use too. Each
-public single-vector function is its kernel run on a batch of one, so a
-vector's result does not depend on the batch it was checked in.
+per row of an ``(n, N)`` array; a kernel returns its check as columns
+(:class:`CheckColumns`). The table kernel takes a list of shapes. For each
+reading, a vector length with its shapes, it builds one cached index plan
+(:func:`_table_plan`): which entries of a row sum into each cell of every
+marginal of every shape, and of its joint table, an entry of the zero
+padding reading one zero slot appended to the row. A stack then takes
+every marginal in one gather and one per-cell sum (:func:`_cells`), and
+every entropy in one pass of :func:`_shannon_rows` summed per marginal.
+The cell rule is written once, in :func:`_cell_members`, for vectors and
+density matrices alike, and so is the table rule (roles, sides, id), in
+:func:`_table_check`. Each public single-vector function is its kernel run
+on a batch of one, so a vector's result does not depend on the batch it
+was checked in.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -312,11 +319,15 @@ def marginal3(table: ProbTable, keep: tuple[int, ...]):
     raise BadAxisError(f"keep must be (1, 2), (2, 3) or (2,), got {keep!r}")
 
 
-def _shannon_rows(rows: np.ndarray) -> np.ndarray:
-    """Shannon entropy of each row (the last axis) of a stack."""
+def _shannon_rows(rows: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
+    """Shannon entropy of each row (the last axis) of a stack; with
+    ``starts``, of each segment of the last axis that begins there."""
     # max(p, _TINY) is p for every p > 0, and a p = 0 entry adds 0 * ln(_TINY)
     # = -0.0; NaN and inf propagate. 0 - x, not -x: a zero entropy is 0.0.
-    return _ZERO - np.add.reduce(rows * np.log(np.maximum(rows, _TINY)), -1)
+    terms = rows * np.log(np.maximum(rows, _TINY))
+    if starts is None:
+        return _ZERO - np.add.reduce(terms, -1)
+    return _ZERO - np.add.reduceat(terms, starts, -1)
 
 
 def shannon(p: ProbVec) -> EntropyValue:
@@ -400,11 +411,90 @@ _TABLE_ROLES = {
     3: {"pair12": (1, 2), "pair23": (2, 3), "part2": (2,)},
 }
 
-# The axes of an (n, *shape) table each role sums away.
-_SUMMED_AXES = {
-    k: {role: tuple(a for a in range(1, k + 1) if a not in kept) for role, kept in roles.items()}
-    for k, roles in _TABLE_ROLES.items()
-}
+
+def _cell_members(shape: tuple[int, ...], kept: tuple[int, ...]) -> np.ndarray:
+    """The cell rule of a reduction: the padded flat index (K, m) of every
+    entry of a ``shape`` table that sums into each of the K cells of its
+    reduction onto the 1-based subsystems ``kept``, row c listing them in
+    row-major order of the summed-away subsystems."""
+    summed = [a for a in range(len(shape)) if a + 1 not in kept]
+    grid = np.arange(math.prod(shape)).reshape(shape)
+    return grid.transpose([a - 1 for a in kept] + summed).reshape(
+        math.prod(shape[a - 1] for a in kept), -1
+    )
+
+
+class _CellPlan(NamedTuple):
+    """Where every cell of a list of reductions of one flat row comes from.
+
+    ``members`` lists the row entries each cell sums, cell by cell; an entry
+    of the zero padding reads the zero slot appended to the row. ``starts``
+    is each cell's first member. Every reduction's cells are led by one
+    zero cell, so that the Shannon sum over a reduction's segment of cells,
+    ``firsts``, adds as a row sum over its cells alone would. ``dims`` is
+    the kept dimension K of each reduction: it has K cells after its zero
+    cell, or K x K for a matrix.
+    """
+
+    members: np.ndarray
+    starts: np.ndarray
+    firsts: np.ndarray
+    dims: tuple[int, ...]
+
+
+def _cell_plan(dim: int, reductions, matrix: bool) -> _CellPlan:
+    """The :class:`_CellPlan` of ``reductions``, a list of (shape, kept),
+    for a vector of ``dim`` entries, or, with ``matrix``, for a d x d
+    matrix flattened row-major. A matrix cell (a, b) sums entry
+    (r_a, r_b) over each pair of member rows; a vector marginal is the
+    diagonal of that map, its cell a summing entry r_a."""
+    zero = dim * dim if matrix else dim
+    members, sizes, firsts, dims = [], [], [0], []
+    for shape, kept in reductions:
+        cell = _cell_members(shape, kept)
+        if matrix:
+            rows, cols = cell[:, None, :], cell[None, :, :]
+            flat = np.where((rows < dim) & (cols < dim), rows * dim + cols, zero)
+        else:
+            flat = np.where(cell < dim, cell, zero)
+        flat = flat.reshape(-1, cell.shape[1])  # one cell's members per row
+        members += [np.array([zero]), flat.reshape(-1)]
+        sizes += [np.ones(1, dtype=np.intp), np.full(len(flat), flat.shape[1])]
+        firsts.append(firsts[-1] + 1 + len(flat))
+        dims.append(len(cell))
+    sizes = np.concatenate(sizes)
+    plan = _CellPlan(
+        members=np.concatenate(members),
+        starts=np.cumsum(sizes) - sizes,
+        firsts=np.array(firsts[:-1]),
+        dims=tuple(dims),
+    )
+    for array in (plan.members, plan.starts, plan.firsts):
+        array.flags.writeable = False
+    return plan
+
+
+# A suite asks for the same few readings' plans on every chunk.
+@lru_cache(maxsize=256)
+def _table_plan(dim: int, shapes: tuple, matrix: bool) -> _CellPlan:
+    """The :func:`_cell_plan` of the table checks of ``shapes``: shape by
+    shape in check order, each role's reduction, led for a vector by the
+    joint table itself, whose entropy is a sum over the padded table."""
+    reductions = []
+    for shape in shapes:
+        roles = _TABLE_ROLES[len(shape)].values()
+        joint = () if matrix else (tuple(range(1, len(shape) + 1)),)
+        reductions += [(shape, kept) for kept in (*joint, *roles)]
+    return _cell_plan(dim, reductions, matrix)
+
+
+def _cells(flat: np.ndarray, plan: _CellPlan) -> np.ndarray:
+    """Every cell of every reduction of ``plan`` for each row of a stack of
+    flat rows (n, D), as rows (n, cells): one gather of the members, from
+    each row with the zero slot appended, and one per-cell sum."""
+    slot = np.zeros((len(flat), 1), dtype=flat.dtype)
+    gathered = np.take(np.concatenate((flat, slot), axis=1), plan.members, axis=1)
+    return np.add.reduceat(gathered, plan.starts, axis=1)
 
 
 def _table_check(kind: str, shape, joint, parts, tolerance: float) -> CheckColumns:
@@ -423,21 +513,21 @@ def _table_check(kind: str, shape, joint, parts, tolerance: float) -> CheckColum
 def _table_columns(rows: np.ndarray, shapes, tolerance: float) -> list[CheckColumns]:
     """:func:`subadditivity_gap` (2 factors) or
     :func:`strong_subadditivity_gap` (3 factors) of each row of a stack of
-    vectors, for each of the checked ``shapes`` in turn. The stack is
-    zero-padded, and its joint entropy taken, once per padded size."""
-    n = rows.shape[0]
-    flats = {size: _zero_padded(rows, size) for size in dict.fromkeys(map(math.prod, shapes))}
-    joints = {size: _shannon_rows(flat) for size, flat in flats.items()}
-    checks = []
-    for shape in shapes:
-        size = math.prod(shape)
-        table = flats[size].reshape(n, *shape)
-        parts = {}
-        for role, axes in _SUMMED_AXES[len(shape)].items():
-            marginal = table.sum(axis=axes)
-            parts[role] = _shannon_rows(marginal.reshape(n, -1) if marginal.ndim == 3 else marginal)
-        checks.append(_table_check("", shape, joints[size], parts, tolerance))
-    return checks
+    vectors, for each of the checked ``shapes`` in turn. Every shape's
+    joint table and marginals come from one gather, and their entropies
+    from one pass."""
+    plan = _table_plan(rows.shape[1], tuple(shapes), False)
+    entropies = iter(_shannon_rows(_cells(rows, plan), plan.firsts).T)
+    return [
+        _table_check(
+            "",
+            shape,
+            next(entropies),
+            {role: next(entropies) for role in _TABLE_ROLES[len(shape)]},
+            tolerance,
+        )
+        for shape in shapes
+    ]
 
 
 def subadditivity_gap(

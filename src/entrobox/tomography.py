@@ -46,11 +46,18 @@ from .qstate import (
     _content_ref,
     _entropy_rows,
     _padded_rows,
-    _reduce_rows,
+    _reductions,
     reduce,
 )
 from .report import GAP_TOLERANCE, CheckColumns
-from .simplex import EntropyValue, ProbVec, _freeze, _shannon_rows, _table_columns
+from .simplex import (
+    EntropyValue,
+    ProbVec,
+    _freeze,
+    _shannon_rows,
+    _table_columns,
+    _table_plan,
+)
 
 __all__ = [
     "UnitaryMatrix",
@@ -467,8 +474,9 @@ def _discord_columns(
         raise ShapeMismatchError(f"expected a 4 x 4 or 3 x 3 state, got {dim}")
     prefix = "qutrit-" if dim == 3 else ""
 
-    # both reductions, stacked: one eigenbasis pass and one entropy pass
-    parts = np.concatenate([_reduce_rows(mats, (2, 2), (1,)), _reduce_rows(mats, (2, 2), (2,))])
+    # both reductions from one gather, stacked: one eigenbasis pass and one
+    # entropy pass
+    parts = np.concatenate(_reductions(mats, _table_plan(4, ((2, 2),), True)))
     us, degenerate = _eigenbases(parts)
     u1, u2, deg1, deg2 = us[:n], us[n:], degenerate[:n], degenerate[n:]
     s = _entropy_rows(mats)

@@ -22,6 +22,7 @@ from entrobox import (
     InequalityReport,
     ProbVec,
     cli,
+    qstate,
     simplex,
     minimize_entropy_batch,
     minimize_tomographic_entropy,
@@ -100,6 +101,16 @@ def _assert_batch_invariant(kernel, stack: np.ndarray, *args) -> None:
         assert _bits(_rows_of(batch, k)) == _bits(_rows_of(alone, 0)), (kernel.__name__, k)
 
 
+def _counted(calls: dict, name: str, fn):
+    """``fn``, counting each call in ``calls[name]``."""
+
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapper
+
+
 def _vectors(dim: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     rows = np.stack([dirichlet(dim, rng) for _ in range(N)])
@@ -144,17 +155,19 @@ class TestSimplexKernels:
             padded = _shannon_rows(_zero_padded(rows, math.prod(shape)))
             assert _bits(columns.entropies["joint"]) == _bits(padded)
 
-    @pytest.mark.parametrize("dim, sizes", [(4, 2), (5, 2), (7, 1), (9, 2), (11, 1)])
-    def test_one_padding_per_padded_size(self, dim, sizes, monkeypatch):
-        calls = []
-
-        def counted(rows, size):
-            calls.append(size)
-            return _zero_padded(rows, size)
-
-        monkeypatch.setattr(simplex, "_zero_padded", counted)
-        _table_columns(_vectors(dim, dim), _table_shapes(dim), 1e-9)
-        assert len(calls) == sizes, calls
+    @pytest.mark.parametrize("dim", [4, 5, 7, 9, 11, 12])
+    def test_one_gather_and_one_entropy_pass_per_call(self, dim, monkeypatch):
+        # every shape's joint table and marginals, whatever the number of
+        # shapes
+        calls = {"gather": 0, "entropy": 0}
+        monkeypatch.setattr(simplex, "_cells", _counted(calls, "gather", simplex._cells))
+        monkeypatch.setattr(
+            simplex, "_shannon_rows", _counted(calls, "entropy", simplex._shannon_rows)
+        )
+        for shapes in (_table_shapes(dim), _table_shapes(dim)[:1]):
+            calls.update(gather=0, entropy=0)
+            _table_columns(_vectors(dim, dim), shapes, 1e-9)
+            assert calls == {"gather": 1, "entropy": 1}, (shapes, calls)
 
     def test_a_stack_already_at_size_is_not_copied(self):
         rows = _vectors(8, 8)
@@ -231,6 +244,26 @@ class TestSimplexKernels:
                     lhs, rhs = want["joint"] + want["part2"], want["pair12"] + want["pair23"]
                 assert columns.lhs[i] == pytest.approx(lhs, rel=1e-12, abs=1e-14)
                 assert columns.rhs[i] == pytest.approx(rhs, rel=1e-12, abs=1e-14)
+
+    def test_cells_wholly_in_the_padding_match_loop_oracle(self):
+        # a 9-vector read at (2, 2, 3): pair12 cell 3 sums flat entries 9-11,
+        # all of them padding, so it reads the zero slot (an empty per-cell
+        # sum would read its start element instead of 0); each reduction is
+        # taken alone and all of them together
+        rows = _vectors(9, 209)
+        shape = (2, 2, 3)
+        padded = _zero_padded(rows, 12)
+        together = [(shape, kept) for kept in ((1, 2), (2, 3), (2,))]
+        for reductions in [together, *([r] for r in together)]:
+            plan = simplex._cell_plan(9, reductions, False)
+            cells = simplex._cells(rows, plan)
+            for (_, kept), first, k in zip(reductions, plan.firsts, plan.dims):
+                got = cells[:, first + 1 : first + 1 + k]
+                for i in range(N):
+                    want = marginal_brute(padded[i], shape, kept)
+                    np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-15)
+                if kept == (1, 2):
+                    assert _bits(got[:, 3]) == _bits(np.zeros(N))
 
 
 class TestQuantumKernels:
@@ -349,6 +382,9 @@ class TestQuantumKernels:
             (5, (2, 2, 2), (1, 2)),
             (7, (2, 2, 2), (2, 3)),
             (7, (2, 2, 2), (2,)),
+            (7, (4, 2), (1,)),
+            (5, (2, 2, 2), (2, 3)),
+            (5, (2, 2, 2), (2,)),
         ],
     )
     def test_stacked_reductions_match_loop_oracle(self, dim, factors, kept):
@@ -358,6 +394,33 @@ class TestQuantumKernels:
         for k in range(N):
             want = reduce_brute(mats[k], factors, kept)
             np.testing.assert_allclose(got[k], want, rtol=0, atol=1e-15)
+
+    def test_cells_wholly_in_the_padding_match_loop_oracle(self):
+        # a 5 x 5 state read at (2, 2, 2): pair12's row and column (1, 1)
+        # sum rows and columns 6 and 7, all of them padding
+        mats = _ginibre_batch(5, 25)
+        got = _reduce_rows(mats, (2, 2, 2), (1, 2))
+        for k in range(N):
+            np.testing.assert_allclose(
+                got[k], reduce_brute(mats[k], (2, 2, 2), (1, 2)), rtol=0, atol=1e-15
+            )
+        assert _bits(got[:, 3]) == _bits(np.zeros((N, 4), dtype=complex))
+        assert _bits(got[:, :, 3]) == _bits(np.zeros((N, 4), dtype=complex))
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 7])
+    def test_one_gather_and_one_entropy_pass_per_call(self, dim, monkeypatch):
+        # every reduction of every shape, whatever the number of shapes
+        calls = {"gather": 0, "entropy": 0}
+        monkeypatch.setattr(qstate, "_cells", _counted(calls, "gather", qstate._cells))
+        monkeypatch.setattr(
+            qstate,
+            "_entropy_rows_by_size",
+            _counted(calls, "entropy", qstate._entropy_rows_by_size),
+        )
+        for shapes in (_table_shapes(dim), _table_shapes(dim)[:1]):
+            calls.update(gather=0, entropy=0)
+            _q_table_columns(_ginibre_batch(dim, dim), shapes, 1e-9)
+            assert calls == {"gather": 1, "entropy": 1}, (shapes, calls)
 
     def test_a_row_below_the_floor_fails_the_batch_as_it_fails_alone(self):
         mats = _ginibre_batch(4, 30)

@@ -1222,6 +1222,36 @@ class TestMainEntry:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--check", "subadd", "--input", "v4", "--shape", "2x1073741824"],
+            ["eval", "--check", "q-strong-subadd", "--input", "rho4", "--shape", "2x2x262144"],
+        ],
+        ids=["vector", "matrix"],
+    )
+    def test_a_shape_under_the_ceiling_that_does_not_fit_fails_fast(self, argv, state_files):
+        # the reading's index plan is built by array operations, so its first
+        # allocation that does not fit fails at once; the child's address
+        # space is capped at 1 GiB, so nothing larger is ever allocated
+        resource = pytest.importorskip("resource")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        argv = [state_files.get(a, a) for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-m", "entrobox.cli", *argv],
+            capture_output=True,
+            text=True,
+            preexec_fn=cap,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: not enough memory: Unable to allocate")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
 
 def _eval_requests(tmp_path) -> list[list[str]]:
     """Distinct ``eval`` argv lists over fresh state files, without --output."""
