@@ -20,6 +20,16 @@ repeats another's, a ``--tolerance`` that is not a finite value
 output that cannot be written, a state size above ``_MAX_ENTRIES``
 entries or one that does not fit in memory).
 
+This module schedules checks and takes no entropy, readout or rotation
+itself: it draws states and the further draws their checks take, labels
+rows with provenance, names checks and aggregates them. Each check is one
+kernel over a stack of states in the module that owns its rule:
+:mod:`.simplex` the classical tables and the 4-vector chain family
+(subadditivity, the Shannon chain identity, the Tsallis chain bounds and
+their Shannon limit), :mod:`.qstate` the quantum tables, and
+:mod:`.tomography` the readout bound, the readout minimum, the spin-axis
+readouts and the discord family.
+
 Each named check is written once, and ``check`` and ``eval`` both run it.
 A suite is a list of jobs, each drawing ``trials`` states from one sampler
 at one dim; an ``--input`` state joins every job whose sampler could have
@@ -71,22 +81,17 @@ from .ensembles import diagonal_density, dirichlet, ginibre, haar
 from .errors import BadOrderError, EntroboxError, NotHermitianError, ShapeMismatchError
 from .qstate import (
     DensityMatrix,
-    _entropy_rows,
     _q_table_columns,
     quantum_strong_subadditivity,
     quantum_subadditivity,
     validate_density,
 )
-from .report import GAP_TOLERANCE, IDENTITY_TOLERANCE, CheckColumns, InequalityReport
+from .report import GAP_TOLERANCE, CheckColumns, InequalityReport, _identity
 from .simplex import (
     ProbVec,
-    _conditional_rows,
-    _shannon_rows,
-    _split_rows,
+    _chain_columns,
     _order_id,
     _table_columns,
-    _tsallis_chain_columns,
-    _tsallis_rows,
     _zero_padded,
     admissible_shapes,
     strong_subadditivity_gap,
@@ -95,10 +100,10 @@ from .simplex import (
     validate_prob_vec,
 )
 from .tomography import (
-    _axis_unitary,
+    _axis_columns,
     _discord_columns,
+    _readout_bound_columns,
     _readout_min_columns,
-    _readouts,
     discord,
     spin_tomogram_axis,
 )
@@ -379,29 +384,6 @@ def generate_ensemble(kind: str, dim: int, count: int, seed: int) -> Iterator[St
 
 
 # ---------------------------------------------------------------------------
-# checks, each written once for `check` and `eval`
-
-
-def _identity(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float) -> CheckColumns:
-    """Equalities |lhs - rhs| <= tol, with the two sides as the entropies.
-
-    The gap is -(|lhs - rhs|), so "gap >= -tol" is the equality test and
-    the aggregate's min_gap shows the worst deviation.
-    """
-    return CheckColumns(name, lhs, rhs, {"lhs": lhs, "rhs": rhs}, tol, identity=True)
-
-
-def _cond_chain(rows: np.ndarray) -> CheckColumns:
-    """The Shannon chain on each row of a stack of 4-vectors: the
-    block-weighted entropies of its two conditional halves add up to
-    H(V | V~)."""
-    blocks, halves = _split_rows(rows)
-    h = _shannon_rows(halves)
-    weighted = blocks[:, 0] * h[:, 0] + blocks[:, 1] * h[:, 1]
-    return _identity("cond-chain-identity", weighted, _conditional_rows(rows), IDENTITY_TOLERANCE)
-
-
-# ---------------------------------------------------------------------------
 # suites: jobs of sampled states, each check run once over a chunk of them
 
 # States a job's checks take at once. The chunk size is fixed, so a suite's
@@ -506,6 +488,12 @@ def _labelled(chunk: _Chunk, checks: Iterable[CheckColumns]):
     return [(columns, chunk.provenance) for columns in checks]
 
 
+def _per_dim(chunk: _Chunk, checks: Iterable[CheckColumns]):
+    """:func:`_labelled`, each check's id prefixed by the states' dim."""
+    dim = chunk.rows.shape[1]
+    return _labelled(chunk, [c._replace(name=f"dim{dim}-{c.name}") for c in checks])
+
+
 def _middle_bipartition(p8: np.ndarray) -> np.ndarray:
     """Reorder each 8-vector of a stack so its (2, 4) reading pairs the
     middle binary digit against the outer two; the complementary grouping
@@ -523,26 +511,17 @@ def _seven_checks(chunk: _Chunk, config: SuiteConfig):
 
 
 def _four_checks(chunk: _Chunk, config: SuiteConfig):
-    rows, tol = chunk.rows, config.tolerance
-    checks = [_table_columns(rows, [(2, 2)], tol)[0]._replace(name="subadd-4"), _cond_chain(rows)]
-    checks += [_tsallis_chain_columns(rows, q, tol) for q in config.q_values]
-    h = _shannon_rows(rows)
-    worst = np.maximum(
-        np.abs(_tsallis_rows(rows, 1.0 + 1e-4) - h),
-        np.abs(_tsallis_rows(rows, 1.0 - 1e-4) - h),
-    )
-    checks.append(_identity("tsallis-shannon-limit", worst, np.zeros(len(rows)), 1e-3))
-    return _labelled(chunk, checks)
+    subadd, *chains = _chain_columns(chunk.rows, config.q_values, config.tolerance)
+    return _labelled(chunk, [subadd._replace(name="subadd-4"), *chains])
 
 
 def _table_checks(chunk: _Chunk, config: SuiteConfig):
     # Subadditivity of every admissible 2-factor rereading of the states at
     # their own dim, then strong subadditivity of every 3-factor one.
     rows = chunk.rows
-    dim, tol = rows.shape[1], config.tolerance
-    shapes = admissible_shapes(dim, 2) + admissible_shapes(dim, 3)
-    checks = (_q_table_columns if rows.ndim == 3 else _table_columns)(rows, shapes, tol)
-    return _labelled(chunk, [c._replace(name=f"dim{dim}-{c.name}") for c in checks])
+    shapes = admissible_shapes(rows.shape[1], 2) + admissible_shapes(rows.shape[1], 3)
+    kernel = _q_table_columns if rows.ndim == 3 else _table_columns
+    return _per_dim(chunk, kernel(rows, shapes, config.tolerance))
 
 
 def _mixed_equality(chunk: _Chunk, config: SuiteConfig):
@@ -553,42 +532,29 @@ def _mixed_equality(chunk: _Chunk, config: SuiteConfig):
 
 def _readout_bound(chunk: _Chunk, config: SuiteConfig):
     # Each state is read in a Haar-random basis, one extra draw per state.
-    rows = chunk.rows
-    dim = rows.shape[1]
+    dim = chunk.rows.shape[1]
     us = chunk.extras(lambda rng, n: haar(dim, rng, n))
-    readout = _shannon_rows(_readouts(rows, us))
-    entropy = _entropy_rows(rows)
-    entropies = {"readout": readout, "von_neumann": entropy}
-    bound = CheckColumns(f"dim{dim}-readout-bound", entropy, readout, entropies, config.tolerance)
-    return _labelled(chunk, [bound])
+    return _per_dim(chunk, [_readout_bound_columns(chunk.rows, us, config.tolerance)])
 
 
 def _axis_checks(chunk: _Chunk, config: SuiteConfig):
     # Subadditivity and the conditional chain hold along every measurement
     # direction of a spin-3/2 readout; each state's axis is one extra draw,
     # cos(theta) then phi, each uniform.
-    rows = chunk.rows
     draws = chunk.extras(lambda rng, n: rng.uniform((-1.0, 0.0), (1.0, 2.0 * math.pi), (n, 2)))
     angles = [(math.acos(z), phi) for z, phi in draws.tolist()]
-    us = np.stack([_axis_unitary(rows.shape[1], theta, phi) for theta, phi in angles])
-    w = _readouts(rows, us)
 
     def provenance(i: int) -> str:
         theta, phi = angles[i]
         return f"{chunk.provenance(i)},axis(theta={theta:.6f},phi={phi:.6f})"
 
-    return [
-        (_table_columns(w, [(2, 2)], config.tolerance)[0]._replace(name="axis-subadd"), provenance),
-        (_cond_chain(w)._replace(name="axis-cond-chain"), provenance),
-    ]
+    return [(c, provenance) for c in _axis_columns(chunk.rows, angles, config.tolerance)]
 
 
 def _readout_min_checks(chunk: _Chunk, config: SuiteConfig):
     # Each state's search seed is one extra draw.
     seeds = chunk.extras(lambda rng, n: rng.integers(2**63, size=n)).tolist()
-    checks = _readout_min_columns(chunk.rows, seeds, config.tolerance)
-    dim = chunk.rows.shape[1]
-    return _labelled(chunk, [c._replace(name=f"dim{dim}-{c.name}") for c in checks])
+    return _per_dim(chunk, _readout_min_columns(chunk.rows, seeds, config.tolerance))
 
 
 def _discord_checks(chunk: _Chunk, config: SuiteConfig):
@@ -807,7 +773,10 @@ def _at_shape(check: str, factors: int):
 _EVALUATIONS = {
     "subadd": (ProbVec, _at_shape("subadditivity_gap", 2)),
     "strong-subadd": (ProbVec, _at_shape("strong_subadditivity_gap", 3)),
-    "cond-chain": (ProbVec, lambda p, args: _cond_chain(p.values[None]).report(0, "input")),
+    "cond-chain": (
+        ProbVec,
+        lambda p, args: _chain_columns(p.values[None], (), args.tolerance)[1].report(0, "input"),
+    ),
     "tsallis-chain": (
         ProbVec,
         lambda p, args: tsallis_monotonicity_check(p, args.q, args.tolerance, "input"),

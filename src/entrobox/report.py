@@ -10,8 +10,8 @@ Every check travels in one record, :class:`CheckColumns`, from the kernel
 that computes it over a stack of states to the report: one entry per state
 in each column, under the one name the check is known by. A report is built
 in one place, :func:`make_report`, which :meth:`CheckColumns.report` calls
-for one row of an inequality or an identity alike, so a report object is
-built only where one is wanted.
+for one row of an inequality or an identity (:func:`_identity`) alike, so a
+report object is built only where one is wanted.
 """
 
 from __future__ import annotations
@@ -145,3 +145,12 @@ class CheckColumns(NamedTuple):
             tuple(flag for flag, rows in (self.flags or {}).items() if rows[i]),
             self.identity,
         )
+
+
+def _identity(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float) -> CheckColumns:
+    """Equalities |lhs - rhs| <= tol, with the two sides as the entropies.
+
+    The gap is -(|lhs - rhs|), so "gap >= -tol" is the equality test and
+    the aggregate's min_gap shows the worst deviation.
+    """
+    return CheckColumns(name, lhs, rhs, {"lhs": lhs, "rhs": rhs}, tol, identity=True)

@@ -30,9 +30,11 @@ every marginal in one gather and one per-cell sum (:func:`_cells`), and
 every entropy in one pass of :func:`_shannon_rows` summed per marginal.
 The cell rule is written once, in :func:`_cell_members`, for vectors and
 density matrices alike, and so is the table rule (roles, sides, id), in
-:func:`_table_check`. Each public single-vector function is its kernel run
-on a batch of one, so a vector's result does not depend on the batch it
-was checked in.
+:func:`_table_check`. Every check of a 4-vector, its table, its Shannon
+chain identity and its Tsallis chain bounds, comes from one kernel,
+:func:`_chain_columns`, which takes H(p) and H(b) from the 2 x 2 table.
+Each public single-vector function is its kernel run on a batch of one, so
+a vector's result does not depend on the batch it was checked in.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .errors import (
     ShapeMismatchError,
     ShrinkForbiddenError,
 )
-from .report import GAP_TOLERANCE, CheckColumns, InequalityReport
+from .report import GAP_TOLERANCE, IDENTITY_TOLERANCE, CheckColumns, InequalityReport, _identity
 
 __all__ = [
     "ProbVec",
@@ -619,11 +621,13 @@ def _order_id(q: float) -> str:
     return f"q{q:g}"
 
 
-def _tsallis_chain_columns(rows: np.ndarray, q: float, tolerance: float) -> CheckColumns:
+def _tsallis_chain_columns(
+    rows: np.ndarray, q: float, tolerance: float, blocks: np.ndarray | None = None
+) -> CheckColumns:
     """:func:`tsallis_monotonicity_check` of each row of a stack of 4-vectors."""
     q = _order(q)
     total = _tsallis_rows(rows, q)
-    coarse = _tsallis_rows(_block_rows(rows), q)
+    coarse = _tsallis_rows(_block_rows(rows) if blocks is None else blocks, q)
     conditional = total - coarse
     return CheckColumns(
         name=f"tsallis-chain-{_order_id(q)}",
@@ -633,6 +637,27 @@ def _tsallis_chain_columns(rows: np.ndarray, q: float, tolerance: float) -> Chec
         entropies={"total": total, "coarse": coarse, "conditional": conditional},
         tolerance=tolerance,
     )
+
+
+def _chain_columns(rows: np.ndarray, q_values, tolerance: float) -> list[CheckColumns]:
+    """Every check of a stack of 4-vectors p with blocks b, from one 2 x 2
+    table pass (H(p) and H(b) are its joint and part1 entropies) and one
+    block split: ``subadd-2x2``, ``cond-chain-identity``, each order's
+    Tsallis chain bound, then, with any order, ``tsallis-shannon-limit``."""
+    blocks, halves = _split_rows(rows)
+    [table] = _table_columns(rows, [(2, 2)], tolerance)
+    h, h_halves = table.entropies["joint"], _shannon_rows(halves)
+    weighted = blocks[:, 0] * h_halves[:, 0] + blocks[:, 1] * h_halves[:, 1]
+    conditional = h - table.entropies["part1"]  # H(V | V~) = H(p) - H(b)
+    checks = [table, _identity("cond-chain-identity", weighted, conditional, IDENTITY_TOLERANCE)]
+    checks += [_tsallis_chain_columns(rows, q, tolerance, blocks) for q in q_values]
+    if q_values:
+        worst = np.maximum(
+            np.abs(_tsallis_rows(rows, 1.0 + 1e-4) - h),
+            np.abs(_tsallis_rows(rows, 1.0 - 1e-4) - h),
+        )
+        checks.append(_identity("tsallis-shannon-limit", worst, np.zeros(len(rows)), 1e-3))
+    return checks
 
 
 def tsallis_monotonicity_check(

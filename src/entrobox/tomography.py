@@ -14,12 +14,13 @@ gap H(w1) + H(w2) - H(w12) of the joint readout read as a 2 x 2 table;
 its deficit against the von Neumann mutual information is the
 discord-type measure computed here.
 
-Readouts, eigenbases, the readout-minimum check and the discord measure
-are each one private kernel over a stack of matrices (n, d, d); each
-public single-state function is its kernel run on a batch of one. The
-checks come out as :class:`CheckColumns`, the discord family's too: its
-``discord-nonneg`` check carries every entropy and flag a
-:class:`DiscordReport` is read from.
+Readouts, eigenbases, the readout bound, the readout minimum, the
+spin-axis readouts (every state's rotation built in one stacked product)
+and the discord measure are each one private kernel over a stack of
+matrices (n, d, d); each public single-state function is its kernel run on
+a batch of one. The checks come out as :class:`CheckColumns`, the discord
+family's too: its ``discord-nonneg`` check carries every entropy and flag
+a :class:`DiscordReport` is read from.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .report import GAP_TOLERANCE, CheckColumns
 from .simplex import (
     EntropyValue,
     ProbVec,
+    _chain_columns,
     _freeze,
     _shannon_rows,
     _table_columns,
@@ -357,6 +359,15 @@ def minimize_entropy_batch(
     return _Minima(pairs, nfev, converged)
 
 
+def _readout_bound_columns(mats: np.ndarray, us: np.ndarray, tolerance: float) -> CheckColumns:
+    """``readout-bound`` on each state of a stack read in its own basis of
+    ``us``: the readout entropy is never below the von Neumann entropy."""
+    readout = _shannon_rows(_readouts(mats, us))
+    entropy = _entropy_rows(mats)
+    entropies = {"readout": readout, "von_neumann": entropy}
+    return CheckColumns("readout-bound", entropy, readout, entropies, tolerance)
+
+
 def _readout_min_columns(
     mats: np.ndarray, seeds: list[int], tolerance: float
 ) -> tuple[CheckColumns, CheckColumns]:
@@ -577,19 +588,30 @@ def _spin_basis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m, w, v
 
 
-def _axis_unitary(dim: int, theta: float, phi: float) -> np.ndarray:
-    """The basis rotation of :func:`spin_tomogram_axis` for a d x d state."""
+def _axis_unitaries(dim: int, angles) -> np.ndarray:
+    """The rotations (n, d, d) of :func:`spin_tomogram_axis` for a d x d
+    state along each axis (theta, phi) of ``angles``, in one stacked product."""
     if dim > 4:
         raise DimMismatchError(f"axis readout supports dim <= 4, got {dim}")
-    theta = float(theta)
-    phi = float(phi)
-    if not (0.0 <= theta <= math.pi):
-        raise BadAngleError(f"theta must lie in [0, pi], got {theta!r}")
-    if not (0.0 <= phi < 2.0 * math.pi):
-        raise BadAngleError(f"phi must lie in [0, 2 pi), got {phi!r}")
+    # axis by axis, so that a stack names the first bad axis as it fails alone
+    for theta, phi in angles:
+        if not (0.0 <= float(theta) <= math.pi):
+            raise BadAngleError(f"theta must lie in [0, pi], got {float(theta)!r}")
+        if not (0.0 <= float(phi) < 2.0 * math.pi):
+            raise BadAngleError(f"phi must lie in [0, 2 pi), got {float(phi)!r}")
+    theta, phi = np.array(angles, dtype=float).reshape(-1, 2).T
     m, w, v = _spin_basis(dim)
-    rot_y = (v * np.exp(-1j * theta * w)[None, :]) @ v.conj().T
-    return np.exp(-1j * phi * m)[:, None] * rot_y
+    rot_y = (v * np.exp(-1j * theta[:, None] * w)[:, None, :]) @ v.conj().T
+    return np.exp(-1j * phi[:, None] * m)[:, :, None] * rot_y
+
+
+def _axis_columns(mats: np.ndarray, angles, tolerance: float) -> list[CheckColumns]:
+    """``subadd-2x2`` and ``cond-chain-identity`` of :func:`_chain_columns`,
+    as ``axis-subadd`` and ``axis-cond-chain``, on the readout of each 4 x 4
+    state of a stack along its own spin axis of ``angles``."""
+    w = _readouts(mats, _axis_unitaries(mats.shape[1], angles))
+    subadd, chain = _chain_columns(w, (), tolerance)
+    return [subadd._replace(name="axis-subadd"), chain._replace(name="axis-cond-chain")]
 
 
 def spin_tomogram_axis(rho: DensityMatrix, theta: float, phi: float) -> Tomogram:
@@ -599,4 +621,4 @@ def spin_tomogram_axis(rho: DensityMatrix, theta: float, phi: float) -> Tomogram
     j = (d - 1) / 2, built on the ascending-m basis. Kept to d <= 4
     (spins 1/2, 1, 3/2).
     """
-    return tomogram(rho, UnitaryMatrix(_axis_unitary(rho.dim, theta, phi)))
+    return tomogram(rho, UnitaryMatrix(_axis_unitaries(rho.dim, [(theta, phi)])[0]))

@@ -24,14 +24,15 @@ from entrobox import (
     cli,
     qstate,
     simplex,
+    tomography,
     minimize_entropy_batch,
     minimize_tomographic_entropy,
     quantum_strong_subadditivity,
     quantum_subadditivity,
+    subadditivity_gap,
     von_neumann,
 )
-from entrobox.cli import _cond_chain
-from entrobox.errors import NotPositiveError
+from entrobox.errors import BadAngleError, NotPositiveError
 from entrobox.ensembles import diagonal_density, dirichlet, ginibre, haar
 from entrobox.qstate import (
     DensityMatrix,
@@ -43,6 +44,7 @@ from entrobox.qstate import (
 )
 from entrobox.report import CheckColumns
 from entrobox.simplex import (
+    _chain_columns,
     _conditional_rows,
     _shannon_rows,
     _split_rows,
@@ -54,11 +56,14 @@ from entrobox.simplex import (
 )
 from entrobox.tomography import (
     DiscordReport,
+    _axis_columns,
     _discord_columns,
     _discord_report,
     _eigenbases,
+    _readout_bound_columns,
     _readout_min_columns,
     _readouts,
+    spin_tomogram_axis,
 )
 
 from _explicit import STATES, job_draws, marginal_brute, reduce_brute, shannon_brute
@@ -212,9 +217,50 @@ class TestSimplexKernels:
         _assert_batch_invariant(_split_rows, rows)
         _assert_batch_invariant(_conditional_rows, rows)
         _assert_batch_invariant(_conditional_rows, rows, 2.0)
-        _assert_batch_invariant(_cond_chain, rows)
+        for q_values in ((), (0.5, 2.0, 3.0), (1.0,)):
+            _assert_batch_invariant(_chain_columns, rows, q_values, 1e-9)
         for q in (0.5, 2.0, 3.0):
             _assert_batch_invariant(_tsallis_chain_columns, rows, q, 1e-9)
+
+    def test_chain_columns_reuse_the_table_entropies(self):
+        # H(p) and H(b) are the 2 x 2 table's joint and part1 entropies,
+        # bitwise what the Shannon kernel gives them alone; with no Tsallis
+        # order, neither the chain bounds nor the limit row is taken
+        rows = _vectors(4, 41)
+        rows[5] = [0.0, 0.0, 0.4, 0.6]
+        rows[6] = [0.3, 0.7, 0.0, 0.0]
+        q_values = (0.5, 1.0, 2.0)
+        checks = _chain_columns(rows, q_values, 1e-9)
+        assert [c.name for c in checks] == [
+            "subadd-2x2", "cond-chain-identity", "tsallis-chain-q0.5", "tsallis-chain-q1",
+            "tsallis-chain-q2", "tsallis-shannon-limit",
+        ]
+        table, chain, *_ = checks
+        assert _bits(table) == _bits(_table_columns(rows, [(2, 2)], 1e-9)[0])
+        assert _bits(table.entropies["joint"]) == _bits(_shannon_rows(rows))
+        assert _bits(chain.rhs) == _bits(_conditional_rows(rows))
+        for q, columns in zip(q_values, checks[2:]):
+            assert _bits(columns) == _bits(_tsallis_chain_columns(rows, q, 1e-9))
+        assert _bits(_chain_columns(rows, (), 1e-9)) == _bits(checks[:2])
+
+    def test_one_table_pass_and_one_block_split_per_four_vector_chunk(self, monkeypatch):
+        # the table's gather and entropy pass, the halves' entropy pass and
+        # one block split, whatever the number of Tsallis orders; each order
+        # takes T_q(p) and T_q(b), and the Shannon limit two orders more
+        calls = {"gather": 0, "entropy": 0, "blocks": 0, "tsallis": 0}
+        for name, fn in (
+            ("gather", "_cells"),
+            ("entropy", "_shannon_rows"),
+            ("blocks", "_block_rows"),
+            ("tsallis", "_tsallis_rows"),
+        ):
+            monkeypatch.setattr(simplex, fn, _counted(calls, name, getattr(simplex, fn)))
+        for q_values in ((0.5, 2.0, 3.0), (), (0.5, 1.5, 2.0, 2.5, 3.0)):
+            calls.update(gather=0, entropy=0, blocks=0, tsallis=0)
+            _chain_columns(_vectors(4, 42), q_values, 1e-9)
+            tsallis = 2 * len(q_values) + 2 if q_values else 0
+            want = {"gather": 1, "entropy": 2, "blocks": 1, "tsallis": tsallis}
+            assert calls == want, (q_values, calls)
 
     @pytest.mark.parametrize("dim", [5, 7, 9, 10, 11])
     def test_stacked_marginals_match_loop_oracle(self, dim):
@@ -473,6 +519,55 @@ class TestTomographyKernels:
             assert _bits(batch[k]) == _bits(alone[0])
         _assert_batch_invariant(_table_columns, _vectors(4, 60), [(2, 2)], 1e-9)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_readout_bound_columns(self, dim):
+        mats = _ginibre_batch(dim, 55 + dim)
+        rng = np.random.default_rng(dim)
+        us = np.stack([haar(dim, rng) for _ in range(N)])
+        batch = _readout_bound_columns(mats, us, 1e-9)
+        for k in range(N):
+            alone = _readout_bound_columns(mats[k : k + 1], us[k : k + 1], 1e-9)
+            assert _bits(batch.report(k)) == _bits(alone.report(0)), k
+        assert _bits(batch.entropies) == _bits(
+            {"readout": _shannon_rows(_readouts(mats, us)), "von_neumann": _entropy_rows(mats)}
+        )
+
+    def _axes(self, n: int, seed: int) -> list[tuple[float, float]]:
+        # the suite's draw, with the axes at the ends of the ranges
+        rng = np.random.default_rng(seed)
+        draws = rng.uniform((-1.0, 0.0), (1.0, 2.0 * math.pi), (n, 2)).tolist()
+        ends = [(0.0, 0.0), (math.pi, 0.0), (math.pi / 2, math.pi)]
+        return ends + [(math.acos(z), phi) for z, phi in draws[3:]]
+
+    def test_axis_columns(self):
+        mats = _ginibre_batch(4, 65)
+        axes = self._axes(N, 65)
+        batch = _axis_columns(mats, axes, 1e-9)
+        assert [c.name for c in batch] == ["axis-subadd", "axis-cond-chain"]
+        for k in range(N):
+            alone = _axis_columns(mats[k : k + 1], axes[k : k + 1], 1e-9)
+            assert _bits(_rows_of(batch, k)) == _bits(_rows_of(alone, 0)), k
+            # the stacked rotations are the public per-state readouts
+            w = spin_tomogram_axis(DensityMatrix(mats[k]), *axes[k]).probabilities
+            public = subadditivity_gap(w, (2, 2), 1e-9)
+            assert _bits(batch[0].report(k)) == _bits(dataclasses.replace(public, name="axis-subadd"))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_stacked_rotations_are_the_rotations_alone(self, dim):
+        axes = self._axes(200, dim)
+        stacked = tomography._axis_unitaries(dim, axes)
+        for k, axis in enumerate(axes):
+            assert _bits(stacked[k]) == _bits(tomography._axis_unitaries(dim, [axis])[0]), k
+
+    def test_a_bad_axis_fails_a_stack_as_it_fails_alone(self):
+        # the first bad axis in stack order is named, its theta before its phi
+        axes = [(1.0, 0.5), (0.5, 7.0), (-0.1, 1.0)]
+        with pytest.raises(BadAngleError) as alone:
+            tomography._axis_unitaries(4, axes[1:2])
+        with pytest.raises(BadAngleError) as stack:
+            tomography._axis_unitaries(4, axes)
+        assert str(stack.value) == str(alone.value) == "phi must lie in [0, 2 pi), got 7.0"
+
     @pytest.mark.parametrize("dim", [3, 4])
     def test_discord_reports(self, dim):
         mats = _ginibre_batch(dim, 70 + dim)
@@ -625,6 +720,6 @@ class TestChunkedSuite:
             assert report["all_passed"]
         assert built == []
         # a failing instance does get its report: the count is not vacuous
-        monkeypatch.setattr(cli, "IDENTITY_TOLERANCE", -1.0)
+        monkeypatch.setattr(simplex, "IDENTITY_TOLERANCE", -1.0)
         report = cli.run_suite(cli.SuiteConfig(suite="classical", trials=3, seed=5))
         assert built == ["InequalityReport"] * len(report["failing_instances"]) != []

@@ -429,7 +429,7 @@ def _forced_failure_report(suite: str, monkeypatch, **config) -> dict:
     default identity tolerance fails: the tolerance check is swapped out, so
     a tolerance of -10 demands a gap of at least 10."""
     monkeypatch.setattr(cli, "_require_tolerance", lambda tolerance: None)
-    monkeypatch.setattr(cli, "IDENTITY_TOLERANCE", -1.0)
+    monkeypatch.setattr(entrobox.simplex, "IDENTITY_TOLERANCE", -1.0)
     return run_suite(SuiteConfig(suite=suite, tolerance=-10.0, seed=23, **config))
 
 
@@ -476,7 +476,7 @@ def _chain_report(name: str, w: np.ndarray, provenance: str) -> InequalityReport
     lhs = (w[0] + w[1]) * float(shannon(split.v)) + (w[2] + w[3]) * float(shannon(split.v_tilde))
     rhs = float(conditional_entropy(p))
     diff = abs(lhs - rhs)
-    tol = cli.IDENTITY_TOLERANCE
+    tol = entrobox.simplex.IDENTITY_TOLERANCE
     return InequalityReport(
         name, lhs, rhs, -diff, tol, diff <= tol, {"lhs": lhs, "rhs": rhs}, provenance
     )
@@ -939,6 +939,23 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert f"the {suite!r} suite checks no" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "check, key, message",
+        [
+            ("cond-chain", "v5", "conditional split needs a 4-vector, got 5"),
+            ("tsallis-chain", "v5", "conditional split needs a 4-vector, got 5"),
+            ("axis-subadd", "rho5", "axis readout supports dim <= 4, got 5"),
+        ],
+    )
+    def test_eval_refuses_a_state_its_kernel_cannot_read(
+        self, check, key, message, state_files, tmp_path, capsys
+    ):
+        path = write_json(tmp_path / "v5.json", [0.2] * 5) if key == "v5" else state_files[key]
+        assert main(["eval", "--check", check, "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "2,-0.5"])

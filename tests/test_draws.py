@@ -105,23 +105,23 @@ def test_extra_draws_are_the_oracle_draws(trials, with_input, inputs, monkeypatc
     bases: dict[int, list[np.ndarray]] = {}
     axes: list[tuple[float, float]] = []
     seeds: dict[int, list[int]] = {}
-    haar, axis_unitary = cli.haar, cli._axis_unitary
+    haar, axis_columns = cli.haar, cli._axis_columns
 
     def recorded_haar(dim, rng, n):
         out = haar(dim, rng, n)
         bases.setdefault(dim, []).extend(out)
         return out
 
-    def recorded_axis(dim, theta, phi):
-        axes.append((theta, phi))
-        return axis_unitary(dim, theta, phi)
+    def recorded_axis(mats, angles, tolerance):
+        axes.extend(angles)
+        return axis_columns(mats, angles, tolerance)
 
     def recorded_search(states, **kwargs):
         seeds.setdefault(states[0].dim, []).extend(kwargs["seeds"])
         return _Minima([(None, 0.0)] * len(states), [0] * len(states), [True] * len(states))
 
     monkeypatch.setattr(cli, "haar", recorded_haar)
-    monkeypatch.setattr(cli, "_axis_unitary", recorded_axis)
+    monkeypatch.setattr(cli, "_axis_columns", recorded_axis)
     monkeypatch.setattr(tomography, "minimize_entropy_batch", recorded_search)
     dims = [2, 3]
     path = inputs[3] if with_input else None
