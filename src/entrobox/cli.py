@@ -70,7 +70,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -92,7 +92,6 @@ from .simplex import (
     _chain_columns,
     _order_id,
     _table_columns,
-    _zero_padded,
     admissible_shapes,
     strong_subadditivity_gap,
     subadditivity_gap,
@@ -494,18 +493,10 @@ def _per_dim(chunk: _Chunk, checks: Iterable[CheckColumns]):
     return _labelled(chunk, [c._replace(name=f"dim{dim}-{c.name}") for c in checks])
 
 
-def _middle_bipartition(p8: np.ndarray) -> np.ndarray:
-    """Reorder each 8-vector of a stack so its (2, 4) reading pairs the
-    middle binary digit against the outer two; the complementary grouping
-    of the cube."""
-    return p8.reshape(-1, 2, 2, 2).transpose(0, 2, 1, 3).reshape(-1, 8)
-
-
 def _seven_checks(chunk: _Chunk, config: SuiteConfig):
-    # one padding of the chunk serves all three checks
-    p8, tol = _zero_padded(chunk.rows, 8), config.tolerance
-    checks = _table_columns(p8, [(2, 2, 2), (2, 4)], tol)
-    checks += _table_columns(_middle_bipartition(p8), [(2, 4)], tol)
+    # 2 x 2 x 2, 2 x 4, and the middle binary digit against the outer two
+    readings = [(2, 2, 2), (2, 4), ("subadd-middle", (2, 2, 2))]
+    checks = _table_columns(chunk.rows, readings, config.tolerance)
     names = ("strong-subadd-7", "subadd-7-adjacent", "subadd-7-middle")
     return _labelled(chunk, [c._replace(name=name) for c, name in zip(checks, names)])
 
@@ -741,7 +732,7 @@ def _eval_discord(rho: DensityMatrix, args: argparse.Namespace) -> dict:
 
 def _eval_axis_subadd(rho: DensityMatrix, args: argparse.Namespace) -> InequalityReport:
     w = spin_tomogram_axis(rho, args.theta, args.phi).probabilities
-    return subadditivity_gap(w, (2, 2), args.tolerance, "input")
+    return replace(subadditivity_gap(w, (2, 2), args.tolerance, "input"), name="axis-subadd")
 
 
 def _eval_readout_min(rho: DensityMatrix, args: argparse.Namespace) -> dict:

@@ -16,10 +16,10 @@ one per-cell sum over the flattened matrices, on the cached index plan of
 map), and entropies by one stacked ``eigvalsh`` pass per matrix size: the
 quantum tables of a chunk stack every spectrum they need, the joint one
 included, and diagonalize each size once. A kernel returns its check as
-columns (:class:`CheckColumns`); the tables take their roles, both sides
-and check ids from the classical rule in :mod:`.simplex`, with a ``q-``
-prefix. Each public single-matrix function is its kernel run on a batch of
-one, so a state's result does not depend on the batch it was checked in.
+columns (:class:`CheckColumns`); the tables take their reductions, sides
+and ids from the rule table of :mod:`.simplex`, with a ``q-`` prefix. Each
+public single-matrix function is its kernel run on a batch of one, so a
+state's result does not depend on the batch it was checked in.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BadAxisError,
     BadTraceError,
     NotHermitianError,
     NotPositiveError,
@@ -40,15 +39,15 @@ from .errors import (
 )
 from .report import GAP_TOLERANCE, CheckColumns, InequalityReport
 from .simplex import (
-    _TABLE_ROLES,
     EntropyValue,
     _cell_plan,
     _CellPlan,
     _cells,
     _factors,
     _freeze,
+    _plan_checks,
+    _public_kept,
     _shannon_rows,
-    _table_check,
     _table_plan,
 )
 
@@ -116,24 +115,17 @@ class ReductionPlan:
 
     ``factors`` is the subsystem split (2 or 3 factors, each >= 2) whose
     product must cover the matrix dimension after padding; ``kept`` names
-    the surviving subsystems, 1-based. Allowed: (1,) and (2,) for two
-    factors; (1, 2), (2, 3) and (2,) for three.
+    the surviving subsystems, 1-based: either part of subadditivity for two
+    factors, either pair or the middle of strong subadditivity for three.
     """
 
     factors: tuple[int, ...]
     kept: tuple[int, ...]
 
-    _ALLOWED = {2: {(1,), (2,)}, 3: {(1, 2), (2, 3), (2,)}}
-
     def __post_init__(self) -> None:
         factors = _factors(self.factors, None, 0)
-        kept = tuple(int(k) for k in self.kept)
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "kept", kept)
-        if kept not in self._ALLOWED[len(factors)]:
-            raise BadAxisError(
-                f"cannot keep {kept} out of {len(factors)} subsystems"
-            )
+        object.__setattr__(self, "kept", _public_kept(len(factors), self.kept))
 
     @property
     def kept_dim(self) -> int:
@@ -290,17 +282,15 @@ def _entropy_rows_by_size(stacks: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def _q_table_columns(mats: np.ndarray, shapes, tolerance: float) -> list[CheckColumns]:
-    """:func:`quantum_subadditivity` (2 factors) or
-    :func:`quantum_strong_subadditivity` (3 factors) of each matrix of a
-    stack, for each of the checked ``shapes`` in turn. Every reduction of
-    every shape comes from one gather, the joint entropy is taken once, and
-    every spectrum of one matrix size in one pass."""
-    plan = _table_plan(mats.shape[1], tuple(shapes), True)
-    entropies = iter(_entropy_rows_by_size([mats, *_reductions(mats, plan)]))
-    s_joint = next(entropies)
-    parts = [{role: next(entropies) for role in _TABLE_ROLES[len(shape)]} for shape in shapes]
-    return [_table_check("q-", shape, s_joint, s, tolerance) for shape, s in zip(shapes, parts)]
+def _q_table_columns(mats: np.ndarray, readings, tolerance: float) -> list[CheckColumns]:
+    """The quantum table check of each matrix of a stack, for each of the
+    ``readings`` of :func:`~.simplex._table_plan` in turn:
+    :func:`quantum_subadditivity` of a 2-factor shape,
+    :func:`quantum_strong_subadditivity` of a 3-factor one. Every reduction
+    comes from one gather, the joint entropy is taken once, and every
+    spectrum of one matrix size in one pass."""
+    cells, checks = _table_plan(mats.shape[1], tuple(readings), True)
+    return _plan_checks(checks, _entropy_rows_by_size([mats, *_reductions(mats, cells)]), tolerance)
 
 
 def quantum_subadditivity(
@@ -338,8 +328,6 @@ def qutrit_reductions(rho: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]
     """
     if rho.dim != 3:
         raise ShapeMismatchError(f"expected a qutrit, got dim {rho.dim}")
-    padded = pad_density(rho, 4)
-    return (
-        reduce(padded, ReductionPlan((2, 2), (1,))),
-        reduce(padded, ReductionPlan((2, 2), (2,))),
-    )
+    # the two parts of the 2 x 2 table check, from one gather
+    parts = _reductions(pad_density(rho, 4).matrix[None], _table_plan(4, ((2, 2),), True)[0])
+    return DensityMatrix(parts[0][0]), DensityMatrix(parts[1][0])

@@ -21,18 +21,20 @@ p ln p, and a zero entry adds 0 * ln(tiny) = 0 without ever taking ln 0.
 
 Every check is computed by one private kernel over a stack of vectors, one
 per row of an ``(n, N)`` array; a kernel returns its check as columns
-(:class:`CheckColumns`). The table kernel takes a list of shapes. For each
-reading, a vector length with its shapes, it builds one cached index plan
+(:class:`CheckColumns`). Every table inequality is one entry of one table,
+:data:`_TABLE_RULES`: its id, and the reduction and side of each of its
+roles. The table kernel takes a list of readings, each a shape with its
+entry, and for a vector length it builds one cached plan
 (:func:`_table_plan`): which entries of a row sum into each cell of every
-marginal of every shape, and of its joint table, an entry of the zero
-padding reading one zero slot appended to the row. A stack then takes
-every marginal in one gather and one per-cell sum (:func:`_cells`), and
-every entropy in one pass of :func:`_shannon_rows` summed per marginal.
-The cell rule is written once, in :func:`_cell_members`, for vectors and
-density matrices alike, and so is the table rule (roles, sides, id), in
-:func:`_table_check`. Every check of a 4-vector, its table, its Shannon
-chain identity and its Tsallis chain bounds, comes from one kernel,
-:func:`_chain_columns`, which takes H(p) and H(b) from the 2 x 2 table.
+reduction, each taken once, an entry of the zero padding reading one zero
+slot appended to the row, and which entropies make each check. A stack
+then takes every reduction in one gather and one per-cell sum
+(:func:`_cells`), and every entropy in one pass of :func:`_shannon_rows`.
+The cell rule is written once, in :func:`_cell_members`, and the table
+rule once, in :data:`_TABLE_RULES`, for vectors and density matrices
+alike. Every check of a 4-vector, its table, its Shannon chain identity
+and its Tsallis chain bounds, comes from one kernel, :func:`_chain_columns`,
+which takes H(p) and H(b) from the 2 x 2 table.
 Each public single-vector function is its kernel run on a batch of one, so
 a vector's result does not depend on the batch it was checked in.
 """
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -289,36 +291,27 @@ def reshape(p: ProbVec, shape: tuple[int, ...]) -> ProbTable:
     return ProbTable(p.values, shape)
 
 
+def _marginal(table: ProbTable, factors: int, keep) -> ProbVec | ProbTable:
+    """The marginal of a ``factors``-factor table onto the subsystems
+    ``keep`` of :func:`_public_kept`: a pair table for two, else a vector."""
+    if table.factors != factors:
+        raise BadAxisError(f"marginal{factors} needs a {factors}-factor table")
+    keep = _public_kept(factors, keep)
+    plan = _cell_plan(table.entries.size, [(table.shape, keep)], False)
+    cells = _cells(table.entries[None], plan)[0, 1:]
+    return ProbTable(cells, [table.shape[k - 1] for k in keep]) if keep[1:] else ProbVec(cells)
+
+
 def marginal2(table: ProbTable, keep: int) -> ProbVec:
-    """Marginal of a 2-factor table onto subsystem ``keep`` (1 or 2)."""
-    if table.factors != 2:
-        raise BadAxisError("marginal2 needs a 2-factor table")
-    if keep not in (1, 2):
-        raise BadAxisError(f"keep must be 1 or 2, got {keep!r}")
-    summed = table.as_array().sum(axis=2 - keep)
-    return ProbVec(summed)
+    """Marginal of a 2-factor table onto the subsystem ``keep``."""
+    return _marginal(table, 2, (keep,))
 
 
 def marginal3(table: ProbTable, keep: tuple[int, ...]):
-    """Marginal of a 3-factor table onto kept subsystems.
-
-    ``keep`` is one of ``(1, 2)``, ``(2, 3)``, ``(2,)``; the first two
-    return pair tables, the last the middle single-system marginal. These
-    are exactly the three marginals entering strong subadditivity.
-    """
-    if table.factors != 3:
-        raise BadAxisError("marginal3 needs a 3-factor table")
-    keep = tuple(int(k) for k in keep)
-    arr = table.as_array()
-    if keep == (1, 2):
-        out = arr.sum(axis=2)
-        return ProbTable(out.reshape(-1), out.shape)
-    if keep == (2, 3):
-        out = arr.sum(axis=0)
-        return ProbTable(out.reshape(-1), out.shape)
-    if keep == (2,):
-        return ProbVec(arr.sum(axis=(0, 2)))
-    raise BadAxisError(f"keep must be (1, 2), (2, 3) or (2,), got {keep!r}")
+    """Marginal of a 3-factor table onto the subsystems ``keep``, one of
+    the three marginals entering strong subadditivity: a pair table for
+    either pair, a vector for the middle subsystem."""
+    return _marginal(table, 3, tuple(keep))
 
 
 def _shannon_rows(rows: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
@@ -407,11 +400,33 @@ def _admissible_shapes(dim: int, factors: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_exact_shapes(minimal_padded_dim(dim, factors), factors))
 
 
-# The 1-based subsystems each table check's reductions keep, by role.
-_TABLE_ROLES = {
-    2: {"part1": (1,), "part2": (2,)},
-    3: {"pair12": (1, 2), "pair23": (2, 3), "part2": (2,)},
+# Every table inequality lhs <= rhs, one entry each under its id stem: the
+# factor count of the reading it checks, then its roles in report order,
+# each the 1-based subsystems it keeps, () for the joint table, and the side
+# it adds to. A shape is checked by the first entry on as many factors, whose
+# reductions a public marginal or ReductionPlan keeps; a (stem, shape)
+# reading names its entry.
+_TABLE_RULES = {
+    "subadd": (2, {"joint": ((), "lhs"), "part1": ((1,), "rhs"), "part2": ((2,), "rhs")}),
+    "strong-subadd": (3, {"joint": ((), "lhs"), "pair12": ((1, 2), "rhs"),
+                          "pair23": ((2, 3), "rhs"), "part2": ((2,), "lhs")}),
+    # the middle subsystem against the outer two
+    "subadd-middle": (3, {"joint": ((), "lhs"), "part1": ((2,), "rhs"), "part2": ((1, 3), "rhs")}),
 }
+
+
+def _first_rule(factors: int) -> str:
+    """The stem of the first entry of :data:`_TABLE_RULES` on ``factors``."""
+    return next(stem for stem, (k, _) in _TABLE_RULES.items() if k == factors)
+
+
+def _public_kept(factors: int, keep) -> tuple[int, ...]:
+    """``keep`` as a reduction of the :func:`_first_rule` of ``factors``,
+    one a public marginal or ReductionPlan takes, else :class:`BadAxisError`."""
+    keep = tuple(keep)
+    if keep not in [kept for kept, _ in _TABLE_RULES[_first_rule(factors)][1].values() if kept]:
+        raise BadAxisError(f"cannot keep {keep} out of {factors} subsystems")
+    return tuple(int(k) for k in keep)
 
 
 def _cell_members(shape: tuple[int, ...], kept: tuple[int, ...]) -> np.ndarray:
@@ -478,16 +493,30 @@ def _cell_plan(dim: int, reductions, matrix: bool) -> _CellPlan:
 
 # A suite asks for the same few readings' plans on every chunk.
 @lru_cache(maxsize=256)
-def _table_plan(dim: int, shapes: tuple, matrix: bool) -> _CellPlan:
-    """The :func:`_cell_plan` of the table checks of ``shapes``: shape by
-    shape in check order, each role's reduction, led for a vector by the
-    joint table itself, whose entropy is a sum over the padded table."""
-    reductions = []
-    for shape in shapes:
-        roles = _TABLE_ROLES[len(shape)].values()
-        joint = () if matrix else (tuple(range(1, len(shape) + 1)),)
-        reductions += [(shape, kept) for kept in (*joint, *roles)]
-    return _cell_plan(dim, reductions, matrix)
+def _table_plan(dim: int, readings: tuple, matrix: bool) -> tuple[_CellPlan, tuple]:
+    """The table checks of ``readings``, each a shape checked by the
+    :func:`_first_rule` of as many factors or a (stem, shape) pair, of a
+    vector of ``dim`` entries or, with ``matrix``, of a d x d matrix: the
+    :func:`_cell_plan` of their reductions, each taken once (a vector's
+    joint table, whose entropy sums the padded table, once per padded
+    size), and each check's id, role columns and side columns. Column 0 of
+    a matrix is its own entropy, the joint one."""
+    columns, reductions, checks = ({(): 0} if matrix else {}), [], []
+    for reading in readings:
+        stem, shape = reading if isinstance(reading[0], str) else (_first_rule(len(reading)), reading)
+        rule, roles = _TABLE_RULES[stem][1], {}
+        for role, (kept, _) in rule.items():
+            kept = kept or tuple(range(1, len(shape) + 1))
+            cells = _cell_members(shape, kept)
+            key = () if matrix and len(kept) == len(shape) else (cells.shape, cells.tobytes())
+            if key not in columns:
+                columns[key] = len(columns)
+                reductions.append((shape, kept))
+            roles[role] = columns[key]
+        sides = [tuple(roles[r] for r, (_, s) in rule.items() if s == side) for side in ("lhs", "rhs")]
+        name = f"{'q-' if matrix else ''}{stem}-" + "x".join(map(str, shape))
+        checks.append((name, tuple(roles.items()), *sides))
+    return _cell_plan(dim, reductions, matrix), tuple(checks)
 
 
 def _cells(flat: np.ndarray, plan: _CellPlan) -> np.ndarray:
@@ -499,37 +528,26 @@ def _cells(flat: np.ndarray, plan: _CellPlan) -> np.ndarray:
     return np.add.reduceat(gathered, plan.starts, axis=1)
 
 
-def _table_check(kind: str, shape, joint, parts, tolerance: float) -> CheckColumns:
-    """Subadditivity (2 factors) or strong subadditivity (3 factors) of the
-    ``shape`` reading, from the joint entropy and the entropies of the
-    reductions by role; ``kind`` is ``""`` for Shannon and ``"q-"`` for
-    von Neumann entropies."""
-    if len(shape) == 2:
-        name, lhs, rhs = "subadd", joint, parts["part1"] + parts["part2"]
-    else:
-        name, lhs, rhs = "strong-subadd", joint + parts["part2"], parts["pair12"] + parts["pair23"]
-    name = f"{kind}{name}-" + "x".join(map(str, shape))
-    return CheckColumns(name, lhs, rhs, {"joint": joint, **parts}, tolerance)
+def _side(e, columns: tuple[int, ...]) -> np.ndarray:
+    """The sum of the entropy ``columns`` of ``e``, added in role order."""
+    return reduce(np.add, [e[i] for i in columns])
 
 
-def _table_columns(rows: np.ndarray, shapes, tolerance: float) -> list[CheckColumns]:
-    """:func:`subadditivity_gap` (2 factors) or
-    :func:`strong_subadditivity_gap` (3 factors) of each row of a stack of
-    vectors, for each of the checked ``shapes`` in turn. Every shape's
-    joint table and marginals come from one gather, and their entropies
-    from one pass."""
-    plan = _table_plan(rows.shape[1], tuple(shapes), False)
-    entropies = iter(_shannon_rows(_cells(rows, plan), plan.firsts).T)
+def _plan_checks(checks: tuple, e, tolerance: float) -> list[CheckColumns]:
+    """The ``checks`` of a :func:`_table_plan` from its entropy columns ``e``."""
     return [
-        _table_check(
-            "",
-            shape,
-            next(entropies),
-            {role: next(entropies) for role in _TABLE_ROLES[len(shape)]},
-            tolerance,
-        )
-        for shape in shapes
+        CheckColumns(name, _side(e, lhs), _side(e, rhs), {r: e[i] for r, i in roles}, tolerance)
+        for name, roles, lhs, rhs in checks
     ]
+
+
+def _table_columns(rows: np.ndarray, readings, tolerance: float) -> list[CheckColumns]:
+    """The table check of each row of a stack of vectors for each reading of
+    :func:`_table_plan`, every reduction from one gather and every entropy
+    from one pass: :func:`subadditivity_gap` of a 2-factor shape,
+    :func:`strong_subadditivity_gap` of a 3-factor one."""
+    cells, checks = _table_plan(rows.shape[1], tuple(readings), False)
+    return _plan_checks(checks, _shannon_rows(_cells(rows, cells), cells.firsts).T, tolerance)
 
 
 def subadditivity_gap(

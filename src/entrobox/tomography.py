@@ -43,12 +43,10 @@ from .errors import (
 from .ensembles import haar
 from .qstate import (
     DensityMatrix,
-    ReductionPlan,
     _content_ref,
     _entropy_rows,
     _padded_rows,
     _reductions,
-    reduce,
 )
 from .report import GAP_TOLERANCE, CheckColumns
 from .simplex import (
@@ -436,8 +434,9 @@ def marginal_tomograms(
     the classical marginal, and any mismatch means an indexing bug.
     """
     table = _joint_readout(rho, u1, u2).reshape(2, 2)
-    w1 = ProbVec(_readout(reduce(rho, ReductionPlan((2, 2), (1,))), u1))
-    w2 = ProbVec(_readout(reduce(rho, ReductionPlan((2, 2), (2,))), u2))
+    # the two parts of the 2 x 2 table check, from one gather
+    parts = _reductions(rho.matrix[None], _table_plan(4, ((2, 2),), True)[0])
+    w1, w2 = (ProbVec(_readouts(r, u.matrix[None])[0]) for r, u in zip(parts, (u1, u2)))
     defect = max(
         float(np.abs(w1.values - table.sum(axis=1)).max()),
         float(np.abs(w2.values - table.sum(axis=0)).max()),
@@ -485,9 +484,9 @@ def _discord_columns(
         raise ShapeMismatchError(f"expected a 4 x 4 or 3 x 3 state, got {dim}")
     prefix = "qutrit-" if dim == 3 else ""
 
-    # both reductions from one gather, stacked: one eigenbasis pass and one
-    # entropy pass
-    parts = np.concatenate(_reductions(mats, _table_plan(4, ((2, 2),), True)))
+    # both reductions of the (2, 2) table check from one gather, stacked:
+    # one eigenbasis pass and one entropy pass
+    parts = np.concatenate(_reductions(mats, _table_plan(4, ((2, 2),), True)[0]))
     us, degenerate = _eigenbases(parts)
     u1, u2, deg1, deg2 = us[:n], us[n:], degenerate[:n], degenerate[n:]
     s = _entropy_rows(mats)

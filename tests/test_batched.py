@@ -185,24 +185,43 @@ class TestSimplexKernels:
         _table_columns(rows, _table_shapes(8), 1e-9)
 
     def test_one_padding_per_seven_vector_chunk(self, monkeypatch):
+        # all three checks from one gather of the chunk's own rows, whose
+        # zero slot is the one padding, and one entropy pass: no padded or
+        # permuted copy of the chunk
         rows = _vectors(7, 77)
-        unpadded = _table_columns(rows, [(2, 2, 2), (2, 4)], 1e-9)
-        unpadded += _table_columns(cli._middle_bipartition(_zero_padded(rows, 8)), [(2, 4)], 1e-9)
-        copies = []
+        gathered, calls = [], {"entropy": 0}
 
-        def counted(stack, size):
-            out = _zero_padded(stack, size)
-            copies.append(out is not stack)
-            return out
+        def gather(flat, plan, cells=simplex._cells):
+            gathered.append(flat)
+            return cells(flat, plan)
 
-        monkeypatch.setattr(simplex, "_zero_padded", counted)
-        monkeypatch.setattr(cli, "_zero_padded", counted)
+        monkeypatch.setattr(simplex, "_cells", gather)
+        monkeypatch.setattr(
+            simplex, "_shannon_rows", _counted(calls, "entropy", simplex._shannon_rows)
+        )
         chunk = SimpleNamespace(rows=rows, provenance=None)
         checks = [c for c, _ in cli._seven_checks(chunk, SimpleNamespace(tolerance=1e-9))]
-        assert copies.count(True) == 1, copies
-        assert _bits([c._replace(name="") for c in checks]) == _bits(
+        assert len(gathered) == 1 and gathered[0] is rows and calls["entropy"] == 1, calls
+        monkeypatch.undo()
+        strong, adjacent, middle = checks
+        assert [c.name for c in checks] == [
+            "strong-subadd-7", "subadd-7-adjacent", "subadd-7-middle"
+        ]
+        unpadded = _table_columns(rows, [(2, 2, 2), (2, 4)], 1e-9)
+        assert _bits([strong._replace(name=""), adjacent._replace(name="")]) == _bits(
             [c._replace(name="") for c in unpadded]
         )
+        # the middle reading is the (2, 4) reading of the vector with its
+        # first two binary digits swapped
+        for i, p in enumerate(rows):
+            cube = np.append(p, 0.0).reshape(2, 2, 2).transpose(1, 0, 2)
+            want = subadditivity_gap(ProbVec(cube.reshape(8)), (2, 4), 1e-9)
+            got = middle.report(i)
+            assert got.entropies.keys() == want.entropies.keys()
+            for a, b in [(got.gap, want.gap), (got.lhs, want.lhs), (got.rhs, want.rhs)] + [
+                (got.entropies[role], want.entropies[role]) for role in want.entropies
+            ]:
+                assert abs(a - b) <= 1e-15, (i, got, want)
 
     @pytest.mark.parametrize("dim", [4, 5, 7, 9, 10, 11])
     def test_entropy_rows(self, dim):

@@ -497,8 +497,13 @@ def _public_report(check: str, state, tolerance: float, provenance: str) -> Ineq
         if check == "subadd-7-adjacent":
             return subadditivity_gap(p, (2, 4), tolerance, provenance)
         if check == "subadd-7-middle":
+            # the parts of the 2 x 4 reading of the vector with its first two
+            # binary digits swapped, and H(p) summed over the vector as drawn
             cube = np.append(p.values, 0.0).reshape(2, 2, 2).transpose(1, 0, 2)
-            return subadditivity_gap(ProbVec(cube.reshape(8)), (2, 4), tolerance, provenance)
+            swapped = subadditivity_gap(ProbVec(cube.reshape(8)), (2, 4), tolerance, provenance)
+            joint = strong_subadditivity_gap(p, (2, 2, 2)).entropies["joint"]
+            entropies = {**swapped.entropies, "joint": joint}
+            return make_report(check, joint, swapped.rhs, tolerance, entropies, provenance)
         if check.startswith("subadd-"):
             return subadditivity_gap(p, shape, tolerance, provenance)
         if check.startswith("strong-subadd-"):
@@ -727,7 +732,10 @@ class TestMainEntry:
             ]
         )
         assert code == 0
-        assert json.loads(capsys.readouterr().out)["passed"]
+        payload = json.loads(capsys.readouterr().out)
+        # the report carries the id the tomographic suite gives the check
+        assert payload["name"] == "axis-subadd"
+        assert payload["passed"]
 
     def test_eval_discord_on_diagonal_state(self, tmp_path, capsys):
         rho = validate_density(

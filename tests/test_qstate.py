@@ -31,6 +31,7 @@ from entrobox import (
     von_neumann,
 )
 from entrobox.ensembles import dirichlet, ginibre
+from entrobox.qstate import _q_table_columns
 
 from _explicit import (
     qutrit_r1,
@@ -318,6 +319,29 @@ class TestQuantumStrongSubadditivity:
         s23 = float(von_neumann(validate_density(r23_of_7(rho.matrix))))
         s2 = float(von_neumann(validate_density(r2_of_7(rho.matrix))))
         assert_allclose(rep.gap, s12 + s23 - s - s2, atol=1e-12)
+
+
+class TestTableRuleEqualities:
+    """The quantum table inequalities are equalities on the product states
+    written here by hand, five to a stack, so that a role of the rule table
+    that keeps the wrong subsystems or adds to the wrong side leaves a
+    gap."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2)])
+    def test_product_states_meet_subadditivity(self, shape):
+        rng = np.random.default_rng(110 + sum(shape))
+        mats = np.stack([np.kron(ginibre(shape[0], rng), ginibre(shape[1], rng)) for _ in range(5)])
+        [check] = _q_table_columns(mats, [shape], 1e-9)
+        assert check.name == "q-subadd-" + "x".join(map(str, shape))
+        assert np.abs(check.gaps()).max() <= 1e-12
+
+    def test_pair_times_third_meets_strong_subadditivity(self):
+        # rho12 (x) rho3 with a correlated rho12
+        rng = np.random.default_rng(120)
+        mats = np.stack([np.kron(ginibre(4, rng), ginibre(2, rng)) for _ in range(5)])
+        [check] = _q_table_columns(mats, [(2, 2, 2)], 1e-9)
+        assert check.name == "q-strong-subadd-2x2x2"
+        assert np.abs(check.gaps()).max() <= 1e-12
 
 
 class TestQutritReductions:

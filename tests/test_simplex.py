@@ -39,7 +39,7 @@ from entrobox import (
     validate_prob_vec,
 )
 from entrobox.ensembles import dirichlet
-from entrobox.simplex import _shannon_rows
+from entrobox.simplex import _shannon_rows, _table_columns
 
 from _explicit import (
     conditional_entropy_brute,
@@ -411,6 +411,57 @@ class TestStrongSubadditivity:
         (p,) = random_vecs(8, 1, seed=53)
         with pytest.raises(ShapeMismatchError):
             strong_subadditivity_gap(p, (2, 4))
+
+
+def _shapes(factors: int) -> list[tuple[int, ...]]:
+    """Every ``factors``-factor shape of the dims 4 to 12."""
+    return sorted({shape for dim in range(4, 13) for shape in admissible_shapes(dim, factors)})
+
+
+class TestTableRuleEqualities:
+    """Every table inequality is an equality on the states written here by
+    hand, five to a stack, so that a role of the rule table that keeps the
+    wrong subsystems or adds to the wrong side leaves a gap."""
+
+    @pytest.mark.parametrize("shape", _shapes(2))
+    def test_product_tables_meet_subadditivity(self, shape):
+        # a (x) b: the two parts are independent
+        rng = np.random.default_rng(sum(shape))
+        rows = np.stack(
+            [np.outer(dirichlet(shape[0], rng), dirichlet(shape[1], rng)).reshape(-1) for _ in range(5)]
+        )
+        [check] = _table_columns(rows, [shape], 1e-9)
+        assert check.name == "subadd-" + "x".join(map(str, shape))
+        assert np.abs(check.gaps()).max() <= 1e-12
+
+    @pytest.mark.parametrize("shape", _shapes(3))
+    def test_markov_chains_meet_strong_subadditivity(self, shape):
+        # p(x, y) p(z | y) with a correlated p(x, y): x and z are
+        # independent given y
+        n1, n2, n3 = shape
+        rng = np.random.default_rng(10 + sum(shape))
+        rows = []
+        for _ in range(5):
+            pair = dirichlet(n1 * n2, rng).reshape(n1, n2)
+            given_y = np.stack([dirichlet(n3, rng) for _ in range(n2)])
+            rows.append((pair[:, :, None] * given_y[None, :, :]).reshape(-1))
+        [check] = _table_columns(np.stack(rows), [shape], 1e-9)
+        assert check.name == "strong-subadd-" + "x".join(map(str, shape))
+        assert np.abs(check.gaps()).max() <= 1e-12
+
+    @pytest.mark.parametrize("shape", _shapes(3))
+    def test_middle_products_meet_middle_subadditivity(self, shape):
+        # m(b2) o(b1, b3): the middle subsystem is independent of the outer
+        # two
+        n1, n2, n3 = shape
+        rng = np.random.default_rng(20 + sum(shape))
+        rows = []
+        for _ in range(5):
+            middle, outer = dirichlet(n2, rng), dirichlet(n1 * n3, rng).reshape(n1, n3)
+            rows.append((outer[:, None, :] * middle[None, :, None]).reshape(-1))
+        [check] = _table_columns(np.stack(rows), [("subadd-middle", shape)], 1e-9)
+        assert check.name == "subadd-middle-" + "x".join(map(str, shape))
+        assert np.abs(check.gaps()).max() <= 1e-12
 
 
 class TestConditional:
