@@ -68,6 +68,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -78,7 +79,13 @@ import numpy as np
 
 from . import __version__
 from .ensembles import diagonal_density, dirichlet, ginibre, haar
-from .errors import BadOrderError, EntroboxError, NotHermitianError, ShapeMismatchError
+from .errors import (
+    BadOrderError,
+    DimMismatchError,
+    EntroboxError,
+    NotHermitianError,
+    ShapeMismatchError,
+)
 from .qstate import (
     DensityMatrix,
     _q_table_columns,
@@ -296,8 +303,26 @@ def _state(array: np.ndarray) -> State:
 
 
 def _write(path: str | Path, text: str) -> None:
+    """Overwrite ``path`` with ``text`` in place, then trim a regular file to
+    the new length.
+
+    Opening with ``O_TRUNC`` would empty a file that holds data, and ext4
+    (``auto_da_alloc``) starts writeback when a file emptied that way is
+    closed; overwriting and then trimming leaves the data to the usual
+    delayed writeback. The write is no more atomic than a truncating one.
+    """
+    data = memoryview(text.encode())
     try:
-        Path(path).write_text(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            written = 0
+            while written < len(data):
+                written += os.write(fd, data[written:])
+            # /dev/null, a FIFO or a tty cannot be trimmed
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise EntroboxError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -731,6 +756,10 @@ def _eval_discord(rho: DensityMatrix, args: argparse.Namespace) -> dict:
 
 
 def _eval_axis_subadd(rho: DensityMatrix, args: argparse.Namespace) -> InequalityReport:
+    if rho.dim <= 2:
+        # a readout of at most 2 outcomes fills one row of the 2 x 2 table,
+        # so its first marginal is (1, 0) and the gap is 0 for every state
+        raise DimMismatchError(f"axis-subadd needs dim 3 or 4, got {rho.dim}")
     w = spin_tomogram_axis(rho, args.theta, args.phi).probabilities
     return replace(subadditivity_gap(w, (2, 2), args.tolerance, "input"), name="axis-subadd")
 

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -955,12 +956,20 @@ class TestMainEntry:
             ("cond-chain", "v5", "conditional split needs a 4-vector, got 5"),
             ("tsallis-chain", "v5", "conditional split needs a 4-vector, got 5"),
             ("axis-subadd", "rho5", "axis readout supports dim <= 4, got 5"),
+            # a qubit's 2-outcome readout fills one row of the 2 x 2 table
+            ("axis-subadd", "rho2", "axis-subadd needs dim 3 or 4, got 2"),
+            ("axis-subadd", "rho1", "axis-subadd needs dim 3 or 4, got 1"),
         ],
     )
     def test_eval_refuses_a_state_its_kernel_cannot_read(
         self, check, key, message, state_files, tmp_path, capsys
     ):
-        path = write_json(tmp_path / "v5.json", [0.2] * 5) if key == "v5" else state_files[key]
+        small = {
+            "v5": [0.2] * 5,
+            "rho2": serialize_density(validate_density(ginibre(2, np.random.default_rng(32)))),
+            "rho1": {"dim": 1, "re": [[1.0]], "im": [[0.0]]},
+        }
+        path = write_json(tmp_path / f"{key}.json", small[key]) if key in small else state_files[key]
         assert main(["eval", "--check", check, "--input", path]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
@@ -1392,3 +1401,109 @@ class TestSharedParser:
         assert _read_outputs(tmp_path / f"par-{i}.json" for i in names) == _read_outputs(
             tmp_path / f"seq-{i}.json" for i in names
         )
+
+
+class TestOutputWriter:
+    """``--output`` overwrites a file in place and trims it to the report."""
+
+    @pytest.fixture
+    def request_argv(self, state_files):
+        return ["eval", "--check", "discord", "--input", state_files["rho4"]]
+
+    @pytest.mark.parametrize("old", ["x" * 20000, "{}"], ids=["longer", "shorter"])
+    def test_existing_file_holds_exactly_the_report(self, old, request_argv, tmp_path, capsys):
+        assert main(request_argv) == 0
+        expected = capsys.readouterr().out.encode()
+        out = tmp_path / "out.json"
+        out.write_text(old)
+        assert main([*request_argv, "--output", str(out)]) == 0
+        assert out.read_bytes() == expected
+
+    def test_gen_over_used_directory_matches_fresh_gen(self, tmp_path, capsys):
+        argv = ["gen", "--kind", "ginibre", "--dim", "3", "--count", "4"]
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        assert main([*argv, "--seed", "1", "--output", str(used)]) == 0
+        before = {p.name: p.read_bytes() for p in used.iterdir()}
+        assert main([*argv, "--seed", "2", "--output", str(used)]) == 0
+        assert main([*argv, "--seed", "2", "--output", str(fresh)]) == 0
+        after = {p.name: p.read_bytes() for p in used.iterdir()}
+        assert after == {p.name: p.read_bytes() for p in fresh.iterdir()}
+        # the seeds wrote files both longer and shorter than the ones before
+        assert {len(after[n]) > len(before[n]) for n in before} == {True, False}
+
+    def test_null_device_output_exits_zero(self, request_argv, capsys):
+        assert main([*request_argv, "--output", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["check", "eval", "gen"])
+    def test_directory_output_exits_two(self, command, request_argv, tmp_path, capsys):
+        argv = {
+            "check": ["check", "--suite", "discord", "--trials", "1"],
+            "eval": request_argv,
+            # gen writes into --output; a directory where a state file goes
+            "gen": ["gen", "--kind", "simplex", "--dim", "4", "--count", "1"],
+        }[command]
+        target = tmp_path / "taken"
+        (target / "simplex4-0000.json").mkdir(parents=True)
+        assert main([*argv, "--output", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_new_file_mode_follows_umask(self, request_argv, tmp_path, capsys):
+        old = os.umask(0o027)
+        try:
+            assert main([*request_argv, "--output", str(tmp_path / "new.json")]) == 0
+            with open(tmp_path / "reference.json", "w"):
+                pass
+        finally:
+            os.umask(old)
+        mode = os.stat(tmp_path / "new.json").st_mode
+        assert mode == os.stat(tmp_path / "reference.json").st_mode
+        assert mode & 0o777 == 0o640
+
+    def test_short_writes_are_continued(self, request_argv, tmp_path, monkeypatch, capsys):
+        assert main(request_argv) == 0
+        expected = capsys.readouterr().out.encode()
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+        out = tmp_path / "out.json"
+        out.write_text("x" * 20000)
+        assert main([*request_argv, "--output", str(out)]) == 0
+        assert out.read_bytes() == expected
+
+    def test_failed_close_exits_two(self, request_argv, tmp_path, monkeypatch, capsys):
+        close = os.close
+
+        def failing_close(fd):
+            close(fd)
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(os, "close", failing_close)
+        code = main([*request_argv, "--output", str(tmp_path / "out.json")])
+        monkeypatch.undo()
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith("out.json: Input/output error\n")
+        assert captured.err.count("\n") == 1
+
+    def test_bytes_match_a_write_text_reference(self, request_argv, tmp_path, monkeypatch, capsys):
+        write = cli._write
+        pairs = []
+
+        def write_with_reference(path, text):
+            write(path, text)
+            reference = Path(f"{path}.ref")
+            reference.write_text(text)
+            pairs.append((Path(path), reference, text))
+
+        monkeypatch.setattr(cli, "_write", write_with_reference)
+        assert main([*request_argv, "--output", str(tmp_path / "eval.json")]) == 0
+        argv = ["check", "--suite", "classical", "--trials", "2", "--output"]
+        assert main([*argv, str(tmp_path / "check.json")]) == 0
+        argv = ["gen", "--kind", "ginibre", "--dim", "2", "--count", "2", "--output"]
+        assert main([*argv, str(tmp_path / "states")]) == 0
+        assert len(pairs) == 4
+        for path, reference, text in pairs:
+            assert path.read_bytes() == reference.read_bytes() == text.encode()
