@@ -743,9 +743,7 @@ def _shape(text: str | None, state: State, factors: int) -> tuple[int, ...]:
         shape = tuple(int(x) for x in text.lower().split("x"))
     except ValueError as exc:
         raise ShapeMismatchError(f"bad shape {text!r}") from exc
-    if len(shape) != factors:
-        raise ShapeMismatchError(f"shape {text!r} must have {factors} factors")
-    if min(shape) >= 2:  # a smaller factor is the check's to refuse
+    if min(shape) >= 2:  # a smaller factor, or a wrong count, is the check's to refuse
         _require_size(math.prod(shape), matrix=isinstance(state, DensityMatrix))
     return shape
 

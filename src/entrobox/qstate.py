@@ -192,10 +192,8 @@ def pad_density(rho: DensityMatrix, new_dim: int) -> DensityMatrix:
 
 def _padded_rows(mats: np.ndarray, size: int) -> np.ndarray:
     """A stack of matrices (n, d, d), each embedded as the top-left block of
-    ``size`` x ``size`` zeros; the stack itself when d == ``size``."""
+    ``size`` x ``size`` zeros, ``size`` > d."""
     n, d = mats.shape[:2]
-    if size == d:
-        return mats
     out = np.zeros((n, size, size), dtype=complex)
     out[:, :d, :d] = mats
     return out

@@ -204,23 +204,31 @@ def _factors(shape, k: int | None, dim: int) -> tuple[int, ...]:
 
 
 def _zero_padded(rows: np.ndarray, size: int) -> np.ndarray:
-    """A stack of vectors (n, N), each zero-padded to ``size`` entries; the
-    stack itself when N == ``size``."""
-    if rows.shape[1] == size:
-        return rows
+    """A stack of vectors (n, N), each zero-padded to ``size`` > N entries."""
     out = np.zeros((rows.shape[0], size))
     out[:, : rows.shape[1]] = rows
     return out
 
 
-def _as_float_vec(raw) -> np.ndarray:
+def _clipped_vec(raw, tol: float, kind: str) -> np.ndarray:
+    """``raw`` as a numeric 1-d array, nonempty and finite, with no entry
+    below ``-tol``, clipped at zero; ``kind`` names the vector in errors."""
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise NegativeProbabilityError(f"not a numeric vector: {exc}") from exc
     if arr.ndim != 1:
         raise ShapeMismatchError(f"need a 1-d vector, got shape {arr.shape}")
-    return arr
+    if arr.size == 0:
+        raise ShapeMismatchError(f"{kind} must be nonempty")
+    if not np.all(np.isfinite(arr)):
+        raise NegativeProbabilityError(f"{kind} has non-finite entries")
+    low = arr.min()
+    if low < -tol:
+        raise NegativeProbabilityError(
+            f"component {low:.3e} is below the clipping tolerance -{tol:.1e}"
+        )
+    return np.clip(arr, 0.0, None)
 
 
 def validate_prob_vec(raw, tol: float = 1e-10) -> ProbVec:
@@ -231,17 +239,7 @@ def validate_prob_vec(raw, tol: float = 1e-10) -> ProbVec:
     renormalization. Use :func:`normalized_prob_vec` for data that is only
     known to be nonnegative.
     """
-    arr = _as_float_vec(raw)
-    if arr.size == 0:
-        raise ShapeMismatchError("probability vector must be nonempty")
-    if not np.all(np.isfinite(arr)):
-        raise NegativeProbabilityError("probability vector has non-finite entries")
-    low = arr.min()
-    if low < -tol:
-        raise NegativeProbabilityError(
-            f"component {low:.3e} is below the clipping tolerance -{tol:.1e}"
-        )
-    arr = np.clip(arr, 0.0, None)
+    arr = _clipped_vec(raw, tol, "probability vector")
     total = arr.sum()
     if abs(total - 1.0) > 1e-6:
         raise ProbabilitySumError(f"components sum to {total!r}, not 1")
@@ -254,14 +252,7 @@ def normalized_prob_vec(raw, tol: float = 1e-10) -> ProbVec:
     The entropy inequalities hold for any nonnegative weights once they are
     normalized; this is the explicit entry point for such data.
     """
-    arr = _as_float_vec(raw)
-    if arr.size == 0:
-        raise ShapeMismatchError("weight vector must be nonempty")
-    if not np.all(np.isfinite(arr)):
-        raise NegativeProbabilityError("weight vector has non-finite entries")
-    if arr.min() < -tol:
-        raise NegativeProbabilityError("weight vector has negative entries")
-    arr = np.clip(arr, 0.0, None)
+    arr = _clipped_vec(raw, tol, "weight vector")
     total = arr.sum()
     if total <= 0.0:
         raise ProbabilitySumError("weight vector sums to zero")
@@ -358,19 +349,17 @@ def tsallis(p: ProbVec, q: float) -> EntropyValue:
 
 
 def _exact_shapes(n: int, factors: int) -> list[tuple[int, ...]]:
-    shapes: list[tuple[int, ...]] = []
-    if factors == 2:
-        for a in range(2, n // 2 + 1):
-            if n % a == 0 and n // a >= 2:
-                shapes.append((a, n // a))
-    else:
-        for a in range(2, n // 4 + 1):
-            if n % a:
-                continue
-            for b in range(2, n // a // 2 + 1):
-                if (n // a) % b == 0 and n // a // b >= 2:
-                    shapes.append((a, b, n // (a * b)))
-    return shapes
+    """Every ordered factorization of ``n`` into ``factors`` factors, each
+    >= 2, in lexicographic order: each first factor a leaves room for the
+    other factors, and leads the factorizations of n / a."""
+    if factors == 1:
+        return [(n,)] if n >= 2 else []
+    return [
+        (a, *rest)
+        for a in range(2, n // 2 ** (factors - 1) + 1)
+        if n % a == 0
+        for rest in _exact_shapes(n // a, factors - 1)
+    ]
 
 
 def minimal_padded_dim(dim: int, factors: int) -> int:
@@ -608,12 +597,6 @@ def conditional_pair(p: ProbVec) -> ConditionalSplit:
     return ConditionalSplit(v=ProbVec(halves[0, 0]), v_tilde=ProbVec(halves[0, 1]), flags=flags)
 
 
-def _conditional_rows(rows: np.ndarray, q: float = 1.0) -> np.ndarray:
-    """T_q(p) - T_q(p1 + p2, p3 + p4) of each row of a stack of 4-vectors;
-    the Shannon conditional entropy at q = 1."""
-    return _tsallis_rows(rows, q) - _tsallis_rows(_block_rows(rows), q)
-
-
 def conditional_entropy(p: ProbVec) -> EntropyValue:
     """Conditional Shannon entropy H(V | V~) of the 4-vector split.
 
@@ -621,7 +604,9 @@ def conditional_entropy(p: ProbVec) -> EntropyValue:
     H(V | V~) = H(p) - H(p1 + p2, p3 + p4), which also holds term by term
     for the weighted sum of block entropies.
     """
-    return EntropyValue(float(_conditional_rows(p.values[None])[0]), "conditional")
+    rows = p.values[None]
+    chain = _tsallis_chain_columns(rows, 1.0, GAP_TOLERANCE, _block_rows(rows))
+    return EntropyValue(float(chain.entropies["conditional"][0]), "conditional")
 
 
 def conditional_tsallis(p: ProbVec, q: float) -> EntropyValue:
@@ -631,7 +616,9 @@ def conditional_tsallis(p: ProbVec, q: float) -> EntropyValue:
     into the Shannon conditional entropy.
     """
     q = _order(q)
-    return EntropyValue(float(_conditional_rows(p.values[None], q)[0]), "conditional", q=q)
+    rows = p.values[None]
+    chain = _tsallis_chain_columns(rows, q, GAP_TOLERANCE, _block_rows(rows))
+    return EntropyValue(float(chain.entropies["conditional"][0]), "conditional", q=q)
 
 
 def _order_id(q: float) -> str:
@@ -640,12 +627,14 @@ def _order_id(q: float) -> str:
 
 
 def _tsallis_chain_columns(
-    rows: np.ndarray, q: float, tolerance: float, blocks: np.ndarray | None = None
+    rows: np.ndarray, q: float, tolerance: float, blocks: np.ndarray
 ) -> CheckColumns:
-    """:func:`tsallis_monotonicity_check` of each row of a stack of 4-vectors."""
+    """:func:`tsallis_monotonicity_check` of each row of a stack of 4-vectors
+    with blocks ``blocks`` (:func:`_block_rows`); its ``conditional``
+    entropy is T_q(p) - T_q(b), the Shannon conditional entropy at q = 1."""
     q = _order(q)
     total = _tsallis_rows(rows, q)
-    coarse = _tsallis_rows(_block_rows(rows) if blocks is None else blocks, q)
+    coarse = _tsallis_rows(blocks, q)
     conditional = total - coarse
     return CheckColumns(
         name=f"tsallis-chain-{_order_id(q)}",
@@ -691,4 +680,6 @@ def tsallis_monotonicity_check(
     the two bounds split the total into two nonnegative parts, mirroring
     the Shannon chain rule. The report's gap is the smaller of the two.
     """
-    return _tsallis_chain_columns(p.values[None], q, tolerance).report(0, provenance)
+    q = _order(q)  # a bad order is refused before a vector of the wrong length
+    rows = p.values[None]
+    return _tsallis_chain_columns(rows, q, tolerance, _block_rows(rows)).report(0, provenance)

@@ -554,10 +554,10 @@ def discord_unitary_sweep(
     best = base.discord
     rng = np.random.default_rng(seed)
     if samples > 0:
-        # Every pair drawn in the order of a per-sample loop, then all read
-        # at once.
-        pairs = np.stack([(haar(2, rng), haar(2, rng)) for _ in range(samples)])
-        kron = _kron_rows(pairs[:, 0], pairs[:, 1])
+        # Pair k is draws 2k and 2k + 1, as a per-sample loop draws them: a
+        # stack of draws equals the single draws in turn. All read at once.
+        us = haar(2, rng, 2 * samples)
+        kron = _kron_rows(us[0::2], us[1::2])
         joints = _readouts(np.repeat(states, samples, axis=0), kron)
         information = _table_columns(joints, [(2, 2)], GAP_TOLERANCE)[0].gaps()
         # the first strictly smaller candidate wins, as in a loop

@@ -8,6 +8,7 @@ between these constructions and the library point at indexing bugs.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -36,6 +37,21 @@ def conditional_entropy_brute(p) -> float:
             -x * math.log(x / b2) for x in (p[2], p[3]) if x > 0.0
         )
     return total
+
+
+def admissible_shapes_brute(dim: int, factors: int) -> list[tuple[int, ...]]:
+    """Every ordered factorization into ``factors`` factors >= 2 of the
+    least n >= dim that has one, found by trying every tuple of divisors of
+    n in lexicographic order."""
+    n = dim
+    while True:
+        divisors = [a for a in range(2, n + 1) if n % a == 0]
+        shapes = [
+            s for s in itertools.product(divisors, repeat=factors) if math.prod(s) == n
+        ]
+        if shapes:
+            return shapes
+        n += 1
 
 
 def marginal_brute(vec, shape, keep) -> np.ndarray:

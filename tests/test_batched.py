@@ -44,8 +44,8 @@ from entrobox.qstate import (
 )
 from entrobox.report import CheckColumns
 from entrobox.simplex import (
+    _block_rows,
     _chain_columns,
-    _conditional_rows,
     _shannon_rows,
     _split_rows,
     _table_columns,
@@ -53,6 +53,8 @@ from entrobox.simplex import (
     _tsallis_rows,
     _zero_padded,
     admissible_shapes,
+    conditional_entropy,
+    conditional_tsallis,
 )
 from entrobox.tomography import (
     DiscordReport,
@@ -174,9 +176,8 @@ class TestSimplexKernels:
             _table_columns(_vectors(dim, dim), shapes, 1e-9)
             assert calls == {"gather": 1, "entropy": 1}, (shapes, calls)
 
-    def test_a_stack_already_at_size_is_not_copied(self):
+    def test_zero_padding_and_a_read_only_stack(self):
         rows = _vectors(8, 8)
-        assert _zero_padded(rows, 8) is rows
         padded = _zero_padded(rows[:, :7], 8)
         assert padded is not rows and np.array_equal(padded[:, :7], rows[:, :7])
         assert not padded[:, 7].any()
@@ -234,12 +235,19 @@ class TestSimplexKernels:
         rows = _vectors(4, 4)
         rows[5] = [0.0, 0.0, 0.4, 0.6]  # a zero first block
         _assert_batch_invariant(_split_rows, rows)
-        _assert_batch_invariant(_conditional_rows, rows)
-        _assert_batch_invariant(_conditional_rows, rows, 2.0)
         for q_values in ((), (0.5, 2.0, 3.0), (1.0,)):
             _assert_batch_invariant(_chain_columns, rows, q_values, 1e-9)
-        for q in (0.5, 2.0, 3.0):
-            _assert_batch_invariant(_tsallis_chain_columns, rows, q, 1e-9)
+
+        def tsallis_chain(stack, q):
+            return _tsallis_chain_columns(stack, q, 1e-9, _block_rows(stack))
+
+        # q = 1 is the Shannon conditional entropy, in the chain's
+        # ``conditional`` column
+        for q in (1.0, 0.5, 2.0, 3.0):
+            _assert_batch_invariant(tsallis_chain, rows, q)
+            conditional = tsallis_chain(rows, q).entropies["conditional"]
+            alone = [conditional_tsallis(ProbVec(p), q).value for p in rows]
+            assert _bits(conditional) == _bits(np.array(alone)), q
 
     def test_chain_columns_reuse_the_table_entropies(self):
         # H(p) and H(b) are the 2 x 2 table's joint and part1 entropies,
@@ -257,9 +265,10 @@ class TestSimplexKernels:
         table, chain, *_ = checks
         assert _bits(table) == _bits(_table_columns(rows, [(2, 2)], 1e-9)[0])
         assert _bits(table.entropies["joint"]) == _bits(_shannon_rows(rows))
-        assert _bits(chain.rhs) == _bits(_conditional_rows(rows))
+        alone = [conditional_entropy(ProbVec(p)).value for p in rows]
+        assert _bits(chain.rhs) == _bits(np.array(alone))
         for q, columns in zip(q_values, checks[2:]):
-            assert _bits(columns) == _bits(_tsallis_chain_columns(rows, q, 1e-9))
+            assert _bits(columns) == _bits(_tsallis_chain_columns(rows, q, 1e-9, _block_rows(rows)))
         assert _bits(_chain_columns(rows, (), 1e-9)) == _bits(checks[:2])
 
     def test_one_table_pass_and_one_block_split_per_four_vector_chunk(self, monkeypatch):

@@ -42,6 +42,7 @@ from entrobox.ensembles import dirichlet
 from entrobox.simplex import _shannon_rows, _table_columns
 
 from _explicit import (
+    admissible_shapes_brute,
     conditional_entropy_brute,
     marginal_brute,
     shannon_brute,
@@ -558,6 +559,12 @@ class TestShapes:
         assert admissible_shapes(11, 2) == [(2, 6), (3, 4), (4, 3), (6, 2)]
         assert admissible_shapes(7, 3) == [(2, 2, 2)]
         assert admissible_shapes(9, 3) == [(2, 2, 3), (2, 3, 2), (3, 2, 2)]
+
+    def test_admissible_shapes_match_brute_force(self):
+        # every shape, in order, for every dim up to 64
+        for dim in range(1, 65):
+            for k in (2, 3):
+                assert admissible_shapes(dim, k) == admissible_shapes_brute(dim, k), (dim, k)
 
     def test_shapes_multiply_to_padded_dim(self):
         for dim in range(4, 13):
