@@ -44,6 +44,7 @@ from .simplex import (
     _CellPlan,
     _cells,
     _factors,
+    _FLOAT_MAX,
     _freeze,
     _plan_checks,
     _public_kept,
@@ -143,7 +144,7 @@ def _checked_eigvalsh(mats: np.ndarray) -> np.ndarray:
     first matrix with an eigenvalue below the floor is rejected."""
     vals = np.linalg.eigvalsh(mats)
     low = vals.min(axis=1)
-    bad = np.flatnonzero(low < _EIG_FLOOR)
+    bad = np.flatnonzero(~(low >= _EIG_FLOOR))
     if bad.size:
         raise NotPositiveError(f"eigenvalue {low[bad[0]]:.3e} is below {_EIG_FLOOR:.1e}")
     return vals
@@ -163,14 +164,19 @@ def validate_density(raw, tol: float = 1e-10) -> DensityMatrix:
         raise NotHermitianError(f"not a numeric matrix: {exc}") from exc
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ShapeMismatchError(f"density matrix must be square, got {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
+    # One pass finds entries that are not finite, and entries so large that
+    # the sums below could overflow; no density matrix comes near those.
+    top = float(np.abs(arr.view(float)).max())
+    if not math.isfinite(top):
         raise NotHermitianError("density matrix has non-finite entries")
+    if top > _FLOAT_MAX / (4 * len(arr)):
+        raise NotHermitianError(f"density matrix entry {top:.3e} is too large to validate")
     defect = float(np.abs(arr - arr.conj().T).max())
-    if defect > tol:
+    if not defect <= tol:
         raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {tol:.1e}")
     arr = (arr + arr.conj().T) / 2.0
     trace = float(arr.trace().real)
-    if abs(trace - 1.0) > 1e-6:
+    if not abs(trace - 1.0) <= 1e-6:
         raise BadTraceError(f"trace is {trace!r}, not 1")
     arr = arr / trace
     _checked_eigvalsh(arr[None])

@@ -89,6 +89,9 @@ _Q_SHANNON_WINDOW = 1e-6
 _TINY = np.array(np.finfo(float).smallest_subnormal)
 _ZERO = np.array(0.0)
 
+# The largest float: validation keeps every sum it takes below it.
+_FLOAT_MAX = float(np.finfo(float).max)
+
 
 @dataclass(frozen=True, eq=False)
 class ProbVec:
@@ -224,7 +227,7 @@ def _clipped_vec(raw, tol: float, kind: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NegativeProbabilityError(f"{kind} has non-finite entries")
     low = arr.min()
-    if low < -tol:
+    if not low >= -tol:
         raise NegativeProbabilityError(
             f"component {low:.3e} is below the clipping tolerance -{tol:.1e}"
         )
@@ -240,8 +243,12 @@ def validate_prob_vec(raw, tol: float = 1e-10) -> ProbVec:
     known to be nonnegative.
     """
     arr = _clipped_vec(raw, tol, "probability vector")
-    total = arr.sum()
-    if abs(total - 1.0) > 1e-6:
+    # Entries this large could overflow the sum, which is far from 1 anyway.
+    top = arr.max()
+    if not top <= _FLOAT_MAX / (2 * arr.size):
+        raise ProbabilitySumError(f"component {top:.3e} is too large to sum to 1")
+    total = float(arr.sum())
+    if not abs(total - 1.0) <= 1e-6:
         raise ProbabilitySumError(f"components sum to {total!r}, not 1")
     return ProbVec(arr / total)
 
@@ -253,8 +260,12 @@ def normalized_prob_vec(raw, tol: float = 1e-10) -> ProbVec:
     normalized; this is the explicit entry point for such data.
     """
     arr = _clipped_vec(raw, tol, "weight vector")
+    if not arr.max() <= _FLOAT_MAX / (2 * arr.size):
+        # Entries this large could overflow the sum: scale them by a power
+        # of two, which is exact and leaves the normalized vector as it is.
+        arr = np.ldexp(arr, -(2 * arr.size).bit_length())
     total = arr.sum()
-    if total <= 0.0:
+    if not total > 0.0:
         raise ProbabilitySumError("weight vector sums to zero")
     return ProbVec(arr / total)
 

@@ -53,6 +53,7 @@ from .simplex import (
     EntropyValue,
     ProbVec,
     _chain_columns,
+    _FLOAT_MAX,
     _freeze,
     _shannon_rows,
     _table_columns,
@@ -151,10 +152,15 @@ class DiscordReport:
 def validate_unitary(raw, tol: float = 1e-10) -> UnitaryMatrix:
     """Validate raw data as a unitary matrix (max |U^dag U - I| <= tol)."""
     u = UnitaryMatrix(raw)
-    if not np.all(np.isfinite(u.matrix.view(float))):
+    # One pass finds entries that are not finite, and entries so large that
+    # U^dag U could overflow; no unitary comes near those.
+    top = float(np.abs(u.matrix.view(float)).max())
+    if not math.isfinite(top):
         raise NotUnitaryError("unitary has non-finite entries")
+    if top > math.sqrt(_FLOAT_MAX / (4 * u.dim)):
+        raise NotUnitaryError(f"unitary entry {top:.3e} is too large to validate")
     defect = float(np.abs(u.matrix.conj().T @ u.matrix - np.eye(u.dim)).max())
-    if defect > tol:
+    if not defect <= tol:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
     return u
 
@@ -228,11 +234,11 @@ def _readouts(mats: np.ndarray, us: np.ndarray) -> np.ndarray:
     if us.shape[1] != mats.shape[1]:
         raise DimMismatchError(f"unitary dim {us.shape[1]} != state dim {mats.shape[1]}")
     diag = np.einsum("zij,zjk,zik->zi", us, mats, us.conj())
-    if float(np.abs(diag.imag).max()) > 1e-12:
+    if not float(np.abs(diag.imag).max()) <= 1e-12:
         raise NotHermitianError("basis readout has a complex diagonal")
     w = diag.real
     low = w.min(axis=1)
-    bad = np.flatnonzero(low < -1e-12)
+    bad = np.flatnonzero(~(low >= -1e-12))
     if bad.size:
         raise NotPositiveError(f"basis readout has negative weight {low[bad[0]]:.3e}")
     w = np.clip(w, 0.0, None)
@@ -329,6 +335,11 @@ def minimize_entropy_batch(
     dim = states[0].dim
     if any(s.dim != dim for s in states):
         raise DimMismatchError("states in a batch must share a dimension")
+    if dim > 1 and budget < dim * (dim - 1) + 1:
+        raise DimMismatchError(
+            f"a readout search at dim {dim} starts from {dim * (dim - 1) + 1} points, "
+            f"more than its budget of {budget} evaluations"
+        )
     if seeds is None:
         seeds = list(range(len(states)))
     if len(seeds) != len(states):

@@ -16,6 +16,7 @@ import contextlib
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,12 @@ def files(tmp_path_factory) -> dict[str, str]:
         "float-dim": {"dim": 2.7, "re": [[0.5, 0.0], [0.0, 0.5]]},
         "bool-dim": {"dim": True, "re": [[1.0]]},
         "bool": [0.5, 0.5, False, 0.0],
+        # finite entries whose validation sums would overflow
+        "overflow": {"dim": 2, "re": [[1e308, 0], [0, -1e308]]},
+        "sum-1.1": [0.5, 0.6],
+        # a readout search here starts from 72**2 - 72 + 1 = 5113 points,
+        # above its default budget of 5000
+        "rho72": serialize_density(validate_density(ginibre(72, rng))),
     }
     paths = {}
     for key, payload in payloads.items():
@@ -81,7 +88,8 @@ COMMON = {
 }
 STATES = ["v4", "v8", "rho2", "rho4", "diag4"]
 BROKEN_STATES = [
-    "not-a-state", "nested", "float-dim", "bool-dim", "bool", "garbage", "latin", "missing"
+    "not-a-state", "nested", "float-dim", "bool-dim", "bool", "overflow", "garbage", "latin",
+    "missing",
 ]
 
 
@@ -170,3 +178,30 @@ def test_exit_code_contract(files, argv):
     text = open(out_path).read() if out_path in argv else stdout.getvalue()
     report = json.loads(text)
     assert _failed(report) == (code == 1), (argv, report)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "--check", "q-subadd", "--input", "overflow"], "too large to validate"),
+        (
+            ["check", "--suite", "quantum", "--trials", "1", "--input", "overflow"],
+            "too large to validate",
+        ),
+        (["eval", "--check", "readout-min", "--input", "rho72"], "5113 points"),
+        (["check", "--suite", "tomographic", "--dims", "72", "--trials", "1"], "5113 points"),
+        (["eval", "--check", "subadd", "--input", "sum-1.1"], "components sum to 1.1, not 1"),
+    ],
+)
+def test_bad_input_exits_2_with_one_error_line(files, argv, message):
+    # an overflowing state file, a readout search that cannot start and a
+    # probability sum: one error line, no traceback and no numpy warning
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(_resolve(argv, files))
+    assert code == 2
+    assert stdout.getvalue() == ""
+    [line] = stderr.getvalue().splitlines()
+    assert line.startswith("error:") and message in line, line

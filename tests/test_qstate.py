@@ -4,6 +4,7 @@ subadditivity checks."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,14 @@ class TestValidation:
     def test_rejects_non_square(self):
         with pytest.raises(ShapeMismatchError):
             validate_density(np.ones((2, 3)) / 6.0)
+
+    def test_rejects_entries_whose_sums_overflow(self):
+        # (rho + rho^dag) / 2 would overflow to a NaN trace, which no
+        # bound used to catch
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitianError, match="too large"):
+                validate_density([[1e308, 0.0], [0.0, -1e308]])
 
     def test_ref_is_stable(self):
         rho = random_states(3, 1, seed=5)[0]

@@ -96,6 +96,23 @@ class TestValidation:
         p = normalized_prob_vec([3.0, 1.0])
         assert_allclose(p.values, [0.75, 0.25])
 
+    def test_sum_error_prints_a_plain_float(self):
+        with pytest.raises(ProbabilitySumError, match=r"^components sum to 1\.1, not 1$"):
+            validate_prob_vec([0.5, 0.6])
+
+    def test_entries_whose_sum_overflows(self):
+        # refused with no numpy warning, or normalized to a vector summing
+        # to 1; a sum that does not overflow normalizes as before
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProbabilitySumError, match="too large"):
+                validate_prob_vec([1e308, 1e308])
+            assert normalized_prob_vec([1e308, 1e308]).values.tolist() == [0.5, 0.5]
+            assert normalized_prob_vec([1e308, 0.0]).values.tolist() == [1.0, 0.0]
+            weights = [1e308, 5e307, 1e-300]
+            want = np.array(weights) / math.fsum(weights)
+            assert_allclose(normalized_prob_vec(weights).values, want, rtol=1e-15, atol=0)
+
     def test_normalized_prob_vec_rejects_zero_sum(self):
         with pytest.raises(ProbabilitySumError):
             normalized_prob_vec([0.0, 0.0])

@@ -4,6 +4,7 @@ minimization, mutual-information deficits, and spin-axis readouts."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from entrobox import (
     von_neumann,
 )
 from entrobox.ensembles import dirichlet, ginibre, haar
+from entrobox import tomography
 from entrobox.tomography import _assemble_generators, _chart_unitaries
 
 LN2 = math.log(2.0)
@@ -63,6 +65,13 @@ class TestValidateUnitary:
     def test_rejects_non_square(self):
         with pytest.raises(ShapeMismatchError):
             validate_unitary(np.ones((2, 3)))
+
+    def test_rejects_entries_whose_product_overflows(self):
+        # U^dag U would hold inf - inf = NaN, which no bound used to catch
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotUnitaryError, match="too large"):
+                validate_unitary([[1e200, 1e200], [1e200, -1e200]])
 
 
 class TestUnitaryChart:
@@ -211,6 +220,16 @@ class TestMinimizer:
     def test_seed_count_must_match(self):
         with pytest.raises(ShapeMismatchError):
             minimize_entropy_batch(random_states(2, 2), seeds=[1])
+
+    def test_budget_below_the_start_simplex_rejected_before_any_search(self, monkeypatch):
+        # d**2 - d + 1 start points: 7 at d = 3, 5113 at d = 72 against the
+        # default budget of 5000
+        monkeypatch.setattr(tomography, "minimize_batch", None)
+        with pytest.raises(DimMismatchError, match="budget of 6"):
+            minimize_entropy_batch(random_states(3, 1), budget=6)
+        rho = validate_density(np.eye(72) / 72)
+        with pytest.raises(DimMismatchError, match="5113 points"):
+            minimize_tomographic_entropy(rho)
 
     @pytest.mark.parametrize("restarts", [0, -1])
     def test_restarts_below_one_rejected(self, restarts):
