@@ -169,7 +169,7 @@ def validate_density(raw, tol: float = 1e-10) -> DensityMatrix:
     top = float(np.abs(arr.view(float)).max())
     if not math.isfinite(top):
         raise NotHermitianError("density matrix has non-finite entries")
-    if top > _FLOAT_MAX / (4 * len(arr)):
+    if not top <= _FLOAT_MAX / (4 * len(arr)):
         raise NotHermitianError(f"density matrix entry {top:.3e} is too large to validate")
     defect = float(np.abs(arr - arr.conj().T).max())
     if not defect <= tol:

@@ -157,7 +157,7 @@ def validate_unitary(raw, tol: float = 1e-10) -> UnitaryMatrix:
     top = float(np.abs(u.matrix.view(float)).max())
     if not math.isfinite(top):
         raise NotUnitaryError("unitary has non-finite entries")
-    if top > math.sqrt(_FLOAT_MAX / (4 * u.dim)):
+    if not top <= math.sqrt(_FLOAT_MAX / (4 * u.dim)):
         raise NotUnitaryError(f"unitary entry {top:.3e} is too large to validate")
     defect = float(np.abs(u.matrix.conj().T @ u.matrix - np.eye(u.dim)).max())
     if not defect <= tol:
