@@ -34,13 +34,17 @@ Each named check is written once, and ``check`` and ``eval`` both run it.
 A suite is a list of jobs, each drawing ``trials`` states from one sampler
 at one dim; an ``--input`` state joins every job whose sampler could have
 drawn it, and the table sweeps check it once at a dim they do not sweep.
-A job's draws are stacked in chunks of a fixed size, and each check runs
-once per chunk over all of its states, so memory does not grow with
-``--trials``. A check gives its result as columns, one entry per state,
-and the aggregate takes a whole chunk of them at once; a report object,
-a provenance string and a serialized state are built only for an instance
-that fails. Drawn states stay the sampler's arrays: no state object is
-built for them, except in the readout search, which takes state objects.
+A job's draws are stacked in chunks of a fixed size, and a request runs
+step by step: step k takes the k-th chunk of every job. The chunks of a
+step whose jobs share a checks function go to one call of it, so that a
+kernel runs once per step over all of their states, and each chunk's
+columns go into the aggregates in job order. Memory is bounded by one
+chunk per job and does not grow with ``--trials``. A check gives its
+result as columns, one entry per state, and the aggregate takes a whole
+chunk of them at once; a report object, a provenance string and a
+serialized state are built only for an instance that fails. Drawn states
+stay the sampler's arrays: no state object is built for them, except in
+the readout search, which takes state objects.
 A state's result does not depend on the batch it ran in: ``eval`` runs the
 same kernels on a batch of one and builds the report of that one row.
 
@@ -65,6 +69,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -473,10 +478,13 @@ class _Chunk(NamedTuple):
         return np.concatenate(parts)
 
 
-# A job's checks: a chunk of its rows and the configuration in; out, for
-# each check, its columns over the chunk's rows, named by the check's id,
-# and the provenance of row i.
-_Checks = Callable[[_Chunk, SuiteConfig], Iterable[tuple[CheckColumns, Callable[[int], str]]]]
+# A job's checks: the chunks of one step whose jobs share this function, in
+# job order, and the configuration in; out, for each chunk, for each check
+# its columns over the chunk's rows, named by the check's id, and the
+# provenance of row i.
+_Checks = Callable[
+    [list[_Chunk], SuiteConfig], list[list[tuple[CheckColumns, Callable[[int], str]]]]
+]
 
 
 class _Job(NamedTuple):
@@ -518,6 +526,16 @@ def _per_dim(chunk: _Chunk, checks: Iterable[CheckColumns]):
     return _labelled(chunk, [c._replace(name=f"dim{dim}-{c.name}") for c in checks])
 
 
+def _each(checks: Callable[[_Chunk, SuiteConfig], list]) -> _Checks:
+    """The :data:`_Checks` of a kernel that takes one chunk at a time."""
+
+    def run(chunks: list[_Chunk], config: SuiteConfig):
+        return [checks(chunk, config) for chunk in chunks]
+
+    return run
+
+
+@_each
 def _seven_checks(chunk: _Chunk, config: SuiteConfig):
     # 2 x 2 x 2, 2 x 4, and the middle binary digit against the outer two
     readings = [(2, 2, 2), (2, 4), ("subadd-middle", (2, 2, 2))]
@@ -526,26 +544,40 @@ def _seven_checks(chunk: _Chunk, config: SuiteConfig):
     return _labelled(chunk, [c._replace(name=name) for c, name in zip(checks, names)])
 
 
+@_each
 def _four_checks(chunk: _Chunk, config: SuiteConfig):
     subadd, *chains = _chain_columns(chunk.rows, config.q_values, config.tolerance)
     return _labelled(chunk, [subadd._replace(name="subadd-4"), *chains])
 
 
-def _table_checks(chunk: _Chunk, config: SuiteConfig):
-    # Subadditivity of every admissible 2-factor rereading of the states at
-    # their own dim, then strong subadditivity of every 3-factor one.
-    rows = chunk.rows
-    shapes = admissible_shapes(rows.shape[1], 2) + admissible_shapes(rows.shape[1], 3)
-    kernel = _q_table_columns if rows.ndim == 3 else _table_columns
-    return _per_dim(chunk, kernel(rows, shapes, config.tolerance))
+def _table_shapes(dim: int) -> list[tuple[int, ...]]:
+    """The table readings of a state of ``dim``: subadditivity of every
+    admissible 2-factor rereading, then strong subadditivity of every
+    3-factor one."""
+    return admissible_shapes(dim, 2) + admissible_shapes(dim, 3)
 
 
+@_each
+def _vector_tables(chunk: _Chunk, config: SuiteConfig):
+    shapes = _table_shapes(chunk.rows.shape[1])
+    return _per_dim(chunk, _table_columns(chunk.rows, shapes, config.tolerance))
+
+
+def _matrix_tables(chunks: list[_Chunk], config: SuiteConfig):
+    # one kernel call for every table job of a step
+    stacks = [(chunk.rows, _table_shapes(chunk.rows.shape[1])) for chunk in chunks]
+    tables = _q_table_columns(stacks, config.tolerance)
+    return [_per_dim(chunk, checks) for chunk, checks in zip(chunks, tables)]
+
+
+@_each
 def _mixed_equality(chunk: _Chunk, config: SuiteConfig):
     # The maximally mixed state sits exactly on the subadditivity equality.
-    [pair] = _q_table_columns(chunk.rows, [(2, 2)], config.tolerance)
+    [[pair]] = _q_table_columns([(chunk.rows, [(2, 2)])], config.tolerance)
     return _labelled(chunk, [_identity("q-subadd-mixed-equality", pair.lhs, pair.rhs, 1e-10)])
 
 
+@_each
 def _readout_bound(chunk: _Chunk, config: SuiteConfig):
     # Each state is read in a Haar-random basis, one extra draw per state.
     dim = chunk.rows.shape[1]
@@ -553,6 +585,7 @@ def _readout_bound(chunk: _Chunk, config: SuiteConfig):
     return _per_dim(chunk, [_readout_bound_columns(chunk.rows, us, config.tolerance)])
 
 
+@_each
 def _axis_checks(chunk: _Chunk, config: SuiteConfig):
     # Subadditivity and the conditional chain hold along every measurement
     # direction of a spin-3/2 readout; each state's axis is one extra draw,
@@ -567,33 +600,38 @@ def _axis_checks(chunk: _Chunk, config: SuiteConfig):
     return [(c, provenance) for c in _axis_columns(chunk.rows, angles, config.tolerance)]
 
 
+@_each
 def _readout_min_checks(chunk: _Chunk, config: SuiteConfig):
     # Each state's search seed is one extra draw.
     seeds = chunk.extras(lambda rng, n: rng.integers(2**63, size=n)).tolist()
     return _per_dim(chunk, _readout_min_columns(chunk.rows, seeds, config.tolerance))
 
 
-def _discord_checks(chunk: _Chunk, config: SuiteConfig):
-    # Discord nonnegativity and the entropy chain S1 + S2 >= H12 >= S.
-    return _labelled(chunk, _discord_columns(chunk.rows, config.tolerance)[0])
-
-
-def _diagonal_discord(chunk: _Chunk, config: SuiteConfig):
-    # Diagonal states carry no quantum correlations: discord must vanish.
-    (nonneg, _, _), _ = _discord_columns(chunk.rows, config.tolerance)
-    zero = np.zeros(len(chunk.rows))
-    return _labelled(chunk, [_identity("discord-diagonal-zero", nonneg.rhs, zero, 1e-10)])
+def _discord_checks(chunks: list[_Chunk], config: SuiteConfig):
+    # Discord nonnegativity and the entropy chain S1 + S2 >= H12 >= S, every
+    # job of a step in one kernel call. Diagonal states carry no quantum
+    # correlations: their discord must vanish.
+    stacks = _discord_columns([chunk.rows for chunk in chunks], config.tolerance)
+    out = []
+    for chunk, (checks, _) in zip(chunks, stacks):
+        if chunk.job.sampler is _DIAGONAL:
+            zero = np.zeros(len(chunk.rows))
+            checks = [_identity("discord-diagonal-zero", checks[0].rhs, zero, 1e-10)]
+        out.append(_labelled(chunk, checks))
+    return out
 
 
 def _table_jobs(
     tag: int, sampler: _Sampler, dims: list[int], trials: int, input_state: State | None
 ) -> list[_Job]:
     """One table job per swept dim, and a trial-free one at the input's dim
-    when the sweep does not cover it."""
-    jobs = [_Job(tag + j, sampler, dim, _table_checks, trials) for j, dim in enumerate(dims)]
+    when the sweep does not cover it. Vector tables take one kernel call per
+    chunk, and a step's matrix tables one call between them."""
+    checks = _vector_tables if sampler is _DIRICHLET else _matrix_tables
+    jobs = [_Job(tag + j, sampler, dim, checks, trials) for j, dim in enumerate(dims)]
     off_dim = input_state is not None and input_state.dim not in dims
     if off_dim and sampler.could_draw(input_state, input_state.dim):
-        jobs.append(_Job(tag, sampler, input_state.dim, _table_checks, 0))
+        jobs.append(_Job(tag, sampler, input_state.dim, checks, 0))
     return jobs
 
 
@@ -621,7 +659,7 @@ def _jobs(config: SuiteConfig, input_state: State | None) -> list[_Job]:
         ],
         "discord": [
             _Job(300, _GINIBRE, 4, _discord_checks, n),
-            _Job(301, _DIAGONAL, 4, _diagonal_discord, n),
+            _Job(301, _DIAGONAL, 4, _discord_checks, n),
             _Job(302, _GINIBRE, 3, _discord_checks, n),
         ],
     }
@@ -702,10 +740,24 @@ def run_suite(config: SuiteConfig) -> dict:
             f"{kind} of dim {input_state.dim}"
         )
 
+    # Step k takes the k-th chunk of every job that has one. The chunks of
+    # jobs sharing a checks function go to one call of it, and every chunk's
+    # columns go into the aggregates in job order.
     aggs: dict[str, _Agg] = {}
-    for job in jobs:
-        for chunk in _chunks(job, config.seed, input_state if job.takes(input_state) else None):
-            for columns, provenance in job.checks(chunk, config):
+    walks = [
+        _chunks(job, config.seed, input_state if job.takes(input_state) else None) for job in jobs
+    ]
+    for step in itertools.zip_longest(*walks):
+        step = [chunk for chunk in step if chunk is not None]
+        groups: dict[_Checks, list[int]] = {}
+        for i, chunk in enumerate(step):
+            groups.setdefault(chunk.job.checks, []).append(i)
+        results = [None] * len(step)
+        for checks, members in groups.items():
+            for i, labelled in zip(members, checks([step[i] for i in members], config)):
+                results[i] = labelled
+        for chunk, labelled in zip(step, results):
+            for columns, provenance in labelled:
                 agg = aggs.get(columns.name)
                 if agg is None:
                     agg = aggs[columns.name] = _Agg()

@@ -14,12 +14,13 @@ Every check is computed by one private kernel over a stack of matrices, an
 one per-cell sum over the flattened matrices, on the cached index plan of
 :mod:`.simplex` (a vector marginal is the diagonal of a reduction's cell
 map), and entropies by one stacked ``eigvalsh`` pass per matrix size: the
-quantum tables of a chunk stack every spectrum they need, the joint one
-included, and diagonalize each size once. A kernel returns its check as
-columns (:class:`CheckColumns`); the tables take their reductions, sides
-and ids from the rule table of :mod:`.simplex`, with a ``q-`` prefix. Each
-public single-matrix function is its kernel run on a batch of one, so a
-state's result does not depend on the batch it was checked in.
+quantum tables of a list of stacks take every spectrum they need, the
+joint ones included, and diagonalize each size once. A kernel returns its
+check as columns (:class:`CheckColumns`); the tables take their
+reductions, sides and ids from the rule table of :mod:`.simplex`, with a
+``q-`` prefix. Each public single-matrix function is its kernel run on a
+batch of one, so a state's result does not depend on the batch it was
+checked in.
 """
 
 from __future__ import annotations
@@ -263,11 +264,10 @@ def von_neumann(rho: DensityMatrix) -> EntropyValue:
 
 
 def _entropy_rows_by_size(stacks: list[np.ndarray]) -> list[np.ndarray]:
-    """:func:`_entropy_rows` of each of a list of equally long stacks, with
-    all stacks of one matrix size taken in one stacked pass. A bad matrix
-    is rejected as the stack-by-stack loop rejects it: the first one in
-    list order."""
-    n = len(stacks[0])
+    """:func:`_entropy_rows` of each of a list of stacks, with all stacks of
+    one matrix size taken in one stacked pass, whatever their lengths. A bad
+    matrix is rejected as the stack-by-stack loop rejects it: the first one
+    in list order."""
     groups: dict[int, list[int]] = {}
     for i, stack in enumerate(stacks):
         groups.setdefault(stack.shape[1], []).append(i)
@@ -277,8 +277,10 @@ def _entropy_rows_by_size(stacks: list[np.ndarray]) -> list[np.ndarray]:
             group = [stacks[i] for i in members]
             # a size with one stack takes it as is, uncopied
             flat = _entropy_rows(group[0] if len(group) == 1 else np.concatenate(group))
-            for j, i in enumerate(members):
-                out[i] = flat[j * n : (j + 1) * n]
+            start = 0
+            for i, stack in zip(members, group):
+                out[i] = flat[start : start + len(stack)]
+                start += len(stack)
     except NotPositiveError:
         for stack in stacks:
             _entropy_rows(stack)
@@ -286,15 +288,22 @@ def _entropy_rows_by_size(stacks: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def _q_table_columns(mats: np.ndarray, readings, tolerance: float) -> list[CheckColumns]:
-    """The quantum table check of each matrix of a stack, for each of the
-    ``readings`` of :func:`~.simplex._table_plan` in turn:
-    :func:`quantum_subadditivity` of a 2-factor shape,
-    :func:`quantum_strong_subadditivity` of a 3-factor one. Every reduction
-    comes from one gather, the joint entropy is taken once, and every
-    spectrum of one matrix size in one pass."""
-    cells, checks = _table_plan(mats.shape[1], tuple(readings), True)
-    return _plan_checks(checks, _entropy_rows_by_size([mats, *_reductions(mats, cells)]), tolerance)
+def _q_table_columns(stacks, tolerance: float) -> list[list[CheckColumns]]:
+    """The quantum table checks of each (matrices, readings) pair of
+    ``stacks``: for each matrix of the stack (n, d, d), each of the
+    ``readings`` of :func:`~.simplex._table_plan` in turn,
+    :func:`quantum_subadditivity` of a 2-factor shape and
+    :func:`quantum_strong_subadditivity` of a 3-factor one. Each stack's
+    reductions come from one gather, its joint entropy is taken once, and
+    every spectrum of one matrix size, over all the stacks, in one pass."""
+    plans = [_table_plan(mats.shape[1], tuple(readings), True) for mats, readings in stacks]
+    parts = [[mats, *_reductions(mats, cells)] for (mats, _), (cells, _) in zip(stacks, plans)]
+    entropies = _entropy_rows_by_size([stack for group in parts for stack in group])
+    out, start = [], 0
+    for group, (_, checks) in zip(parts, plans):
+        out.append(_plan_checks(checks, entropies[start : start + len(group)], tolerance))
+        start += len(group)
+    return out
 
 
 def quantum_subadditivity(
@@ -309,7 +318,8 @@ def quantum_subadditivity(
     leaves S(rho) unchanged.
     """
     shape = _factors(factors, 2, rho.dim)
-    return _q_table_columns(rho.matrix[None], [shape], tolerance)[0].report(0, provenance)
+    [[check]] = _q_table_columns([(rho.matrix[None], [shape])], tolerance)
+    return check.report(0, provenance)
 
 
 def quantum_strong_subadditivity(
@@ -320,7 +330,8 @@ def quantum_strong_subadditivity(
 ) -> InequalityReport:
     """Check S(R12) + S(R23) >= S(rho) + S(R2) for the 3-factor rereading."""
     shape = _factors(factors, 3, rho.dim)
-    return _q_table_columns(rho.matrix[None], [shape], tolerance)[0].report(0, provenance)
+    [[check]] = _q_table_columns([(rho.matrix[None], [shape])], tolerance)
+    return check.report(0, provenance)
 
 
 def qutrit_reductions(rho: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]:

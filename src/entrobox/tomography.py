@@ -479,47 +479,69 @@ def _kron_rows(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
 
 
 def _discord_columns(
-    mats: np.ndarray, tolerance: float
-) -> tuple[tuple[CheckColumns, CheckColumns, CheckColumns], np.ndarray]:
-    """:func:`discord` of each matrix of a stack of 4 x 4 or 3 x 3 states,
-    as the family's three checks, and the states as read (a qutrit padded):
-    ``discord-nonneg``, the deficit (S1 + S2 - S) - I >= 0 with every
-    entropy and flag of a :class:`DiscordReport`, then ``chain-upper`` and
-    ``chain-lower``, the chain S1 + S2 >= H12 >= S. A qutrit's check ids
-    carry the prefix ``qutrit-``, next to its ``padded-qutrit`` flag.
-    """
-    n, dim = mats.shape[:2]
-    if dim == 3:
-        mats = _padded_rows(mats, 4)
-    elif dim != 4:
-        raise ShapeMismatchError(f"expected a 4 x 4 or 3 x 3 state, got {dim}")
-    prefix = "qutrit-" if dim == 3 else ""
+    stacks: list[np.ndarray], tolerance: float
+) -> list[tuple[tuple[CheckColumns, CheckColumns, CheckColumns], np.ndarray]]:
+    """:func:`discord` of each matrix of each of a list of stacks of 4 x 4
+    or 3 x 3 states, per stack as the family's three checks and the states
+    as read (a qutrit padded): ``discord-nonneg``, the deficit
+    (S1 + S2 - S) - I >= 0 with every entropy and flag of a
+    :class:`DiscordReport`, then ``chain-upper`` and ``chain-lower``, the
+    chain S1 + S2 >= H12 >= S. A qutrit stack's check ids carry the prefix
+    ``qutrit-``, next to its ``padded-qutrit`` flag. All stacks are read in
+    one pass over their concatenation."""
+    read = []
+    for mats in stacks:
+        if mats.shape[1] == 3:
+            mats = _padded_rows(mats, 4)
+        elif mats.shape[1] != 4:
+            raise ShapeMismatchError(f"expected a 4 x 4 or 3 x 3 state, got {mats.shape[1]}")
+        read.append(mats)
+    mats = read[0] if len(read) == 1 else np.concatenate(read)
+    n = len(mats)
 
     # both reductions of the (2, 2) table check from one gather, stacked:
     # one eigenbasis pass and one entropy pass
     parts = np.concatenate(_reductions(mats, _table_plan(4, ((2, 2),), True)[0]))
     us, degenerate = _eigenbases(parts)
-    u1, u2, deg1, deg2 = us[:n], us[n:], degenerate[:n], degenerate[n:]
     s = _entropy_rows(mats)
     s_parts = _entropy_rows(parts)
     s1, s2 = s_parts[:n], s_parts[n:]
-    [joint] = _table_columns(_readouts(mats, _kron_rows(u1, u2)), [(2, 2)], tolerance)
+    [joint] = _table_columns(_readouts(mats, _kron_rows(us[:n], us[n:])), [(2, 2)], tolerance)
     h12, information = joint.lhs, joint.gaps()
-    flags = {
-        "padded-qutrit": np.full(n, dim == 3),
-        "degenerate-reduction-1": deg1,
-        "degenerate-reduction-2": deg2,
-    }
-    entropies = {"s": s, "s1": s1, "s2": s2, "h12": h12, "information": information}
     deficit = (s1 + s2 - s) - information
-    nonneg = CheckColumns(
-        f"{prefix}discord-nonneg", np.zeros(n), deficit, entropies, tolerance, flags=flags
-    )
-    upper = CheckColumns(
-        f"{prefix}chain-upper", h12, s1 + s2, {"h12": h12, "s1": s1, "s2": s2}, tolerance
-    )
-    lower = CheckColumns(f"{prefix}chain-lower", s, h12, {"h12": h12, "s": s}, tolerance)
-    return (nonneg, upper, lower), mats
+
+    out, start = [], 0
+    for stack, states in zip(stacks, read):
+        rows = slice(start, start + len(states))
+        start = rows.stop
+        qutrit = stack.shape[1] == 3
+        prefix = "qutrit-" if qutrit else ""
+        e = {"s": s[rows], "s1": s1[rows], "s2": s2[rows], "h12": h12[rows]}
+        flags = {
+            "padded-qutrit": np.full(len(states), qutrit),
+            "degenerate-reduction-1": degenerate[:n][rows],
+            "degenerate-reduction-2": degenerate[n:][rows],
+        }
+        nonneg = CheckColumns(
+            f"{prefix}discord-nonneg",
+            np.zeros(len(states)),
+            deficit[rows],
+            {**e, "information": information[rows]},
+            tolerance,
+            flags=flags,
+        )
+        upper = CheckColumns(
+            f"{prefix}chain-upper",
+            e["h12"],
+            e["s1"] + e["s2"],
+            {"h12": e["h12"], "s1": e["s1"], "s2": e["s2"]},
+            tolerance,
+        )
+        lower = CheckColumns(
+            f"{prefix}chain-lower", e["s"], e["h12"], {"h12": e["h12"], "s": e["s"]}, tolerance
+        )
+        out.append(((nonneg, upper, lower), states))
+    return out
 
 
 def _discord_report(
@@ -546,7 +568,7 @@ def discord(rho: DensityMatrix, provenance: str = "") -> DiscordReport:
     and the deficit (S1 + S2 - S) - I reduces to H12 - S >= 0. Qutrit
     input is padded to 4 x 4 first, which leaves every entropy unchanged.
     """
-    (nonneg, _, _), states = _discord_columns(rho.matrix[None], GAP_TOLERANCE)
+    [((nonneg, _, _), states)] = _discord_columns([rho.matrix[None]], GAP_TOLERANCE)
     return _discord_report(nonneg, 0, states[0], provenance)
 
 
@@ -559,7 +581,7 @@ def discord_unitary_sweep(
     and reports the smallest deficit seen. The reported discord is always
     the eigenbasis value; this sweep only gauges how tight that choice is.
     """
-    (nonneg, _, _), states = _discord_columns(rho.matrix[None], GAP_TOLERANCE)
+    [((nonneg, _, _), states)] = _discord_columns([rho.matrix[None]], GAP_TOLERANCE)
     base = _discord_report(nonneg, 0, states[0])
     total = base.s1 + base.s2 - base.s
     best = base.discord

@@ -22,6 +22,7 @@ from entrobox import (
     InequalityReport,
     ProbVec,
     cli,
+    discord,
     qstate,
     simplex,
     tomography,
@@ -139,6 +140,33 @@ def _table_shapes(dim: int) -> list[tuple[int, ...]]:
     return admissible_shapes(dim, 2) + admissible_shapes(dim, 3)
 
 
+def _q_tables(mats: np.ndarray, readings, tolerance: float) -> list[CheckColumns]:
+    """:func:`_q_table_columns` of one stack."""
+    [checks] = _q_table_columns([(mats, readings)], tolerance)
+    return checks
+
+
+def _discord(mats: np.ndarray, tolerance: float):
+    """:func:`_discord_columns` of one stack."""
+    [out] = _discord_columns([mats], tolerance)
+    return out
+
+
+def _calls(monkeypatch, *names: str) -> dict[str, list]:
+    """The shapes passed to each of the ``np.linalg`` functions ``names``,
+    recorded call by call from now on."""
+    calls: dict[str, list] = {name: [] for name in names}
+    for name in names:
+        fn = getattr(np.linalg, name)
+
+        def counted(a, *args, _fn=fn, _name=name, **kwargs):
+            calls[_name].append(np.shape(a))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 class TestSimplexKernels:
     @pytest.mark.parametrize("dim", [4, 5, 7, 8, 9, 10, 11])
     def test_table_reports(self, dim):
@@ -201,7 +229,8 @@ class TestSimplexKernels:
             simplex, "_shannon_rows", _counted(calls, "entropy", simplex._shannon_rows)
         )
         chunk = SimpleNamespace(rows=rows, provenance=None)
-        checks = [c for c, _ in cli._seven_checks(chunk, SimpleNamespace(tolerance=1e-9))]
+        [labelled] = cli._seven_checks([chunk], SimpleNamespace(tolerance=1e-9))
+        checks = [c for c, _ in labelled]
         assert len(gathered) == 1 and gathered[0] is rows and calls["entropy"] == 1, calls
         monkeypatch.undo()
         strong, adjacent, middle = checks
@@ -344,15 +373,15 @@ class TestQuantumKernels:
     @pytest.mark.parametrize("dim", [3, 4, 5, 7])
     def test_table_reports(self, dim):
         mats = _ginibre_batch(dim, dim)
-        _assert_batch_invariant(_q_table_columns, mats, _table_shapes(dim), 1e-9)
+        _assert_batch_invariant(_q_tables, mats, _table_shapes(dim), 1e-9)
         for shape in _table_shapes(dim):
-            _assert_batch_invariant(_q_table_columns, mats, [shape], 1e-9)
+            _assert_batch_invariant(_q_tables, mats, [shape], 1e-9)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 8, 9])
     def test_table_columns_do_not_depend_on_the_shapes_taken_together(self, dim):
         mats = _ginibre_batch(dim, 90 + dim)
-        together = _q_table_columns(mats, _table_shapes(dim), 1e-9)
-        alone = [_q_table_columns(mats, [shape], 1e-9)[0] for shape in _table_shapes(dim)]
+        together = _q_tables(mats, _table_shapes(dim), 1e-9)
+        alone = [_q_tables(mats, [shape], 1e-9)[0] for shape in _table_shapes(dim)]
         assert _bits(together) == _bits(alone)
 
     @pytest.mark.parametrize("dim", [3, 4, 5, 7])
@@ -366,7 +395,7 @@ class TestQuantumKernels:
         }
         mats = _ginibre_batch(dim, 110 + dim)
         shapes = _table_shapes(dim)
-        for shape, columns in zip(shapes, _q_table_columns(mats, shapes, 1e-9)):
+        for shape, columns in zip(shapes, _q_tables(mats, shapes, 1e-9)):
             k = len(shape)
             prefix = "q-subadd-" if k == 2 else "q-strong-subadd-"
             assert columns.name == prefix + "x".join(map(str, shape))
@@ -424,20 +453,35 @@ class TestQuantumKernels:
         # dim 5 takes spectra of sizes 5 (joint), 2 and 3 (its 2x3 and 3x2
         # parts) and 4 (its 2x2x2 pairs); the quantum suite's mixed-state
         # job adds sizes 4 and 2
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counted(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        _q_table_columns(_ginibre_batch(dim, dim), _table_shapes(dim), 1e-9)
+        calls = _calls(monkeypatch, "eigvalsh")["eigvalsh"]
+        _q_tables(_ginibre_batch(dim, dim), _table_shapes(dim), 1e-9)
         assert len(calls) == sizes, calls
         calls.clear()
         report = cli.run_suite(cli.SuiteConfig(suite="quantum", dims=[dim], trials=5, seed=1))
         assert report["all_passed"]
         assert len(calls) == sizes + 2, calls
+
+    def test_stacks_taken_together_match_separate_calls(self, monkeypatch):
+        # stacks of unequal lengths and dims, each with its own readings:
+        # bitwise the checks of one call per stack, from one spectral pass
+        # per matrix size over all of them (sizes 2, 3, 4, 5 and 7)
+        stacks = [
+            (_ginibre_batch(3, 301), _table_shapes(3)),
+            (_ginibre_batch(7, 307)[:2], _table_shapes(7)),
+            (_ginibre_batch(5, 305)[:1], _table_shapes(5)),
+            (_ginibre_batch(4, 304)[3:], [(2, 2), ("subadd-middle", (2, 2, 2))]),
+        ]
+        alone = [_q_tables(mats, readings, 1e-9) for mats, readings in stacks]
+        calls = _calls(monkeypatch, "eigvalsh")["eigvalsh"]
+        together = _q_table_columns(stacks, 1e-9)
+        assert sorted(shape[1] for shape in calls) == [2, 3, 4, 5, 7], calls
+        assert _bits(together) == _bits(alone)
+
+    def test_unequal_stacks_of_one_size_are_sliced_back(self):
+        mats = _ginibre_batch(4, 45)
+        stacks = [mats[:2], _reduce_rows(mats, (2, 2), (1,)), mats[2:], mats[6:]]
+        want = [_entropy_rows(stack) for stack in stacks]
+        assert _bits(_entropy_rows_by_size(stacks)) == _bits(want)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 8])
     def test_spectra_and_entropies(self, dim):
@@ -493,8 +537,12 @@ class TestQuantumKernels:
         )
         for shapes in (_table_shapes(dim), _table_shapes(dim)[:1]):
             calls.update(gather=0, entropy=0)
-            _q_table_columns(_ginibre_batch(dim, dim), shapes, 1e-9)
+            _q_tables(_ginibre_batch(dim, dim), shapes, 1e-9)
             assert calls == {"gather": 1, "entropy": 1}, (shapes, calls)
+        # one gather per stack, one entropy pass for all of them
+        calls.update(gather=0, entropy=0)
+        _q_table_columns([(_ginibre_batch(d, d), _table_shapes(d)) for d in (dim, 4, 3)], 1e-9)
+        assert calls == {"gather": 3, "entropy": 1}, calls
 
     def test_a_row_below_the_floor_fails_the_batch_as_it_fails_alone(self):
         mats = _ginibre_batch(4, 30)
@@ -507,7 +555,7 @@ class TestQuantumKernels:
             _entropy_rows(mats)
         assert str(batch.value) == str(alone.value)
         with pytest.raises(NotPositiveError) as batch:
-            _q_table_columns(mats, [(2, 2)], 1e-9)
+            _q_tables(mats, [(2, 2)], 1e-9)
         assert str(batch.value) == str(alone.value)
 
     def test_the_first_bad_reduction_in_check_order_is_named(self):
@@ -521,11 +569,20 @@ class TestQuantumKernels:
         assert shapes[:2] == [(2, 3), (3, 2)]
         with pytest.raises(NotPositiveError) as first:
             for shape in shapes:
-                _q_table_columns(mats, [shape], 1e-9)
+                _q_tables(mats, [shape], 1e-9)
         assert "-1.800e-08" in str(first.value)
         with pytest.raises(NotPositiveError) as together:
-            _q_table_columns(mats, shapes, 1e-9)
+            _q_tables(mats, shapes, 1e-9)
         assert str(together.value) == str(first.value)
+        # across stacks, the first bad matrix of the stack-by-stack loop
+        for order in ([0, 1], [1, 0]):
+            stacks = [(mats[k : k + 1], shapes) for k in order]
+            with pytest.raises(NotPositiveError) as loop:
+                for stack in stacks:
+                    _q_table_columns([stack], 1e-9)
+            with pytest.raises(NotPositiveError) as together:
+                _q_table_columns(stacks, 1e-9)
+            assert str(together.value) == str(loop.value), order
 
 
 class TestTomographyKernels:
@@ -603,8 +660,8 @@ class TestTomographyKernels:
             # the padded mixed qutrit reduces to (2/3, 1/3) twice; this
             # qutrit reduces to (1/2, 1/2) twice
             mats[6] = np.diag([0.0, 0.5, 0.5])
-        _assert_batch_invariant(_discord_columns, mats, 1e-9)
-        (nonneg, upper, lower), states = _discord_columns(mats, 1e-9)
+        _assert_batch_invariant(_discord, mats, 1e-9)
+        (nonneg, upper, lower), states = _discord(mats, 1e-9)
         prefix = "qutrit-" if dim == 3 else ""
         assert [nonneg.name, upper.name, lower.name] == [
             f"{prefix}discord-nonneg",
@@ -624,6 +681,19 @@ class TestTomographyKernels:
         both = ("degenerate-reduction-1", "degenerate-reduction-2")
         assert flags == [padded + (both if k == degenerate else ()) for k in range(N)]
 
+
+    def test_discord_stacks_taken_together_match_separate_calls(self, monkeypatch):
+        # 4 x 4 and qutrit stacks of unequal lengths, each with its own ids
+        # and flags, from one eigenbasis pass and two entropy passes
+        stacks = [_ginibre_batch(4, 74), _ginibre_batch(3, 73)[:3], _ginibre_batch(4, 75)[5:6]]
+        alone = [_discord(mats, 1e-9) for mats in stacks]
+        calls = _calls(monkeypatch, "eigh", "eigvalsh")
+        together = _discord_columns(stacks, 1e-9)
+        assert {name: len(shapes) for name, shapes in calls.items()} == {"eigh": 1, "eigvalsh": 2}
+        assert _bits(together) == _bits(alone)
+        assert [checks[0].name for checks, _ in together] == [
+            "discord-nonneg", "qutrit-discord-nonneg", "discord-nonneg"
+        ]
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_readout_min_columns(self, dim):
@@ -655,8 +725,8 @@ class TestTomographyKernels:
 class TestChunkedSuite:
     """A suite runs each job's checks over fixed-size chunks of its draws."""
 
-    def _peak(self, trials: int) -> int:
-        config = cli.SuiteConfig(suite="quantum", trials=trials, seed=3)
+    def _peak(self, suite: str, trials: int) -> int:
+        config = cli.SuiteConfig(suite=suite, trials=trials, seed=3)
         tracemalloc.start()
         try:
             cli.run_suite(config)
@@ -669,11 +739,29 @@ class TestChunkedSuite:
         # than several smaller ones
         assert cli._CHUNK >= cli._MINIMIZER_CAP + 1
 
-    def test_peak_memory_does_not_grow_with_trials(self):
-        cli.run_suite(cli.SuiteConfig(suite="quantum", trials=2, seed=3))  # warm caches
-        one_chunk = self._peak(cli._CHUNK)
-        eight_chunks = self._peak(8 * cli._CHUNK)
+    @pytest.mark.parametrize("suite", ["quantum", "discord"])
+    def test_peak_memory_does_not_grow_with_trials(self, suite):
+        # a step holds one chunk of each job
+        cli.run_suite(cli.SuiteConfig(suite=suite, trials=2, seed=3))  # warm caches
+        one_chunk = self._peak(suite, cli._CHUNK)
+        eight_chunks = self._peak(suite, 8 * cli._CHUNK)
         assert eight_chunks <= 1.5 * one_chunk, (one_chunk, eight_chunks)
+
+    @pytest.mark.parametrize(
+        "suite, passes",
+        [
+            # the table sizes 2, 3, 4, 5 and 7 of all four dims, then the
+            # mixed state's 4 and 2
+            ("quantum", {"eigh": 0, "eigvalsh": 7}),
+            # the three jobs' reductions, their states and their reductions
+            ("discord", {"eigh": 1, "eigvalsh": 2}),
+        ],
+    )
+    def test_one_kernel_pass_per_step(self, suite, passes, monkeypatch):
+        calls = _calls(monkeypatch, "eigh", "eigvalsh")
+        report = cli.run_suite(cli.SuiteConfig(suite=suite, trials=5, seed=1))
+        assert report["all_passed"]
+        assert {name: len(shapes) for name, shapes in calls.items()} == passes, calls
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_report_matches_per_state_public_calls(self, offset):
@@ -682,13 +770,13 @@ class TestChunkedSuite:
 
         gaps: dict[str, list[float]] = {}
         for job in cli._jobs(config, None):
-            if job.checks is cli._mixed_equality:
+            if job.sampler is cli._MIXED:
                 states = [np.eye(job.dim, dtype=complex) / job.dim]
             else:
                 states = job_draws("ginibre", job.dim, config.seed, job.tag, STATES, job.trials)
             for trial, state in enumerate(states):
                 rho, prov = DensityMatrix(state), f"trial {trial}"
-                if job.checks is cli._mixed_equality:
+                if job.sampler is cli._MIXED:
                     rep = quantum_subadditivity(rho, (2, 2), config.tolerance, prov)
                     gaps.setdefault("q-subadd-mixed-equality", []).append(-abs(rep.lhs - rep.rhs))
                     continue
@@ -705,6 +793,53 @@ class TestChunkedSuite:
 
         assert list(rows) == list(gaps)
         for name, values in gaps.items():
+            total = 0.0
+            for g in values:
+                total += g
+            want = {
+                "id": name,
+                "count": len(values),
+                "failures": 0,
+                "min_gap": min(values),
+                "max_gap": max(values),
+                "mean_gap": total / len(values),
+            }
+            assert _bits(rows[name]) == _bits(want), name
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_discord_report_matches_per_state_public_calls(self, offset, monkeypatch):
+        # every row of every check, bitwise, in draw order: a job's slice of
+        # the stacked kernel that is off by one row fails
+        config = cli.SuiteConfig(suite="discord", trials=cli._CHUNK + offset, seed=13)
+        seen: dict[str, list[float]] = {}
+        add = cli._Agg.add
+
+        def recorded(agg, columns, states, provenance):
+            seen.setdefault(columns.name, []).extend(columns.gaps().tolist())
+            add(agg, columns, states, provenance)
+
+        monkeypatch.setattr(cli._Agg, "add", recorded)
+        rows = {row["id"]: row for row in cli.run_suite(config)["checks"]}
+
+        gaps: dict[str, list[float]] = {}
+        for job in cli._jobs(config, None):
+            kind = "diagonal" if job.sampler is cli._DIAGONAL else "ginibre"
+            for state in job_draws(kind, job.dim, config.seed, job.tag, STATES, job.trials):
+                rep = discord(DensityMatrix(state))
+                if kind == "diagonal":
+                    gaps.setdefault("discord-diagonal-zero", []).append(-abs(rep.discord - 0.0))
+                    continue
+                prefix = "qutrit-" if job.dim == 3 else ""
+                for name, gap in (
+                    ("discord-nonneg", rep.discord - 0.0),
+                    ("chain-upper", rep.chain[0]),
+                    ("chain-lower", rep.chain[1]),
+                ):
+                    gaps.setdefault(prefix + name, []).append(gap)
+
+        assert list(rows) == list(gaps) == list(seen)
+        for name, values in gaps.items():
+            assert _bits(seen[name]) == _bits(values), name
             total = 0.0
             for g in values:
                 total += g
