@@ -413,7 +413,7 @@ def generate_ensemble(kind: str, dim: int, count: int, seed: int) -> Iterator[St
 
 
 # ---------------------------------------------------------------------------
-# suites: jobs of sampled states, each check run once over a chunk of them
+# suites: jobs of sampled states, run one chunk of every job at a time
 
 # States a job's checks take at once. The chunk size is fixed, so a suite's
 # memory does not grow with --trials; it is at least _MINIMIZER_CAP, so each
