@@ -37,12 +37,13 @@ drawn it, and the table sweeps check it once at a dim they do not sweep.
 A job's draws are stacked in chunks of a fixed size, and a request runs
 step by step: step k takes the k-th chunk of every job. The chunks of a
 step whose jobs share a checks function go to one call of it, so that a
-kernel runs once per step over all of their states, and each chunk's
-columns go into the aggregates in job order. Memory is bounded by one
-chunk per job and does not grow with ``--trials``. A check gives its
-result as columns, one entry per state, and the aggregate takes a whole
-chunk of them at once; a report object, a provenance string and a
-serialized state are built only for an instance that fails. Drawn states
+kernel runs once per step over all of their states, and gives every
+check of the call as one block of gaps, one row per check and one entry
+per state. The aggregate takes all the blocks of a step in one pass, in
+job order. Memory is bounded by one chunk per job and does not grow with
+``--trials``. A check's columns, a report object, a provenance string
+and a serialized state are built only for a check with a failing row,
+the last three only for that row. Drawn states
 stay the sampler's arrays: no state object is built for them, except in
 the readout search, which takes state objects.
 A state's result does not depend on the batch it ran in: ``eval`` runs the
@@ -76,7 +77,7 @@ import os
 import stat
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -93,17 +94,26 @@ from .errors import (
 )
 from .qstate import (
     DensityMatrix,
-    _q_table_columns,
+    _q_table_block,
     quantum_strong_subadditivity,
     quantum_subadditivity,
     validate_density,
 )
-from .report import GAP_TOLERANCE, CheckColumns, InequalityReport, _identity
+from .report import (
+    GAP_TOLERANCE,
+    CheckBlock,
+    CheckColumns,
+    InequalityReport,
+    _block_of,
+    _filled,
+    _identity,
+)
 from .simplex import (
     ProbVec,
-    _chain_columns,
+    _chain_block,
     _order_id,
-    _table_columns,
+    _step_plan,
+    _table_block,
     admissible_shapes,
     strong_subadditivity_gap,
     subadditivity_gap,
@@ -112,7 +122,7 @@ from .simplex import (
 )
 from .tomography import (
     _axis_columns,
-    _discord_columns,
+    _discord_block,
     _readout_bound_columns,
     _readout_min_columns,
     discord,
@@ -349,12 +359,14 @@ def _is_diagonal_density(state: State, dim: int) -> bool:
 
 class _Sampler(NamedTuple):
     """A random state family: how to draw a stack of ``n`` (their arrays,
-    vectors or matrices, stacked), how a drawn one is labelled, and whether
-    a given state is one it could have drawn."""
+    vectors or matrices, stacked), how a drawn one is labelled, whether a
+    given state is one it could have drawn, and whether a draw reads its
+    generator."""
 
-    draw: Callable[[int, np.random.Generator, int], np.ndarray]
+    draw: Callable[[int, np.random.Generator | None, int], np.ndarray]
     provenance: str
     could_draw: Callable[[State, int], bool]
+    seeded: bool = True
 
 
 # Each draw looks up its ensemble function in this module at each call.
@@ -380,6 +392,7 @@ _MIXED = _Sampler(
     lambda dim, rng, n: np.repeat(np.eye(dim, dtype=complex)[None] / dim, n, axis=0),
     "maximally-mixed-{dim}",
     lambda state, dim: False,
+    seeded=False,
 )
 
 _ENSEMBLES = {"simplex": _DIRICHLET, "ginibre": _GINIBRE, "diagonal": _DIAGONAL}
@@ -479,12 +492,11 @@ class _Chunk(NamedTuple):
 
 
 # A job's checks: the chunks of one step whose jobs share this function, in
-# job order, and the configuration in; out, for each chunk, for each check
-# its columns over the chunk's rows, named by the check's id, and the
-# provenance of row i.
-_Checks = Callable[
-    [list[_Chunk], SuiteConfig], list[list[tuple[CheckColumns, Callable[[int], str]]]]
-]
+# job order, and the configuration in; out, blocks of checks over the chunks'
+# rows, each with the (provenance, states) of each of its stacks, where
+# provenance(i) names the origin of row i.
+_Labels = list[tuple[Callable[[int], str], np.ndarray]]
+_Checks = Callable[[list[_Chunk], SuiteConfig], list[tuple[CheckBlock, _Labels]]]
 
 
 class _Job(NamedTuple):
@@ -509,72 +521,109 @@ def _chunks(job: _Job, seed: int, input_state: State | None) -> Iterator[_Chunk]
     start = 0
     while head or start < job.trials:
         trials = range(start, min(job.trials, start + _CHUNK - len(head)))
-        parts = head + [job.sampler.draw(job.dim, streams.states, len(trials))] if trials else head
+        rng = streams.states if job.sampler.seeded else None
+        parts = head + [job.sampler.draw(job.dim, rng, len(trials))] if trials else head
         yield _Chunk(job, streams, bool(head), trials, np.concatenate(parts))
         head, start = [], trials.stop
 
 
-def _labelled(chunk: _Chunk, checks: Iterable[CheckColumns]):
-    """(columns, provenance) for each check of a chunk whose rows are
-    labelled by the chunk itself."""
-    return [(columns, chunk.provenance) for columns in checks]
+def _labels(chunks: list[_Chunk]) -> _Labels:
+    """The labels of stacks that are the chunks' rows, labelled by the
+    chunks themselves."""
+    return [(chunk.provenance, chunk.rows) for chunk in chunks]
 
 
-def _per_dim(chunk: _Chunk, checks: Iterable[CheckColumns]):
-    """:func:`_labelled`, each check's id prefixed by the states' dim."""
+def _per_dim(chunk: _Chunk, checks: Iterable[CheckColumns]) -> list[CheckColumns]:
+    """``checks``, each id prefixed by the states' dim."""
     dim = chunk.rows.shape[1]
-    return _labelled(chunk, [c._replace(name=f"dim{dim}-{c.name}") for c in checks])
+    return [c._replace(name=f"dim{dim}-{c.name}") for c in checks]
 
 
-def _each(checks: Callable[[_Chunk, SuiteConfig], list]) -> _Checks:
-    """The :data:`_Checks` of a kernel that takes one chunk at a time."""
+def _each(checks: Callable[[_Chunk, SuiteConfig], tuple[CheckBlock, Callable]]) -> _Checks:
+    """The :data:`_Checks` of a kernel that takes one chunk at a time and
+    gives its block and the provenance of its rows."""
 
     def run(chunks: list[_Chunk], config: SuiteConfig):
-        return [checks(chunk, config) for chunk in chunks]
+        out = []
+        for chunk in chunks:
+            block, provenance = checks(chunk, config)
+            out.append((block, [(provenance, chunk.rows)]))
+        return out
 
     return run
 
 
-@_each
-def _seven_checks(chunk: _Chunk, config: SuiteConfig):
-    # 2 x 2 x 2, 2 x 4, and the middle binary digit against the outer two
-    readings = [(2, 2, 2), (2, 4), ("subadd-middle", (2, 2, 2))]
-    checks = _table_columns(chunk.rows, readings, config.tolerance)
-    names = ("strong-subadd-7", "subadd-7-adjacent", "subadd-7-middle")
-    return _labelled(chunk, [c._replace(name=name) for c, name in zip(checks, names)])
+def _renamed(block: CheckBlock, names: tuple[str, ...]) -> CheckBlock:
+    """``block`` with its checks named ``names``."""
+    return block._replace(names=names, columns=lambda c: block.columns(c)._replace(name=names[c]))
+
+
+# 2 x 2 x 2, 2 x 4, and the middle binary digit against the outer two
+_SEVEN = (
+    7,
+    ((2, 2, 2), (2, 4), ("subadd-middle", (2, 2, 2))),
+    ("strong-subadd-7", "subadd-7-adjacent", "subadd-7-middle"),
+)
+
+
+def _seven_checks(chunks: list[_Chunk], config: SuiteConfig):
+    plan = _step_plan((_SEVEN,) * len(chunks), False)
+    return [(_table_block([c.rows for c in chunks], plan, config.tolerance), _labels(chunks))]
 
 
 @_each
 def _four_checks(chunk: _Chunk, config: SuiteConfig):
-    subadd, *chains = _chain_columns(chunk.rows, config.q_values, config.tolerance)
-    return _labelled(chunk, [subadd._replace(name="subadd-4"), *chains])
+    block = _chain_block(chunk.rows, config.q_values, config.tolerance)
+    return _renamed(block, ("subadd-4", *block.names[1:])), chunk.provenance
 
 
-def _table_shapes(dim: int) -> list[tuple[int, ...]]:
-    """The table readings of a state of ``dim``: subadditivity of every
-    admissible 2-factor rereading, then strong subadditivity of every
-    3-factor one."""
-    return admissible_shapes(dim, 2) + admissible_shapes(dim, 3)
+# A suite asks for the same few dims' readings on every step.
+@functools.lru_cache(maxsize=256)
+def _dim_tables(dim: int) -> tuple:
+    """The table readings of a state of ``dim``, as a stack of a step plan:
+    subadditivity of every admissible 2-factor rereading, then strong
+    subadditivity of every 3-factor one, each id prefixed by the dim."""
+    readings = admissible_shapes(dim, 2) + admissible_shapes(dim, 3)
+    return dim, tuple(readings), f"dim{dim}-"
 
 
-@_each
-def _vector_tables(chunk: _Chunk, config: SuiteConfig):
-    shapes = _table_shapes(chunk.rows.shape[1])
-    return _per_dim(chunk, _table_columns(chunk.rows, shapes, config.tolerance))
+def _vector_tables(chunks: list[_Chunk], config: SuiteConfig):
+    # every table job of a step in one block
+    plan = _step_plan(tuple(_dim_tables(c.rows.shape[1]) for c in chunks), False)
+    return [(_table_block([c.rows for c in chunks], plan, config.tolerance), _labels(chunks))]
+
+
+# The maximally mixed state sits exactly on the subadditivity equality: its
+# (2, 2) reading, checked as an identity to this tolerance.
+_MIXED_TABLES = (4, ((2, 2),), ("q-subadd-mixed-equality",))
+_MIXED_TOLERANCE = 1e-10
 
 
 def _matrix_tables(chunks: list[_Chunk], config: SuiteConfig):
-    # one kernel call for every table job of a step
-    stacks = [(chunk.rows, _table_shapes(chunk.rows.shape[1])) for chunk in chunks]
-    tables = _q_table_columns(stacks, config.tolerance)
-    return [_per_dim(chunk, checks) for chunk, checks in zip(chunks, tables)]
+    # every table job of a step in one block, the maximally mixed state's
+    # among them
+    specs = tuple(
+        _MIXED_TABLES if c.job.sampler is _MIXED else _dim_tables(c.rows.shape[1]) for c in chunks
+    )
+    block = _q_table_block([c.rows for c in chunks], _step_plan(specs, True), config.tolerance)
+    if chunks[0].job.sampler is _MIXED:  # the first job of its family
+        block = _as_identity(block, 0, _MIXED_TOLERANCE)
+    return [(block, _labels(chunks))]
 
 
-@_each
-def _mixed_equality(chunk: _Chunk, config: SuiteConfig):
-    # The maximally mixed state sits exactly on the subadditivity equality.
-    [[pair]] = _q_table_columns([(chunk.rows, [(2, 2)])], config.tolerance)
-    return _labelled(chunk, [_identity("q-subadd-mixed-equality", pair.lhs, pair.rhs, 1e-10)])
+def _as_identity(block: CheckBlock, check: int, tolerance: float) -> CheckBlock:
+    """``block`` with check ``check`` read as the identity of its two sides
+    to ``tolerance``: its gap -|lhs - rhs| is -|rhs - lhs|, bit for bit."""
+    block.gaps[check] = -np.abs(block.gaps[check])
+    block.floors[check] = -tolerance
+
+    def columns(c: int) -> CheckColumns:
+        if c != check:
+            return block.columns(c)
+        pair = block.columns(c)
+        return _identity(pair.name, pair.lhs, pair.rhs, tolerance)
+
+    return block._replace(columns=columns)
 
 
 @_each
@@ -582,7 +631,8 @@ def _readout_bound(chunk: _Chunk, config: SuiteConfig):
     # Each state is read in a Haar-random basis, one extra draw per state.
     dim = chunk.rows.shape[1]
     us = chunk.extras(lambda rng, n: haar(dim, rng, n))
-    return _per_dim(chunk, [_readout_bound_columns(chunk.rows, us, config.tolerance)])
+    column = _readout_bound_columns(chunk.rows, us, config.tolerance)
+    return _block_of([_per_dim(chunk, [column])]), chunk.provenance
 
 
 @_each
@@ -597,36 +647,31 @@ def _axis_checks(chunk: _Chunk, config: SuiteConfig):
         theta, phi = angles[i]
         return f"{chunk.provenance(i)},axis(theta={theta:.6f},phi={phi:.6f})"
 
-    return [(c, provenance) for c in _axis_columns(chunk.rows, angles, config.tolerance)]
+    return _block_of([_axis_columns(chunk.rows, angles, config.tolerance)]), provenance
 
 
 @_each
 def _readout_min_checks(chunk: _Chunk, config: SuiteConfig):
     # Each state's search seed is one extra draw.
     seeds = chunk.extras(lambda rng, n: rng.integers(2**63, size=n)).tolist()
-    return _per_dim(chunk, _readout_min_columns(chunk.rows, seeds, config.tolerance))
+    columns = _readout_min_columns(chunk.rows, seeds, config.tolerance)
+    return _block_of([_per_dim(chunk, columns)]), chunk.provenance
 
 
 def _discord_checks(chunks: list[_Chunk], config: SuiteConfig):
     # Discord nonnegativity and the entropy chain S1 + S2 >= H12 >= S, every
-    # job of a step in one kernel call. Diagonal states carry no quantum
-    # correlations: their discord must vanish.
-    stacks = _discord_columns([chunk.rows for chunk in chunks], config.tolerance)
-    out = []
-    for chunk, (checks, _) in zip(chunks, stacks):
-        if chunk.job.sampler is _DIAGONAL:
-            zero = np.zeros(len(chunk.rows))
-            checks = [_identity("discord-diagonal-zero", checks[0].rhs, zero, 1e-10)]
-        out.append(_labelled(chunk, checks))
-    return out
+    # job of a step in one kernel call; a diagonal job's discord must vanish.
+    diagonal = [j for j, chunk in enumerate(chunks) if chunk.job.sampler is _DIAGONAL]
+    block, _ = _discord_block([chunk.rows for chunk in chunks], config.tolerance, diagonal)
+    return [(block, _labels(chunks))]
 
 
 def _table_jobs(
     tag: int, sampler: _Sampler, dims: list[int], trials: int, input_state: State | None
 ) -> list[_Job]:
     """One table job per swept dim, and a trial-free one at the input's dim
-    when the sweep does not cover it. Vector tables take one kernel call per
-    chunk, and a step's matrix tables one call between them."""
+    when the sweep does not cover it. A step's table jobs take one kernel
+    call between them."""
     checks = _vector_tables if sampler is _DIRICHLET else _matrix_tables
     jobs = [_Job(tag + j, sampler, dim, checks, trials) for j, dim in enumerate(dims)]
     off_dim = input_state is not None and input_state.dim not in dims
@@ -646,7 +691,7 @@ def _jobs(config: SuiteConfig, input_state: State | None) -> list[_Job]:
             *_table_jobs(10, _DIRICHLET, config.resolved_dims("classical"), n, input_state),
         ],
         "quantum": [
-            _Job(0, _MIXED, 4, _mixed_equality, 1),
+            _Job(0, _MIXED, 4, _matrix_tables, 1),
             *_table_jobs(100, _GINIBRE, config.resolved_dims("quantum"), n, input_state),
         ],
         "tomographic": [
@@ -668,60 +713,134 @@ def _jobs(config: SuiteConfig, input_state: State | None) -> list[_Job]:
     return families[config.suite]
 
 
-@dataclass
 class _Agg:
-    """Streaming aggregate of one named check across trials, taken one
-    chunk of columns at a time."""
+    """Streaming aggregate of every named check of a request, taken one
+    block of checks at a time. Column i of ``stats`` holds the count,
+    failures, least, greatest and total gap of the i-th check in report
+    order."""
 
-    count: int = 0
-    failures: int = 0
-    min_gap: float = math.inf
-    max_gap: float = -math.inf
-    total: float = 0.0
-    counts: dict[str, int] = field(default_factory=dict)
-    failing: list[dict] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.index: dict[str, int] = {}  # each check's column, in report order
+        self.slots: dict[tuple[str, ...], tuple] = {}
+        self.stats = _STATS.repeat(64, axis=1)
+        self.counts: dict[int, dict[str, int]] = {}
+        self.failing: dict[int, list[dict]] = {}
 
-    def add(
-        self, columns: CheckColumns, states: np.ndarray, provenance: Callable[[int], str]
-    ) -> None:
-        """Take a chunk's rows of one check; ``states`` are the rows' states
-        and ``provenance(i)`` names row i's origin. A report, provenance and
-        serialized state are built only for a row that fails."""
-        values = columns.gaps().tolist()
-        self.count += len(values)
-        # Row by row in draw order, as the rows would be taken one at a
-        # time: the first of equal extremes stays (a -0.0 keeps its sign)
-        # and the total is rounded after each row.
-        self.min_gap = min(self.min_gap, *values)
-        self.max_gap = max(self.max_gap, *values)
-        for gap in values:
-            self.total += gap
-        for role, column in (columns.counts or {}).items():
-            self.counts[role] = self.counts.get(role, 0) + int(column.sum())
-        floor = -columns.tolerance
-        for i in [i for i, gap in enumerate(values) if not gap >= floor]:
-            rep = columns.report(i, provenance(i))
-            self.failures += 1
-            self.failing.append(
-                {
-                    "check": rep.name,
-                    "provenance": rep.provenance,
-                    "gap": rep.gap,
-                    "report": rep.to_dict(),
-                    "state": _serialize_array(states[i]),
-                }
+    def _slots(self, names: tuple[str, ...]) -> tuple:
+        """The columns of the checks ``names``, as an index of ``stats`` (a
+        slice when they are consecutive) and as a list; a check first seen
+        takes the next column."""
+        slots = self.slots.get(names)
+        if slots is None:
+            columns = [self.index.setdefault(name, len(self.index)) for name in names]
+            if len(self.index) > self.stats.shape[1]:
+                grown = _STATS.repeat(len(self.index), axis=1)
+                self.stats = np.concatenate((self.stats, grown), axis=1)
+            first, stop = columns[0], columns[-1] + 1
+            consecutive = columns == list(range(first, stop))
+            where = slice(first, stop) if consecutive else np.array(columns)
+            slots = self.slots[names] = (where, columns)
+        return slots
+
+    def add(self, parts: list[tuple[CheckBlock, _Labels]]) -> None:
+        """Take the blocks of checks of one step, in one pass; stack j of a
+        block holds the states ``labels[j][1]``, whose row i came from
+        ``labels[j][0](i)``. A report, provenance and serialized state are
+        built only for a row that fails."""
+        blocks = [block for block, _ in parts]
+        if len(blocks) == 1:
+            [(names, gaps, floors, rows, *_)] = blocks
+        else:
+            names = tuple(itertools.chain.from_iterable(b.names for b in blocks))
+            m = max(b.gaps.shape[1] for b in blocks)
+            gaps = np.concatenate([_filled(b.gaps, m, axis=1) for b in blocks])
+            floors = np.concatenate([b.floors for b in blocks])
+            rows = np.concatenate([b.rows for b in blocks])
+        where, columns = self._slots(names)
+        stats = self.stats[:, where]  # a view, unless the columns are apart
+        count, failures, low, high, total = stats
+        each = np.arange(len(rows))  # one entry of each row
+        passed = gaps >= floors
+        # As the rows would be taken one at a time in draw order: the first
+        # of equal extremes stays (a -0.0 keeps its sign), a NaN gap, which
+        # fails, is never an extreme, and the total is rounded after each
+        # row. A check's gaps past its rows repeat its last one.
+        if passed.all():
+            lo = gaps[each, gaps.argmin(axis=1)]
+            hi = gaps[each, gaps.argmax(axis=1)]
+        else:
+            failed = ~passed & (np.arange(gaps.shape[1]) < rows[:, None])
+            failures += np.count_nonzero(failed, axis=1)
+            start = 0
+            for block, labels in parts:
+                stop = start + len(block.names)
+                self._failing(block, labels, columns[start:stop], failed[start:stop])
+                start = stop
+            lo, hi = (
+                gaps[each, np.argmax(gaps == extreme.reduce(gaps, axis=1)[:, None], axis=1)]
+                for extreme in (np.fmin, np.fmax)
             )
+        np.copyto(low, lo, where=lo < low)
+        np.copyto(high, hi, where=hi > high)
+        running = np.concatenate((total[:, None], gaps), axis=1)
+        total[:] = np.add.accumulate(running, axis=1)[each, rows]
+        count += rows
+        if not isinstance(where, slice):
+            self.stats[:, where] = stats
+        start = 0
+        for block in blocks:
+            for slot, counts in zip(columns[start:], block.counts or ()):
+                for role, column in (counts or {}).items():
+                    mine = self.counts.setdefault(slot, {})
+                    mine[role] = mine.get(role, 0) + int(column.sum())
+            start += len(block.names)
 
-    def row(self, name: str) -> dict:
-        return {
-            "id": name,
-            "count": self.count,
-            "failures": self.failures,
-            "min_gap": self.min_gap,
-            "max_gap": self.max_gap,
-            "mean_gap": self.total / self.count if self.count else 0.0,
-            **self.counts,
-        }
+    def _failing(self, block: CheckBlock, labels: _Labels, columns, failed) -> None:
+        """List the rows ``failed`` (checks x rows) of ``block``, whose checks
+        take the ``columns``."""
+        for c in np.flatnonzero(failed.any(axis=1)).tolist():
+            check = block.columns(c)
+            provenance, states = labels[block.stacks[c]]
+            failing = self.failing.setdefault(columns[c], [])
+            for i in np.flatnonzero(failed[c]).tolist():
+                rep = check.report(i, provenance(i))
+                failing.append(
+                    {
+                        "check": rep.name,
+                        "provenance": rep.provenance,
+                        "gap": rep.gap,
+                        "report": rep.to_dict(),
+                        "state": _serialize_array(states[i]),
+                    }
+                )
+
+    def rows(self) -> list[dict]:
+        """The report row of every check, in report order; every check has
+        taken at least one row."""
+        stats = self.stats[:, : len(self.index)].tolist()
+        rows = [
+            {
+                "id": name,
+                "count": int(count),
+                "failures": int(failures),
+                "min_gap": low,
+                "max_gap": high,
+                "mean_gap": total / count,
+            }
+            for name, count, failures, low, high, total in zip(self.index, *stats)
+        ]
+        for i, counts in self.counts.items():
+            rows[i].update(counts)
+        return rows
+
+    def failing_instances(self) -> list[dict]:
+        """Every failing instance: by check in report order, then in draw
+        order."""
+        return [f for i in sorted(self.failing) for f in self.failing[i]]
+
+
+# The statistics of a check not yet taken: :attr:`_Agg.stats`.
+_STATS = np.array([[0.0], [0.0], [math.inf], [-math.inf], [0.0]])
 
 
 def run_suite(config: SuiteConfig) -> dict:
@@ -741,29 +860,21 @@ def run_suite(config: SuiteConfig) -> dict:
         )
 
     # Step k takes the k-th chunk of every job that has one. The chunks of
-    # jobs sharing a checks function go to one call of it, and every chunk's
-    # columns go into the aggregates in job order.
-    aggs: dict[str, _Agg] = {}
+    # jobs sharing a checks function go to one call of it, in job order (the
+    # jobs of one function are consecutive), and the blocks of all the calls
+    # go into the aggregate in one pass.
+    agg = _Agg()
     walks = [
         _chunks(job, config.seed, input_state if job.takes(input_state) else None) for job in jobs
     ]
     for step in itertools.zip_longest(*walks):
-        step = [chunk for chunk in step if chunk is not None]
-        groups: dict[_Checks, list[int]] = {}
-        for i, chunk in enumerate(step):
-            groups.setdefault(chunk.job.checks, []).append(i)
-        results = [None] * len(step)
-        for checks, members in groups.items():
-            for i, labelled in zip(members, checks([step[i] for i in members], config)):
-                results[i] = labelled
-        for chunk, labelled in zip(step, results):
-            for columns, provenance in labelled:
-                agg = aggs.get(columns.name)
-                if agg is None:
-                    agg = aggs[columns.name] = _Agg()
-                agg.add(columns, chunk.rows, provenance)
+        groups: dict[_Checks, list[_Chunk]] = {}
+        for chunk in step:
+            if chunk is not None:
+                groups.setdefault(chunk.job.checks, []).append(chunk)
+        agg.add([part for checks, chunks in groups.items() for part in checks(chunks, config)])
 
-    rows = [agg.row(name) for name, agg in aggs.items()]
+    rows = agg.rows()
     return {
         "version": __version__,
         "config": {
@@ -776,7 +887,7 @@ def run_suite(config: SuiteConfig) -> dict:
             "input": config.input_path,
         },
         "checks": rows,
-        "failing_instances": [f for agg in aggs.values() for f in agg.failing],
+        "failing_instances": agg.failing_instances(),
         "all_passed": all(row["failures"] == 0 for row in rows),
         "wall_time_s": time.perf_counter() - t0,
     }
@@ -845,7 +956,9 @@ _EVALUATIONS = {
     "strong-subadd": (ProbVec, _at_shape("strong_subadditivity_gap", 3)),
     "cond-chain": (
         ProbVec,
-        lambda p, args: _chain_columns(p.values[None], (), args.tolerance)[1].report(0, "input"),
+        lambda p, args: _chain_block(p.values[None], (), args.tolerance)
+        .columns(1)
+        .report(0, "input"),
     ),
     "tsallis-chain": (
         ProbVec,

@@ -18,9 +18,9 @@ quantum tables of a list of stacks take every spectrum they need, the
 joint ones included, and diagonalize each size once. A kernel returns its
 check as columns (:class:`CheckColumns`); the tables take their
 reductions, sides and ids from the rule table of :mod:`.simplex`, with a
-``q-`` prefix. Each public single-matrix function is its kernel run on a
-batch of one, so a state's result does not depend on the batch it was
-checked in.
+``q-`` prefix, and give all of them as one block of gaps. Each public
+single-matrix function is its kernel run on a batch of one, so a state's
+result does not depend on the batch it was checked in.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     ShapeMismatchError,
     ShrinkForbiddenError,
 )
-from .report import GAP_TOLERANCE, CheckColumns, InequalityReport
+from .report import GAP_TOLERANCE, CheckBlock, CheckColumns, InequalityReport, _filled
 from .simplex import (
     EntropyValue,
     _cell_plan,
@@ -47,9 +47,11 @@ from .simplex import (
     _factors,
     _FLOAT_MAX,
     _freeze,
-    _plan_checks,
+    _plan_block,
     _public_kept,
     _shannon_rows,
+    _step_plan,
+    _StepPlan,
     _table_plan,
 )
 
@@ -288,22 +290,28 @@ def _entropy_rows_by_size(stacks: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def _q_table_columns(stacks, tolerance: float) -> list[list[CheckColumns]]:
-    """The quantum table checks of each (matrices, readings) pair of
-    ``stacks``: for each matrix of the stack (n, d, d), each of the
-    ``readings`` of :func:`~.simplex._table_plan` in turn,
-    :func:`quantum_subadditivity` of a 2-factor shape and
+def _q_table_block(stacks: list[np.ndarray], plan: _StepPlan, tolerance: float) -> CheckBlock:
+    """The quantum table checks of ``plan`` (a :func:`~.simplex._step_plan`
+    of matrices) on its stacks of matrices (n, d, d), as one block: for each
+    matrix, :func:`quantum_subadditivity` of a 2-factor shape and
     :func:`quantum_strong_subadditivity` of a 3-factor one. Each stack's
-    reductions come from one gather, its joint entropy is taken once, and
-    every spectrum of one matrix size, over all the stacks, in one pass."""
-    plans = [_table_plan(mats.shape[1], tuple(readings), True) for mats, readings in stacks]
-    parts = [[mats, *_reductions(mats, cells)] for (mats, _), (cells, _) in zip(stacks, plans)]
+    reductions come from one gather, its joint entropy is taken once, every
+    spectrum of one matrix size, over all the stacks, in one pass, and every
+    side of every check is summed at once."""
+    lengths = [len(mats) for mats in stacks]
+    m = max(lengths)
+    stacks = [_filled(mats, m) for mats in stacks]
+    parts = [[mats, *_reductions(mats, cells)] for mats, cells in zip(stacks, plan.tables)]
     entropies = _entropy_rows_by_size([stack for group in parts for stack in group])
-    out, start = [], 0
-    for group, (_, checks) in zip(parts, plans):
-        out.append(_plan_checks(checks, entropies[start : start + len(group)], tolerance))
-        start += len(group)
-    return out
+    e = np.concatenate([*entropies, np.zeros(m)]).reshape(-1, m)
+    return _plan_block(plan, e, lengths, tolerance)
+
+
+def _q_table_columns(mats: np.ndarray, readings, tolerance: float) -> list[CheckColumns]:
+    """The quantum table check of each matrix of a stack (n, d, d) for each
+    reading of :func:`~.simplex._table_plan`, as columns."""
+    plan = _step_plan(((mats.shape[1], tuple(readings), ""),), True)
+    return _q_table_block([mats], plan, tolerance).all_columns()
 
 
 def quantum_subadditivity(
@@ -318,7 +326,7 @@ def quantum_subadditivity(
     leaves S(rho) unchanged.
     """
     shape = _factors(factors, 2, rho.dim)
-    [[check]] = _q_table_columns([(rho.matrix[None], [shape])], tolerance)
+    [check] = _q_table_columns(rho.matrix[None], [shape], tolerance)
     return check.report(0, provenance)
 
 
@@ -330,7 +338,7 @@ def quantum_strong_subadditivity(
 ) -> InequalityReport:
     """Check S(R12) + S(R23) >= S(rho) + S(R2) for the 3-factor rereading."""
     shape = _factors(factors, 3, rho.dim)
-    [[check]] = _q_table_columns([(rho.matrix[None], [shape])], tolerance)
+    [check] = _q_table_columns(rho.matrix[None], [shape], tolerance)
     return check.report(0, provenance)
 
 

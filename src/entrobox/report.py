@@ -11,13 +11,16 @@ that computes it over a stack of states to the report: one entry per state
 in each column, under the one name the check is known by. A report is built
 in one place, :func:`make_report`, which :meth:`CheckColumns.report` calls
 for one row of an inequality or an identity (:func:`_identity`) alike, so a
-report object is built only where one is wanted.
+report object is built only where one is wanted. A kernel gives the checks
+of one call as a :class:`CheckBlock`: their gaps as one array, each check's
+columns built only on demand.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,9 +132,7 @@ class CheckColumns(NamedTuple):
 
     def gaps(self) -> np.ndarray:
         """The gap of every row, computed as its report computes it."""
-        if self.identity:
-            return -np.abs(self.lhs - self.rhs)
-        return self.rhs - self.lhs
+        return _gaps(self.lhs, self.rhs, self.identity)
 
     def report(self, i: int, provenance: str = "") -> InequalityReport:
         """The report of row ``i``, built by :func:`make_report`."""
@@ -147,6 +148,11 @@ class CheckColumns(NamedTuple):
         )
 
 
+def _gaps(lhs: np.ndarray, rhs: np.ndarray, identity: bool) -> np.ndarray:
+    """The gap of every row: ``rhs - lhs``, an identity's ``-|lhs - rhs|``."""
+    return -np.abs(lhs - rhs) if identity else rhs - lhs
+
+
 def _identity(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float) -> CheckColumns:
     """Equalities |lhs - rhs| <= tol, with the two sides as the entropies.
 
@@ -154,3 +160,92 @@ def _identity(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float) -> CheckC
     the aggregate's min_gap shows the worst deviation.
     """
     return CheckColumns(name, lhs, rhs, {"lhs": lhs, "rhs": rhs}, tol, identity=True)
+
+
+class CheckBlock(NamedTuple):
+    """Every check of one kernel call over a list of stacks of states, as one
+    gap array.
+
+    Check c is named ``names[c]``, passes a row iff its gap is at least its
+    floor ``floors[c, 0]`` (its tolerance, negated), and covers the first
+    ``rows[c]`` states of stack ``stacks[c]``: row c of ``gaps`` (checks x
+    m) holds their gaps, computed as the check's :class:`CheckColumns`
+    computes them, and past them its last gap repeated, which leaves the
+    first of its least and of its greatest gaps where it is.
+    ``columns(c)`` builds check c as its :class:`CheckColumns` on demand, so
+    that a suite builds one only for a check with a failing row. ``counts``,
+    when a check counts work, is each check's ``counts``.
+    """
+
+    names: tuple[str, ...]
+    gaps: np.ndarray
+    floors: np.ndarray
+    rows: np.ndarray
+    stacks: Sequence[int]
+    columns: Callable[[int], CheckColumns]
+    counts: tuple[dict[str, np.ndarray] | None, ...] | None = None
+
+    def all_columns(self) -> list[CheckColumns]:
+        """Every check, as its columns."""
+        return [self.columns(c) for c in range(len(self.names))]
+
+
+def _filled(array: np.ndarray, m: int, axis: int = 0) -> np.ndarray:
+    """``array`` with its last entry along ``axis`` repeated until it holds
+    ``m`` there: a stack of states filled to a longer one's length, or each
+    check's gaps past its rows."""
+    n = array.shape[axis]
+    if n == m:
+        return array
+    return np.concatenate((array, np.repeat(array.take([n - 1], axis), m - n, axis)), axis)
+
+
+class _Check(NamedTuple):
+    """A check of :func:`_block`: the stack it reads, its id, its gaps and
+    tolerance, how to build its :class:`CheckColumns`, and its counts."""
+
+    stack: int
+    name: str
+    gaps: np.ndarray
+    tolerance: float
+    build: Callable[[], CheckColumns]
+    counts: dict[str, np.ndarray] | None = None
+
+
+def _block(checks: list[_Check]) -> CheckBlock:
+    """The block of ``checks``."""
+    stacks, names, gaps, tolerances, builds, counts = zip(*checks)
+    rows = np.array([len(g) for g in gaps])
+    m = rows.max()
+    return CheckBlock(
+        names,
+        np.stack([_filled(g, m) for g in gaps]),
+        -np.array(tolerances, dtype=float)[:, None],
+        rows,
+        stacks,
+        lambda c: builds[c](),
+        counts if any(c is not None for c in counts) else None,
+    )
+
+
+def _lazy(name, lhs, rhs, entropies, tolerance, identity=False) -> _Check:
+    """A check on stack 0, built as ``CheckColumns(name, lhs, rhs,
+    entropies, tolerance, identity)`` on demand."""
+    build = functools.partial(CheckColumns, name, lhs, rhs, entropies, tolerance, identity)
+    return _Check(0, name, _gaps(lhs, rhs, identity), tolerance, build)
+
+
+def _lazy_identity(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float) -> _Check:
+    """:func:`_identity` as a check on stack 0, built on demand."""
+    return _lazy(name, lhs, rhs, {"lhs": lhs, "rhs": rhs}, tol, identity=True)
+
+
+def _block_of(stacks: list[list[CheckColumns]]) -> CheckBlock:
+    """The block of checks already built as columns, stack by stack."""
+    return _block(
+        [
+            _Check(j, c.name, c.gaps(), c.tolerance, lambda c=c: c, c.counts)
+            for j, checks in enumerate(stacks)
+            for c in checks
+        ]
+    )

@@ -30,10 +30,14 @@ reduction, each taken once, an entry of the zero padding reading one zero
 slot appended to the row, and which entropies make each check. A stack
 then takes every reduction in one gather and one per-cell sum
 (:func:`_cells`), and every entropy in one pass of :func:`_shannon_rows`.
+A list of stacks, a suite step's table jobs, has one cached plan of its
+own (:func:`_step_plan`): index arrays over the entropy rows of all its
+stacks, through which every side of every check is summed at once, giving
+all their gaps as one block.
 The cell rule is written once, in :func:`_cell_members`, and the table
 rule once, in :data:`_TABLE_RULES`, for vectors and density matrices
 alike. Every check of a 4-vector, its table, its Shannon chain identity
-and its Tsallis chain bounds, comes from one kernel, :func:`_chain_columns`,
+and its Tsallis chain bounds, comes from one kernel, :func:`_chain_block`,
 which takes H(p) and H(b) from the 2 x 2 table.
 Each public single-vector function is its kernel run on a batch of one, so
 a vector's result does not depend on the batch it was checked in.
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +60,18 @@ from .errors import (
     ShapeMismatchError,
     ShrinkForbiddenError,
 )
-from .report import GAP_TOLERANCE, IDENTITY_TOLERANCE, CheckColumns, InequalityReport, _identity
+from .report import (
+    GAP_TOLERANCE,
+    IDENTITY_TOLERANCE,
+    CheckBlock,
+    CheckColumns,
+    InequalityReport,
+    _block,
+    _Check,
+    _filled,
+    _lazy,
+    _lazy_identity,
+)
 
 __all__ = [
     "ProbVec",
@@ -528,26 +543,120 @@ def _cells(flat: np.ndarray, plan: _CellPlan) -> np.ndarray:
     return np.add.reduceat(gathered, plan.starts, axis=1)
 
 
-def _side(e, columns: tuple[int, ...]) -> np.ndarray:
-    """The sum of the entropy ``columns`` of ``e``, added in role order."""
-    return reduce(np.add, [e[i] for i in columns])
+class _StepPlan(NamedTuple):
+    """The table checks of a list of stacks, taken as one block.
+
+    ``tables`` is the :class:`_CellPlan` of each stack. Stack by stack, its
+    entropies are rows of one array, in the column order of its
+    :func:`_table_plan`, and a row of zeros follows them all. Check c is
+    named ``names[c]`` and reads stack ``stacks[c]``; ``ones`` is a column
+    of ones, one per check. The lhs and rhs of check c add the entropy rows
+    ``sides[:, 0, c]`` and ``sides[:, 1, c]`` in role order, a side of fewer
+    terms padded by the zero row (no entropy is -0.0, so adding 0.0 leaves
+    every bit as it is), and ``roles[c]`` pairs each of its roles with its
+    entropy row.
+    """
+
+    tables: tuple[_CellPlan, ...]
+    names: tuple[str, ...]
+    stacks: np.ndarray
+    ones: np.ndarray
+    sides: np.ndarray
+    roles: tuple[tuple[tuple[str, int], ...], ...]
 
 
-def _plan_checks(checks: tuple, e, tolerance: float) -> list[CheckColumns]:
-    """The ``checks`` of a :func:`_table_plan` from its entropy columns ``e``."""
-    return [
-        CheckColumns(name, _side(e, lhs), _side(e, rhs), {r: e[i] for r, i in roles}, tolerance)
-        for name, roles, lhs, rhs in checks
+# A suite asks for the same few steps' plans on every step.
+@lru_cache(maxsize=256)
+def _step_plan(specs: tuple, matrix: bool) -> _StepPlan:
+    """The :class:`_StepPlan` of ``specs``, one (dim, readings, ids) per
+    stack: the checks of ``_table_plan(dim, readings, matrix)``, their ids
+    prefixed by ``ids`` or, when ``ids`` is a tuple, replaced by its ids."""
+    tables, names, stacks, roles, sides, start = [], [], [], [], [], 0
+    for j, (dim, readings, ids) in enumerate(specs):
+        cells, checks = _table_plan(dim, readings, matrix)
+        tables.append(cells)
+        names += [ids + name for name, *_ in checks] if isinstance(ids, str) else ids
+        stacks += [j] * len(checks)
+        for _, kept, lhs, rhs in checks:
+            roles.append(tuple((role, start + i) for role, i in kept))
+            sides.append([[start + i for i in side] for side in (lhs, rhs)])
+        # a vector's entropy per reduction; a matrix's own entropy first
+        start += matrix + len(cells.firsts)
+    width = max(len(side) for pair in sides for side in pair)
+    padded = [[side + [start] * (width - len(side)) for side in pair] for pair in sides]
+    plan = _StepPlan(
+        tuple(tables),
+        tuple(names),
+        np.array(stacks),
+        np.ones((len(names), 1)),
+        np.array(padded).transpose(2, 1, 0),
+        tuple(roles),
+    )
+    for array in (plan.stacks, plan.ones, plan.sides):
+        array.flags.writeable = False
+    return plan
+
+
+def _plan_block(plan: _StepPlan, e: np.ndarray, lengths: list[int], tolerance: float) -> CheckBlock:
+    """The checks of ``plan`` as one block, from the entropies ``e`` of its
+    stacks of ``lengths`` states: the plan's entropy rows, zeros last, over
+    the states of the longest stack, a shorter stack's last state repeated
+    (:func:`~.report._filled`). Every side of every check is summed at once
+    through the plan's index array."""
+    lhs, rhs = _sides(plan, e)
+
+    def columns(c: int) -> CheckColumns:
+        n = lengths[plan.stacks[c]]
+        entropies = {role: e[i, :n] for role, i in plan.roles[c]}
+        return CheckColumns(plan.names[c], lhs[c, :n], rhs[c, :n], entropies, tolerance)
+
+    floors = plan.ones * -tolerance
+    rows = np.array(lengths)[plan.stacks]
+    return CheckBlock(plan.names, rhs - lhs, floors, rows, plan.stacks, columns)
+
+
+def _sides(plan: _StepPlan, e: np.ndarray) -> np.ndarray:
+    """The lhs and rhs (2, checks, states) of every check of ``plan``, from
+    its entropies ``e``, summed through the plan's index array: its terms
+    taken in turn along the first axis."""
+    return np.add.reduce(e[plan.sides], axis=0)
+
+
+def _table_entropies(stacks: list[np.ndarray], plan: _StepPlan) -> tuple[np.ndarray, list[int]]:
+    """The entropies of :func:`_plan_block` for stacks of vectors (n, N),
+    each stack's reductions from one gather and its entropies from one
+    pass, and the stacks' lengths."""
+    lengths = [len(rows) for rows in stacks]
+    m = max(lengths)
+    parts = [
+        _shannon_rows(_cells(_filled(rows, m), cells), cells.firsts).T
+        for rows, cells in zip(stacks, plan.tables)
     ]
+    return np.concatenate(parts + [np.zeros((1, m))]), lengths
+
+
+def _table_block(stacks: list[np.ndarray], plan: _StepPlan, tolerance: float) -> CheckBlock:
+    """The table checks of ``plan`` on its stacks of vectors (n, N), as one
+    block: every side of every check summed at once."""
+    return _plan_block(plan, *_table_entropies(stacks, plan), tolerance)
+
+
+def _pair_table(rows: np.ndarray, tolerance: float) -> tuple[_Check, dict[str, np.ndarray]]:
+    """The ``subadd-2x2`` check of a stack of 4-vectors, built as columns on
+    demand, and its entropies by role."""
+    plan = _step_plan(((4, ((2, 2),), ""),), False)
+    e, _ = _table_entropies([rows], plan)
+    [lhs], [rhs] = _sides(plan, e)
+    entropies = {role: e[i] for role, i in plan.roles[0]}
+    return _lazy(plan.names[0], lhs, rhs, entropies, tolerance), entropies
 
 
 def _table_columns(rows: np.ndarray, readings, tolerance: float) -> list[CheckColumns]:
     """The table check of each row of a stack of vectors for each reading of
-    :func:`_table_plan`, every reduction from one gather and every entropy
-    from one pass: :func:`subadditivity_gap` of a 2-factor shape,
-    :func:`strong_subadditivity_gap` of a 3-factor one."""
-    cells, checks = _table_plan(rows.shape[1], tuple(readings), False)
-    return _plan_checks(checks, _shannon_rows(_cells(rows, cells), cells.firsts).T, tolerance)
+    :func:`_table_plan`, as columns: :func:`subadditivity_gap` of a 2-factor
+    shape, :func:`strong_subadditivity_gap` of a 3-factor one."""
+    plan = _step_plan(((rows.shape[1], tuple(readings), ""),), False)
+    return _table_block([rows], plan, tolerance).all_columns()
 
 
 def subadditivity_gap(
@@ -637,45 +746,50 @@ def _order_id(q: float) -> str:
     return f"q{q:g}"
 
 
-def _tsallis_chain_columns(
-    rows: np.ndarray, q: float, tolerance: float, blocks: np.ndarray
-) -> CheckColumns:
+def _tsallis_chain(rows: np.ndarray, q: float, blocks: np.ndarray) -> tuple:
     """:func:`tsallis_monotonicity_check` of each row of a stack of 4-vectors
-    with blocks ``blocks`` (:func:`_block_rows`); its ``conditional``
-    entropy is T_q(p) - T_q(b), the Shannon conditional entropy at q = 1."""
+    with blocks ``blocks`` (:func:`_block_rows`), as its id, its two sides and
+    its entropies; the ``conditional`` entropy is T_q(p) - T_q(b), the
+    Shannon conditional entropy at q = 1."""
     q = _order(q)
     total = _tsallis_rows(rows, q)
     coarse = _tsallis_rows(blocks, q)
     conditional = total - coarse
-    return CheckColumns(
-        name=f"tsallis-chain-{_order_id(q)}",
-        # the larger part, the first one on a tie, as max(coarse, conditional)
-        lhs=np.where(conditional > coarse, conditional, coarse),
-        rhs=total,
-        entropies={"total": total, "coarse": coarse, "conditional": conditional},
-        tolerance=tolerance,
-    )
+    # the larger part, the first one on a tie, as max(coarse, conditional)
+    lhs = np.where(conditional > coarse, conditional, coarse)
+    entropies = {"total": total, "coarse": coarse, "conditional": conditional}
+    return f"tsallis-chain-{_order_id(q)}", lhs, total, entropies
 
 
-def _chain_columns(rows: np.ndarray, q_values, tolerance: float) -> list[CheckColumns]:
+def _tsallis_chain_columns(
+    rows: np.ndarray, q: float, tolerance: float, blocks: np.ndarray
+) -> CheckColumns:
+    """:func:`_tsallis_chain` as columns."""
+    return CheckColumns(*_tsallis_chain(rows, q, blocks), tolerance)
+
+
+def _chain_block(rows: np.ndarray, q_values, tolerance: float) -> CheckBlock:
     """Every check of a stack of 4-vectors p with blocks b, from one 2 x 2
     table pass (H(p) and H(b) are its joint and part1 entropies) and one
     block split: ``subadd-2x2``, ``cond-chain-identity``, each order's
     Tsallis chain bound, then, with any order, ``tsallis-shannon-limit``."""
     blocks, halves = _split_rows(rows)
-    [table] = _table_columns(rows, [(2, 2)], tolerance)
-    h, h_halves = table.entropies["joint"], _shannon_rows(halves)
+    table, e = _pair_table(rows, tolerance)
+    h, h_halves = e["joint"], _shannon_rows(halves)
     weighted = blocks[:, 0] * h_halves[:, 0] + blocks[:, 1] * h_halves[:, 1]
-    conditional = h - table.entropies["part1"]  # H(V | V~) = H(p) - H(b)
-    checks = [table, _identity("cond-chain-identity", weighted, conditional, IDENTITY_TOLERANCE)]
-    checks += [_tsallis_chain_columns(rows, q, tolerance, blocks) for q in q_values]
+    conditional = h - e["part1"]  # H(V | V~) = H(p) - H(b)
+    checks = [
+        table,
+        _lazy_identity("cond-chain-identity", weighted, conditional, IDENTITY_TOLERANCE),
+    ]
+    checks += [_lazy(*_tsallis_chain(rows, q, blocks), tolerance) for q in q_values]
     if q_values:
         worst = np.maximum(
             np.abs(_tsallis_rows(rows, 1.0 + 1e-4) - h),
             np.abs(_tsallis_rows(rows, 1.0 - 1e-4) - h),
         )
-        checks.append(_identity("tsallis-shannon-limit", worst, np.zeros(len(rows)), 1e-3))
-    return checks
+        checks.append(_lazy_identity("tsallis-shannon-limit", worst, np.zeros(len(rows)), 1e-3))
+    return _block(checks)
 
 
 def tsallis_monotonicity_check(

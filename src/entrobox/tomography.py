@@ -18,9 +18,10 @@ Readouts, eigenbases, the readout bound, the readout minimum, the
 spin-axis readouts (every state's rotation built in one stacked product)
 and the discord measure are each one private kernel over a stack of
 matrices (n, d, d); each public single-state function is its kernel run on
-a batch of one. The checks come out as :class:`CheckColumns`, the discord
-family's too: its ``discord-nonneg`` check carries every entropy and flag
-a :class:`DiscordReport` is read from.
+a batch of one. The checks come out as :class:`CheckColumns`; the discord
+family's come out as one block of gaps, each check's columns built on
+demand, and its ``discord-nonneg`` check carries every entropy and flag a
+:class:`DiscordReport` is read from.
 """
 
 from __future__ import annotations
@@ -48,15 +49,15 @@ from .qstate import (
     _padded_rows,
     _reductions,
 )
-from .report import GAP_TOLERANCE, CheckColumns
+from .report import GAP_TOLERANCE, CheckBlock, CheckColumns, _filled, _identity
 from .simplex import (
     EntropyValue,
     ProbVec,
-    _chain_columns,
+    _chain_block,
     _FLOAT_MAX,
     _freeze,
+    _pair_table,
     _shannon_rows,
-    _table_columns,
     _table_plan,
 )
 
@@ -469,7 +470,7 @@ def tomographic_information(
     nonnegative.
     """
     joint = _joint_readout(rho, u1, u2)[None]
-    return float(_table_columns(joint, [(2, 2)], GAP_TOLERANCE)[0].gaps()[0])
+    return float(_pair_table(joint, GAP_TOLERANCE)[0].gaps[0])
 
 
 def _kron_rows(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -478,17 +479,20 @@ def _kron_rows(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return (u1[:, :, None, :, None] * u2[:, None, :, None, :]).reshape(-1, 4, 4)
 
 
-def _discord_columns(
-    stacks: list[np.ndarray], tolerance: float
-) -> list[tuple[tuple[CheckColumns, CheckColumns, CheckColumns], np.ndarray]]:
+def _discord_block(
+    stacks: list[np.ndarray], tolerance: float, diagonal=()
+) -> tuple[CheckBlock, list[np.ndarray]]:
     """:func:`discord` of each matrix of each of a list of stacks of 4 x 4
-    or 3 x 3 states, per stack as the family's three checks and the states
-    as read (a qutrit padded): ``discord-nonneg``, the deficit
+    or 3 x 3 states, as one block of checks, and each stack's states as read
+    (a qutrit padded). A stack's checks are ``discord-nonneg``, the deficit
     (S1 + S2 - S) - I >= 0 with every entropy and flag of a
     :class:`DiscordReport`, then ``chain-upper`` and ``chain-lower``, the
-    chain S1 + S2 >= H12 >= S. A qutrit stack's check ids carry the prefix
-    ``qutrit-``, next to its ``padded-qutrit`` flag. All stacks are read in
-    one pass over their concatenation."""
+    chain S1 + S2 >= H12 >= S; a qutrit stack's check ids carry the prefix
+    ``qutrit-``, next to its ``padded-qutrit`` flag. The stacks whose
+    indices are in ``diagonal`` hold diagonal states, which carry no quantum
+    correlations: the one check of each, ``discord-diagonal-zero``, is the
+    identity of its deficit with 0, to 1e-10. All stacks are read in one
+    pass over their concatenation, each filled to the longest."""
     read = []
     for mats in stacks:
         if mats.shape[1] == 3:
@@ -496,7 +500,9 @@ def _discord_columns(
         elif mats.shape[1] != 4:
             raise ShapeMismatchError(f"expected a 4 x 4 or 3 x 3 state, got {mats.shape[1]}")
         read.append(mats)
-    mats = read[0] if len(read) == 1 else np.concatenate(read)
+    lengths = [len(mats) for mats in read]
+    m = max(lengths)
+    mats = read[0] if len(read) == 1 else np.concatenate([_filled(x, m) for x in read])
     n = len(mats)
 
     # both reductions of the (2, 2) table check from one gather, stacked:
@@ -506,42 +512,71 @@ def _discord_columns(
     s = _entropy_rows(mats)
     s_parts = _entropy_rows(parts)
     s1, s2 = s_parts[:n], s_parts[n:]
-    [joint] = _table_columns(_readouts(mats, _kron_rows(us[:n], us[n:])), [(2, 2)], tolerance)
-    h12, information = joint.lhs, joint.gaps()
+    joint, e = _pair_table(_readouts(mats, _kron_rows(us[:n], us[n:])), tolerance)
+    h12, information = e["joint"], joint.gaps
     deficit = (s1 + s2 - s) - information
+    upper = s1 + s2
 
-    out, start = [], 0
-    for stack, states in zip(stacks, read):
-        rows = slice(start, start + len(states))
-        start = rows.stop
-        qutrit = stack.shape[1] == 3
-        prefix = "qutrit-" if qutrit else ""
+    kinds = tuple(
+        "diagonal" if j in diagonal else "qutrit-" if stack.shape[1] == 3 else ""
+        for j, stack in enumerate(stacks)
+    )
+    names, checks, which, of, identities = _discord_layout(kinds)
+    # the deficit is discord-nonneg's gap, bit for bit, as x - 0.0 is x
+    gaps = np.stack([deficit, upper - h12, h12 - s]).reshape(3, len(read), m)[which, of]
+    floors = np.full((len(names), 1), -tolerance)
+    if len(identities):
+        gaps[identities] = -np.abs(gaps[identities])
+        floors[identities] = -1e-10
+
+    def columns(c: int) -> CheckColumns:
+        k, j = checks[c]
+        rows = slice(j * m, j * m + lengths[j])
+        if kinds[j] == "diagonal":
+            return _identity(names[c], deficit[rows], np.zeros(lengths[j]), 1e-10)
         e = {"s": s[rows], "s1": s1[rows], "s2": s2[rows], "h12": h12[rows]}
+        if k == 1:
+            chain = {"h12": e["h12"], "s1": e["s1"], "s2": e["s2"]}
+            return CheckColumns(names[c], e["h12"], upper[rows], chain, tolerance)
+        if k == 2:
+            chain = {"h12": e["h12"], "s": e["s"]}
+            return CheckColumns(names[c], e["s"], e["h12"], chain, tolerance)
         flags = {
-            "padded-qutrit": np.full(len(states), qutrit),
+            "padded-qutrit": np.full(lengths[j], kinds[j] == "qutrit-"),
             "degenerate-reduction-1": degenerate[:n][rows],
             "degenerate-reduction-2": degenerate[n:][rows],
         }
-        nonneg = CheckColumns(
-            f"{prefix}discord-nonneg",
-            np.zeros(len(states)),
-            deficit[rows],
-            {**e, "information": information[rows]},
-            tolerance,
-            flags=flags,
+        e["information"] = information[rows]
+        return CheckColumns(
+            names[c], np.zeros(lengths[j]), deficit[rows], e, tolerance, flags=flags
         )
-        upper = CheckColumns(
-            f"{prefix}chain-upper",
-            e["h12"],
-            e["s1"] + e["s2"],
-            {"h12": e["h12"], "s1": e["s1"], "s2": e["s2"]},
-            tolerance,
-        )
-        lower = CheckColumns(
-            f"{prefix}chain-lower", e["s"], e["h12"], {"h12": e["h12"], "s": e["s"]}, tolerance
-        )
-        out.append(((nonneg, upper, lower), states))
-    return out
+
+    block = CheckBlock(names, gaps, floors, np.array(lengths)[of], of, columns)
+    return block, [states[:length] for states, length in zip(read, lengths)]
+
+
+# A suite asks for the same few layouts on every step.
+@lru_cache(maxsize=256)
+def _discord_layout(kinds: tuple[str, ...]) -> tuple:
+    """The checks of :func:`_discord_block` on stacks of ``kinds``, each
+    ``""``, ``"qutrit-"`` or ``"diagonal"``: each check's id, its (k, j),
+    reading gaps k (the deficit, chain-upper's or chain-lower's) of stack
+    j, as index arrays too, and which checks are identities."""
+    checks = tuple(
+        (k, j) for j, kind in enumerate(kinds) for k in ((0,) if kind == "diagonal" else (0, 1, 2))
+    )
+    names = tuple(
+        "discord-diagonal-zero" if kinds[j] == "diagonal" else kinds[j] + _DISCORD_CHECKS[k]
+        for k, j in checks
+    )
+    which, of = (np.array(x) for x in zip(*checks))
+    identities = np.array([c for c, (_, j) in enumerate(checks) if kinds[j] == "diagonal"], int)
+    for array in (which, of, identities):
+        array.flags.writeable = False
+    return names, checks, which, of, identities
+
+
+_DISCORD_CHECKS = ("discord-nonneg", "chain-upper", "chain-lower")
 
 
 def _discord_report(
@@ -568,8 +603,8 @@ def discord(rho: DensityMatrix, provenance: str = "") -> DiscordReport:
     and the deficit (S1 + S2 - S) - I reduces to H12 - S >= 0. Qutrit
     input is padded to 4 x 4 first, which leaves every entropy unchanged.
     """
-    [((nonneg, _, _), states)] = _discord_columns([rho.matrix[None]], GAP_TOLERANCE)
-    return _discord_report(nonneg, 0, states[0], provenance)
+    block, [states] = _discord_block([rho.matrix[None]], GAP_TOLERANCE)
+    return _discord_report(block.columns(0), 0, states[0], provenance)
 
 
 def discord_unitary_sweep(
@@ -581,8 +616,8 @@ def discord_unitary_sweep(
     and reports the smallest deficit seen. The reported discord is always
     the eigenbasis value; this sweep only gauges how tight that choice is.
     """
-    [((nonneg, _, _), states)] = _discord_columns([rho.matrix[None]], GAP_TOLERANCE)
-    base = _discord_report(nonneg, 0, states[0])
+    block, [states] = _discord_block([rho.matrix[None]], GAP_TOLERANCE)
+    base = _discord_report(block.columns(0), 0, states[0])
     total = base.s1 + base.s2 - base.s
     best = base.discord
     rng = np.random.default_rng(seed)
@@ -592,7 +627,7 @@ def discord_unitary_sweep(
         us = haar(2, rng, 2 * samples)
         kron = _kron_rows(us[0::2], us[1::2])
         joints = _readouts(np.repeat(states, samples, axis=0), kron)
-        information = _table_columns(joints, [(2, 2)], GAP_TOLERANCE)[0].gaps()
+        information = _pair_table(joints, GAP_TOLERANCE)[0].gaps
         # the first strictly smaller candidate wins, as in a loop
         best = min(best, *(total - information).tolist())
     return {
@@ -638,11 +673,11 @@ def _axis_unitaries(dim: int, angles) -> np.ndarray:
 
 
 def _axis_columns(mats: np.ndarray, angles, tolerance: float) -> list[CheckColumns]:
-    """``subadd-2x2`` and ``cond-chain-identity`` of :func:`_chain_columns`,
+    """``subadd-2x2`` and ``cond-chain-identity`` of :func:`_chain_block`,
     as ``axis-subadd`` and ``axis-cond-chain``, on the readout of each 4 x 4
     state of a stack along its own spin axis of ``angles``."""
     w = _readouts(mats, _axis_unitaries(mats.shape[1], angles))
-    subadd, chain = _chain_columns(w, (), tolerance)
+    subadd, chain = _chain_block(w, (), tolerance).all_columns()
     return [subadd._replace(name="axis-subadd"), chain._replace(name="axis-cond-chain")]
 
 

@@ -11,6 +11,7 @@ marginals are also checked against the loop-built oracles in ``_explicit``.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -30,6 +31,7 @@ from entrobox import (
     minimize_tomographic_entropy,
     quantum_strong_subadditivity,
     quantum_subadditivity,
+    strong_subadditivity_gap,
     subadditivity_gap,
     von_neumann,
 )
@@ -39,6 +41,7 @@ from entrobox.qstate import (
     DensityMatrix,
     _entropy_rows,
     _entropy_rows_by_size,
+    _q_table_block,
     _q_table_columns,
     _reduce_rows,
     _spectra,
@@ -46,9 +49,10 @@ from entrobox.qstate import (
 from entrobox.report import CheckColumns
 from entrobox.simplex import (
     _block_rows,
-    _chain_columns,
+    _chain_block,
     _shannon_rows,
     _split_rows,
+    _step_plan,
     _table_columns,
     _tsallis_chain_columns,
     _tsallis_rows,
@@ -60,7 +64,7 @@ from entrobox.simplex import (
 from entrobox.tomography import (
     DiscordReport,
     _axis_columns,
-    _discord_columns,
+    _discord_block,
     _discord_report,
     _eigenbases,
     _readout_bound_columns,
@@ -140,16 +144,57 @@ def _table_shapes(dim: int) -> list[tuple[int, ...]]:
     return admissible_shapes(dim, 2) + admissible_shapes(dim, 3)
 
 
-def _q_tables(mats: np.ndarray, readings, tolerance: float) -> list[CheckColumns]:
-    """:func:`_q_table_columns` of one stack."""
-    [checks] = _q_table_columns([(mats, readings)], tolerance)
-    return checks
+def _q_table_stacks(stacks, tolerance: float) -> list[list[CheckColumns]]:
+    """The quantum table checks of each (matrices, readings) pair of
+    ``stacks``, as columns, from one :func:`_q_table_block` call."""
+    specs = tuple((mats.shape[1], tuple(readings), "") for mats, readings in stacks)
+    block = _q_table_block([mats for mats, _ in stacks], _step_plan(specs, True), tolerance)
+    checks = block.all_columns()
+    return [[c for c, j in zip(checks, block.stacks) if j == k] for k in range(len(stacks))]
+
+
+def _chain_columns(rows: np.ndarray, q_values, tolerance: float) -> list[CheckColumns]:
+    """Every check of :func:`_chain_block`, as columns."""
+    return _chain_block(rows, q_values, tolerance).all_columns()
+
+
+def _discord_columns(stacks: list[np.ndarray], tolerance: float):
+    """Each stack's three discord checks, as columns, and its states as
+    read, from one :func:`_discord_block` call."""
+    block, read = _discord_block(stacks, tolerance)
+    checks = block.all_columns()
+    return [(tuple(checks[3 * j : 3 * j + 3]), states) for j, states in enumerate(read)]
 
 
 def _discord(mats: np.ndarray, tolerance: float):
     """:func:`_discord_columns` of one stack."""
     [out] = _discord_columns([mats], tolerance)
     return out
+
+
+def _row(name: str, gaps: list[float]) -> dict:
+    """The report row of a passing check whose gaps in draw order are
+    ``gaps``, as rows taken one at a time build it."""
+    total = 0.0
+    for g in gaps:
+        total += g
+    return {
+        "id": name,
+        "count": len(gaps),
+        "failures": 0,
+        "min_gap": min(gaps),
+        "max_gap": max(gaps),
+        "mean_gap": total / len(gaps),
+    }
+
+
+def _middle_gap(p: ProbVec, tolerance: float) -> float:
+    """The gap of ``subadd-7-middle`` from public calls: the parts of the
+    2 x 4 reading of the vector with its first two binary digits swapped,
+    against H(p) summed over the vector as drawn."""
+    cube = np.append(p.values, 0.0).reshape(2, 2, 2).transpose(1, 0, 2)
+    swapped = subadditivity_gap(ProbVec(cube.reshape(8)), (2, 4), tolerance)
+    return swapped.rhs - strong_subadditivity_gap(p, (2, 2, 2)).entropies["joint"]
 
 
 def _calls(monkeypatch, *names: str) -> dict[str, list]:
@@ -229,8 +274,8 @@ class TestSimplexKernels:
             simplex, "_shannon_rows", _counted(calls, "entropy", simplex._shannon_rows)
         )
         chunk = SimpleNamespace(rows=rows, provenance=None)
-        [labelled] = cli._seven_checks([chunk], SimpleNamespace(tolerance=1e-9))
-        checks = [c for c, _ in labelled]
+        [(block, _)] = cli._seven_checks([chunk], SimpleNamespace(tolerance=1e-9))
+        checks = block.all_columns()
         assert len(gathered) == 1 and gathered[0] is rows and calls["entropy"] == 1, calls
         monkeypatch.undo()
         strong, adjacent, middle = checks
@@ -373,15 +418,15 @@ class TestQuantumKernels:
     @pytest.mark.parametrize("dim", [3, 4, 5, 7])
     def test_table_reports(self, dim):
         mats = _ginibre_batch(dim, dim)
-        _assert_batch_invariant(_q_tables, mats, _table_shapes(dim), 1e-9)
+        _assert_batch_invariant(_q_table_columns, mats, _table_shapes(dim), 1e-9)
         for shape in _table_shapes(dim):
-            _assert_batch_invariant(_q_tables, mats, [shape], 1e-9)
+            _assert_batch_invariant(_q_table_columns, mats, [shape], 1e-9)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 8, 9])
     def test_table_columns_do_not_depend_on_the_shapes_taken_together(self, dim):
         mats = _ginibre_batch(dim, 90 + dim)
-        together = _q_tables(mats, _table_shapes(dim), 1e-9)
-        alone = [_q_tables(mats, [shape], 1e-9)[0] for shape in _table_shapes(dim)]
+        together = _q_table_columns(mats, _table_shapes(dim), 1e-9)
+        alone = [_q_table_columns(mats, [shape], 1e-9)[0] for shape in _table_shapes(dim)]
         assert _bits(together) == _bits(alone)
 
     @pytest.mark.parametrize("dim", [3, 4, 5, 7])
@@ -395,7 +440,7 @@ class TestQuantumKernels:
         }
         mats = _ginibre_batch(dim, 110 + dim)
         shapes = _table_shapes(dim)
-        for shape, columns in zip(shapes, _q_tables(mats, shapes, 1e-9)):
+        for shape, columns in zip(shapes, _q_table_columns(mats, shapes, 1e-9)):
             k = len(shape)
             prefix = "q-subadd-" if k == 2 else "q-strong-subadd-"
             assert columns.name == prefix + "x".join(map(str, shape))
@@ -451,15 +496,15 @@ class TestQuantumKernels:
     @pytest.mark.parametrize("dim, sizes", [(3, 3), (4, 2), (5, 4), (7, 3)])
     def test_one_spectral_pass_per_matrix_size(self, dim, sizes, monkeypatch):
         # dim 5 takes spectra of sizes 5 (joint), 2 and 3 (its 2x3 and 3x2
-        # parts) and 4 (its 2x2x2 pairs); the quantum suite's mixed-state
-        # job adds sizes 4 and 2
+        # parts) and 4 (its 2x2x2 pairs); in the quantum suite the mixed
+        # state's sizes 4 and 2 join the table job's, which takes both
         calls = _calls(monkeypatch, "eigvalsh")["eigvalsh"]
-        _q_tables(_ginibre_batch(dim, dim), _table_shapes(dim), 1e-9)
+        _q_table_columns(_ginibre_batch(dim, dim), _table_shapes(dim), 1e-9)
         assert len(calls) == sizes, calls
         calls.clear()
         report = cli.run_suite(cli.SuiteConfig(suite="quantum", dims=[dim], trials=5, seed=1))
         assert report["all_passed"]
-        assert len(calls) == sizes + 2, calls
+        assert len(calls) == sizes, calls
 
     def test_stacks_taken_together_match_separate_calls(self, monkeypatch):
         # stacks of unequal lengths and dims, each with its own readings:
@@ -471,9 +516,9 @@ class TestQuantumKernels:
             (_ginibre_batch(5, 305)[:1], _table_shapes(5)),
             (_ginibre_batch(4, 304)[3:], [(2, 2), ("subadd-middle", (2, 2, 2))]),
         ]
-        alone = [_q_tables(mats, readings, 1e-9) for mats, readings in stacks]
+        alone = [_q_table_columns(mats, readings, 1e-9) for mats, readings in stacks]
         calls = _calls(monkeypatch, "eigvalsh")["eigvalsh"]
-        together = _q_table_columns(stacks, 1e-9)
+        together = _q_table_stacks(stacks, 1e-9)
         assert sorted(shape[1] for shape in calls) == [2, 3, 4, 5, 7], calls
         assert _bits(together) == _bits(alone)
 
@@ -537,11 +582,11 @@ class TestQuantumKernels:
         )
         for shapes in (_table_shapes(dim), _table_shapes(dim)[:1]):
             calls.update(gather=0, entropy=0)
-            _q_tables(_ginibre_batch(dim, dim), shapes, 1e-9)
+            _q_table_columns(_ginibre_batch(dim, dim), shapes, 1e-9)
             assert calls == {"gather": 1, "entropy": 1}, (shapes, calls)
         # one gather per stack, one entropy pass for all of them
         calls.update(gather=0, entropy=0)
-        _q_table_columns([(_ginibre_batch(d, d), _table_shapes(d)) for d in (dim, 4, 3)], 1e-9)
+        _q_table_stacks([(_ginibre_batch(d, d), _table_shapes(d)) for d in (dim, 4, 3)], 1e-9)
         assert calls == {"gather": 3, "entropy": 1}, calls
 
     def test_a_row_below_the_floor_fails_the_batch_as_it_fails_alone(self):
@@ -555,7 +600,7 @@ class TestQuantumKernels:
             _entropy_rows(mats)
         assert str(batch.value) == str(alone.value)
         with pytest.raises(NotPositiveError) as batch:
-            _q_tables(mats, [(2, 2)], 1e-9)
+            _q_table_columns(mats, [(2, 2)], 1e-9)
         assert str(batch.value) == str(alone.value)
 
     def test_the_first_bad_reduction_in_check_order_is_named(self):
@@ -569,19 +614,19 @@ class TestQuantumKernels:
         assert shapes[:2] == [(2, 3), (3, 2)]
         with pytest.raises(NotPositiveError) as first:
             for shape in shapes:
-                _q_tables(mats, [shape], 1e-9)
+                _q_table_columns(mats, [shape], 1e-9)
         assert "-1.800e-08" in str(first.value)
         with pytest.raises(NotPositiveError) as together:
-            _q_tables(mats, shapes, 1e-9)
+            _q_table_columns(mats, shapes, 1e-9)
         assert str(together.value) == str(first.value)
         # across stacks, the first bad matrix of the stack-by-stack loop
         for order in ([0, 1], [1, 0]):
             stacks = [(mats[k : k + 1], shapes) for k in order]
             with pytest.raises(NotPositiveError) as loop:
                 for stack in stacks:
-                    _q_table_columns([stack], 1e-9)
+                    _q_table_stacks([stack], 1e-9)
             with pytest.raises(NotPositiveError) as together:
-                _q_table_columns(stacks, 1e-9)
+                _q_table_stacks(stacks, 1e-9)
             assert str(together.value) == str(loop.value), order
 
 
@@ -750,9 +795,9 @@ class TestChunkedSuite:
     @pytest.mark.parametrize(
         "suite, passes",
         [
-            # the table sizes 2, 3, 4, 5 and 7 of all four dims, then the
-            # mixed state's 4 and 2
-            ("quantum", {"eigh": 0, "eigvalsh": 7}),
+            # the table sizes 2, 3, 4, 5 and 7 of all four dims and of the
+            # maximally mixed state, one pass each
+            ("quantum", {"eigh": 0, "eigvalsh": 5}),
             # the three jobs' reductions, their states and their reductions
             ("discord", {"eigh": 1, "eigvalsh": 2}),
         ],
@@ -793,18 +838,78 @@ class TestChunkedSuite:
 
         assert list(rows) == list(gaps)
         for name, values in gaps.items():
-            total = 0.0
-            for g in values:
-                total += g
-            want = {
-                "id": name,
-                "count": len(values),
-                "failures": 0,
-                "min_gap": min(values),
-                "max_gap": max(values),
-                "mean_gap": total / len(values),
-            }
-            assert _bits(rows[name]) == _bits(want), name
+            assert _bits(rows[name]) == _bits(_row(name, values)), name
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_classical_report_matches_per_state_public_calls(self, offset):
+        # every table row, bitwise, in draw order: a check of the step's one
+        # gap block that read another job's rows, or rows off by one, fails
+        config = cli.SuiteConfig(suite="classical", trials=cli._CHUNK + offset, seed=17)
+        rows = {row["id"]: row for row in cli.run_suite(config)["checks"]}
+        tol = config.tolerance
+
+        gaps: dict[str, list[float]] = {}
+        for job in cli._jobs(config, None):
+            if job.checks is cli._four_checks:
+                continue
+            for state in job_draws("dirichlet", job.dim, config.seed, job.tag, STATES, job.trials):
+                p = ProbVec(state)
+                if job.checks is cli._seven_checks:
+                    found = {
+                        "strong-subadd-7": strong_subadditivity_gap(p, (2, 2, 2), tol).gap,
+                        "subadd-7-adjacent": subadditivity_gap(p, (2, 4), tol).gap,
+                        "subadd-7-middle": _middle_gap(p, tol),
+                    }
+                else:
+                    reps = [subadditivity_gap(p, s, tol) for s in admissible_shapes(p.dim, 2)]
+                    reps += [
+                        strong_subadditivity_gap(p, s, tol) for s in admissible_shapes(p.dim, 3)
+                    ]
+                    found = {f"dim{p.dim}-{rep.name}": rep.gap for rep in reps}
+                for name, gap in found.items():
+                    gaps.setdefault(name, []).append(gap)
+
+        assert [name for name in rows if name in gaps] == list(gaps)
+        assert len(gaps) == len(rows) - 6  # all but the 4-vector chain rows
+        for name, values in gaps.items():
+            assert _bits(rows[name]) == _bits(_row(name, values)), name
+
+    def test_a_ragged_step_matches_per_state_public_calls(self, tmp_path):
+        # a maximally mixed 4 x 4 input joins the dim-4 table job, so step 1
+        # holds 2 rows of that job and 1 of each other
+        path = tmp_path / "mixed4.json"
+        path.write_text(json.dumps({"dim": 4, "re": (np.eye(4) / 4).tolist()}))
+        config = cli.SuiteConfig(
+            suite="quantum", trials=cli._CHUNK + 1, seed=19, input_path=str(path)
+        )
+        rows = {row["id"]: row for row in cli.run_suite(config)["checks"]}
+
+        gaps: dict[str, list[float]] = {}
+        mixed = np.eye(4, dtype=complex) / 4
+        for job in cli._jobs(config, DensityMatrix(mixed)):
+            if job.sampler is cli._MIXED:
+                rep = quantum_subadditivity(DensityMatrix(mixed), (2, 2), config.tolerance)
+                gaps["q-subadd-mixed-equality"] = [-abs(rep.lhs - rep.rhs)]
+                continue
+            states = job_draws("ginibre", job.dim, config.seed, job.tag, STATES, job.trials)
+            for state in [mixed] * (job.dim == 4) + states:
+                rho = DensityMatrix(state)
+                reps = [
+                    quantum_subadditivity(rho, s, config.tolerance)
+                    for s in admissible_shapes(rho.dim, 2)
+                ]
+                reps += [
+                    quantum_strong_subadditivity(rho, s, config.tolerance)
+                    for s in admissible_shapes(rho.dim, 3)
+                ]
+                for rep in reps:
+                    gaps.setdefault(f"dim{rho.dim}-{rep.name}", []).append(rep.gap)
+
+        assert list(rows) == list(gaps)
+        assert rows["dim4-q-subadd-2x2"]["count"] == cli._CHUNK + 2
+        assert rows["dim3-q-subadd-2x2"]["count"] == cli._CHUNK + 1
+        for name, values in gaps.items():
+            assert _bits(rows[name]) == _bits(_row(name, values)), name
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_discord_report_matches_per_state_public_calls(self, offset, monkeypatch):
@@ -814,9 +919,11 @@ class TestChunkedSuite:
         seen: dict[str, list[float]] = {}
         add = cli._Agg.add
 
-        def recorded(agg, columns, states, provenance):
-            seen.setdefault(columns.name, []).extend(columns.gaps().tolist())
-            add(agg, columns, states, provenance)
+        def recorded(agg, parts):
+            for block, _ in parts:
+                for name, gaps, n in zip(block.names, block.gaps, block.rows):
+                    seen.setdefault(name, []).extend(gaps[:n].tolist())
+            add(agg, parts)
 
         monkeypatch.setattr(cli._Agg, "add", recorded)
         rows = {row["id"]: row for row in cli.run_suite(config)["checks"]}
@@ -840,18 +947,7 @@ class TestChunkedSuite:
         assert list(rows) == list(gaps) == list(seen)
         for name, values in gaps.items():
             assert _bits(seen[name]) == _bits(values), name
-            total = 0.0
-            for g in values:
-                total += g
-            want = {
-                "id": name,
-                "count": len(values),
-                "failures": 0,
-                "min_gap": min(values),
-                "max_gap": max(values),
-                "mean_gap": total / len(values),
-            }
-            assert _bits(rows[name]) == _bits(want), name
+            assert _bits(rows[name]) == _bits(_row(name, values)), name
 
     @pytest.mark.parametrize(
         "suite, trials, check, fields",
@@ -867,6 +963,27 @@ class TestChunkedSuite:
         [row] = [row for row in report["checks"] if row["id"] == check]
         for name in fields:
             assert row[name] == 0.0 and math.copysign(1.0, row[name]) == -1.0, name
+
+    def test_a_passing_request_builds_no_columns_per_check(self, monkeypatch):
+        # one gap block per kernel call, each check's columns built only for
+        # a failing row: at most one CheckColumns per call, not one per check
+        built: list[str] = []
+        new = CheckColumns.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args[0] if args else kwargs["name"])
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(CheckColumns, "__new__", counted)
+        report = cli.run_suite(cli.SuiteConfig(suite="classical", trials=5, seed=0))
+        assert report["all_passed"] and len(report["checks"]) == 46
+        # three kernel calls: the 7-vector job's, the 4-vector job's and the
+        # table jobs' one between them
+        assert len(built) <= 3, built
+        # a failing row does get its check's columns: the count is not vacuous
+        monkeypatch.setattr(simplex, "IDENTITY_TOLERANCE", -1.0)
+        report = cli.run_suite(cli.SuiteConfig(suite="classical", trials=5, seed=0))
+        assert "cond-chain-identity" in built
 
     def test_a_passing_suite_builds_no_per_instance_object(self, monkeypatch):
         built: list[str] = []

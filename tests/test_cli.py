@@ -605,6 +605,30 @@ class TestFailingInstances:
             assert json.dumps(entry["report"]) == json.dumps(expected), entry["check"]
             assert entry["gap"] == want.gap
 
+    @pytest.mark.parametrize("suite, dims", [("classical", [4, 12]), ("quantum", [3, 4])])
+    def test_failing_instances_across_a_step_boundary(self, suite, dims, monkeypatch):
+        # a step's checks are failed in one block, and the last step holds
+        # one row per job: the instances are listed by check in report-row
+        # order, then in draw order, as rows taken one at a time list them
+        report = _forced_failure_report(suite, monkeypatch, trials=cli._CHUNK + 1, dims=dims)
+        failing = report["failing_instances"]
+        assert len(failing) == sum(row["failures"] for row in report["checks"])
+        order = [row["id"] for row in report["checks"]]
+        keys = [
+            (order.index(entry["check"]), int(re.search(r"trial=(\d+)", entry["provenance"])[1]))
+            for entry in failing
+        ]
+        assert keys == sorted(set(keys))
+        assert max(trial for _, trial in keys) == cli._CHUNK
+        for entry in failing:
+            want_state = _oracle_state(suite, entry["check"], entry["provenance"], dims)
+            assert json.dumps(entry["state"]) == json.dumps(want_state), entry["provenance"]
+            want = _public_report(
+                entry["check"], entry["state"], entry["report"]["tolerance"], entry["provenance"]
+            )
+            expected = {**want.to_dict(), "name": entry["check"]}
+            assert json.dumps(entry["report"]) == json.dumps(expected), entry["check"]
+
     def test_every_report_is_built_by_make_report(self, tmp_path, capsys, monkeypatch):
         # identities included, so that one function sees every report built
         built: list[str] = []

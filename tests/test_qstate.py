@@ -340,7 +340,7 @@ class TestTableRuleEqualities:
     def test_product_states_meet_subadditivity(self, shape):
         rng = np.random.default_rng(110 + sum(shape))
         mats = np.stack([np.kron(ginibre(shape[0], rng), ginibre(shape[1], rng)) for _ in range(5)])
-        [[check]] = _q_table_columns([(mats, [shape])], 1e-9)
+        [check] = _q_table_columns(mats, [shape], 1e-9)
         assert check.name == "q-subadd-" + "x".join(map(str, shape))
         assert np.abs(check.gaps()).max() <= 1e-12
 
@@ -348,7 +348,7 @@ class TestTableRuleEqualities:
         # rho12 (x) rho3 with a correlated rho12
         rng = np.random.default_rng(120)
         mats = np.stack([np.kron(ginibre(4, rng), ginibre(2, rng)) for _ in range(5)])
-        [[check]] = _q_table_columns([(mats, [(2, 2, 2)])], 1e-9)
+        [check] = _q_table_columns(mats, [(2, 2, 2)], 1e-9)
         assert check.name == "q-strong-subadd-2x2x2"
         assert np.abs(check.gaps()).max() <= 1e-12
 
