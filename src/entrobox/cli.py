@@ -22,8 +22,8 @@ entries or one that does not fit in memory).
 
 This module schedules checks and takes no entropy, readout or rotation
 itself: it draws states and the further draws their checks take, labels
-rows with provenance, names checks and aggregates them. Each check is one
-kernel over a stack of states in the module that owns its rule:
+rows with provenance and aggregates the checks. Each check is one kernel
+over a stack of states in the module that owns its rule:
 :mod:`.simplex` the classical tables and the 4-vector chain family
 (subadditivity, the Shannon chain identity, the Tsallis chain bounds and
 their Shannon limit), :mod:`.qstate` the quantum tables, and
@@ -38,16 +38,21 @@ A job's draws are stacked in chunks of a fixed size, and a request runs
 step by step: step k takes the k-th chunk of every job. The chunks of a
 step whose jobs share a checks function go to one call of it, so that a
 kernel runs once per step over all of their states, and gives every
-check of the call as one block of gaps, one row per check and one entry
-per state. The aggregate takes all the blocks of a step in one pass, in
-job order. Memory is bounded by one chunk per job and does not grow with
-``--trials``. A check's columns, a report object, a provenance string
-and a serialized state are built only for a check with a failing row,
-the last three only for that row. Drawn states
-stay the sampler's arrays: no state object is built for them, except in
-the readout search, which takes state objects.
+check of the call as one block (:class:`~.report.CheckBlock`): one row of
+gaps per check and one entry per state, under the id the report shows,
+with each identity marked and held to its own tolerance. Where an id
+depends on the job, the job passes it in: the ``dimN-`` prefix of a table
+or readout-min job, the ids of the 4-vector and spin-axis tables, the
+maximally mixed state's identity. The aggregate takes all the blocks of a
+step in one pass, in job order. Memory is bounded by one chunk per job
+and does not grow with ``--trials``. A check's columns, a report object,
+a provenance string and a serialized state are built only for a check
+with a failing row, the last three only for that row. Drawn states stay
+the sampler's arrays: no state object is built for them, except in the
+readout search, which takes state objects.
 A state's result does not depend on the batch it ran in: ``eval`` runs the
-same kernels on a batch of one and builds the report of that one row.
+same kernels on a batch of one and builds the report of that one row,
+the first row of one check of the block.
 
 Reports are deterministic: two runs with the same arguments produce
 byte-identical JSON except for the ``wall_time_s`` field. Each job draws
@@ -79,7 +84,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -99,15 +104,7 @@ from .qstate import (
     quantum_subadditivity,
     validate_density,
 )
-from .report import (
-    GAP_TOLERANCE,
-    CheckBlock,
-    CheckColumns,
-    InequalityReport,
-    _block_of,
-    _filled,
-    _identity,
-)
+from .report import GAP_TOLERANCE, CheckBlock, InequalityReport, _filled, _first
 from .simplex import (
     ProbVec,
     _chain_block,
@@ -121,10 +118,10 @@ from .simplex import (
     validate_prob_vec,
 )
 from .tomography import (
-    _axis_columns,
+    _axis_block,
     _discord_block,
-    _readout_bound_columns,
-    _readout_min_columns,
+    _readout_bound_block,
+    _readout_min_block,
     discord,
     spin_tomogram_axis,
 )
@@ -533,12 +530,6 @@ def _labels(chunks: list[_Chunk]) -> _Labels:
     return [(chunk.provenance, chunk.rows) for chunk in chunks]
 
 
-def _per_dim(chunk: _Chunk, checks: Iterable[CheckColumns]) -> list[CheckColumns]:
-    """``checks``, each id prefixed by the states' dim."""
-    dim = chunk.rows.shape[1]
-    return [c._replace(name=f"dim{dim}-{c.name}") for c in checks]
-
-
 def _each(checks: Callable[[_Chunk, SuiteConfig], tuple[CheckBlock, Callable]]) -> _Checks:
     """The :data:`_Checks` of a kernel that takes one chunk at a time and
     gives its block and the provenance of its rows."""
@@ -553,16 +544,12 @@ def _each(checks: Callable[[_Chunk, SuiteConfig], tuple[CheckBlock, Callable]]) 
     return run
 
 
-def _renamed(block: CheckBlock, names: tuple[str, ...]) -> CheckBlock:
-    """``block`` with its checks named ``names``."""
-    return block._replace(names=names, columns=lambda c: block.columns(c)._replace(name=names[c]))
-
-
 # 2 x 2 x 2, 2 x 4, and the middle binary digit against the outer two
 _SEVEN = (
     7,
     ((2, 2, 2), (2, 4), ("subadd-middle", (2, 2, 2))),
     ("strong-subadd-7", "subadd-7-adjacent", "subadd-7-middle"),
+    None,
 )
 
 
@@ -573,8 +560,8 @@ def _seven_checks(chunks: list[_Chunk], config: SuiteConfig):
 
 @_each
 def _four_checks(chunk: _Chunk, config: SuiteConfig):
-    block = _chain_block(chunk.rows, config.q_values, config.tolerance)
-    return _renamed(block, ("subadd-4", *block.names[1:])), chunk.provenance
+    names = ("subadd-4", "cond-chain-identity")
+    return _chain_block(chunk.rows, config.q_values, config.tolerance, names), chunk.provenance
 
 
 # A suite asks for the same few dims' readings on every step.
@@ -584,7 +571,7 @@ def _dim_tables(dim: int) -> tuple:
     subadditivity of every admissible 2-factor rereading, then strong
     subadditivity of every 3-factor one, each id prefixed by the dim."""
     readings = admissible_shapes(dim, 2) + admissible_shapes(dim, 3)
-    return dim, tuple(readings), f"dim{dim}-"
+    return dim, tuple(readings), f"dim{dim}-", None
 
 
 def _vector_tables(chunks: list[_Chunk], config: SuiteConfig):
@@ -594,9 +581,8 @@ def _vector_tables(chunks: list[_Chunk], config: SuiteConfig):
 
 
 # The maximally mixed state sits exactly on the subadditivity equality: its
-# (2, 2) reading, checked as an identity to this tolerance.
-_MIXED_TABLES = (4, ((2, 2),), ("q-subadd-mixed-equality",))
-_MIXED_TOLERANCE = 1e-10
+# (2, 2) reading, checked as an identity to 1e-10.
+_MIXED_TABLES = (4, ((2, 2),), ("q-subadd-mixed-equality",), 1e-10)
 
 
 def _matrix_tables(chunks: list[_Chunk], config: SuiteConfig):
@@ -606,24 +592,7 @@ def _matrix_tables(chunks: list[_Chunk], config: SuiteConfig):
         _MIXED_TABLES if c.job.sampler is _MIXED else _dim_tables(c.rows.shape[1]) for c in chunks
     )
     block = _q_table_block([c.rows for c in chunks], _step_plan(specs, True), config.tolerance)
-    if chunks[0].job.sampler is _MIXED:  # the first job of its family
-        block = _as_identity(block, 0, _MIXED_TOLERANCE)
     return [(block, _labels(chunks))]
-
-
-def _as_identity(block: CheckBlock, check: int, tolerance: float) -> CheckBlock:
-    """``block`` with check ``check`` read as the identity of its two sides
-    to ``tolerance``: its gap -|lhs - rhs| is -|rhs - lhs|, bit for bit."""
-    block.gaps[check] = -np.abs(block.gaps[check])
-    block.floors[check] = -tolerance
-
-    def columns(c: int) -> CheckColumns:
-        if c != check:
-            return block.columns(c)
-        pair = block.columns(c)
-        return _identity(pair.name, pair.lhs, pair.rhs, tolerance)
-
-    return block._replace(columns=columns)
 
 
 @_each
@@ -631,8 +600,7 @@ def _readout_bound(chunk: _Chunk, config: SuiteConfig):
     # Each state is read in a Haar-random basis, one extra draw per state.
     dim = chunk.rows.shape[1]
     us = chunk.extras(lambda rng, n: haar(dim, rng, n))
-    column = _readout_bound_columns(chunk.rows, us, config.tolerance)
-    return _block_of([_per_dim(chunk, [column])]), chunk.provenance
+    return _readout_bound_block(chunk.rows, us, config.tolerance), chunk.provenance
 
 
 @_each
@@ -647,15 +615,15 @@ def _axis_checks(chunk: _Chunk, config: SuiteConfig):
         theta, phi = angles[i]
         return f"{chunk.provenance(i)},axis(theta={theta:.6f},phi={phi:.6f})"
 
-    return _block_of([_axis_columns(chunk.rows, angles, config.tolerance)]), provenance
+    return _axis_block(chunk.rows, angles, config.tolerance), provenance
 
 
 @_each
 def _readout_min_checks(chunk: _Chunk, config: SuiteConfig):
     # Each state's search seed is one extra draw.
     seeds = chunk.extras(lambda rng, n: rng.integers(2**63, size=n)).tolist()
-    columns = _readout_min_columns(chunk.rows, seeds, config.tolerance)
-    return _block_of([_per_dim(chunk, columns)]), chunk.provenance
+    prefix = f"dim{chunk.rows.shape[1]}-"
+    return _readout_min_block(chunk.rows, seeds, config.tolerance, prefix), chunk.provenance
 
 
 def _discord_checks(chunks: list[_Chunk], config: SuiteConfig):
@@ -927,14 +895,15 @@ def _eval_axis_subadd(rho: DensityMatrix, args: argparse.Namespace) -> Inequalit
 
 def _eval_readout_min(rho: DensityMatrix, args: argparse.Namespace) -> dict:
     # Passes only when the found minimum is both above S and within 1e-6 of it.
-    above, close = _readout_min_columns(rho.matrix[None], [args.seed], args.tolerance)
-    above_rep, close_rep = above.report(0, "input"), close.report(0, "input")
+    block = _readout_min_block(rho.matrix[None], [args.seed], args.tolerance)
+    above, close = (_first(block, "input", c) for c in (0, 1))
+    [counts, _] = block.counts
     return {
-        **above_rep.to_dict(),
-        "error": close_rep.entropies["error"],
-        "nfev": int(above.counts["nfev"][0]),
-        "converged": not above.counts["unconverged"][0],
-        "passed": above_rep.passed and close_rep.passed,
+        **above.to_dict(),
+        "error": close.entropies["error"],
+        "nfev": int(counts["nfev"][0]),
+        "converged": not counts["unconverged"][0],
+        "passed": above.passed and close.passed,
     }
 
 
@@ -956,9 +925,7 @@ _EVALUATIONS = {
     "strong-subadd": (ProbVec, _at_shape("strong_subadditivity_gap", 3)),
     "cond-chain": (
         ProbVec,
-        lambda p, args: _chain_block(p.values[None], (), args.tolerance)
-        .columns(1)
-        .report(0, "input"),
+        lambda p, args: _first(_chain_block(p.values[None], (), args.tolerance), "input", 1),
     ),
     "tsallis-chain": (
         ProbVec,

@@ -15,12 +15,13 @@ one per-cell sum over the flattened matrices, on the cached index plan of
 :mod:`.simplex` (a vector marginal is the diagonal of a reduction's cell
 map), and entropies by one stacked ``eigvalsh`` pass per matrix size: the
 quantum tables of a list of stacks take every spectrum they need, the
-joint ones included, and diagonalize each size once. A kernel returns its
-check as columns (:class:`CheckColumns`); the tables take their
-reductions, sides and ids from the rule table of :mod:`.simplex`, with a
-``q-`` prefix, and give all of them as one block of gaps. Each public
-single-matrix function is its kernel run on a batch of one, so a state's
-result does not depend on the batch it was checked in.
+joint ones included, and diagonalize each size once, writing each size's
+entropies straight into the rows of the step's entropy array. The tables
+take their reductions, sides and ids from the rule table of
+:mod:`.simplex`, with a ``q-`` prefix, and give all of their checks as one
+block (:class:`CheckBlock`). Each public single-matrix function is its
+kernel run on a batch of one, read as the first row of the block's first
+check, so a state's result does not depend on the batch it was checked in.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import (
     ShapeMismatchError,
     ShrinkForbiddenError,
 )
-from .report import GAP_TOLERANCE, CheckBlock, CheckColumns, InequalityReport, _filled
+from .report import GAP_TOLERANCE, CheckBlock, InequalityReport, _filled, _first
 from .simplex import (
     EntropyValue,
     _cell_plan,
@@ -265,29 +266,28 @@ def von_neumann(rho: DensityMatrix) -> EntropyValue:
     return EntropyValue(float(_entropy_rows(rho.matrix[None])[0]), "von_neumann")
 
 
-def _entropy_rows_by_size(stacks: list[np.ndarray]) -> list[np.ndarray]:
-    """:func:`_entropy_rows` of each of a list of stacks, with all stacks of
-    one matrix size taken in one stacked pass, whatever their lengths. A bad
-    matrix is rejected as the stack-by-stack loop rejects it: the first one
-    in list order."""
+def _entropy_rows_by_size(stacks: list[np.ndarray]) -> np.ndarray:
+    """:func:`_entropy_rows` of each of a list of stacks of m matrices, as
+    the rows (stacks + 1, m) of one array, a row of zeros last. All stacks
+    of one matrix size are taken in one stacked pass, whose entropies are
+    written into their rows. A bad matrix is rejected as the stack-by-stack
+    loop rejects it: the first one in list order."""
     groups: dict[int, list[int]] = {}
     for i, stack in enumerate(stacks):
         groups.setdefault(stack.shape[1], []).append(i)
-    out: list[np.ndarray] = [None] * len(stacks)
+    e = np.zeros((len(stacks) + 1, len(stacks[0])))
     try:
         for members in groups.values():
-            group = [stacks[i] for i in members]
-            # a size with one stack takes it as is, uncopied
-            flat = _entropy_rows(group[0] if len(group) == 1 else np.concatenate(group))
-            start = 0
-            for i, stack in zip(members, group):
-                out[i] = flat[start : start + len(stack)]
-                start += len(stack)
+            if len(members) == 1:  # a size with one stack takes it as is, uncopied
+                e[members[0]] = _entropy_rows(stacks[members[0]])
+            else:
+                flat = _entropy_rows(np.concatenate([stacks[i] for i in members]))
+                e[members] = flat.reshape(len(members), -1)
     except NotPositiveError:
         for stack in stacks:
             _entropy_rows(stack)
         raise
-    return out
+    return e
 
 
 def _q_table_block(stacks: list[np.ndarray], plan: _StepPlan, tolerance: float) -> CheckBlock:
@@ -302,16 +302,8 @@ def _q_table_block(stacks: list[np.ndarray], plan: _StepPlan, tolerance: float) 
     m = max(lengths)
     stacks = [_filled(mats, m) for mats in stacks]
     parts = [[mats, *_reductions(mats, cells)] for mats, cells in zip(stacks, plan.tables)]
-    entropies = _entropy_rows_by_size([stack for group in parts for stack in group])
-    e = np.concatenate([*entropies, np.zeros(m)]).reshape(-1, m)
+    e = _entropy_rows_by_size([stack for group in parts for stack in group])
     return _plan_block(plan, e, lengths, tolerance)
-
-
-def _q_table_columns(mats: np.ndarray, readings, tolerance: float) -> list[CheckColumns]:
-    """The quantum table check of each matrix of a stack (n, d, d) for each
-    reading of :func:`~.simplex._table_plan`, as columns."""
-    plan = _step_plan(((mats.shape[1], tuple(readings), ""),), True)
-    return _q_table_block([mats], plan, tolerance).all_columns()
 
 
 def quantum_subadditivity(
@@ -326,8 +318,8 @@ def quantum_subadditivity(
     leaves S(rho) unchanged.
     """
     shape = _factors(factors, 2, rho.dim)
-    [check] = _q_table_columns(rho.matrix[None], [shape], tolerance)
-    return check.report(0, provenance)
+    plan = _step_plan(((rho.dim, (shape,), "", None),), True)
+    return _first(_q_table_block([rho.matrix[None]], plan, tolerance), provenance)
 
 
 def quantum_strong_subadditivity(
@@ -338,8 +330,8 @@ def quantum_strong_subadditivity(
 ) -> InequalityReport:
     """Check S(R12) + S(R23) >= S(rho) + S(R2) for the 3-factor rereading."""
     shape = _factors(factors, 3, rho.dim)
-    [check] = _q_table_columns(rho.matrix[None], [shape], tolerance)
-    return check.report(0, provenance)
+    plan = _step_plan(((rho.dim, (shape,), "", None),), True)
+    return _first(_q_table_block([rho.matrix[None]], plan, tolerance), provenance)
 
 
 def qutrit_reductions(rho: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]:

@@ -6,19 +6,21 @@ same orientation convention: the inequality under test is ``lhs <= rhs`` and
 are allowed to dip to ``-tolerance`` before a check is marked failed, which
 absorbs eigensolver and summation noise without hiding real violations.
 
-Every check travels in one record, :class:`CheckColumns`, from the kernel
-that computes it over a stack of states to the report: one entry per state
-in each column, under the one name the check is known by. A report is built
-in one place, :func:`make_report`, which :meth:`CheckColumns.report` calls
-for one row of an inequality or an identity (:func:`_identity`) alike, so a
-report object is built only where one is wanted. A kernel gives the checks
-of one call as a :class:`CheckBlock`: their gaps as one array, each check's
-columns built only on demand.
+Every kernel gives the checks of one call as one :class:`CheckBlock`,
+under the ids the report shows: their sides and gaps as (checks x rows)
+arrays, and a mark on each check that is an identity, whose gap is
+``-|lhs - rhs|`` and whose tolerance is its own. :func:`_block` is the one
+place a block's gaps and floors are made. A suite reads a block's gaps
+alone; :meth:`CheckBlock.columns` builds one check as its
+:class:`CheckColumns`, one entry per state in each column, only for a check
+with a failing row or for a single-state call (:func:`_first`). A report
+is built in one place, :func:`make_report`, which
+:meth:`CheckColumns.report` calls for one row of an inequality or an
+identity alike, so a report object is built only where one is wanted.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -110,7 +112,8 @@ def make_report(
 
 
 class CheckColumns(NamedTuple):
-    """One named check over a stack of n states, as columns.
+    """One named check over a stack of n states, as columns: the view of one
+    check of a :class:`CheckBlock` that :meth:`CheckBlock.columns` builds.
 
     ``name`` is the one id the check is known by, in a suite's table and in
     each of its reports. ``lhs``, ``rhs`` and every entry of ``entropies``
@@ -132,7 +135,7 @@ class CheckColumns(NamedTuple):
 
     def gaps(self) -> np.ndarray:
         """The gap of every row, computed as its report computes it."""
-        return _gaps(self.lhs, self.rhs, self.identity)
+        return -np.abs(self.lhs - self.rhs) if self.identity else self.rhs - self.lhs
 
     def report(self, i: int, provenance: str = "") -> InequalityReport:
         """The report of row ``i``, built by :func:`make_report`."""
@@ -148,33 +151,23 @@ class CheckColumns(NamedTuple):
         )
 
 
-def _gaps(lhs: np.ndarray, rhs: np.ndarray, identity: bool) -> np.ndarray:
-    """The gap of every row: ``rhs - lhs``, an identity's ``-|lhs - rhs|``."""
-    return -np.abs(lhs - rhs) if identity else rhs - lhs
-
-
-def _identity(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float) -> CheckColumns:
-    """Equalities |lhs - rhs| <= tol, with the two sides as the entropies.
-
-    The gap is -(|lhs - rhs|), so "gap >= -tol" is the equality test and
-    the aggregate's min_gap shows the worst deviation.
-    """
-    return CheckColumns(name, lhs, rhs, {"lhs": lhs, "rhs": rhs}, tol, identity=True)
 
 
 class CheckBlock(NamedTuple):
     """Every check of one kernel call over a list of stacks of states, as one
-    gap array.
+    gap array, under the ids its report rows take.
 
     Check c is named ``names[c]``, passes a row iff its gap is at least its
     floor ``floors[c, 0]`` (its tolerance, negated), and covers the first
-    ``rows[c]`` states of stack ``stacks[c]``: row c of ``gaps`` (checks x
-    m) holds their gaps, computed as the check's :class:`CheckColumns`
-    computes them, and past them its last gap repeated, which leaves the
-    first of its least and of its greatest gaps where it is.
-    ``columns(c)`` builds check c as its :class:`CheckColumns` on demand, so
-    that a suite builds one only for a check with a failing row. ``counts``,
-    when a check counts work, is each check's ``counts``.
+    ``rows[c]`` states of stack ``stacks[c]``. Its sides are rows c of
+    ``lhs`` and ``rhs`` (checks x m), and row c of ``gaps`` holds its gaps,
+    ``rhs - lhs``, or ``-|lhs - rhs|`` when c is an identity, a key of
+    ``identities``. Past its rows, a check's sides and gaps repeat its last
+    state's, which leaves the first of its least and of its greatest gaps
+    where it is. ``details(c)`` gives the entropies and flags (or None) of
+    check c, one entry per row of its own; an identity has none, its
+    entropies being its two sides. ``counts``, when a
+    check counts work, is each check's counts.
     """
 
     names: tuple[str, ...]
@@ -182,12 +175,30 @@ class CheckBlock(NamedTuple):
     floors: np.ndarray
     rows: np.ndarray
     stacks: Sequence[int]
-    columns: Callable[[int], CheckColumns]
+    lhs: np.ndarray
+    rhs: np.ndarray
+    identities: dict[int, float]
+    details: Callable[[int], tuple[dict[str, np.ndarray], dict[str, np.ndarray] | None]]
     counts: tuple[dict[str, np.ndarray] | None, ...] | None = None
 
-    def all_columns(self) -> list[CheckColumns]:
-        """Every check, as its columns."""
-        return [self.columns(c) for c in range(len(self.names))]
+    def columns(self, c: int) -> CheckColumns:
+        """Check c as its :class:`CheckColumns`, over its own rows: built
+        only for a check that a failing row or a single-state call reads."""
+        n = self.rows[c]
+        lhs, rhs = self.lhs[c, :n], self.rhs[c, :n]
+        if c in self.identities:
+            entropies = {"lhs": lhs, "rhs": rhs}
+            return CheckColumns(self.names[c], lhs, rhs, entropies, self.identities[c], True)
+        entropies, flags = self.details(c)
+        return CheckColumns(
+            self.names[c],
+            lhs,
+            rhs,
+            entropies,
+            float(-self.floors[c, 0]),
+            flags=flags,
+            counts=self.counts and self.counts[c],
+        )
 
 
 def _filled(array: np.ndarray, m: int, axis: int = 0) -> np.ndarray:
@@ -200,52 +211,38 @@ def _filled(array: np.ndarray, m: int, axis: int = 0) -> np.ndarray:
     return np.concatenate((array, np.repeat(array.take([n - 1], axis), m - n, axis)), axis)
 
 
-class _Check(NamedTuple):
-    """A check of :func:`_block`: the stack it reads, its id, its gaps and
-    tolerance, how to build its :class:`CheckColumns`, and its counts."""
-
-    stack: int
-    name: str
-    gaps: np.ndarray
-    tolerance: float
-    build: Callable[[], CheckColumns]
-    counts: dict[str, np.ndarray] | None = None
-
-
-def _block(checks: list[_Check]) -> CheckBlock:
-    """The block of ``checks``."""
-    stacks, names, gaps, tolerances, builds, counts = zip(*checks)
-    rows = np.array([len(g) for g in gaps])
-    m = rows.max()
-    return CheckBlock(
-        names,
-        np.stack([_filled(g, m) for g in gaps]),
-        -np.array(tolerances, dtype=float)[:, None],
-        rows,
-        stacks,
-        lambda c: builds[c](),
-        counts if any(c is not None for c in counts) else None,
-    )
-
-
-def _lazy(name, lhs, rhs, entropies, tolerance, identity=False) -> _Check:
-    """A check on stack 0, built as ``CheckColumns(name, lhs, rhs,
-    entropies, tolerance, identity)`` on demand."""
-    build = functools.partial(CheckColumns, name, lhs, rhs, entropies, tolerance, identity)
-    return _Check(0, name, _gaps(lhs, rhs, identity), tolerance, build)
+def _block(
+    names: tuple[str, ...],
+    lhs: np.ndarray,
+    rhs: np.ndarray,
+    tolerance,
+    details: Callable,
+    identities: dict[int, float] | None = None,
+    rows: np.ndarray | None = None,
+    stacks: Sequence[int] | None = None,
+    counts: tuple | None = None,
+) -> CheckBlock:
+    """The :class:`CheckBlock` of the checks ``names``, each comparing its
+    row of ``lhs`` and of ``rhs`` (checks x m): the one place a block's gaps
+    and floors are made. Every check takes ``tolerance`` (a value, or one
+    per check), except an identity, which takes its own, ``identities[c]``:
+    its gap -|lhs - rhs| is ``rhs - lhs`` with its sign cleared and then
+    set, bit for bit. By default every check covers all m states of stack 0.
+    """
+    gaps = rhs - lhs
+    floors = np.empty((len(names), 1))
+    floors[:, 0] = np.negative(tolerance)
+    identities = identities or {}
+    for c, own in identities.items():
+        gaps[c] = -np.abs(gaps[c])
+        floors[c] = -own
+    if rows is None:
+        rows = np.full(len(names), lhs.shape[1])
+        stacks = (0,) * len(names)
+    return CheckBlock(names, gaps, floors, rows, stacks, lhs, rhs, identities, details, counts)
 
 
-def _lazy_identity(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float) -> _Check:
-    """:func:`_identity` as a check on stack 0, built on demand."""
-    return _lazy(name, lhs, rhs, {"lhs": lhs, "rhs": rhs}, tol, identity=True)
-
-
-def _block_of(stacks: list[list[CheckColumns]]) -> CheckBlock:
-    """The block of checks already built as columns, stack by stack."""
-    return _block(
-        [
-            _Check(j, c.name, c.gaps(), c.tolerance, lambda c=c: c, c.counts)
-            for j, checks in enumerate(stacks)
-            for c in checks
-        ]
-    )
+def _first(block: CheckBlock, provenance: str = "", check: int = 0) -> InequalityReport:
+    """The report of the first row of check ``check`` of ``block``: what a
+    single-state call returns."""
+    return block.columns(check).report(0, provenance)

@@ -20,8 +20,8 @@ p ln max(p, tiny) with tiny the smallest positive float: for p > 0 that is
 p ln p, and a zero entry adds 0 * ln(tiny) = 0 without ever taking ln 0.
 
 Every check is computed by one private kernel over a stack of vectors, one
-per row of an ``(n, N)`` array; a kernel returns its check as columns
-(:class:`CheckColumns`). Every table inequality is one entry of one table,
+per row of an ``(n, N)`` array; a kernel returns its checks as one block
+(:class:`CheckBlock`), under their final ids. Every table inequality is one entry of one table,
 :data:`_TABLE_RULES`: its id, and the reduction and side of each of its
 roles. The table kernel takes a list of readings, each a shape with its
 entry, and for a vector length it builds one cached plan
@@ -33,14 +33,16 @@ then takes every reduction in one gather and one per-cell sum
 A list of stacks, a suite step's table jobs, has one cached plan of its
 own (:func:`_step_plan`): index arrays over the entropy rows of all its
 stacks, through which every side of every check is summed at once, giving
-all their gaps as one block.
+all their gaps as one block; a stack's spec may mark its checks as
+identities, each to its own tolerance.
 The cell rule is written once, in :func:`_cell_members`, and the table
 rule once, in :data:`_TABLE_RULES`, for vectors and density matrices
 alike. Every check of a 4-vector, its table, its Shannon chain identity
 and its Tsallis chain bounds, comes from one kernel, :func:`_chain_block`,
 which takes H(p) and H(b) from the 2 x 2 table.
-Each public single-vector function is its kernel run on a batch of one, so
-a vector's result does not depend on the batch it was checked in.
+Each public single-vector function is its kernel run on a batch of one,
+read as the first row of the block's first check (:func:`~.report._first`),
+so a vector's result does not depend on the batch it was checked in.
 """
 
 from __future__ import annotations
@@ -64,13 +66,10 @@ from .report import (
     GAP_TOLERANCE,
     IDENTITY_TOLERANCE,
     CheckBlock,
-    CheckColumns,
     InequalityReport,
     _block,
-    _Check,
     _filled,
-    _lazy,
-    _lazy_identity,
+    _first,
 )
 
 __all__ = [
@@ -549,32 +548,36 @@ class _StepPlan(NamedTuple):
     ``tables`` is the :class:`_CellPlan` of each stack. Stack by stack, its
     entropies are rows of one array, in the column order of its
     :func:`_table_plan`, and a row of zeros follows them all. Check c is
-    named ``names[c]`` and reads stack ``stacks[c]``; ``ones`` is a column
-    of ones, one per check. The lhs and rhs of check c add the entropy rows
-    ``sides[:, 0, c]`` and ``sides[:, 1, c]`` in role order, a side of fewer
-    terms padded by the zero row (no entropy is -0.0, so adding 0.0 leaves
-    every bit as it is), and ``roles[c]`` pairs each of its roles with its
-    entropy row.
+    named ``names[c]`` and reads stack ``stacks[c]``. The lhs and rhs of
+    check c add the entropy rows ``sides[:, 0, c]`` and ``sides[:, 1, c]``
+    in role order, a side of fewer terms padded by the zero row (no entropy
+    is -0.0, so adding 0.0 leaves every bit as it is), and ``roles[c]``
+    pairs each of its roles with its entropy row. ``identities`` maps each
+    check that is an identity to its tolerance.
     """
 
     tables: tuple[_CellPlan, ...]
     names: tuple[str, ...]
     stacks: np.ndarray
-    ones: np.ndarray
     sides: np.ndarray
     roles: tuple[tuple[tuple[str, int], ...], ...]
+    identities: dict[int, float]
 
 
 # A suite asks for the same few steps' plans on every step.
 @lru_cache(maxsize=256)
 def _step_plan(specs: tuple, matrix: bool) -> _StepPlan:
-    """The :class:`_StepPlan` of ``specs``, one (dim, readings, ids) per
-    stack: the checks of ``_table_plan(dim, readings, matrix)``, their ids
-    prefixed by ``ids`` or, when ``ids`` is a tuple, replaced by its ids."""
-    tables, names, stacks, roles, sides, start = [], [], [], [], [], 0
-    for j, (dim, readings, ids) in enumerate(specs):
+    """The :class:`_StepPlan` of ``specs``, one (dim, readings, ids,
+    identity) per stack: the checks of ``_table_plan(dim, readings,
+    matrix)``, their ids prefixed by ``ids`` or, when ``ids`` is a tuple,
+    replaced by its ids, and, unless ``identity`` is None, each an identity
+    of its two sides to the tolerance ``identity``."""
+    tables, names, stacks, roles, sides, identities, start = [], [], [], [], [], {}, 0
+    for j, (dim, readings, ids, identity) in enumerate(specs):
         cells, checks = _table_plan(dim, readings, matrix)
         tables.append(cells)
+        if identity is not None:
+            identities.update(dict.fromkeys(range(len(names), len(names) + len(checks)), identity))
         names += [ids + name for name, *_ in checks] if isinstance(ids, str) else ids
         stacks += [j] * len(checks)
         for _, kept, lhs, rhs in checks:
@@ -588,11 +591,11 @@ def _step_plan(specs: tuple, matrix: bool) -> _StepPlan:
         tuple(tables),
         tuple(names),
         np.array(stacks),
-        np.ones((len(names), 1)),
         np.array(padded).transpose(2, 1, 0),
         tuple(roles),
+        identities,
     )
-    for array in (plan.stacks, plan.ones, plan.sides):
+    for array in (plan.stacks, plan.sides):
         array.flags.writeable = False
     return plan
 
@@ -605,14 +608,12 @@ def _plan_block(plan: _StepPlan, e: np.ndarray, lengths: list[int], tolerance: f
     through the plan's index array."""
     lhs, rhs = _sides(plan, e)
 
-    def columns(c: int) -> CheckColumns:
-        n = lengths[plan.stacks[c]]
-        entropies = {role: e[i, :n] for role, i in plan.roles[c]}
-        return CheckColumns(plan.names[c], lhs[c, :n], rhs[c, :n], entropies, tolerance)
-
-    floors = plan.ones * -tolerance
     rows = np.array(lengths)[plan.stacks]
-    return CheckBlock(plan.names, rhs - lhs, floors, rows, plan.stacks, columns)
+
+    def details(c: int) -> tuple[dict[str, np.ndarray], None]:
+        return {role: e[i, : rows[c]] for role, i in plan.roles[c]}, None
+
+    return _block(plan.names, lhs, rhs, tolerance, details, plan.identities, rows, plan.stacks)
 
 
 def _sides(plan: _StepPlan, e: np.ndarray) -> np.ndarray:
@@ -641,24 +642,6 @@ def _table_block(stacks: list[np.ndarray], plan: _StepPlan, tolerance: float) ->
     return _plan_block(plan, *_table_entropies(stacks, plan), tolerance)
 
 
-def _pair_table(rows: np.ndarray, tolerance: float) -> tuple[_Check, dict[str, np.ndarray]]:
-    """The ``subadd-2x2`` check of a stack of 4-vectors, built as columns on
-    demand, and its entropies by role."""
-    plan = _step_plan(((4, ((2, 2),), ""),), False)
-    e, _ = _table_entropies([rows], plan)
-    [lhs], [rhs] = _sides(plan, e)
-    entropies = {role: e[i] for role, i in plan.roles[0]}
-    return _lazy(plan.names[0], lhs, rhs, entropies, tolerance), entropies
-
-
-def _table_columns(rows: np.ndarray, readings, tolerance: float) -> list[CheckColumns]:
-    """The table check of each row of a stack of vectors for each reading of
-    :func:`_table_plan`, as columns: :func:`subadditivity_gap` of a 2-factor
-    shape, :func:`strong_subadditivity_gap` of a 3-factor one."""
-    plan = _step_plan(((rows.shape[1], tuple(readings), ""),), False)
-    return _table_block([rows], plan, tolerance).all_columns()
-
-
 def subadditivity_gap(
     p: ProbVec,
     shape: tuple[int, int],
@@ -672,7 +655,8 @@ def subadditivity_gap(
     makes the bipartite reading available.
     """
     shape = _factors(shape, 2, p.dim)
-    return _table_columns(p.values[None], [shape], tolerance)[0].report(0, provenance)
+    plan = _step_plan(((p.dim, (shape,), "", None),), False)
+    return _first(_table_block([p.values[None]], plan, tolerance), provenance)
 
 
 def strong_subadditivity_gap(
@@ -683,7 +667,8 @@ def strong_subadditivity_gap(
 ) -> InequalityReport:
     """Check H(P12) + H(P23) >= H(p) + H(P2) for the 3-factor reading."""
     shape = _factors(shape, 3, p.dim)
-    return _table_columns(p.values[None], [shape], tolerance)[0].report(0, provenance)
+    plan = _step_plan(((p.dim, (shape,), "", None),), False)
+    return _first(_table_block([p.values[None]], plan, tolerance), provenance)
 
 
 def _block_rows(rows: np.ndarray) -> np.ndarray:
@@ -724,9 +709,8 @@ def conditional_entropy(p: ProbVec) -> EntropyValue:
     H(V | V~) = H(p) - H(p1 + p2, p3 + p4), which also holds term by term
     for the weighted sum of block entropies.
     """
-    rows = p.values[None]
-    chain = _tsallis_chain_columns(rows, 1.0, GAP_TOLERANCE, _block_rows(rows))
-    return EntropyValue(float(chain.entropies["conditional"][0]), "conditional")
+    chain = _first(_tsallis_block(p.values[None], 1.0, GAP_TOLERANCE))
+    return EntropyValue(chain.entropies["conditional"], "conditional")
 
 
 def conditional_tsallis(p: ProbVec, q: float) -> EntropyValue:
@@ -736,9 +720,8 @@ def conditional_tsallis(p: ProbVec, q: float) -> EntropyValue:
     into the Shannon conditional entropy.
     """
     q = _order(q)
-    rows = p.values[None]
-    chain = _tsallis_chain_columns(rows, q, GAP_TOLERANCE, _block_rows(rows))
-    return EntropyValue(float(chain.entropies["conditional"][0]), "conditional", q=q)
+    chain = _first(_tsallis_block(p.values[None], q, GAP_TOLERANCE))
+    return EntropyValue(chain.entropies["conditional"], "conditional", q=q)
 
 
 def _order_id(q: float) -> str:
@@ -761,35 +744,43 @@ def _tsallis_chain(rows: np.ndarray, q: float, blocks: np.ndarray) -> tuple:
     return f"tsallis-chain-{_order_id(q)}", lhs, total, entropies
 
 
-def _tsallis_chain_columns(
-    rows: np.ndarray, q: float, tolerance: float, blocks: np.ndarray
-) -> CheckColumns:
-    """:func:`_tsallis_chain` as columns."""
-    return CheckColumns(*_tsallis_chain(rows, q, blocks), tolerance)
+def _tsallis_block(rows: np.ndarray, q: float, tolerance: float) -> CheckBlock:
+    """:func:`_tsallis_chain` of a stack of 4-vectors, as a block of its one
+    check."""
+    name, lhs, rhs, entropies = _tsallis_chain(rows, q, _block_rows(rows))
+    return _block((name,), lhs[None], rhs[None], tolerance, lambda c: (entropies, None))
 
 
-def _chain_block(rows: np.ndarray, q_values, tolerance: float) -> CheckBlock:
+def _chain_block(
+    rows: np.ndarray, q_values, tolerance: float, names=("subadd-2x2", "cond-chain-identity")
+) -> CheckBlock:
     """Every check of a stack of 4-vectors p with blocks b, from one 2 x 2
     table pass (H(p) and H(b) are its joint and part1 entropies) and one
-    block split: ``subadd-2x2``, ``cond-chain-identity``, each order's
-    Tsallis chain bound, then, with any order, ``tsallis-shannon-limit``."""
+    block split: the table check and the identity H(V | V~) = H(p) - H(b),
+    under the two ids ``names``, each order's Tsallis chain bound, then,
+    with any order, ``tsallis-shannon-limit``."""
     blocks, halves = _split_rows(rows)
-    table, e = _pair_table(rows, tolerance)
-    h, h_halves = e["joint"], _shannon_rows(halves)
+    plan = _step_plan(((4, ((2, 2),), names[:1], None),), False)
+    e, _ = _table_entropies([rows], plan)
+    table = {role: e[i] for role, i in plan.roles[0]}
+    h, h_halves = table["joint"], _shannon_rows(halves)
     weighted = blocks[:, 0] * h_halves[:, 0] + blocks[:, 1] * h_halves[:, 1]
-    conditional = h - e["part1"]  # H(V | V~) = H(p) - H(b)
-    checks = [
-        table,
-        _lazy_identity("cond-chain-identity", weighted, conditional, IDENTITY_TOLERANCE),
-    ]
-    checks += [_lazy(*_tsallis_chain(rows, q, blocks), tolerance) for q in q_values]
+    conditional = h - table["part1"]  # H(V | V~) = H(p) - H(b)
+    [[table_lhs], [table_rhs]] = _sides(plan, e)
+    checks = [(names[0], table_lhs, table_rhs, table), (names[1], weighted, conditional, None)]
+    checks += [_tsallis_chain(rows, q, blocks) for q in q_values]
+    identities = {1: IDENTITY_TOLERANCE}
     if q_values:
         worst = np.maximum(
             np.abs(_tsallis_rows(rows, 1.0 + 1e-4) - h),
             np.abs(_tsallis_rows(rows, 1.0 - 1e-4) - h),
         )
-        checks.append(_lazy_identity("tsallis-shannon-limit", worst, np.zeros(len(rows)), 1e-3))
-    return _block(checks)
+        identities[len(checks)] = 1e-3
+        checks.append(("tsallis-shannon-limit", worst, np.zeros(len(rows)), None))
+    ids, lhs, rhs, details = zip(*checks)
+    return _block(
+        ids, np.stack(lhs), np.stack(rhs), tolerance, lambda c: (details[c], None), identities
+    )
 
 
 def tsallis_monotonicity_check(
@@ -806,5 +797,4 @@ def tsallis_monotonicity_check(
     the Shannon chain rule. The report's gap is the smaller of the two.
     """
     q = _order(q)  # a bad order is refused before a vector of the wrong length
-    rows = p.values[None]
-    return _tsallis_chain_columns(rows, q, tolerance, _block_rows(rows)).report(0, provenance)
+    return _first(_tsallis_block(p.values[None], q, tolerance), provenance)

@@ -17,11 +17,11 @@ discord-type measure computed here.
 Readouts, eigenbases, the readout bound, the readout minimum, the
 spin-axis readouts (every state's rotation built in one stacked product)
 and the discord measure are each one private kernel over a stack of
-matrices (n, d, d); each public single-state function is its kernel run on
-a batch of one. The checks come out as :class:`CheckColumns`; the discord
-family's come out as one block of gaps, each check's columns built on
-demand, and its ``discord-nonneg`` check carries every entropy and flag a
-:class:`DiscordReport` is read from.
+matrices (n, d, d), whose checks come out as one block
+(:class:`CheckBlock`) under their final ids; each public single-state
+function is its kernel run on a batch of one, read as the first row of the
+block's first check. The discord family's ``discord-nonneg`` check carries
+every entropy and flag a :class:`DiscordReport` is read from.
 """
 
 from __future__ import annotations
@@ -49,15 +49,18 @@ from .qstate import (
     _padded_rows,
     _reductions,
 )
-from .report import GAP_TOLERANCE, CheckBlock, CheckColumns, _filled, _identity
+from .report import GAP_TOLERANCE, CheckBlock, InequalityReport, _block, _filled, _first
 from .simplex import (
     EntropyValue,
     ProbVec,
     _chain_block,
     _FLOAT_MAX,
     _freeze,
-    _pair_table,
     _shannon_rows,
+    _sides,
+    _step_plan,
+    _table_block,
+    _table_entropies,
     _table_plan,
 )
 
@@ -81,6 +84,10 @@ __all__ = [
 # Spectra with neighbors closer than this count as degenerate: the
 # eigenbasis is then not unique and downstream reports carry a flag.
 _DEGENERACY_GAP = 1e-10
+
+# A readout of a 4 x 4 state read as a 2 x 2 table: its subadditivity gap is
+# the readout's mutual information.
+_PAIR = ((4, ((2, 2),), "", None),)
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,25 +376,28 @@ def minimize_entropy_batch(
     return _Minima(pairs, nfev, converged)
 
 
-def _readout_bound_columns(mats: np.ndarray, us: np.ndarray, tolerance: float) -> CheckColumns:
-    """``readout-bound`` on each state of a stack read in its own basis of
-    ``us``: the readout entropy is never below the von Neumann entropy."""
+def _readout_bound_block(mats: np.ndarray, us: np.ndarray, tolerance: float) -> CheckBlock:
+    """``dimN-readout-bound`` on each state of a stack of d x d states, N
+    being d, read in its own basis of ``us``: the readout entropy is never
+    below the von Neumann entropy."""
     readout = _shannon_rows(_readouts(mats, us))
     entropy = _entropy_rows(mats)
     entropies = {"readout": readout, "von_neumann": entropy}
-    return CheckColumns("readout-bound", entropy, readout, entropies, tolerance)
+    name = f"dim{mats.shape[1]}-readout-bound"
+    return _block((name,), entropy[None], readout[None], tolerance, lambda c: (entropies, None))
 
 
-def _readout_min_columns(
-    mats: np.ndarray, seeds: list[int], tolerance: float
-) -> tuple[CheckColumns, CheckColumns]:
+def _readout_min_block(
+    mats: np.ndarray, seeds: list[int], tolerance: float, prefix: str = ""
+) -> CheckBlock:
     """The basis-readout bound on each state of a stack, checked by one
     batched search of :func:`minimize_entropy_batch` at its default
     restarts and budget: the found minimum sits on the von Neumann entropy
-    from above (``readout-min-above``), and within 1e-6 of it
-    (``readout-min-close``). Both count what each state's search did: its
-    ``nfev`` over all restarts, and whether its winning restart ran out of
-    budget (``unconverged``)."""
+    from above (``readout-min-above``), and within 1e-6 of it, to a
+    tolerance of 0 (``readout-min-close``), each id prefixed by ``prefix``.
+    Both count what each state's search did: its ``nfev`` over all
+    restarts, and whether its winning restart ran out of budget
+    (``unconverged``)."""
     found = minimize_entropy_batch([DensityMatrix(m) for m in mats], seeds=seeds)
     s = _entropy_rows(mats)
     h = np.array([float(h_min) for _, h_min in found])
@@ -396,13 +406,15 @@ def _readout_min_columns(
         "nfev": np.array(found.nfev, dtype=int),
         "unconverged": ~np.array(found.converged, dtype=bool),
     }
-    above = CheckColumns(
-        "readout-min-above", s, h, {"minimum_readout": h, "von_neumann": s}, tolerance, counts=counts
+    details = ({"minimum_readout": h, "von_neumann": s}, {"error": err})
+    return _block(
+        (prefix + "readout-min-above", prefix + "readout-min-close"),
+        np.stack([s, err]),
+        np.stack([h, np.full(len(mats), 1e-6)]),
+        (tolerance, 0.0),
+        lambda c: (details[c], None),
+        counts=(counts, counts),
     )
-    close = CheckColumns(
-        "readout-min-close", err, np.full(len(mats), 1e-6), {"error": err}, 0.0, counts=counts
-    )
-    return above, close
 
 
 def minimize_tomographic_entropy(
@@ -470,7 +482,7 @@ def tomographic_information(
     nonnegative.
     """
     joint = _joint_readout(rho, u1, u2)[None]
-    return float(_pair_table(joint, GAP_TOLERANCE)[0].gaps[0])
+    return _first(_table_block([joint], _step_plan(_PAIR, False), GAP_TOLERANCE)).gap
 
 
 def _kron_rows(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -512,8 +524,10 @@ def _discord_block(
     s = _entropy_rows(mats)
     s_parts = _entropy_rows(parts)
     s1, s2 = s_parts[:n], s_parts[n:]
-    joint, e = _pair_table(_readouts(mats, _kron_rows(us[:n], us[n:])), tolerance)
-    h12, information = e["joint"], joint.gaps
+    pair = _step_plan(_PAIR, False)
+    readout, _ = _table_entropies([_readouts(mats, _kron_rows(us[:n], us[n:]))], pair)
+    [table_lhs], [table_rhs] = _sides(pair, readout)
+    h12, information = readout[dict(pair.roles[0])["joint"]], table_rhs - table_lhs
     deficit = (s1 + s2 - s) - information
     upper = s1 + s2
 
@@ -521,37 +535,28 @@ def _discord_block(
         "diagonal" if j in diagonal else "qutrit-" if stack.shape[1] == 3 else ""
         for j, stack in enumerate(stacks)
     )
-    names, checks, which, of, identities = _discord_layout(kinds)
-    # the deficit is discord-nonneg's gap, bit for bit, as x - 0.0 is x
-    gaps = np.stack([deficit, upper - h12, h12 - s]).reshape(3, len(read), m)[which, of]
-    floors = np.full((len(names), 1), -tolerance)
-    if len(identities):
-        gaps[identities] = -np.abs(gaps[identities])
-        floors[identities] = -1e-10
+    names, checks, sides, of, identities = _discord_layout(kinds)
+    # deficit - 0.0 is the deficit, bit for bit
+    terms = np.stack([np.zeros(n), h12, s, deficit, upper]).reshape(5, len(read), m)
+    lhs, rhs = terms[sides, of]
 
-    def columns(c: int) -> CheckColumns:
+    def details(c: int) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray] | None]:
         k, j = checks[c]
         rows = slice(j * m, j * m + lengths[j])
-        if kinds[j] == "diagonal":
-            return _identity(names[c], deficit[rows], np.zeros(lengths[j]), 1e-10)
         e = {"s": s[rows], "s1": s1[rows], "s2": s2[rows], "h12": h12[rows]}
         if k == 1:
-            chain = {"h12": e["h12"], "s1": e["s1"], "s2": e["s2"]}
-            return CheckColumns(names[c], e["h12"], upper[rows], chain, tolerance)
+            return {"h12": e["h12"], "s1": e["s1"], "s2": e["s2"]}, None
         if k == 2:
-            chain = {"h12": e["h12"], "s": e["s"]}
-            return CheckColumns(names[c], e["s"], e["h12"], chain, tolerance)
+            return {"h12": e["h12"], "s": e["s"]}, None
         flags = {
             "padded-qutrit": np.full(lengths[j], kinds[j] == "qutrit-"),
             "degenerate-reduction-1": degenerate[:n][rows],
             "degenerate-reduction-2": degenerate[n:][rows],
         }
-        e["information"] = information[rows]
-        return CheckColumns(
-            names[c], np.zeros(lengths[j]), deficit[rows], e, tolerance, flags=flags
-        )
+        return {**e, "information": information[rows]}, flags
 
-    block = CheckBlock(names, gaps, floors, np.array(lengths)[of], of, columns)
+    identities = dict.fromkeys(identities, 1e-10)
+    block = _block(names, lhs, rhs, tolerance, details, identities, np.array(lengths)[of], of)
     return block, [states[:length] for states, length in zip(read, lengths)]
 
 
@@ -559,39 +564,39 @@ def _discord_block(
 @lru_cache(maxsize=256)
 def _discord_layout(kinds: tuple[str, ...]) -> tuple:
     """The checks of :func:`_discord_block` on stacks of ``kinds``, each
-    ``""``, ``"qutrit-"`` or ``"diagonal"``: each check's id, its (k, j),
-    reading gaps k (the deficit, chain-upper's or chain-lower's) of stack
-    j, as index arrays too, and which checks are identities."""
+    ``""``, ``"qutrit-"`` or ``"diagonal"``: each check's id and its (k, j),
+    check k (discord-nonneg, chain-upper, chain-lower or the diagonal
+    identity) of stack j; the terms (0, H12, S, the deficit, S1 + S2) that
+    are each check's lhs and rhs, and its stack, as index arrays; and which
+    checks are identities."""
     checks = tuple(
-        (k, j) for j, kind in enumerate(kinds) for k in ((0,) if kind == "diagonal" else (0, 1, 2))
+        (k, j) for j, kind in enumerate(kinds) for k in ((3,) if kind == "diagonal" else (0, 1, 2))
     )
     names = tuple(
-        "discord-diagonal-zero" if kinds[j] == "diagonal" else kinds[j] + _DISCORD_CHECKS[k]
-        for k, j in checks
+        "discord-diagonal-zero" if k == 3 else kinds[j] + _DISCORD_CHECKS[k] for k, j in checks
     )
     which, of = (np.array(x) for x in zip(*checks))
-    identities = np.array([c for c, (_, j) in enumerate(checks) if kinds[j] == "diagonal"], int)
-    for array in (which, of, identities):
+    sides = np.array([(0, 1, 2, 3), (3, 4, 1, 0)])[:, which]
+    identities = tuple(c for c, (k, _) in enumerate(checks) if k == 3)
+    for array in (sides, of):
         array.flags.writeable = False
-    return names, checks, which, of, identities
+    return names, checks, sides, of, identities
 
 
 _DISCORD_CHECKS = ("discord-nonneg", "chain-upper", "chain-lower")
 
 
-def _discord_report(
-    nonneg: CheckColumns, i: int, state: np.ndarray, provenance: str = ""
-) -> DiscordReport:
-    """The :class:`DiscordReport` of row ``i`` of a ``discord-nonneg``
-    check, whose state as read is ``state``."""
-    e = {role: float(column[i]) for role, column in nonneg.entropies.items()}
+def _discord_report(nonneg: InequalityReport, state: np.ndarray) -> DiscordReport:
+    """The :class:`DiscordReport` of the report of a ``discord-nonneg`` row,
+    whose state as read is ``state``."""
+    e = nonneg.entropies
     return DiscordReport(
         **e,
-        discord=float(nonneg.rhs[i]),
+        discord=nonneg.rhs,
         chain=(e["s1"] + e["s2"] - e["h12"], e["h12"] - e["s"], e["s1"] + e["s2"] - e["s"]),
-        flags=tuple(flag for flag, rows in nonneg.flags.items() if rows[i]),
+        flags=nonneg.flags,
         state_ref=_content_ref(state),
-        provenance=provenance,
+        provenance=nonneg.provenance,
     )
 
 
@@ -604,7 +609,7 @@ def discord(rho: DensityMatrix, provenance: str = "") -> DiscordReport:
     input is padded to 4 x 4 first, which leaves every entropy unchanged.
     """
     block, [states] = _discord_block([rho.matrix[None]], GAP_TOLERANCE)
-    return _discord_report(block.columns(0), 0, states[0], provenance)
+    return _discord_report(_first(block, provenance), states[0])
 
 
 def discord_unitary_sweep(
@@ -616,8 +621,10 @@ def discord_unitary_sweep(
     and reports the smallest deficit seen. The reported discord is always
     the eigenbasis value; this sweep only gauges how tight that choice is.
     """
+    if samples < 0:
+        raise ShapeMismatchError(f"samples must be at least 0, got {samples}")
     block, [states] = _discord_block([rho.matrix[None]], GAP_TOLERANCE)
-    base = _discord_report(block.columns(0), 0, states[0])
+    base = _discord_report(_first(block), states[0])
     total = base.s1 + base.s2 - base.s
     best = base.discord
     rng = np.random.default_rng(seed)
@@ -627,7 +634,7 @@ def discord_unitary_sweep(
         us = haar(2, rng, 2 * samples)
         kron = _kron_rows(us[0::2], us[1::2])
         joints = _readouts(np.repeat(states, samples, axis=0), kron)
-        information = _pair_table(joints, GAP_TOLERANCE)[0].gaps
+        information = _table_block([joints], _step_plan(_PAIR, False), GAP_TOLERANCE).gaps[0]
         # the first strictly smaller candidate wins, as in a loop
         best = min(best, *(total - information).tolist())
     return {
@@ -672,13 +679,12 @@ def _axis_unitaries(dim: int, angles) -> np.ndarray:
     return np.exp(-1j * phi[:, None] * m)[:, :, None] * rot_y
 
 
-def _axis_columns(mats: np.ndarray, angles, tolerance: float) -> list[CheckColumns]:
-    """``subadd-2x2`` and ``cond-chain-identity`` of :func:`_chain_block`,
-    as ``axis-subadd`` and ``axis-cond-chain``, on the readout of each 4 x 4
+def _axis_block(mats: np.ndarray, angles, tolerance: float) -> CheckBlock:
+    """The table check and the chain identity of :func:`_chain_block`, as
+    ``axis-subadd`` and ``axis-cond-chain``, on the readout of each 4 x 4
     state of a stack along its own spin axis of ``angles``."""
     w = _readouts(mats, _axis_unitaries(mats.shape[1], angles))
-    subadd, chain = _chain_block(w, (), tolerance).all_columns()
-    return [subadd._replace(name="axis-subadd"), chain._replace(name="axis-cond-chain")]
+    return _chain_block(w, (), tolerance, ("axis-subadd", "axis-cond-chain"))
 
 
 def spin_tomogram_axis(rho: DensityMatrix, theta: float, phi: float) -> Tomogram:

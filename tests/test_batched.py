@@ -1,11 +1,12 @@
 """Batch invariance of the check kernels.
 
 Every check is computed by one kernel over a stack of states, which returns
-the check as columns, and each public single-state function is that kernel
-run on a batch of one. The report of row k of a batch must therefore equal,
-bit for bit, the report of the same state run alone, and a bad row must
-fail a batch the way it fails alone. The stacked reductions and
-marginals are also checked against the loop-built oracles in ``_explicit``.
+its checks as one block, each check read as columns, and each public
+single-state function is that kernel run on a batch of one. The report of
+row k of a batch must therefore equal, bit for bit, the report of the same
+state run alone, and a bad row must fail a batch the way it fails alone.
+The stacked reductions and marginals are also checked against the
+loop-built oracles in ``_explicit``.
 """
 
 from __future__ import annotations
@@ -42,19 +43,17 @@ from entrobox.qstate import (
     _entropy_rows,
     _entropy_rows_by_size,
     _q_table_block,
-    _q_table_columns,
     _reduce_rows,
     _spectra,
 )
-from entrobox.report import CheckColumns
+from entrobox.report import CheckColumns, _filled
 from entrobox.simplex import (
-    _block_rows,
     _chain_block,
     _shannon_rows,
     _split_rows,
     _step_plan,
-    _table_columns,
-    _tsallis_chain_columns,
+    _table_block,
+    _tsallis_block,
     _tsallis_rows,
     _zero_padded,
     admissible_shapes,
@@ -63,12 +62,12 @@ from entrobox.simplex import (
 )
 from entrobox.tomography import (
     DiscordReport,
-    _axis_columns,
+    _axis_block,
     _discord_block,
     _discord_report,
     _eigenbases,
-    _readout_bound_columns,
-    _readout_min_columns,
+    _readout_bound_block,
+    _readout_min_block,
     _readouts,
     spin_tomogram_axis,
 )
@@ -144,25 +143,44 @@ def _table_shapes(dim: int) -> list[tuple[int, ...]]:
     return admissible_shapes(dim, 2) + admissible_shapes(dim, 3)
 
 
+def _all_columns(block) -> list[CheckColumns]:
+    """Every check of ``block``, as columns."""
+    return [block.columns(c) for c in range(len(block.names))]
+
+
+def _table_checks(rows: np.ndarray, readings, tolerance: float) -> list[CheckColumns]:
+    """The table check of each row of a stack of vectors for each reading,
+    as columns, from one :func:`_table_block` call."""
+    plan = _step_plan(((rows.shape[1], tuple(readings), "", None),), False)
+    return _all_columns(_table_block([rows], plan, tolerance))
+
+
+def _q_table_checks(mats: np.ndarray, readings, tolerance: float) -> list[CheckColumns]:
+    """The quantum table check of each matrix of a stack for each reading,
+    as columns, from one :func:`_q_table_block` call."""
+    [checks] = _q_table_stacks([(mats, readings)], tolerance)
+    return checks
+
+
 def _q_table_stacks(stacks, tolerance: float) -> list[list[CheckColumns]]:
     """The quantum table checks of each (matrices, readings) pair of
     ``stacks``, as columns, from one :func:`_q_table_block` call."""
-    specs = tuple((mats.shape[1], tuple(readings), "") for mats, readings in stacks)
+    specs = tuple((mats.shape[1], tuple(readings), "", None) for mats, readings in stacks)
     block = _q_table_block([mats for mats, _ in stacks], _step_plan(specs, True), tolerance)
-    checks = block.all_columns()
+    checks = _all_columns(block)
     return [[c for c, j in zip(checks, block.stacks) if j == k] for k in range(len(stacks))]
 
 
 def _chain_columns(rows: np.ndarray, q_values, tolerance: float) -> list[CheckColumns]:
     """Every check of :func:`_chain_block`, as columns."""
-    return _chain_block(rows, q_values, tolerance).all_columns()
+    return _all_columns(_chain_block(rows, q_values, tolerance))
 
 
 def _discord_columns(stacks: list[np.ndarray], tolerance: float):
     """Each stack's three discord checks, as columns, and its states as
     read, from one :func:`_discord_block` call."""
     block, read = _discord_block(stacks, tolerance)
-    checks = block.all_columns()
+    checks = _all_columns(block)
     return [(tuple(checks[3 * j : 3 * j + 3]), states) for j, states in enumerate(read)]
 
 
@@ -216,9 +234,9 @@ class TestSimplexKernels:
     @pytest.mark.parametrize("dim", [4, 5, 7, 8, 9, 10, 11])
     def test_table_reports(self, dim):
         rows = _vectors(dim, dim)
-        _assert_batch_invariant(_table_columns, rows, _table_shapes(dim), 1e-9)
+        _assert_batch_invariant(_table_checks, rows, _table_shapes(dim), 1e-9)
         for shape in _table_shapes(dim):
-            _assert_batch_invariant(_table_columns, rows, [shape], 1e-9)
+            _assert_batch_invariant(_table_checks, rows, [shape], 1e-9)
 
     # the 2- and 3-factor padded sizes differ at 4, 5, 9 and 10, and agree
     # at 7 (8) and 11 (12)
@@ -226,8 +244,8 @@ class TestSimplexKernels:
     def test_table_columns_do_not_depend_on_the_shapes_taken_together(self, dim):
         rows = _vectors(dim, 90 + dim)
         shapes = _table_shapes(dim)
-        together = _table_columns(rows, shapes, 1e-9)
-        alone = [_table_columns(rows, [shape], 1e-9)[0] for shape in shapes]
+        together = _table_checks(rows, shapes, 1e-9)
+        alone = [_table_checks(rows, [shape], 1e-9)[0] for shape in shapes]
         assert _bits(together) == _bits(alone)
         # the joint entropy is that of the zero-padded stack, whose sum runs
         # over the padded length
@@ -246,7 +264,7 @@ class TestSimplexKernels:
         )
         for shapes in (_table_shapes(dim), _table_shapes(dim)[:1]):
             calls.update(gather=0, entropy=0)
-            _table_columns(_vectors(dim, dim), shapes, 1e-9)
+            _table_checks(_vectors(dim, dim), shapes, 1e-9)
             assert calls == {"gather": 1, "entropy": 1}, (shapes, calls)
 
     def test_zero_padding_and_a_read_only_stack(self):
@@ -256,7 +274,7 @@ class TestSimplexKernels:
         assert not padded[:, 7].any()
         # the table kernel only reads the stack it is given
         rows.flags.writeable = False
-        _table_columns(rows, _table_shapes(8), 1e-9)
+        _table_checks(rows, _table_shapes(8), 1e-9)
 
     def test_one_padding_per_seven_vector_chunk(self, monkeypatch):
         # all three checks from one gather of the chunk's own rows, whose
@@ -275,14 +293,14 @@ class TestSimplexKernels:
         )
         chunk = SimpleNamespace(rows=rows, provenance=None)
         [(block, _)] = cli._seven_checks([chunk], SimpleNamespace(tolerance=1e-9))
-        checks = block.all_columns()
+        checks = _all_columns(block)
         assert len(gathered) == 1 and gathered[0] is rows and calls["entropy"] == 1, calls
         monkeypatch.undo()
         strong, adjacent, middle = checks
         assert [c.name for c in checks] == [
             "strong-subadd-7", "subadd-7-adjacent", "subadd-7-middle"
         ]
-        unpadded = _table_columns(rows, [(2, 2, 2), (2, 4)], 1e-9)
+        unpadded = _table_checks(rows, [(2, 2, 2), (2, 4)], 1e-9)
         assert _bits([strong._replace(name=""), adjacent._replace(name="")]) == _bits(
             [c._replace(name="") for c in unpadded]
         )
@@ -313,7 +331,7 @@ class TestSimplexKernels:
             _assert_batch_invariant(_chain_columns, rows, q_values, 1e-9)
 
         def tsallis_chain(stack, q):
-            return _tsallis_chain_columns(stack, q, 1e-9, _block_rows(stack))
+            return _tsallis_block(stack, q, 1e-9).columns(0)
 
         # q = 1 is the Shannon conditional entropy, in the chain's
         # ``conditional`` column
@@ -337,12 +355,12 @@ class TestSimplexKernels:
             "tsallis-chain-q2", "tsallis-shannon-limit",
         ]
         table, chain, *_ = checks
-        assert _bits(table) == _bits(_table_columns(rows, [(2, 2)], 1e-9)[0])
+        assert _bits(table) == _bits(_table_checks(rows, [(2, 2)], 1e-9)[0])
         assert _bits(table.entropies["joint"]) == _bits(_shannon_rows(rows))
         alone = [conditional_entropy(ProbVec(p)).value for p in rows]
         assert _bits(chain.rhs) == _bits(np.array(alone))
         for q, columns in zip(q_values, checks[2:]):
-            assert _bits(columns) == _bits(_tsallis_chain_columns(rows, q, 1e-9, _block_rows(rows)))
+            assert _bits(columns) == _bits(_tsallis_block(rows, q, 1e-9).columns(0))
         assert _bits(_chain_columns(rows, (), 1e-9)) == _bits(checks[:2])
 
     def test_one_table_pass_and_one_block_split_per_four_vector_chunk(self, monkeypatch):
@@ -372,7 +390,7 @@ class TestSimplexKernels:
             3: {"pair12": (1, 2), "pair23": (2, 3), "part2": (2,)},
         }
         shapes = _table_shapes(dim)
-        for shape, columns in zip(shapes, _table_columns(rows, shapes, 1e-9)):
+        for shape, columns in zip(shapes, _table_checks(rows, shapes, 1e-9)):
             k = len(shape)
             prefix = "subadd-" if k == 2 else "strong-subadd-"
             assert columns.name == prefix + "x".join(map(str, shape))
@@ -418,15 +436,15 @@ class TestQuantumKernels:
     @pytest.mark.parametrize("dim", [3, 4, 5, 7])
     def test_table_reports(self, dim):
         mats = _ginibre_batch(dim, dim)
-        _assert_batch_invariant(_q_table_columns, mats, _table_shapes(dim), 1e-9)
+        _assert_batch_invariant(_q_table_checks, mats, _table_shapes(dim), 1e-9)
         for shape in _table_shapes(dim):
-            _assert_batch_invariant(_q_table_columns, mats, [shape], 1e-9)
+            _assert_batch_invariant(_q_table_checks, mats, [shape], 1e-9)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 8, 9])
     def test_table_columns_do_not_depend_on_the_shapes_taken_together(self, dim):
         mats = _ginibre_batch(dim, 90 + dim)
-        together = _q_table_columns(mats, _table_shapes(dim), 1e-9)
-        alone = [_q_table_columns(mats, [shape], 1e-9)[0] for shape in _table_shapes(dim)]
+        together = _q_table_checks(mats, _table_shapes(dim), 1e-9)
+        alone = [_q_table_checks(mats, [shape], 1e-9)[0] for shape in _table_shapes(dim)]
         assert _bits(together) == _bits(alone)
 
     @pytest.mark.parametrize("dim", [3, 4, 5, 7])
@@ -440,7 +458,7 @@ class TestQuantumKernels:
         }
         mats = _ginibre_batch(dim, 110 + dim)
         shapes = _table_shapes(dim)
-        for shape, columns in zip(shapes, _q_table_columns(mats, shapes, 1e-9)):
+        for shape, columns in zip(shapes, _q_table_checks(mats, shapes, 1e-9)):
             k = len(shape)
             prefix = "q-subadd-" if k == 2 else "q-strong-subadd-"
             assert columns.name == prefix + "x".join(map(str, shape))
@@ -479,6 +497,7 @@ class TestQuantumKernels:
         mats = _ginibre_batch(4, 44)
         halves = [_reduce_rows(mats, (2, 2), (k,)) for k in (1, 2)]
         want = [_entropy_rows(stack) for stack in (mats, *halves)]
+        zeros = np.zeros(N)
         calls = []
         concatenate = np.concatenate
 
@@ -487,10 +506,12 @@ class TestQuantumKernels:
             return concatenate(parts, *args, **kwargs)
 
         monkeypatch.setattr(np, "concatenate", counted)
-        assert _bits(_entropy_rows_by_size([mats, *halves])) == _bits(want)
+        # each stack's entropies are a row of one array, a row of zeros last
+        assert _bits(list(_entropy_rows_by_size([mats, *halves]))) == _bits([*want, zeros])
         assert calls == [2]
         calls.clear()
-        assert _bits(_entropy_rows_by_size([halves[0], mats])) == _bits([want[1], want[0]])
+        e = _entropy_rows_by_size([halves[0], mats])
+        assert _bits(list(e)) == _bits([want[1], want[0], zeros])
         assert calls == []
 
     @pytest.mark.parametrize("dim, sizes", [(3, 3), (4, 2), (5, 4), (7, 3)])
@@ -499,7 +520,7 @@ class TestQuantumKernels:
         # parts) and 4 (its 2x2x2 pairs); in the quantum suite the mixed
         # state's sizes 4 and 2 join the table job's, which takes both
         calls = _calls(monkeypatch, "eigvalsh")["eigvalsh"]
-        _q_table_columns(_ginibre_batch(dim, dim), _table_shapes(dim), 1e-9)
+        _q_table_checks(_ginibre_batch(dim, dim), _table_shapes(dim), 1e-9)
         assert len(calls) == sizes, calls
         calls.clear()
         report = cli.run_suite(cli.SuiteConfig(suite="quantum", dims=[dim], trials=5, seed=1))
@@ -516,17 +537,21 @@ class TestQuantumKernels:
             (_ginibre_batch(5, 305)[:1], _table_shapes(5)),
             (_ginibre_batch(4, 304)[3:], [(2, 2), ("subadd-middle", (2, 2, 2))]),
         ]
-        alone = [_q_table_columns(mats, readings, 1e-9) for mats, readings in stacks]
+        alone = [_q_table_checks(mats, readings, 1e-9) for mats, readings in stacks]
         calls = _calls(monkeypatch, "eigvalsh")["eigvalsh"]
         together = _q_table_stacks(stacks, 1e-9)
         assert sorted(shape[1] for shape in calls) == [2, 3, 4, 5, 7], calls
         assert _bits(together) == _bits(alone)
 
     def test_unequal_stacks_of_one_size_are_sliced_back(self):
+        # each stack filled to the longest, as a step fills them: its row of
+        # the entropy array starts with its own entropies
         mats = _ginibre_batch(4, 45)
         stacks = [mats[:2], _reduce_rows(mats, (2, 2), (1,)), mats[2:], mats[6:]]
         want = [_entropy_rows(stack) for stack in stacks]
-        assert _bits(_entropy_rows_by_size(stacks)) == _bits(want)
+        e = _entropy_rows_by_size([_filled(stack, N) for stack in stacks])
+        assert _bits([row[: len(stack)] for row, stack in zip(e, stacks)]) == _bits(want)
+        assert _bits(e[-1]) == _bits(np.zeros(N))
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 8])
     def test_spectra_and_entropies(self, dim):
@@ -582,7 +607,7 @@ class TestQuantumKernels:
         )
         for shapes in (_table_shapes(dim), _table_shapes(dim)[:1]):
             calls.update(gather=0, entropy=0)
-            _q_table_columns(_ginibre_batch(dim, dim), shapes, 1e-9)
+            _q_table_checks(_ginibre_batch(dim, dim), shapes, 1e-9)
             assert calls == {"gather": 1, "entropy": 1}, (shapes, calls)
         # one gather per stack, one entropy pass for all of them
         calls.update(gather=0, entropy=0)
@@ -600,7 +625,7 @@ class TestQuantumKernels:
             _entropy_rows(mats)
         assert str(batch.value) == str(alone.value)
         with pytest.raises(NotPositiveError) as batch:
-            _q_table_columns(mats, [(2, 2)], 1e-9)
+            _q_table_checks(mats, [(2, 2)], 1e-9)
         assert str(batch.value) == str(alone.value)
 
     def test_the_first_bad_reduction_in_check_order_is_named(self):
@@ -614,10 +639,10 @@ class TestQuantumKernels:
         assert shapes[:2] == [(2, 3), (3, 2)]
         with pytest.raises(NotPositiveError) as first:
             for shape in shapes:
-                _q_table_columns(mats, [shape], 1e-9)
+                _q_table_checks(mats, [shape], 1e-9)
         assert "-1.800e-08" in str(first.value)
         with pytest.raises(NotPositiveError) as together:
-            _q_table_columns(mats, shapes, 1e-9)
+            _q_table_checks(mats, shapes, 1e-9)
         assert str(together.value) == str(first.value)
         # across stacks, the first bad matrix of the stack-by-stack loop
         for order in ([0, 1], [1, 0]):
@@ -647,16 +672,17 @@ class TestTomographyKernels:
         for k in range(N):
             alone = _readouts(mats[k : k + 1], us[k : k + 1])
             assert _bits(batch[k]) == _bits(alone[0])
-        _assert_batch_invariant(_table_columns, _vectors(4, 60), [(2, 2)], 1e-9)
+        _assert_batch_invariant(_table_checks, _vectors(4, 60), [(2, 2)], 1e-9)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_readout_bound_columns(self, dim):
         mats = _ginibre_batch(dim, 55 + dim)
         rng = np.random.default_rng(dim)
         us = np.stack([haar(dim, rng) for _ in range(N)])
-        batch = _readout_bound_columns(mats, us, 1e-9)
+        batch = _readout_bound_block(mats, us, 1e-9).columns(0)
+        assert batch.name == f"dim{dim}-readout-bound"
         for k in range(N):
-            alone = _readout_bound_columns(mats[k : k + 1], us[k : k + 1], 1e-9)
+            alone = _readout_bound_block(mats[k : k + 1], us[k : k + 1], 1e-9).columns(0)
             assert _bits(batch.report(k)) == _bits(alone.report(0)), k
         assert _bits(batch.entropies) == _bits(
             {"readout": _shannon_rows(_readouts(mats, us)), "von_neumann": _entropy_rows(mats)}
@@ -672,10 +698,10 @@ class TestTomographyKernels:
     def test_axis_columns(self):
         mats = _ginibre_batch(4, 65)
         axes = self._axes(N, 65)
-        batch = _axis_columns(mats, axes, 1e-9)
+        batch = _all_columns(_axis_block(mats, axes, 1e-9))
         assert [c.name for c in batch] == ["axis-subadd", "axis-cond-chain"]
         for k in range(N):
-            alone = _axis_columns(mats[k : k + 1], axes[k : k + 1], 1e-9)
+            alone = _all_columns(_axis_block(mats[k : k + 1], axes[k : k + 1], 1e-9))
             assert _bits(_rows_of(batch, k)) == _bits(_rows_of(alone, 0)), k
             # the stacked rotations are the public per-state readouts
             w = spin_tomogram_axis(DensityMatrix(mats[k]), *axes[k]).probabilities
@@ -713,7 +739,7 @@ class TestTomographyKernels:
             f"{prefix}chain-upper",
             f"{prefix}chain-lower",
         ]
-        reports = [_discord_report(nonneg, k, states[k]) for k in range(N)]
+        reports = [_discord_report(nonneg.report(k), states[k]) for k in range(N)]
         for k, rep in enumerate(reports):
             assert _bits(rep.chain) == _bits(
                 [float(upper.gaps()[k]), float(lower.gaps()[k]), rep.s1 + rep.s2 - rep.s]
@@ -745,9 +771,10 @@ class TestTomographyKernels:
         # each state gets its own search seed, so rows are split by hand
         mats = _ginibre_batch(dim, 80 + dim)
         seeds = [2**62 + 3 * k for k in range(N)]
-        batch = _readout_min_columns(mats, seeds, 1e-9)
+        batch = _all_columns(_readout_min_block(mats, seeds, 1e-9))
+        assert [c.name for c in batch] == ["readout-min-above", "readout-min-close"]
         for k in range(N):
-            alone = _readout_min_columns(mats[k : k + 1], seeds[k : k + 1], 1e-9)
+            alone = _all_columns(_readout_min_block(mats[k : k + 1], seeds[k : k + 1], 1e-9))
             assert _bits(_rows_of(batch, k)) == _bits(_rows_of(alone, 0)), k
             for got, want in zip(batch, alone):
                 assert _bits({r: c[k] for r, c in got.counts.items()}) == _bits(
@@ -964,9 +991,21 @@ class TestChunkedSuite:
         for name in fields:
             assert row[name] == 0.0 and math.copysign(1.0, row[name]) == -1.0, name
 
-    def test_a_passing_request_builds_no_columns_per_check(self, monkeypatch):
-        # one gap block per kernel call, each check's columns built only for
-        # a failing row: at most one CheckColumns per call, not one per check
+    @pytest.mark.parametrize(
+        "suite, checks, failing",
+        [
+            ("classical", 46, "cond-chain-identity"),
+            ("quantum", 11, "dim3-q-subadd-2x2"),
+            ("discord", 7, "discord-nonneg"),
+            ("tomographic", 11, "dim2-readout-bound"),
+        ],
+        ids=["classical", "quantum", "discord", "tomographic"],
+    )
+    def test_a_passing_request_builds_no_columns_per_check(
+        self, suite, checks, failing, monkeypatch
+    ):
+        # every kernel gives its checks as one block under their final ids,
+        # each check's columns built only for a failing row
         built: list[str] = []
         new = CheckColumns.__new__
 
@@ -975,15 +1014,15 @@ class TestChunkedSuite:
             return new(cls, *args, **kwargs)
 
         monkeypatch.setattr(CheckColumns, "__new__", counted)
-        report = cli.run_suite(cli.SuiteConfig(suite="classical", trials=5, seed=0))
-        assert report["all_passed"] and len(report["checks"]) == 46
-        # three kernel calls: the 7-vector job's, the 4-vector job's and the
-        # table jobs' one between them
-        assert len(built) <= 3, built
+        report = cli.run_suite(cli.SuiteConfig(suite=suite, trials=3, seed=0))
+        assert report["all_passed"] and len(report["checks"]) == checks
+        assert built == []
         # a failing row does get its check's columns: the count is not vacuous
+        monkeypatch.setattr(cli, "_require_tolerance", lambda tolerance: None)
         monkeypatch.setattr(simplex, "IDENTITY_TOLERANCE", -1.0)
-        report = cli.run_suite(cli.SuiteConfig(suite="classical", trials=5, seed=0))
-        assert "cond-chain-identity" in built
+        report = cli.run_suite(cli.SuiteConfig(suite=suite, trials=1, seed=0, tolerance=-10.0))
+        assert not report["all_passed"]
+        assert failing in built
 
     def test_a_passing_suite_builds_no_per_instance_object(self, monkeypatch):
         built: list[str] = []

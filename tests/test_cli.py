@@ -629,6 +629,55 @@ class TestFailingInstances:
             expected = {**want.to_dict(), "name": entry["check"]}
             assert json.dumps(entry["report"]) == json.dumps(expected), entry["check"]
 
+    @staticmethod
+    def _assert_identity_failures(rows, failing, blocks, check: str, tolerance: float) -> None:
+        """The failing instances of the identity ``check`` report the gap
+        -|lhs - rhs| at the row's own tolerance, are the rows of the blocks
+        ``blocks`` that fail, gap for gap, and add up to the row's
+        failures."""
+        [row] = [row for row in rows if row["id"] == check]
+        mine = [entry for entry in failing if entry["check"] == check]
+        assert len(mine) == row["failures"] > 0
+        for entry in mine:
+            rep = entry["report"]
+            assert rep["gap"].hex() == (-abs(rep["lhs"] - rep["rhs"])).hex() == entry["gap"].hex()
+            assert rep["tolerance"] == tolerance and not rep["passed"]
+        gaps = []
+        for block in blocks:
+            for c in (c for c, name in enumerate(block.names) if name == check):
+                rows = block.gaps[c, : block.rows[c]]
+                gaps += list(rows[rows < block.floors[c]])
+        assert [gap.hex() for gap in gaps] == [entry["gap"].hex() for entry in mine]
+
+    def test_a_failing_mixed_state_equality_is_listed_as_an_identity(self, monkeypatch):
+        # the maximally mixed state's identity, failed through its own
+        # tolerance, which its step-plan spec carries
+        monkeypatch.setattr(cli, "_MIXED_TABLES", (*cli._MIXED_TABLES[:3], -1.0))
+        blocks = []
+        add = cli._Agg.add
+
+        def recorded(agg, parts):
+            blocks.extend(block for block, _ in parts)
+            add(agg, parts)
+
+        monkeypatch.setattr(cli._Agg, "add", recorded)
+        report = run_suite(SuiteConfig(suite="quantum", trials=2, seed=23))
+        self._assert_identity_failures(
+            report["checks"], report["failing_instances"], blocks, "q-subadd-mixed-equality", -1.0
+        )
+
+    def test_a_failing_diagonal_discord_is_listed_as_an_identity(self):
+        # the diagonal identity on states that are not diagonal: their
+        # deficits are far from 0
+        mats = ginibre(4, np.random.default_rng(31), 5)
+        block, [states] = tomography._discord_block([mats], 1e-9, diagonal=[0])
+        assert block.names == ("discord-diagonal-zero",)
+        agg = cli._Agg()
+        agg.add([(block, [(lambda i: f"trial {i}", states)])])
+        self._assert_identity_failures(
+            agg.rows(), agg.failing_instances(), [block], "discord-diagonal-zero", 1e-10
+        )
+
     def test_every_report_is_built_by_make_report(self, tmp_path, capsys, monkeypatch):
         # identities included, so that one function sees every report built
         built: list[str] = []

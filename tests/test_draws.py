@@ -105,7 +105,7 @@ def test_extra_draws_are_the_oracle_draws(trials, with_input, inputs, monkeypatc
     bases: dict[int, list[np.ndarray]] = {}
     axes: list[tuple[float, float]] = []
     seeds: dict[int, list[int]] = {}
-    haar, axis_columns = cli.haar, cli._axis_columns
+    haar, axis_block = cli.haar, cli._axis_block
 
     def recorded_haar(dim, rng, n):
         out = haar(dim, rng, n)
@@ -114,14 +114,14 @@ def test_extra_draws_are_the_oracle_draws(trials, with_input, inputs, monkeypatc
 
     def recorded_axis(mats, angles, tolerance):
         axes.extend(angles)
-        return axis_columns(mats, angles, tolerance)
+        return axis_block(mats, angles, tolerance)
 
     def recorded_search(states, **kwargs):
         seeds.setdefault(states[0].dim, []).extend(kwargs["seeds"])
         return _Minima([(None, 0.0)] * len(states), [0] * len(states), [True] * len(states))
 
     monkeypatch.setattr(cli, "haar", recorded_haar)
-    monkeypatch.setattr(cli, "_axis_columns", recorded_axis)
+    monkeypatch.setattr(cli, "_axis_block", recorded_axis)
     monkeypatch.setattr(tomography, "minimize_entropy_batch", recorded_search)
     dims = [2, 3]
     path = inputs[3] if with_input else None

@@ -32,7 +32,8 @@ from entrobox import (
     von_neumann,
 )
 from entrobox.ensembles import dirichlet, ginibre
-from entrobox.qstate import _q_table_columns
+from entrobox.qstate import _q_table_block
+from entrobox.simplex import _step_plan
 
 from _explicit import (
     qutrit_r1,
@@ -330,6 +331,13 @@ class TestQuantumStrongSubadditivity:
         assert_allclose(rep.gap, s12 + s23 - s - s2, atol=1e-12)
 
 
+def _q_table_checks(mats: np.ndarray, shape) -> list:
+    """The quantum table checks of ``shape`` on a stack of matrices, as
+    columns, from one :func:`_q_table_block` call."""
+    block = _q_table_block([mats], _step_plan(((mats.shape[1], (shape,), "", None),), True), 1e-9)
+    return [block.columns(c) for c in range(len(block.names))]
+
+
 class TestTableRuleEqualities:
     """The quantum table inequalities are equalities on the product states
     written here by hand, five to a stack, so that a role of the rule table
@@ -340,7 +348,7 @@ class TestTableRuleEqualities:
     def test_product_states_meet_subadditivity(self, shape):
         rng = np.random.default_rng(110 + sum(shape))
         mats = np.stack([np.kron(ginibre(shape[0], rng), ginibre(shape[1], rng)) for _ in range(5)])
-        [check] = _q_table_columns(mats, [shape], 1e-9)
+        [check] = _q_table_checks(mats, shape)
         assert check.name == "q-subadd-" + "x".join(map(str, shape))
         assert np.abs(check.gaps()).max() <= 1e-12
 
@@ -348,7 +356,7 @@ class TestTableRuleEqualities:
         # rho12 (x) rho3 with a correlated rho12
         rng = np.random.default_rng(120)
         mats = np.stack([np.kron(ginibre(4, rng), ginibre(2, rng)) for _ in range(5)])
-        [check] = _q_table_columns(mats, [(2, 2, 2)], 1e-9)
+        [check] = _q_table_checks(mats, (2, 2, 2))
         assert check.name == "q-strong-subadd-2x2x2"
         assert np.abs(check.gaps()).max() <= 1e-12
 

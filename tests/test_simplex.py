@@ -39,7 +39,7 @@ from entrobox import (
     validate_prob_vec,
 )
 from entrobox.ensembles import dirichlet
-from entrobox.simplex import _shannon_rows, _table_columns
+from entrobox.simplex import _shannon_rows, _step_plan, _table_block
 
 from _explicit import (
     admissible_shapes_brute,
@@ -436,6 +436,13 @@ def _shapes(factors: int) -> list[tuple[int, ...]]:
     return sorted({shape for dim in range(4, 13) for shape in admissible_shapes(dim, factors)})
 
 
+def _table_checks(rows: np.ndarray, reading) -> list:
+    """The table checks of ``reading`` on a stack of vectors, as columns,
+    from one :func:`_table_block` call."""
+    block = _table_block([rows], _step_plan(((rows.shape[1], (reading,), "", None),), False), 1e-9)
+    return [block.columns(c) for c in range(len(block.names))]
+
+
 class TestTableRuleEqualities:
     """Every table inequality is an equality on the states written here by
     hand, five to a stack, so that a role of the rule table that keeps the
@@ -448,7 +455,7 @@ class TestTableRuleEqualities:
         rows = np.stack(
             [np.outer(dirichlet(shape[0], rng), dirichlet(shape[1], rng)).reshape(-1) for _ in range(5)]
         )
-        [check] = _table_columns(rows, [shape], 1e-9)
+        [check] = _table_checks(rows, shape)
         assert check.name == "subadd-" + "x".join(map(str, shape))
         assert np.abs(check.gaps()).max() <= 1e-12
 
@@ -463,7 +470,7 @@ class TestTableRuleEqualities:
             pair = dirichlet(n1 * n2, rng).reshape(n1, n2)
             given_y = np.stack([dirichlet(n3, rng) for _ in range(n2)])
             rows.append((pair[:, :, None] * given_y[None, :, :]).reshape(-1))
-        [check] = _table_columns(np.stack(rows), [shape], 1e-9)
+        [check] = _table_checks(np.stack(rows), shape)
         assert check.name == "strong-subadd-" + "x".join(map(str, shape))
         assert np.abs(check.gaps()).max() <= 1e-12
 
@@ -477,7 +484,7 @@ class TestTableRuleEqualities:
         for _ in range(5):
             middle, outer = dirichlet(n2, rng), dirichlet(n1 * n3, rng).reshape(n1, n3)
             rows.append((outer[:, None, :] * middle[None, :, None]).reshape(-1))
-        [check] = _table_columns(np.stack(rows), [("subadd-middle", shape)], 1e-9)
+        [check] = _table_checks(np.stack(rows), ("subadd-middle", shape))
         assert check.name == "subadd-middle-" + "x".join(map(str, shape))
         assert np.abs(check.gaps()).max() <= 1e-12
 

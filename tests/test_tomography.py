@@ -349,6 +349,13 @@ class TestDiscord:
         assert out["samples"] == 16
         assert out["state_ref"] == rho.ref
 
+    @pytest.mark.parametrize("samples", [-1, -3])
+    def test_unitary_sweep_rejects_negative_samples(self, samples):
+        # a negative count samples nothing, so it must not report as if it ran
+        rho = random_states(4, 1, seed=107)[0]
+        with pytest.raises(ShapeMismatchError, match="samples"):
+            discord_unitary_sweep(rho, samples=samples)
+
     @pytest.mark.parametrize("dim, samples", [(4, 64), (4, 1), (3, 9), (4, 0)])
     def test_unitary_sweep_equals_a_per_sample_loop(self, dim, samples):
         # the sweep reads every sampled pair at once; a loop of public
