@@ -485,7 +485,7 @@ class _Chunk(NamedTuple):
         parts = [draw(self.streams.input, 1)] if self.has_input else []
         if self.trials:
             parts.append(draw(self.streams.extras, len(self.trials)))
-        return np.concatenate(parts)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # A job's checks: the chunks of one step whose jobs share this function, in
@@ -520,7 +520,8 @@ def _chunks(job: _Job, seed: int, input_state: State | None) -> Iterator[_Chunk]
         trials = range(start, min(job.trials, start + _CHUNK - len(head)))
         rng = streams.states if job.sampler.seeded else None
         parts = head + [job.sampler.draw(job.dim, rng, len(trials))] if trials else head
-        yield _Chunk(job, streams, bool(head), trials, np.concatenate(parts))
+        rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        yield _Chunk(job, streams, bool(head), trials, rows)
         head, start = [], trials.stop
 
 
@@ -648,37 +649,58 @@ def _table_jobs(
     return jobs
 
 
-def _jobs(config: SuiteConfig, input_state: State | None) -> list[_Job]:
-    """Every job of the configured suite, in report order."""
+def _classical_jobs(config: SuiteConfig, input_state: State | None) -> list[_Job]:
     n = config.trials
-    tomographic = config.resolved_dims("tomographic")
-    families = {
-        "classical": [
-            _Job(1, _DIRICHLET, 7, _seven_checks, n),
-            _Job(2, _DIRICHLET, 4, _four_checks, n),
-            *_table_jobs(10, _DIRICHLET, config.resolved_dims("classical"), n, input_state),
-        ],
-        "quantum": [
-            _Job(0, _MIXED, 4, _matrix_tables, 1),
-            *_table_jobs(100, _GINIBRE, config.resolved_dims("quantum"), n, input_state),
-        ],
-        "tomographic": [
-            *(_Job(200 + j, _GINIBRE, dim, _readout_bound, n) for j, dim in enumerate(tomographic)),
-            _Job(230, _AXIS, 4, _axis_checks, n),
-            *(
-                _Job(240 + j, _GINIBRE, dim, _readout_min_checks, min(n, _MINIMIZER_CAP))
-                for j, dim in enumerate(tomographic)
-            ),
-        ],
-        "discord": [
-            _Job(300, _GINIBRE, 4, _discord_checks, n),
-            _Job(301, _DIAGONAL, 4, _discord_checks, n),
-            _Job(302, _GINIBRE, 3, _discord_checks, n),
-        ],
-    }
-    if config.suite == "all":
-        return [job for jobs in families.values() for job in jobs]
-    return families[config.suite]
+    return [
+        _Job(1, _DIRICHLET, 7, _seven_checks, n),
+        _Job(2, _DIRICHLET, 4, _four_checks, n),
+        *_table_jobs(10, _DIRICHLET, config.resolved_dims("classical"), n, input_state),
+    ]
+
+
+def _quantum_jobs(config: SuiteConfig, input_state: State | None) -> list[_Job]:
+    return [
+        _Job(0, _MIXED, 4, _matrix_tables, 1),
+        *_table_jobs(100, _GINIBRE, config.resolved_dims("quantum"), config.trials, input_state),
+    ]
+
+
+def _tomographic_jobs(config: SuiteConfig, input_state: State | None) -> list[_Job]:
+    n, dims = config.trials, config.resolved_dims("tomographic")
+    return [
+        *(_Job(200 + j, _GINIBRE, dim, _readout_bound, n) for j, dim in enumerate(dims)),
+        _Job(230, _AXIS, 4, _axis_checks, n),
+        *(
+            _Job(240 + j, _GINIBRE, dim, _readout_min_checks, min(n, _MINIMIZER_CAP))
+            for j, dim in enumerate(dims)
+        ),
+    ]
+
+
+def _discord_jobs(config: SuiteConfig, input_state: State | None) -> list[_Job]:
+    n = config.trials
+    return [
+        _Job(300, _GINIBRE, 4, _discord_checks, n),
+        _Job(301, _DIAGONAL, 4, _discord_checks, n),
+        _Job(302, _GINIBRE, 3, _discord_checks, n),
+    ]
+
+
+# Each family's jobs, in report order; ``--suite all`` runs them in this order.
+_FAMILIES = {
+    "classical": _classical_jobs,
+    "quantum": _quantum_jobs,
+    "tomographic": _tomographic_jobs,
+    "discord": _discord_jobs,
+}
+
+
+def _jobs(config: SuiteConfig, input_state: State | None) -> list[_Job]:
+    """Every job of the configured suite, in report order; a one-family
+    suite builds only that family's jobs."""
+    if config.suite != "all":
+        return _FAMILIES[config.suite](config, input_state)
+    return [job for family in _FAMILIES.values() for job in family(config, input_state)]
 
 
 class _Agg:
@@ -696,8 +718,8 @@ class _Agg:
 
     def _slots(self, names: tuple[str, ...]) -> tuple:
         """The columns of the checks ``names``, as an index of ``stats`` (a
-        slice when they are consecutive) and as a list; a check first seen
-        takes the next column."""
+        slice when they are consecutive) and as a list, and an index of
+        each; a check first seen takes the next column."""
         slots = self.slots.get(names)
         if slots is None:
             columns = [self.index.setdefault(name, len(self.index)) for name in names]
@@ -707,7 +729,7 @@ class _Agg:
             first, stop = columns[0], columns[-1] + 1
             consecutive = columns == list(range(first, stop))
             where = slice(first, stop) if consecutive else np.array(columns)
-            slots = self.slots[names] = (where, columns)
+            slots = self.slots[names] = (where, columns, np.arange(len(names)))
         return slots
 
     def add(self, parts: list[tuple[CheckBlock, _Labels]]) -> None:
@@ -724,10 +746,10 @@ class _Agg:
             gaps = np.concatenate([_filled(b.gaps, m, axis=1) for b in blocks])
             floors = np.concatenate([b.floors for b in blocks])
             rows = np.concatenate([b.rows for b in blocks])
-        where, columns = self._slots(names)
+        # each: one entry of each check's row
+        where, columns, each = self._slots(names)
         stats = self.stats[:, where]  # a view, unless the columns are apart
         count, failures, low, high, total = stats
-        each = np.arange(len(rows))  # one entry of each row
         passed = gaps >= floors
         # As the rows would be taken one at a time in draw order: the first
         # of equal extremes stays (a -0.0 keeps its sign), a NaN gap, which
@@ -785,17 +807,19 @@ class _Agg:
     def rows(self) -> list[dict]:
         """The report row of every check, in report order; every check has
         taken at least one row."""
-        stats = self.stats[:, : len(self.index)].tolist()
+        stats = self.stats[:, : len(self.index)]
+        taken, failures = stats[:2].astype(int).tolist()
+        low, high, total = stats[2:].tolist()
         rows = [
             {
                 "id": name,
-                "count": int(count),
-                "failures": int(failures),
-                "min_gap": low,
-                "max_gap": high,
-                "mean_gap": total / count,
+                "count": count,
+                "failures": failed,
+                "min_gap": lo,
+                "max_gap": hi,
+                "mean_gap": t / count,
             }
-            for name, count, failures, low, high, total in zip(self.index, *stats)
+            for name, count, failed, lo, hi, t in zip(self.index, taken, failures, low, high, total)
         ]
         for i, counts in self.counts.items():
             rows[i].update(counts)

@@ -7,6 +7,12 @@ master seed reproduces a whole sweep. Each sampler draws one state, or with
 bit, ``size`` single draws in turn from the same generator. So a stream of
 states drawn from one generator does not depend on how it is cut into
 stacks: state ``k`` is the ``k``-th draw.
+
+A flat Dirichlet stack is drawn as ``Generator.dirichlet(np.ones(d))``
+draws it: ``d`` standard exponentials per point (a Gamma(1) variate is one
+exponential), each point scaled by the reciprocal of their running sum. So
+the points equal that method's bit for bit and leave the generator where it
+would, without its per-call checks of the parameter vector.
 """
 
 from __future__ import annotations
@@ -34,8 +40,11 @@ def spawn_seeds(master_seed: int, count: int) -> list[np.random.SeedSequence]:
 
 def dirichlet(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Uniform point on the probability simplex (flat Dirichlet): (dim,),
-    or (size, dim) with ``size``."""
-    return rng.dirichlet(np.ones(dim), size=size)
+    or (size, dim) with ``size``; normalized standard exponentials, as
+    ``rng.dirichlet(np.ones(dim), size)`` draws them."""
+    e = rng.standard_exponential((dim,) if size is None else (size, dim))
+    # the sum in draw order, as numpy's own loop adds it
+    return e * (1.0 / np.add.accumulate(e, axis=-1)[..., -1:])
 
 
 def _complex_gaussian(dim: int, rng: np.random.Generator, size: int | None) -> np.ndarray:
@@ -54,14 +63,17 @@ def ginibre(dim: int, rng: np.random.Generator, size: int | None = None) -> np.n
     positive spectrum.
     """
     g = _complex_gaussian(dim, rng, size)
-    m = g @ np.swapaxes(g.conj(), -1, -2)
-    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / m.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
 def diagonal_density(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Random diagonal density matrix: a Dirichlet point on the diagonal;
     (dim, dim), or (size, dim, dim) with ``size``."""
-    return (dirichlet(dim, rng, size)[..., None] * np.eye(dim)).astype(complex)
+    p = dirichlet(dim, rng, size)
+    out = np.zeros((*p.shape[:-1], dim * dim), dtype=complex)
+    out[..., :: dim + 1] = p
+    return out.reshape(*p.shape, dim)
 
 
 def haar(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -72,5 +84,5 @@ def haar(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndar
     QR distribution to the Haar measure.
     """
     q, r = np.linalg.qr(_complex_gaussian(dim, rng, size))
-    d = np.diagonal(r, axis1=-2, axis2=-1)
+    d = r.diagonal(axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]

@@ -14,9 +14,11 @@ Every check is computed by one private kernel over a stack of matrices, an
 one per-cell sum over the flattened matrices, on the cached index plan of
 :mod:`.simplex` (a vector marginal is the diagonal of a reduction's cell
 map), and entropies by one stacked ``eigvalsh`` pass per matrix size: the
-quantum tables of a list of stacks take every spectrum they need, the
-joint ones included, and diagonalize each size once, writing each size's
-entropies straight into the rows of the step's entropy array. The tables
+quantum tables of a list of stacks take every reduction of every stack in
+one gather over their flattened matrices laid side by side, and every
+spectrum they need, the joint ones included, diagonalizing each size
+once and writing each size's entropies straight into the rows of the
+step's entropy array. The tables
 take their reductions, sides and ids from the rule table of
 :mod:`.simplex`, with a ``q-`` prefix, and give all of their checks as one
 block (:class:`CheckBlock`). Each public single-matrix function is its
@@ -27,6 +29,7 @@ check, so a state's result does not depend on the batch it was checked in.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +54,7 @@ from .simplex import (
     _plan_block,
     _public_kept,
     _shannon_rows,
+    _side_by_side_rows,
     _step_plan,
     _StepPlan,
     _table_plan,
@@ -147,10 +151,11 @@ def _checked_eigvalsh(mats: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues (n, d) of a stack of Hermitian matrices; the
     first matrix with an eigenvalue below the floor is rejected."""
     vals = np.linalg.eigvalsh(mats)
-    low = vals.min(axis=1)
-    bad = np.flatnonzero(~(low >= _EIG_FLOOR))
-    if bad.size:
-        raise NotPositiveError(f"eigenvalue {low[bad[0]]:.3e} is below {_EIG_FLOOR:.1e}")
+    low = np.minimum.reduce(vals, axis=1)
+    fine = low >= _EIG_FLOOR
+    if not fine.all():
+        bad = np.flatnonzero(~fine)[0]
+        raise NotPositiveError(f"eigenvalue {low[bad]:.3e} is below {_EIG_FLOOR:.1e}")
     return vals
 
 
@@ -215,7 +220,13 @@ def _reductions(mats: np.ndarray, plan: _CellPlan) -> list[np.ndarray]:
     comes from one gather and one per-cell sum over the flattened
     matrices."""
     n, d = mats.shape[:2]
-    cells = _cells(mats.reshape(n, d * d), plan)
+    return _reduced(_cells(mats.reshape(n, d * d), plan), plan)
+
+
+def _reduced(cells: np.ndarray, plan: _CellPlan) -> list[np.ndarray]:
+    """The reduced states (n, K, K) of each reduction of ``plan``, from its
+    cells (n, cells)."""
+    n = len(cells)
     return [
         cells[:, first + 1 : first + 1 + k * k].reshape(n, k, k)
         for first, k in zip(plan.firsts.tolist(), plan.dims)
@@ -243,8 +254,8 @@ def reduce(rho: DensityMatrix, plan: ReductionPlan) -> DensityMatrix:
 
 def _spectra(mats: np.ndarray) -> np.ndarray:
     """:func:`spectrum` of each matrix of a stack, as rows (n, d)."""
-    vals = np.clip(_checked_eigvalsh(mats)[:, ::-1], 0.0, None)
-    return vals / vals.sum(axis=1, keepdims=True)
+    vals = np.maximum(_checked_eigvalsh(mats)[:, ::-1], 0.0)
+    return vals / np.add.reduce(vals, axis=1, keepdims=True)
 
 
 def spectrum(rho: DensityMatrix) -> Spectrum:
@@ -294,16 +305,20 @@ def _q_table_block(stacks: list[np.ndarray], plan: _StepPlan, tolerance: float) 
     """The quantum table checks of ``plan`` (a :func:`~.simplex._step_plan`
     of matrices) on its stacks of matrices (n, d, d), as one block: for each
     matrix, :func:`quantum_subadditivity` of a 2-factor shape and
-    :func:`quantum_strong_subadditivity` of a 3-factor one. Each stack's
-    reductions come from one gather, its joint entropy is taken once, every
-    spectrum of one matrix size, over all the stacks, in one pass, and every
-    side of every check is summed at once."""
+    :func:`quantum_strong_subadditivity` of a 3-factor one. Every reduction
+    of every stack comes from one gather, each joint entropy is taken once,
+    every spectrum of one matrix size, over all the stacks, in one pass, and
+    every side of every check is summed at once."""
     lengths = [len(mats) for mats in stacks]
     m = max(lengths)
     stacks = [_filled(mats, m) for mats in stacks]
-    parts = [[mats, *_reductions(mats, cells)] for mats, cells in zip(stacks, plan.tables)]
-    e = _entropy_rows_by_size([stack for group in parts for stack in group])
-    return _plan_block(plan, e, lengths, tolerance)
+    flat = _side_by_side_rows([mats.reshape(m, -1) for mats in stacks], m)
+    reduced = iter(_reduced(_cells(flat, plan.cells), plan.cells))
+    # stack by stack, the matrices themselves, then their reductions
+    matrices = [
+        x for mats, k in zip(stacks, plan.reductions) for x in (mats, *itertools.islice(reduced, k))
+    ]
+    return _plan_block(plan, _entropy_rows_by_size(matrices), lengths, tolerance)
 
 
 def quantum_subadditivity(

@@ -237,7 +237,7 @@ def _block(
         gaps[c] = -np.abs(gaps[c])
         floors[c] = -own
     if rows is None:
-        rows = np.full(len(names), lhs.shape[1])
+        rows = np.array([lhs.shape[1]] * len(names))
         stacks = (0,) * len(names)
     return CheckBlock(names, gaps, floors, rows, stacks, lhs, rhs, identities, details, counts)
 

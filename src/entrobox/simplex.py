@@ -21,25 +21,29 @@ p ln p, and a zero entry adds 0 * ln(tiny) = 0 without ever taking ln 0.
 
 Every check is computed by one private kernel over a stack of vectors, one
 per row of an ``(n, N)`` array; a kernel returns its checks as one block
-(:class:`CheckBlock`), under their final ids. Every table inequality is one entry of one table,
-:data:`_TABLE_RULES`: its id, and the reduction and side of each of its
-roles. The table kernel takes a list of readings, each a shape with its
-entry, and for a vector length it builds one cached plan
+(:class:`CheckBlock`), under their final ids. Every table inequality is
+one entry of one table, :data:`_TABLE_RULES`: its id, and the reduction
+and side of each of its roles. The table kernel takes a list of readings,
+each a shape with its entry, and for a vector length it builds one cached
+plan
 (:func:`_table_plan`): which entries of a row sum into each cell of every
 reduction, each taken once, an entry of the zero padding reading one zero
-slot appended to the row, and which entropies make each check. A stack
-then takes every reduction in one gather and one per-cell sum
-(:func:`_cells`), and every entropy in one pass of :func:`_shannon_rows`.
-A list of stacks, a suite step's table jobs, has one cached plan of its
-own (:func:`_step_plan`): index arrays over the entropy rows of all its
-stacks, through which every side of every check is summed at once, giving
-all their gaps as one block; a stack's spec may mark its checks as
-identities, each to its own tolerance.
+slot appended to the row, and which entropies make each check. A list of
+stacks, a suite step's table jobs, has one cached plan of its own
+(:func:`_step_plan`): its stacks' cell plans joined into one for their
+rows laid side by side, so that the whole step takes every reduction of
+every stack in one gather and one per-cell sum (:func:`_cells`) and every
+entropy in one pass of :func:`_shannon_rows`; and index arrays over the
+entropy rows of all its stacks, through which every side of every check
+is summed at once, giving all their gaps as one block. A stack's spec may
+mark its checks as identities, each to its own tolerance.
 The cell rule is written once, in :func:`_cell_members`, and the table
 rule once, in :data:`_TABLE_RULES`, for vectors and density matrices
 alike. Every check of a 4-vector, its table, its Shannon chain identity
 and its Tsallis chain bounds, comes from one kernel, :func:`_chain_block`,
-which takes H(p) and H(b) from the 2 x 2 table.
+which takes H(p) and H(b) from the 2 x 2 table, and T_q(p) and T_q(b) of
+every order from one power per order and one sum for them all
+(:func:`_tsallis_table`).
 Each public single-vector function is its kernel run on a batch of one,
 read as the first row of the block's first check (:func:`~.report._first`),
 so a vector's result does not depend on the batch it was checked in.
@@ -348,11 +352,36 @@ def shannon(p: ProbVec) -> EntropyValue:
 
 def _tsallis_rows(rows: np.ndarray, q: float) -> np.ndarray:
     """Tsallis entropy of order ``q`` of each row of a stack."""
-    if abs(q - 1.0) < _Q_SHANNON_WINDOW:
-        return _shannon_rows(rows)
+    led = np.zeros((len(rows), rows.shape[1] + 1))
+    led[:, 1:] = rows
+    return _tsallis_table(led, (q,), _WHOLE)[0, :, 0]
+
+
+# The one segment of a whole row, as the ``starts`` of a reduceat.
+_WHOLE = np.zeros(1, dtype=np.intp)
+
+
+def _tsallis_table(rows: np.ndarray, orders, starts: np.ndarray) -> np.ndarray:
+    """Tsallis entropy of each order of ``orders`` of each segment of the
+    rows of a stack that begins at ``starts``, as (orders, rows, segments):
+    one power per order, and the sums and scalings of all orders at once.
+    Each segment is led by a zero entry, so that its sum adds as a row sum
+    over its other entries would (as the cells of a :class:`_CellPlan`).
+    An order within 1e-6 of 1 is taken as the Shannon limit."""
+    powers = np.empty((len(orders), *rows.shape))
+    shannon = []
+    for i, q in enumerate(orders):
+        if abs(q - 1.0) < _Q_SHANNON_WINDOW:
+            shannon.append(i)
+            powers[i] = 0.0
+        else:
+            np.power(rows, q, out=powers[i])
+    scale = [1.0 if i in shannon else 1.0 - q for i, q in enumerate(orders)]
     # 0**q = 0 for q > 0, which numpy honors; adding 0.0 turns -0.0 into 0.0.
-    t = (np.power(rows, q).sum(axis=-1) - 1.0) / (1.0 - q)
+    t = (np.add.reduceat(powers, starts, -1) - 1.0) / np.array(scale)[:, None, None]
     t += 0.0
+    for i in shannon:
+        t[i] = _shannon_rows(rows, starts)
     return t
 
 
@@ -538,16 +567,21 @@ def _cells(flat: np.ndarray, plan: _CellPlan) -> np.ndarray:
     flat rows (n, D), as rows (n, cells): one gather of the members, from
     each row with the zero slot appended, and one per-cell sum."""
     slot = np.zeros((len(flat), 1), dtype=flat.dtype)
-    gathered = np.take(np.concatenate((flat, slot), axis=1), plan.members, axis=1)
+    gathered = np.concatenate((flat, slot), axis=1).take(plan.members, axis=1)
     return np.add.reduceat(gathered, plan.starts, axis=1)
 
 
 class _StepPlan(NamedTuple):
     """The table checks of a list of stacks, taken as one block.
 
-    ``tables`` is the :class:`_CellPlan` of each stack. Stack by stack, its
-    entropies are rows of one array, in the column order of its
-    :func:`_table_plan`, and a row of zeros follows them all. Check c is
+    ``cells`` is one :class:`_CellPlan` for the flat rows of all the stacks
+    side by side, each stack's row after the one before it and the zero
+    slot after them all: the cell plans of the stacks' :func:`_table_plan`
+    in stack order, so every cell of every stack comes from one gather and
+    one per-cell sum. ``reductions`` is the number of reductions of each
+    stack. Stack by stack, its entropies are rows of one array, in the
+    column order of its :func:`_table_plan`, and a row of zeros follows
+    them all. Check c is
     named ``names[c]`` and reads stack ``stacks[c]``. The lhs and rhs of
     check c add the entropy rows ``sides[:, 0, c]`` and ``sides[:, 1, c]``
     in role order, a side of fewer terms padded by the zero row (no entropy
@@ -556,7 +590,8 @@ class _StepPlan(NamedTuple):
     check that is an identity to its tolerance.
     """
 
-    tables: tuple[_CellPlan, ...]
+    cells: _CellPlan
+    reductions: tuple[int, ...]
     names: tuple[str, ...]
     stacks: np.ndarray
     sides: np.ndarray
@@ -575,7 +610,7 @@ def _step_plan(specs: tuple, matrix: bool) -> _StepPlan:
     tables, names, stacks, roles, sides, identities, start = [], [], [], [], [], {}, 0
     for j, (dim, readings, ids, identity) in enumerate(specs):
         cells, checks = _table_plan(dim, readings, matrix)
-        tables.append(cells)
+        tables.append((dim * dim if matrix else dim, cells))
         if identity is not None:
             identities.update(dict.fromkeys(range(len(names), len(names) + len(checks)), identity))
         names += [ids + name for name, *_ in checks] if isinstance(ids, str) else ids
@@ -588,7 +623,8 @@ def _step_plan(specs: tuple, matrix: bool) -> _StepPlan:
     width = max(len(side) for pair in sides for side in pair)
     padded = [[side + [start] * (width - len(side)) for side in pair] for pair in sides]
     plan = _StepPlan(
-        tuple(tables),
+        _side_by_side(tables),
+        tuple(len(cells.firsts) for _, cells in tables),
         tuple(names),
         np.array(stacks),
         np.array(padded).transpose(2, 1, 0),
@@ -598,6 +634,38 @@ def _step_plan(specs: tuple, matrix: bool) -> _StepPlan:
     for array in (plan.stacks, plan.sides):
         array.flags.writeable = False
     return plan
+
+
+def _side_by_side(tables: list[tuple[int, _CellPlan]]) -> _CellPlan:
+    """One :class:`_CellPlan` from the (width, plan) of each of a list of
+    stacks, for their flat rows laid side by side: each stack's members
+    shifted past the rows before it, its zero slot moved to the one after
+    them all, and its cells after the cells before it."""
+    zero = sum(width for width, _ in tables)
+    members, starts, firsts, dims, base, cell, member = [], [], [], [], 0, 0, 0
+    for width, plan in tables:
+        members.append(np.where(plan.members < width, plan.members + base, zero))
+        starts.append(plan.starts + member)
+        firsts.append(plan.firsts + cell)
+        dims += plan.dims
+        base += width
+        cell += len(plan.starts)
+        member += len(plan.members)
+    plan = _CellPlan(
+        np.concatenate(members), np.concatenate(starts), np.concatenate(firsts), tuple(dims)
+    )
+    for array in (plan.members, plan.starts, plan.firsts):
+        array.flags.writeable = False
+    return plan
+
+
+def _side_by_side_rows(stacks: list[np.ndarray], m: int) -> np.ndarray:
+    """The flat rows (m, sum of widths) of a list of stacks laid side by
+    side, each filled to ``m`` states (:func:`~.report._filled`); a lone
+    stack of ``m`` states is taken as it is."""
+    if len(stacks) == 1 and len(stacks[0]) == m:
+        return stacks[0]
+    return np.concatenate([_filled(rows, m) for rows in stacks], axis=1)
 
 
 def _plan_block(plan: _StepPlan, e: np.ndarray, lengths: list[int], tolerance: float) -> CheckBlock:
@@ -624,16 +692,15 @@ def _sides(plan: _StepPlan, e: np.ndarray) -> np.ndarray:
 
 
 def _table_entropies(stacks: list[np.ndarray], plan: _StepPlan) -> tuple[np.ndarray, list[int]]:
-    """The entropies of :func:`_plan_block` for stacks of vectors (n, N),
-    each stack's reductions from one gather and its entropies from one
-    pass, and the stacks' lengths."""
+    """The entropies of :func:`_plan_block` for stacks of vectors (n, N):
+    every reduction of every stack from one gather of their rows side by
+    side, and every entropy from one pass; and the stacks' lengths."""
     lengths = [len(rows) for rows in stacks]
     m = max(lengths)
-    parts = [
-        _shannon_rows(_cells(_filled(rows, m), cells), cells.firsts).T
-        for rows, cells in zip(stacks, plan.tables)
-    ]
-    return np.concatenate(parts + [np.zeros((1, m))]), lengths
+    cells = _cells(_side_by_side_rows(stacks, m), plan.cells)
+    e = np.zeros((len(plan.cells.firsts) + 1, m))
+    e[:-1] = _shannon_rows(cells, plan.cells.firsts).T
+    return e, lengths
 
 
 def _table_block(stacks: list[np.ndarray], plan: _StepPlan, tolerance: float) -> CheckBlock:
@@ -675,7 +742,7 @@ def _block_rows(rows: np.ndarray) -> np.ndarray:
     """(p1 + p2, p3 + p4) of each row of a stack of 4-vectors."""
     if rows.shape[1] != 4:
         raise ShapeMismatchError(f"conditional split needs a 4-vector, got {rows.shape[1]}")
-    return np.stack([rows[:, 0] + rows[:, 1], rows[:, 2] + rows[:, 3]], axis=1)
+    return rows[:, 0::2] + rows[:, 1::2]
 
 
 def _split_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -684,7 +751,7 @@ def _split_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     blocks = _block_rows(rows)
     halves = np.full((rows.shape[0], 2, 2), 0.5)
     live = blocks > 0.0
-    halves[live] = rows.reshape(-1, 2, 2)[live] / blocks[live][:, None]
+    np.divide(rows.reshape(-1, 2, 2), blocks[:, :, None], out=halves, where=live[:, :, None])
     return blocks, halves
 
 
@@ -729,26 +796,43 @@ def _order_id(q: float) -> str:
     return f"q{q:g}"
 
 
-def _tsallis_chain(rows: np.ndarray, q: float, blocks: np.ndarray) -> tuple:
+# A 4-vector and its blocks side by side, each led by a zero entry: the
+# segments of T_q(p) and T_q(b).
+_CHAIN_SEGMENTS = np.array([0, 5], dtype=np.intp)
+
+
+def _tsallis_chains(rows: np.ndarray, orders, blocks: np.ndarray) -> tuple:
     """:func:`tsallis_monotonicity_check` of each row of a stack of 4-vectors
-    with blocks ``blocks`` (:func:`_block_rows`), as its id, its two sides and
-    its entropies; the ``conditional`` entropy is T_q(p) - T_q(b), the
-    Shannon conditional entropy at q = 1."""
-    q = _order(q)
-    total = _tsallis_rows(rows, q)
-    coarse = _tsallis_rows(blocks, q)
+    with blocks ``blocks`` (:func:`_block_rows`) for each order, as each
+    order's lhs and rhs (orders, n) and entropies, the ``conditional``
+    entropy being T_q(p) - T_q(b), the Shannon conditional entropy at q = 1.
+    T_q(p) and T_q(b) of every order come from one :func:`_tsallis_table`
+    of the vectors and their blocks side by side."""
+    both = np.zeros((len(rows), 8))
+    both[:, 1:5] = rows
+    both[:, 6:] = blocks
+    t = _tsallis_table(both, orders, _CHAIN_SEGMENTS)
+    total, coarse = t[:, :, 0], t[:, :, 1]
     conditional = total - coarse
     # the larger part, the first one on a tie, as max(coarse, conditional)
     lhs = np.where(conditional > coarse, conditional, coarse)
-    entropies = {"total": total, "coarse": coarse, "conditional": conditional}
-    return f"tsallis-chain-{_order_id(q)}", lhs, total, entropies
+    entropies = [
+        {"total": total[i], "coarse": coarse[i], "conditional": conditional[i]}
+        for i in range(len(orders))
+    ]
+    return lhs, total, entropies
+
+
+def _chain_id(q: float) -> str:
+    return f"tsallis-chain-{_order_id(q)}"
 
 
 def _tsallis_block(rows: np.ndarray, q: float, tolerance: float) -> CheckBlock:
-    """:func:`_tsallis_chain` of a stack of 4-vectors, as a block of its one
-    check."""
-    name, lhs, rhs, entropies = _tsallis_chain(rows, q, _block_rows(rows))
-    return _block((name,), lhs[None], rhs[None], tolerance, lambda c: (entropies, None))
+    """:func:`_tsallis_chains` of a stack of 4-vectors at the one order
+    ``q``, as a block of its one check."""
+    q = _order(q)
+    lhs, rhs, [entropies] = _tsallis_chains(rows, (q,), _block_rows(rows))
+    return _block((_chain_id(q),), lhs, rhs, tolerance, lambda c: (entropies, None))
 
 
 def _chain_block(
@@ -766,21 +850,23 @@ def _chain_block(
     h, h_halves = table["joint"], _shannon_rows(halves)
     weighted = blocks[:, 0] * h_halves[:, 0] + blocks[:, 1] * h_halves[:, 1]
     conditional = h - table["part1"]  # H(V | V~) = H(p) - H(b)
-    [[table_lhs], [table_rhs]] = _sides(plan, e)
-    checks = [(names[0], table_lhs, table_rhs, table), (names[1], weighted, conditional, None)]
-    checks += [_tsallis_chain(rows, q, blocks) for q in q_values]
+    [table_lhs, table_rhs] = _sides(plan, e)
+    ids = [*names, *map(_chain_id, q_values)]
+    details = [table, None]
+    lhs, rhs = [table_lhs, weighted[None]], [table_rhs, conditional[None]]
     identities = {1: IDENTITY_TOLERANCE}
     if q_values:
-        worst = np.maximum(
-            np.abs(_tsallis_rows(rows, 1.0 + 1e-4) - h),
-            np.abs(_tsallis_rows(rows, 1.0 - 1e-4) - h),
-        )
-        identities[len(checks)] = 1e-3
-        checks.append(("tsallis-shannon-limit", worst, np.zeros(len(rows)), None))
-    ids, lhs, rhs, details = zip(*checks)
-    return _block(
-        ids, np.stack(lhs), np.stack(rhs), tolerance, lambda c: (details[c], None), identities
-    )
+        # each order's bound, then the Shannon limit from two orders more
+        orders = [_order(q) for q in q_values] + [1.0 + 1e-4, 1.0 - 1e-4]
+        chain_lhs, total, entropies = _tsallis_chains(rows, orders, blocks)
+        worst = np.maximum.reduce(np.abs(total[-2:] - h), axis=0)
+        identities[len(ids)] = 1e-3
+        ids.append("tsallis-shannon-limit")
+        details += entropies[:-2] + [None]
+        lhs += [chain_lhs[:-2], worst[None]]
+        rhs += [total[:-2], np.zeros((1, len(rows)))]
+    lhs, rhs = np.concatenate(lhs), np.concatenate(rhs)
+    return _block(tuple(ids), lhs, rhs, tolerance, lambda c: (details[c], None), identities)
 
 
 def tsallis_monotonicity_check(

@@ -49,7 +49,14 @@ from .qstate import (
     _padded_rows,
     _reductions,
 )
-from .report import GAP_TOLERANCE, CheckBlock, InequalityReport, _block, _filled, _first
+from .report import (
+    GAP_TOLERANCE,
+    CheckBlock,
+    CheckColumns,
+    _block,
+    _filled,
+    _first,
+)
 from .simplex import (
     EntropyValue,
     ProbVec,
@@ -213,14 +220,18 @@ def _eigenbases(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(mats)
     w = w[:, ::-1]
     v = v[:, :, ::-1]
-    degenerate = np.zeros(len(w), dtype=bool)
-    if w.shape[1] > 1:
-        degenerate = np.min(np.abs(np.diff(w, axis=1)), axis=1) < _DEGENERACY_GAP
-    pivot_rows = np.argmax(np.abs(v) > 1e-12, axis=1)
-    pivots = np.take_along_axis(v, pivot_rows[:, None, :], axis=1)[:, 0, :]
-    phases = np.where(np.abs(pivots) > 0, pivots / np.abs(pivots), 1.0)
+    n, d = w.shape
+    degenerate = np.zeros(n, dtype=bool)
+    if d > 1:
+        gaps = np.abs(w[:, 1:] - w[:, :-1])
+        degenerate = np.minimum.reduce(gaps, axis=1) < _DEGENERACY_GAP
+    # each column's first entry above 1e-12 in size
+    pivot_rows = (np.abs(v) > 1e-12).argmax(axis=1)
+    pivots = v[np.arange(n)[:, None], pivot_rows, np.arange(d)]
+    size = np.abs(pivots)
+    phases = np.where(size > 0, pivots / size, 1.0)
     v = v * phases.conj()[:, None, :]
-    return np.swapaxes(v.conj(), 1, 2), degenerate
+    return v.conj().swapaxes(1, 2), degenerate
 
 
 def eigenbasis_unitary(rho: DensityMatrix) -> tuple[UnitaryMatrix, bool]:
@@ -242,15 +253,16 @@ def _readouts(mats: np.ndarray, us: np.ndarray) -> np.ndarray:
     if us.shape[1] != mats.shape[1]:
         raise DimMismatchError(f"unitary dim {us.shape[1]} != state dim {mats.shape[1]}")
     diag = np.einsum("zij,zjk,zik->zi", us, mats, us.conj())
-    if not float(np.abs(diag.imag).max()) <= 1e-12:
+    if not np.maximum.reduce(np.abs(diag.imag), axis=None) <= 1e-12:
         raise NotHermitianError("basis readout has a complex diagonal")
     w = diag.real
-    low = w.min(axis=1)
-    bad = np.flatnonzero(~(low >= -1e-12))
-    if bad.size:
-        raise NotPositiveError(f"basis readout has negative weight {low[bad[0]]:.3e}")
-    w = np.clip(w, 0.0, None)
-    return w / w.sum(axis=1, keepdims=True)
+    low = np.minimum.reduce(w, axis=1)
+    fine = low >= -1e-12
+    if not fine.all():
+        bad = np.flatnonzero(~fine)[0]
+        raise NotPositiveError(f"basis readout has negative weight {low[bad]:.3e}")
+    w = np.maximum(w, 0.0)
+    return w / np.add.reduce(w, axis=1, keepdims=True)
 
 
 def _readout(rho: DensityMatrix, u: UnitaryMatrix) -> np.ndarray:
@@ -537,7 +549,9 @@ def _discord_block(
     )
     names, checks, sides, of, identities = _discord_layout(kinds)
     # deficit - 0.0 is the deficit, bit for bit
-    terms = np.stack([np.zeros(n), h12, s, deficit, upper]).reshape(5, len(read), m)
+    terms = np.zeros((5, n))
+    terms[1:] = h12, s, deficit, upper
+    terms = terms.reshape(5, len(read), m)
     lhs, rhs = terms[sides, of]
 
     def details(c: int) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray] | None]:
@@ -586,17 +600,21 @@ def _discord_layout(kinds: tuple[str, ...]) -> tuple:
 _DISCORD_CHECKS = ("discord-nonneg", "chain-upper", "chain-lower")
 
 
-def _discord_report(nonneg: InequalityReport, state: np.ndarray) -> DiscordReport:
-    """The :class:`DiscordReport` of the report of a ``discord-nonneg`` row,
-    whose state as read is ``state``."""
-    e = nonneg.entropies
+def _discord_report(
+    nonneg: CheckColumns, i: int, state: np.ndarray, provenance: str = ""
+) -> DiscordReport:
+    """The :class:`DiscordReport` of row ``i`` of the columns of a
+    ``discord-nonneg`` check, whose state as read is ``state``: the values
+    its :class:`InequalityReport` would carry, read straight from the
+    columns."""
+    e = {role: float(column[i]) for role, column in nonneg.entropies.items()}
     return DiscordReport(
         **e,
-        discord=nonneg.rhs,
+        discord=float(nonneg.rhs[i]),
         chain=(e["s1"] + e["s2"] - e["h12"], e["h12"] - e["s"], e["s1"] + e["s2"] - e["s"]),
-        flags=nonneg.flags,
+        flags=tuple(flag for flag, rows in nonneg.flags.items() if rows[i]),
         state_ref=_content_ref(state),
-        provenance=nonneg.provenance,
+        provenance=provenance,
     )
 
 
@@ -609,7 +627,7 @@ def discord(rho: DensityMatrix, provenance: str = "") -> DiscordReport:
     input is padded to 4 x 4 first, which leaves every entropy unchanged.
     """
     block, [states] = _discord_block([rho.matrix[None]], GAP_TOLERANCE)
-    return _discord_report(_first(block, provenance), states[0])
+    return _discord_report(block.columns(0), 0, states[0], provenance)
 
 
 def discord_unitary_sweep(
@@ -624,7 +642,7 @@ def discord_unitary_sweep(
     if samples < 0:
         raise ShapeMismatchError(f"samples must be at least 0, got {samples}")
     block, [states] = _discord_block([rho.matrix[None]], GAP_TOLERANCE)
-    base = _discord_report(_first(block), states[0])
+    base = _discord_report(block.columns(0), 0, states[0])
     total = base.s1 + base.s2 - base.s
     best = base.discord
     rng = np.random.default_rng(seed)

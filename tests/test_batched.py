@@ -266,6 +266,17 @@ class TestSimplexKernels:
             calls.update(gather=0, entropy=0)
             _table_checks(_vectors(dim, dim), shapes, 1e-9)
             assert calls == {"gather": 1, "entropy": 1}, (shapes, calls)
+        # one gather and one entropy pass for a whole step of stacks of
+        # unequal lengths and dims
+        calls.update(gather=0, entropy=0)
+        stacks = [_vectors(dim, dim), _vectors(7, 7)[:3], _vectors(4, 4)[:1]]
+        readings = [tuple(_table_shapes(rows.shape[1])) for rows in stacks]
+        specs = tuple((rows.shape[1], shapes, "", None) for rows, shapes in zip(stacks, readings))
+        together = _all_columns(_table_block(stacks, _step_plan(specs, False), 1e-9))
+        assert calls == {"gather": 1, "entropy": 1}, calls
+        # bitwise the checks of one call per stack
+        alone = [c for rows, shapes in zip(stacks, readings) for c in _table_checks(rows, shapes, 1e-9)]
+        assert _bits(together) == _bits(alone)
 
     def test_zero_padding_and_a_read_only_stack(self):
         rows = _vectors(8, 8)
@@ -365,20 +376,21 @@ class TestSimplexKernels:
 
     def test_one_table_pass_and_one_block_split_per_four_vector_chunk(self, monkeypatch):
         # the table's gather and entropy pass, the halves' entropy pass and
-        # one block split, whatever the number of Tsallis orders; each order
-        # takes T_q(p) and T_q(b), and the Shannon limit two orders more
+        # one block split, whatever the number of Tsallis orders; T_q(p) and
+        # T_q(b) of every order, and the Shannon limit's two orders more,
+        # come from one Tsallis pass
         calls = {"gather": 0, "entropy": 0, "blocks": 0, "tsallis": 0}
         for name, fn in (
             ("gather", "_cells"),
             ("entropy", "_shannon_rows"),
             ("blocks", "_block_rows"),
-            ("tsallis", "_tsallis_rows"),
+            ("tsallis", "_tsallis_table"),
         ):
             monkeypatch.setattr(simplex, fn, _counted(calls, name, getattr(simplex, fn)))
         for q_values in ((0.5, 2.0, 3.0), (), (0.5, 1.5, 2.0, 2.5, 3.0)):
             calls.update(gather=0, entropy=0, blocks=0, tsallis=0)
             _chain_columns(_vectors(4, 42), q_values, 1e-9)
-            tsallis = 2 * len(q_values) + 2 if q_values else 0
+            tsallis = 1 if q_values else 0
             want = {"gather": 1, "entropy": 2, "blocks": 1, "tsallis": tsallis}
             assert calls == want, (q_values, calls)
 
@@ -609,10 +621,10 @@ class TestQuantumKernels:
             calls.update(gather=0, entropy=0)
             _q_table_checks(_ginibre_batch(dim, dim), shapes, 1e-9)
             assert calls == {"gather": 1, "entropy": 1}, (shapes, calls)
-        # one gather per stack, one entropy pass for all of them
+        # one gather and one entropy pass for a whole step of stacks
         calls.update(gather=0, entropy=0)
         _q_table_stacks([(_ginibre_batch(d, d), _table_shapes(d)) for d in (dim, 4, 3)], 1e-9)
-        assert calls == {"gather": 3, "entropy": 1}, calls
+        assert calls == {"gather": 1, "entropy": 1}, calls
 
     def test_a_row_below_the_floor_fails_the_batch_as_it_fails_alone(self):
         mats = _ginibre_batch(4, 30)
@@ -739,7 +751,7 @@ class TestTomographyKernels:
             f"{prefix}chain-upper",
             f"{prefix}chain-lower",
         ]
-        reports = [_discord_report(nonneg.report(k), states[k]) for k in range(N)]
+        reports = [_discord_report(nonneg, k, states[k]) for k in range(N)]
         for k, rep in enumerate(reports):
             assert _bits(rep.chain) == _bits(
                 [float(upper.gaps()[k]), float(lower.gaps()[k]), rep.s1 + rep.s2 - rep.s]

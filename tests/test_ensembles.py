@@ -104,3 +104,28 @@ def test_a_stack_is_the_single_draws_in_turn(sampler):
         stacks = np.concatenate([sampler(dim, rng, 1), sampler(dim, rng, 2), sampler(dim, rng, 4)])
         assert stacks.dtype == singles.dtype and stacks.shape == singles.shape
         assert stacks.tobytes() == singles.tobytes(), dim
+
+
+@pytest.mark.parametrize("size", [None, 1, 5, 128])
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_dirichlet_draws_are_numpys_own(dim, size):
+    # the flat Dirichlet sampler draws what Generator.dirichlet(np.ones(d))
+    # draws, bit for bit, and leaves the generator where that method does:
+    # a numpy release that changes its algorithm fails here
+    seed = 1000 * dim + (size or 0)
+    shape = (dim,) if size is None else (size, dim)
+    for sampler in (dirichlet, diagonal_density):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sampler(dim, ours, size)
+        want = theirs.dirichlet(np.ones(dim), size)
+        assert want.shape == shape
+        if sampler is diagonal_density:
+            assert got.dtype == complex and got.shape == (*shape, dim)
+            diagonal = np.diagonal(got, axis1=-2, axis2=-1)
+            assert diagonal.imag.tobytes() == np.zeros(shape).tobytes()
+            off = got * (1 - np.eye(dim))
+            assert not off.any()
+            got = diagonal.real.copy()
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), sampler.__name__
+        assert ours.random() == theirs.random(), sampler.__name__
