@@ -649,58 +649,38 @@ def _table_jobs(
     return jobs
 
 
-def _classical_jobs(config: SuiteConfig, input_state: State | None) -> list[_Job]:
-    n = config.trials
-    return [
-        _Job(1, _DIRICHLET, 7, _seven_checks, n),
-        _Job(2, _DIRICHLET, 4, _four_checks, n),
-        *_table_jobs(10, _DIRICHLET, config.resolved_dims("classical"), n, input_state),
-    ]
-
-
-def _quantum_jobs(config: SuiteConfig, input_state: State | None) -> list[_Job]:
-    return [
-        _Job(0, _MIXED, 4, _matrix_tables, 1),
-        *_table_jobs(100, _GINIBRE, config.resolved_dims("quantum"), config.trials, input_state),
-    ]
-
-
-def _tomographic_jobs(config: SuiteConfig, input_state: State | None) -> list[_Job]:
-    n, dims = config.trials, config.resolved_dims("tomographic")
-    return [
-        *(_Job(200 + j, _GINIBRE, dim, _readout_bound, n) for j, dim in enumerate(dims)),
-        _Job(230, _AXIS, 4, _axis_checks, n),
-        *(
-            _Job(240 + j, _GINIBRE, dim, _readout_min_checks, min(n, _MINIMIZER_CAP))
-            for j, dim in enumerate(dims)
-        ),
-    ]
-
-
-def _discord_jobs(config: SuiteConfig, input_state: State | None) -> list[_Job]:
-    n = config.trials
-    return [
-        _Job(300, _GINIBRE, 4, _discord_checks, n),
-        _Job(301, _DIAGONAL, 4, _discord_checks, n),
-        _Job(302, _GINIBRE, 3, _discord_checks, n),
-    ]
-
-
-# Each family's jobs, in report order; ``--suite all`` runs them in this order.
-_FAMILIES = {
-    "classical": _classical_jobs,
-    "quantum": _quantum_jobs,
-    "tomographic": _tomographic_jobs,
-    "discord": _discord_jobs,
-}
-
-
 def _jobs(config: SuiteConfig, input_state: State | None) -> list[_Job]:
     """Every job of the configured suite, in report order; a one-family
     suite builds only that family's jobs."""
-    if config.suite != "all":
-        return _FAMILIES[config.suite](config, input_state)
-    return [job for family in _FAMILIES.values() for job in family(config, input_state)]
+    n = config.trials
+    tomographic = config.resolved_dims("tomographic")
+    families = {
+        "classical": lambda: [
+            _Job(1, _DIRICHLET, 7, _seven_checks, n),
+            _Job(2, _DIRICHLET, 4, _four_checks, n),
+            *_table_jobs(10, _DIRICHLET, config.resolved_dims("classical"), n, input_state),
+        ],
+        "quantum": lambda: [
+            _Job(0, _MIXED, 4, _matrix_tables, 1),
+            *_table_jobs(100, _GINIBRE, config.resolved_dims("quantum"), n, input_state),
+        ],
+        "tomographic": lambda: [
+            *(_Job(200 + j, _GINIBRE, dim, _readout_bound, n) for j, dim in enumerate(tomographic)),
+            _Job(230, _AXIS, 4, _axis_checks, n),
+            *(
+                _Job(240 + j, _GINIBRE, dim, _readout_min_checks, min(n, _MINIMIZER_CAP))
+                for j, dim in enumerate(tomographic)
+            ),
+        ],
+        "discord": lambda: [
+            _Job(300, _GINIBRE, 4, _discord_checks, n),
+            _Job(301, _DIAGONAL, 4, _discord_checks, n),
+            _Job(302, _GINIBRE, 3, _discord_checks, n),
+        ],
+    }
+    if config.suite == "all":
+        return [job for family in families.values() for job in family()]
+    return families[config.suite]()
 
 
 class _Agg:

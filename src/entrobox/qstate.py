@@ -16,12 +16,11 @@ one per-cell sum over the flattened matrices, on the cached index plan of
 map), and entropies by one stacked ``eigvalsh`` pass per matrix size: the
 quantum tables of a list of stacks take every reduction of every stack in
 one gather over their flattened matrices laid side by side, and every
-spectrum they need, the joint ones included, diagonalizing each size
-once and writing each size's entropies straight into the rows of the
-step's entropy array. The tables
-take their reductions, sides and ids from the rule table of
-:mod:`.simplex`, with a ``q-`` prefix, and give all of their checks as one
-block (:class:`CheckBlock`). Each public single-matrix function is its
+spectrum they need, the joint ones included, diagonalizing each size once
+and writing each size's entropies straight into the rows of the step's
+entropy array. The tables take their reductions, sides and ids from the
+rule table of :mod:`.simplex`, with a ``q-`` prefix, and give all of
+their checks as one block (:class:`CheckBlock`). Each public single-matrix function is its
 kernel run on a batch of one, read as the first row of the block's first
 check, so a state's result does not depend on the batch it was checked in.
 """

@@ -25,11 +25,10 @@ per row of an ``(n, N)`` array; a kernel returns its checks as one block
 one entry of one table, :data:`_TABLE_RULES`: its id, and the reduction
 and side of each of its roles. The table kernel takes a list of readings,
 each a shape with its entry, and for a vector length it builds one cached
-plan
-(:func:`_table_plan`): which entries of a row sum into each cell of every
-reduction, each taken once, an entry of the zero padding reading one zero
-slot appended to the row, and which entropies make each check. A list of
-stacks, a suite step's table jobs, has one cached plan of its own
+plan (:func:`_table_plan`): which entries of a row sum into each cell of
+every reduction, each taken once, an entry of the zero padding reading one
+zero slot appended to the row, and which entropies make each check. A
+list of stacks, a suite step's table jobs, has one cached plan of its own
 (:func:`_step_plan`): its stacks' cell plans joined into one for their
 rows laid side by side, so that the whole step takes every reduction of
 every stack in one gather and one per-cell sum (:func:`_cells`) and every
@@ -661,9 +660,9 @@ def _side_by_side(tables: list[tuple[int, _CellPlan]]) -> _CellPlan:
 
 def _side_by_side_rows(stacks: list[np.ndarray], m: int) -> np.ndarray:
     """The flat rows (m, sum of widths) of a list of stacks laid side by
-    side, each filled to ``m`` states (:func:`~.report._filled`); a lone
-    stack of ``m`` states is taken as it is."""
-    if len(stacks) == 1 and len(stacks[0]) == m:
+    side, each filled to ``m`` states, the longest stack's length
+    (:func:`~.report._filled`); a lone stack is taken as it is."""
+    if len(stacks) == 1:
         return stacks[0]
     return np.concatenate([_filled(rows, m) for rows in stacks], axis=1)
 
@@ -824,6 +823,7 @@ def _tsallis_chains(rows: np.ndarray, orders, blocks: np.ndarray) -> tuple:
 
 
 def _chain_id(q: float) -> str:
+    """The id of the Tsallis chain bound of order ``q``."""
     return f"tsallis-chain-{_order_id(q)}"
 
 
@@ -851,13 +851,14 @@ def _chain_block(
     weighted = blocks[:, 0] * h_halves[:, 0] + blocks[:, 1] * h_halves[:, 1]
     conditional = h - table["part1"]  # H(V | V~) = H(p) - H(b)
     [table_lhs, table_rhs] = _sides(plan, e)
-    ids = [*names, *map(_chain_id, q_values)]
+    orders = [_order(q) for q in q_values]
+    ids = [*names, *map(_chain_id, orders)]
     details = [table, None]
     lhs, rhs = [table_lhs, weighted[None]], [table_rhs, conditional[None]]
     identities = {1: IDENTITY_TOLERANCE}
-    if q_values:
+    if orders:
         # each order's bound, then the Shannon limit from two orders more
-        orders = [_order(q) for q in q_values] + [1.0 + 1e-4, 1.0 - 1e-4]
+        orders += [1.0 + 1e-4, 1.0 - 1e-4]
         chain_lhs, total, entropies = _tsallis_chains(rows, orders, blocks)
         worst = np.maximum.reduce(np.abs(total[-2:] - h), axis=0)
         identities[len(ids)] = 1e-3

@@ -221,10 +221,11 @@ def _eigenbases(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = w[:, ::-1]
     v = v[:, :, ::-1]
     n, d = w.shape
-    degenerate = np.zeros(n, dtype=bool)
     if d > 1:
         gaps = np.abs(w[:, 1:] - w[:, :-1])
         degenerate = np.minimum.reduce(gaps, axis=1) < _DEGENERACY_GAP
+    else:
+        degenerate = np.zeros(n, dtype=bool)
     # each column's first entry above 1e-12 in size
     pivot_rows = (np.abs(v) > 1e-12).argmax(axis=1)
     pivots = v[np.arange(n)[:, None], pivot_rows, np.arange(d)]
