@@ -386,7 +386,7 @@ _DIAGONAL = _Sampler(
 _AXIS = _GINIBRE._replace(could_draw=lambda state, dim: False)
 # The one maximally mixed state, which needs no randomness.
 _MIXED = _Sampler(
-    lambda dim, rng, n: np.repeat(np.eye(dim, dtype=complex)[None] / dim, n, axis=0),
+    lambda dim, rng, n: (np.eye(dim, dtype=complex) / dim)[None].repeat(n, axis=0),
     "maximally-mixed-{dim}",
     lambda state, dim: False,
     seeded=False,

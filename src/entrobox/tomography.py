@@ -49,14 +49,7 @@ from .qstate import (
     _padded_rows,
     _reductions,
 )
-from .report import (
-    GAP_TOLERANCE,
-    CheckBlock,
-    CheckColumns,
-    _block,
-    _filled,
-    _first,
-)
+from .report import GAP_TOLERANCE, CheckBlock, CheckColumns, _block, _filled, _first
 from .simplex import (
     EntropyValue,
     ProbVec,
