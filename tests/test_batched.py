@@ -275,7 +275,9 @@ class TestSimplexKernels:
         together = _all_columns(_table_block(stacks, _step_plan(specs, False), 1e-9))
         assert calls == {"gather": 1, "entropy": 1}, calls
         # bitwise the checks of one call per stack
-        alone = [c for rows, shapes in zip(stacks, readings) for c in _table_checks(rows, shapes, 1e-9)]
+        alone = [
+            c for rows, shapes in zip(stacks, readings) for c in _table_checks(rows, shapes, 1e-9)
+        ]
         assert _bits(together) == _bits(alone)
 
     def test_zero_padding_and_a_read_only_stack(self):
